@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"gbmdd: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"gbmdd: result outside double range: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@
 with exact lognormal increments and estimates every analytic quantity with
 standard errors.
 
-Reproducibility contract: the normal draws for path i come from a
-counter-based Philox stream keyed by (seed, i), and per-block partial sums
-are combined in block-index order, so estimates are bit-identical for any
-thread count.
+Reproducibility contract: all uniforms come from one counter-based Philox
+stream keyed by the seed, path i owning draws [i*steps, (i+1)*steps).  Each
+block of paths advances its own copy of the stream straight to its first
+draw, and per-block statistics are merged in block-index order, so an
+estimate depends only on (seed, paths, steps, averaging), never on the
+thread count or the order in which blocks finish.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 4096   # fixed block size: the reduction tree must not depend on scheduling
+# Philox.advance(k) skips 4k draws, so every block start lo*steps must be a multiple of 4
+assert BLOCK_PATHS % 4 == 0
 CORR_BATCHES = 32    # batch-means batches for nonlinear statistics
 
 _AVERAGING = ("trapezoid", "left-riemann")
@@ -94,21 +99,27 @@ def _block_ranges(paths: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BLOCK_PATHS, paths)) for lo in range(0, paths, BLOCK_PATHS)]
 
 
+def _block_uniforms(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Uniforms of paths [lo, hi) as rows of cfg.steps draws: draws
+    [lo*steps, hi*steps) of the Philox stream keyed by cfg.seed.  `lo` is a
+    block start, a multiple of BLOCK_PATHS."""
+    bitgen = Philox(key=cfg.seed)
+    bitgen.advance(lo * cfg.steps // 4)
+    return Generator(bitgen).random((hi - lo, cfg.steps))
+
+
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat)."""
-    n = hi - lo
     steps = cfg.steps
-    u = np.empty((n, steps))
-    for row, path in enumerate(range(lo, hi)):
-        key = np.array([cfg.seed, path], dtype=np.uint64)
-        u[row] = Generator(Philox(key=key)).random(steps)
-    z = normal_inv_cdf(np.clip(u, _U_LO, _U_HI))
+    u = _block_uniforms(cfg, lo, hi)
+    z = normal_inv_cdf(np.clip(u, _U_LO, _U_HI, out=u))
     dt = p.T / steps
-    log_inc = (p.r - 0.5 * p.sigma ** 2) * dt + p.sigma * math.sqrt(dt) * z
-    log_s = np.cumsum(log_inc, axis=1)
-    s_T = np.exp(log_s[:, -1])
-    # grid values S(0)=1, S(t_1), ..., S(T)
-    s_grid = np.exp(log_s)
+    # in place, one (paths, steps) buffer: increments, then log S, then the
+    # grid values S(t_1), ..., S(T); S(0) = 1
+    z *= p.sigma * math.sqrt(dt)
+    z += (p.r - 0.5 * p.sigma ** 2) * dt
+    s_grid = np.exp(np.cumsum(z, axis=1, out=z), out=z)
+    s_T = s_grid[:, -1].copy()  # a view would keep the whole block alive
     if cfg.averaging == "trapezoid":
         a_hat = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
     else:
@@ -139,14 +150,28 @@ def simulate_terminal_and_average(p: GbmParams, cfg: McConfig,
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
-def _mean_stderr(block_stats: list[tuple[float, float, int]]) -> McEstimate:
-    """Combine per-block (sum x, sum x^2, count) in block order."""
-    sx = math.fsum(s for s, _, _ in block_stats)
-    sxx = math.fsum(q for _, q, _ in block_stats)
-    n = sum(c for _, _, c in block_stats)
-    mean = sx / n
-    var = max(sxx - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(value=mean, stderr=math.sqrt(var / n), paths_used=n)
+def _block_stats(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of one block, M2 the sum of squared deviations.
+    Centring on the block's first value first makes a constant block exact:
+    mean == x[0] and M2 == 0."""
+    d = x - x[0]
+    dm = d.mean()
+    return len(x), float(x[0] + dm), float(((d - dm) ** 2).sum())
+
+
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Pairwise update of (count, mean, M2) (Chan, Golub and LeVeque)."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * nb / n, qa + qb + delta * delta * na * nb / n
+
+
+def _mean_stderr(block_stats: list[tuple[int, float, float]]) -> McEstimate:
+    """Merge per-block (count, mean, M2) in block order."""
+    n, mean, m2 = functools.reduce(_merge, block_stats)
+    return McEstimate(value=mean, stderr=math.sqrt(m2 / (n - 1) / n), paths_used=n)
 
 
 def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> McEstimate:
@@ -154,11 +179,8 @@ def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> 
     discretization bias of the averaging rule, O(1/steps^2) for trapezoid."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    stats = []
-    for _, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        x = a_hat ** m
-        stats.append((float(x.sum()), float((x * x).sum()), len(x)))
-    return _mean_stderr(stats)
+    return _mean_stderr([_block_stats(a_hat ** m) for _, a_hat
+                         in iter_terminal_and_average(p, cfg, threads=threads)])
 
 
 def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> McEstimate:
@@ -172,22 +194,8 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
             x = disc * np.maximum(a_hat - payoff.strike, 0.0)
         else:
             raise ValueError(f"unknown payoff: {payoff!r}")
-        stats.append((float(x.sum()), float((x * x).sum()), len(x)))
+        stats.append(_block_stats(x))
     return _mean_stderr(stats)
-
-
-def _batch_moment_matrix(p: GbmParams, cfg: McConfig, threads: int) -> np.ndarray:
-    """Per-batch accumulators [n, sum S, sum A, sum S^2, sum A^2, sum SA],
-    batches assigned by path index, combined in block order."""
-    acc = np.zeros((CORR_BATCHES, 6))
-    lo = 0
-    for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        n = len(s_T)
-        batch = (np.arange(lo, lo + n) * CORR_BATCHES) // cfg.paths
-        cols = np.stack([np.ones(n), s_T, a_hat, s_T * s_T, a_hat * a_hat, s_T * a_hat], axis=1)
-        np.add.at(acc, batch, cols)
-        lo += n
-    return acc
 
 
 def _pearson(row: np.ndarray) -> float:
@@ -205,46 +213,30 @@ def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEst
         raise ValueError("correlation undefined for deterministic paths")
     if cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
-    acc = _batch_moment_matrix(p, cfg, threads)
-    pooled = _pearson(acc.sum(axis=0))
-    batch_r = np.array([_pearson(row) for row in acc])
-    stderr = float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES)
-    return McEstimate(value=pooled, stderr=stderr, paths_used=cfg.paths)
+    return estimate_suite(p, cfg, threads)["correlation"]
 
 
 def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1) -> dict[str, McEstimate]:
     """One simulation pass estimating mean S(T), mean A, E A^2, E S A and
-    (for sigma > 0) the correlation; used by the CLI cross-check."""
+    (for sigma > 0) the correlation; used by the CLI cross-check.  The
+    correlation pools per-batch sums [n, sum S, sum A, sum S^2, sum A^2,
+    sum SA], batches assigned by path index."""
     acc = np.zeros((CORR_BATCHES, 6))
-    extra = []  # per block: sums for A^2 variance and SA variance
+    stats = {"mean_S": [], "mean_A": [], "second_moment_A": [], "cross_moment_SA": []}
     lo = 0
     for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
         n = len(s_T)
         batch = (np.arange(lo, lo + n) * CORR_BATCHES) // cfg.paths
-        cols = np.stack([np.ones(n), s_T, a_hat, s_T * s_T, a_hat * a_hat, s_T * a_hat], axis=1)
-        np.add.at(acc, batch, cols)
         a2 = a_hat * a_hat
         sa = s_T * a_hat
-        extra.append((float((a2 * a2).sum()), float((sa * sa).sum())))
+        np.add.at(acc, batch, np.stack([np.ones(n), s_T, a_hat, s_T * s_T, a2, sa], axis=1))
+        for block_stats, x in zip(stats.values(), (s_T, a_hat, a2, sa)):
+            block_stats.append(_block_stats(x))
         lo += n
-    total = acc.sum(axis=0)
-    n = int(total[0])
-
-    def basic(sx: float, sxx: float) -> McEstimate:
-        mean = sx / n
-        var = max(sxx - n * mean * mean, 0.0) / (n - 1)
-        return McEstimate(mean, math.sqrt(var / n), n)
-
-    s_a2x2 = math.fsum(e[0] for e in extra)
-    s_sax2 = math.fsum(e[1] for e in extra)
-    out = {
-        "mean_S": basic(total[1], total[3]),
-        "mean_A": basic(total[2], total[4]),
-        "second_moment_A": basic(total[4], s_a2x2),
-        "cross_moment_SA": basic(total[5], s_sax2),
-    }
+    out = {name: _mean_stderr(block_stats) for name, block_stats in stats.items()}
     if p.sigma > 0:
-        pooled = _pearson(total)
         batch_r = np.array([_pearson(row) for row in acc])
-        out["correlation"] = McEstimate(pooled, float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES), n)
+        out["correlation"] = McEstimate(_pearson(acc.sum(axis=0)),
+                                        float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES),
+                                        cfg.paths)
     return out

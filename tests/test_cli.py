@@ -32,6 +32,15 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_overflow_exits_2_without_traceback(capsys):
+    for argv in (("corr", "--r", "400", "--sigma", "1", "--T", "2"),
+                 ("moments", "--max-m", "30", "--sigma", "1", "--T", "5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("gbmdd: ") and "Traceback" not in err
+
+
 def test_corr_json(capsys):
     code, out, _ = run_cli(capsys, "corr", "--r", "0.05", "--sigma", "0.2", "--T", "1")
     assert code == 0

@@ -58,6 +58,18 @@ def test_normal_inv_cdf_round_trip():
     assert arr[0] == -arr[1]
 
 
+def test_normal_inv_cdf_against_mpmath():
+    # the Monte Carlo clip range [2^-55, 1 - 2^-53], both tails and the middle
+    us = np.concatenate([np.geomspace(2.0 ** -55, 0.5, 60),
+                         1.0 - np.geomspace(2.0 ** -53, 0.5, 60),
+                         np.random.default_rng(3).random(60)])
+    xs = normal_inv_cdf(us)
+    with mp.workdps(40):
+        for u, x in zip(us, xs):
+            want = mp.findroot(lambda t: mp.ncdf(t) - mp.mpf(float(u)), mp.mpf(float(x)))
+            assert abs(x - want) <= 2e-15 * abs(want), u
+
+
 # ---------------------------------------------------------------------------
 # lognormal matching
 
