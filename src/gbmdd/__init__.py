@@ -11,6 +11,7 @@ from .divdiff import (
     choose_method,
     equispaced_dd,
     exp_dd,
+    exp_dd_batch,
     hermite_genocchi_oracle,
     iterated_ordered_exp_integral,
     leibniz_dd,

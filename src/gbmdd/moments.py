@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divdiff import OracleEstimate, choose_method, exp_dd, ordered_exp_simplex_quad
+from .divdiff import OracleEstimate, choose_method, exp_dd, exp_dd_batch, ordered_exp_simplex_quad
 
 __all__ = [
     "GbmParams",
@@ -276,8 +276,10 @@ class GridResult:
     def to_csv(self, out) -> None:
         """Write `r,a,S` rows at 17 significant digits to a file object."""
         out.write("r,a,S\n")
-        for r, a, s in self.iter_rows():
-            out.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
+        a_txt = [f"{a:.17g}" for a in self.a_values.tolist()]
+        for r, row in zip(self.r_values.tolist(), self.values.tolist()):
+            line = f"{r:.17g},%s,%.17g\n"
+            out.write("".join([line % cell for cell in zip(a_txt, row)]))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -286,15 +288,21 @@ class GridResult:
 
 
 def grid_scan(spec: GridSpec | None = None) -> GridResult:
-    """Evaluate S(r, a) on the grid; cells are independent and the result is
-    position-indexed, so evaluation order does not matter."""
+    """Evaluate S(r, a) on the grid: `s_statistic` for every cell, with each
+    of its three divided differences taken over all cells in one
+    `exp_dd_batch` call."""
     spec = spec or GridSpec()
     rv = spec.r_values()
     av = spec.a_values()
-    values = np.empty((spec.nr, spec.na))
-    for i, r in enumerate(rv):
-        for j, a in enumerate(av):
-            values[i, j] = s_statistic(float(r), float(a))
+    r, a = (x.ravel() for x in np.meshgrid(rv, av, indexing="ij"))
+    r2 = 2.0 * r
+    num = exp_dd_batch(np.stack([a, r2, r], axis=1))
+    d1 = exp_dd_batch(np.stack([a, r2], axis=1))
+    d2 = exp_dd_batch(np.stack([a, r2, r, np.zeros_like(r)], axis=1))
+    with np.errstate(all="ignore"):
+        values = (num * num / (d1 * d2)).reshape(spec.nr, spec.na)
+    if not np.isfinite(values).all():
+        raise ValueError("S(r, a) is not representable in double precision on this window")
     return GridResult(spec=spec, r_values=rv, a_values=av, values=values)
 
 

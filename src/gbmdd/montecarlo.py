@@ -211,8 +211,6 @@ def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEst
     from batch means over CORR_BATCHES path batches."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
-    if cfg.paths < 2 * CORR_BATCHES:
-        raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
     return estimate_suite(p, cfg, threads)["correlation"]
 
 
@@ -220,7 +218,10 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1) -> dict[str, M
     """One simulation pass estimating mean S(T), mean A, E A^2, E S A and
     (for sigma > 0) the correlation; used by the CLI cross-check.  The
     correlation pools per-batch sums [n, sum S, sum A, sum S^2, sum A^2,
-    sum SA], batches assigned by path index."""
+    sum SA], batches assigned by path index, so sigma > 0 needs at least
+    2 * CORR_BATCHES paths."""
+    if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
+        raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
     acc = np.zeros((CORR_BATCHES, 6))
     stats = {"mean_S": [], "mean_A": [], "second_moment_A": [], "cross_moment_SA": []}
     lo = 0

@@ -121,6 +121,13 @@ def test_mc_z_scores_small(capsys):
         assert row["paths"] == 20000 and row["steps"] == 50
 
 
+def test_mc_too_few_paths_for_batch_means_exits_2(capsys):
+    code, out, err = run_cli(capsys, "mc", "--paths", "16", "--steps", "4")
+    assert code == 2
+    assert out == ""
+    assert "batch means" in err
+
+
 def test_mc_extra_moment_flag(capsys):
     code, out, _ = run_cli(capsys, "mc", "--paths", "8000", "--steps", "25",
                            "--m", "3", "--seed", "1")

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbmdd import divdiff
 from gbmdd.ddarith import exp_dd_reference
 from gbmdd.divdiff import (
     EvalMethod,
@@ -12,6 +14,7 @@ from gbmdd.divdiff import (
     choose_method,
     equispaced_dd,
     exp_dd,
+    exp_dd_batch,
     hermite_genocchi_oracle,
     iterated_ordered_exp_integral,
     leibniz_dd,
@@ -115,6 +118,115 @@ def test_choose_method_geometry():
     assert choose_method([0.0, 1.0, 1.0, 3.0]) is EvalMethod.RECURRENCE
     # scale shrinks the spread below the threshold
     assert choose_method([0.0, 1.0, 2.0], scale=1e-3) is EvalMethod.TAYLOR_MATRIX
+
+
+def mp_exp_dd(nodes) -> mp.mpf:
+    """exp[x_0..x_n] as entry (0, n) of the exponential of the upper
+    bidiagonal matrix of the nodes, at 50 digits; confluent nodes included."""
+    with mp.workdps(50):
+        m = len(nodes)
+        M = mp.zeros(m)
+        for i, x in enumerate(sorted(nodes)):
+            M[i, i] = mp.mpf(float(x))
+            if i + 1 < m:
+                M[i, i + 1] = 1
+        return mp.expm(M)[0, m - 1]
+
+
+def rel_err(got, want) -> float:
+    return float(abs((mp.mpf(float(got)) - want) / want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-30, max_value=30), st.floats(min_value=-14, max_value=math.log10(30)))
+def test_order_one_closed_form_against_mpmath(base, log_gap):
+    nodes = [base, base + 10.0 ** log_gap]
+    assert choose_method(nodes) is EvalMethod.RECURRENCE
+    with mp.workdps(40):
+        z0, z1 = (mp.mpf(x) for x in nodes)
+        want = mp.exp(z0) * mp.expm1(z1 - z0) / (z1 - z0)
+        assert rel_err(exp_dd(nodes), want) <= 2e-15
+
+
+def test_choose_method_clustered_four_nodes():
+    # three nodes within 3e-5 of each other, 0.07 from the fourth: the two
+    # cancelling recurrence levels lost 5e-10 here before the guard
+    nodes = [-0.1615695561386045, -0.16155523326908003, -0.16154324919496776,
+             -0.088235356226954]
+    assert choose_method(nodes) is EvalMethod.TAYLOR_MATRIX
+    assert rel_err(exp_dd(nodes), mp_exp_dd(nodes)) <= 1e-14
+    assert rel_err(exp_dd(nodes, method=EvalMethod.RECURRENCE), mp_exp_dd(nodes)) > 1e-11
+    # exact ties inside the cluster stay confluent-safe
+    assert choose_method([0.0, 1.0, 1.0, 1.0]) is EvalMethod.RECURRENCE
+
+
+def _node_rows(rng, n, count):
+    """Random sorted node sets of order n; a third carry an exact tie, a
+    third a near-tie."""
+    base = rng.uniform(-30, 30, (count, 1))
+    spread = 10.0 ** rng.uniform(-6, math.log10(30), (count, 1))
+    z = np.sort(base + spread * rng.uniform(size=(count, n + 1)), axis=1)
+    if n >= 1:
+        k = count // 3
+        z[:k, 1] = z[:k, 0]
+        z[k:2 * k, 1] = z[k:2 * k, 0] + 1e-9 * (1.0 + abs(z[k:2 * k, 0]))
+        z = np.sort(z, axis=1)
+    return z
+
+
+@pytest.mark.parametrize("constants", [{}, {"TAYLOR_SPREAD_FACTOR": 0.3},
+                                       {"TAYLOR_MIN_GAP_FACTOR": 1e-2},
+                                       {"TAYLOR_MAX_AMPLIFICATION": 3.0}])
+def test_exp_dd_batch_routes_match_choose_method(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(divdiff, name, value)
+    rng = np.random.default_rng(23)
+    for n in range(0, 7):
+        z = _node_rows(rng, n, 300)
+        got = divdiff._taylor_rows(z)
+        want = [choose_method(row) is EvalMethod.TAYLOR_MATRIX for row in z]
+        assert got.tolist() == want, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(min_value=-30, max_value=30),
+              st.floats(min_value=-6, max_value=math.log10(30)),
+              st.lists(st.floats(min_value=0, max_value=1), min_size=n, max_size=n)),
+    min_size=1, max_size=4)))
+def test_exp_dd_batch_accuracy(rows):
+    nodes = np.array([[base] + [base + 10.0 ** log_spread * f for f in fracs]
+                      for base, log_spread, fracs in rows])
+    got = exp_dd_batch(nodes)
+    assert got.shape == (len(nodes),)
+    for row, value in zip(nodes, got):
+        assert value == pytest.approx(exp_dd(row), rel=1e-12)
+        assert rel_err(value, mp_exp_dd(row)) <= 1e-12
+
+
+def test_exp_dd_batch_matrix_rows():
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        z = _node_rows(rng, n, 60)
+        z[::4] = z[::4, :1] + 1e-3 * np.arange(n + 1)  # clustered: matrix at any order
+        assert divdiff._taylor_rows(z[::4]).all()
+        got = exp_dd_batch(z)
+        want = np.array([exp_dd(row) for row in z])
+        assert np.abs(got / want - 1.0).max() <= 1e-12, n
+    # one node per row is exp itself; an empty batch is empty
+    assert exp_dd_batch([[0.0], [1.0]]) == pytest.approx([1.0, math.e], rel=1e-15)
+    assert exp_dd_batch(np.empty((0, 3))).shape == (0,)
+
+
+def test_exp_dd_batch_validation():
+    for bad in ([0.0, 1.0], [[[0.0, 1.0]]], np.empty((2, 0))):
+        with pytest.raises(ValueError, match="shape"):
+            exp_dd_batch(bad)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            exp_dd_batch([[0.0, 1.0], [0.0, value]])
+    with pytest.raises(OverflowError):
+        exp_dd_batch([[0.0, 800.0]])
 
 
 @settings(max_examples=200, deadline=None)

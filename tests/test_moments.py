@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbmdd import divdiff
 from gbmdd.ddarith import DD, dd_exp, exp_dd_reference
 from gbmdd.divdiff import exp_dd, newton_table
 from gbmdd.moments import (
@@ -196,6 +197,56 @@ def test_grid_scan_degenerate_cell():
     res = grid_scan(spec)
     assert res.values[0, 0] == pytest.approx(s_statistic(0.05, 0.14), rel=1e-15)
     assert res.min_S == res.values[0, 0]
+
+
+def _per_cell(res):
+    return np.array([[s_statistic(r, a) for a in res.a_values.tolist()]
+                     for r in res.r_values.tolist()])
+
+
+@pytest.mark.parametrize("seed", [None, 0], ids=["published", "shifted"])
+def test_grid_scan_matches_per_cell_s_statistic(seed):
+    if seed is None:
+        spec = GridSpec()
+    else:
+        # the published window moved by a seeded fraction of one step
+        fa, fr = np.random.default_rng(seed).uniform(size=2)
+        da, dr = 60.0 / 120, 9.9 / 99
+        spec = GridSpec(a_min=-20.0 + fa * da, a_max=40.0 + fa * da,
+                        r_min=0.1 + fr * dr, r_max=10.0 + fr * dr)
+    res = grid_scan(spec)
+    want = _per_cell(res)
+    assert np.abs(res.values / want - 1.0).max() <= 1e-13
+
+
+def test_grid_scan_matrix_route_window():
+    # r, a near 0: both three- and four-node sets of every cell are clustered
+    spec = GridSpec(a_min=0.0, a_max=1e-3, r_min=1e-3, r_max=2e-3, na=7, nr=5)
+    res = grid_scan(spec)
+    r, a = (x.ravel() for x in np.meshgrid(res.r_values, res.a_values, indexing="ij"))
+    for nodes in ([a, 2 * r, r], [a, 2 * r, r, 0 * r]):
+        assert divdiff._taylor_rows(np.sort(np.stack(nodes, axis=1), axis=1)).all()
+    assert np.abs(res.values / _per_cell(res) - 1.0).max() <= 1e-13
+    one = grid_scan(GridSpec(a_min=40.0, a_max=40.0, r_min=10.0, r_max=10.0, na=1, nr=1))
+    assert one.values.shape == (1, 1)
+    assert one.values[0, 0] == pytest.approx(s_statistic(10.0, 40.0), rel=1e-13)
+
+
+def test_grid_scan_unrepresentable_window():
+    # exp[a, 2r] and exp[a, 2r, r]^2 underflow to 0 here, so S would be 0/0
+    with pytest.raises(ValueError, match="double precision"):
+        grid_scan(GridSpec(a_min=-800.0, a_max=-800.0, r_min=-400.0, r_max=-400.0,
+                           na=1, nr=1))
+
+
+def test_grid_csv_matches_per_cell_writer():
+    spec = GridSpec(a_min=-3.3, a_max=7.1, r_min=0.1, r_max=2.9, na=13, nr=9)
+    res = grid_scan(spec)
+    old = io.StringIO()
+    old.write("r,a,S\n")
+    for r, a, s in res.iter_rows():
+        old.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
+    assert res.to_csv_string() == old.getvalue()
 
 
 def test_grid_spec_validation():
