@@ -185,7 +185,10 @@ def _cmd_mc(args) -> int:
     rows = {}
     for name, est in suite.items():
         truth = analytic[name]
-        z = (est.value - truth) / est.stderr if est.stderr > 0 else 0.0
+        if est.stderr > 0:
+            z = (est.value - truth) / est.stderr
+        else:  # an exact estimate off the analytic value (discretisation bias) has no z
+            z = 0.0 if est.value == truth else None
         rows[name] = {**est.to_dict(cfg), "analytic": truth, "z": z}
     _emit(json.dumps({"r": p.r, "sigma": p.sigma, "T": p.T, "estimates": rows}, indent=2),
           args.output)

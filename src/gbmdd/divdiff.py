@@ -8,7 +8,8 @@ catastrophically for clustered nodes, where the bidiagonal matrix-exponential
 method keeps full relative accuracy.  `EvalMethod.AUTO` switches between the
 two; the thresholds are module constants and deliberately conservative.
 Two-node sets always take the recurrence, whose single level is the closed
-form e^{z_0} expm1(g)/g.
+form e^{z_1} (-expm1(-g))/g, taken from the larger node so that it stays
+finite for any spread.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It applies the AUTO rule row by row with the same
@@ -177,12 +178,17 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
 
     First-order entries use exp[z, z+g] = e^z expm1(g)/g, which removes the
     dominant cancellation when a node pair sits much closer than the spread.
+    Two nodes take that form from the larger node, e^{z_1} (-expm1(-g))/g,
+    which stays finite for any spread whose value is representable.
     """
     zs = sorted(zs)
     n = len(zs)
-    mu = math.fsum(zs) / n
     if n == 1:
         return math.exp(zs[0])
+    if n == 2:
+        g = zs[1] - zs[0]
+        return math.exp(zs[1]) * (-math.expm1(-g) / g if g != 0.0 else 1.0)
+    mu = math.fsum(zs) / n
     lev = []
     for i in range(n - 1):
         g = zs[i + 1] - zs[i]
@@ -201,16 +207,18 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
     return math.exp(mu) * lev[0]
 
 
-def _exp_dd_taylor_matrix(zs: list[float]) -> float:
-    """exp[z_0..z_n] as the (0, n) entry of the exponential of the upper
-    bidiagonal matrix with the centered nodes on the diagonal and ones on the
-    superdiagonal, by scaling and squaring of a truncated Taylor series.
+def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
+    """exp[z_0..z_k] for k = 0..n, the nodes taken in the order given: the
+    first row of the exponential of the upper bidiagonal matrix with the
+    centered nodes on the diagonal and ones on the superdiagonal, by scaling
+    and squaring of a truncated Taylor series, times e^mu.
 
-    All entries of the partial exponentials are positive, so the repeated
-    squarings involve no cancellation and the result keeps full relative
-    accuracy even for tightly clustered nodes.
+    Entry (i, j) of that exponential is exp[z_i - mu, ..., z_j - mu], a
+    positive number for any node order, so the repeated squarings involve no
+    cancellation and every entry keeps full relative accuracy even for
+    tightly clustered nodes.  Raises OverflowError when an entry leaves the
+    double range.
     """
-    zs = np.sort(np.asarray(zs, dtype=float))
     m = len(zs)
     mu = float(zs.mean())
     Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
@@ -224,9 +232,19 @@ def _exp_dd_taylor_matrix(zs: list[float]) -> float:
         F = F + term
         if np.abs(term).max() <= 1e-20 * np.abs(F).max():
             break
-    for _ in range(s):
-        F = F @ F
-    return math.exp(mu) * float(F[0, -1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            F = F @ F
+        row = math.exp(mu) * F[0]
+    if not np.isfinite(row).all():
+        raise OverflowError("exp_dd: a value is outside the double range")
+    return row
+
+
+def _exp_dd_taylor_matrix(zs: list[float]) -> float:
+    """exp[z_0..z_n] as the last entry of `_exp_dd_first_row` on the sorted
+    nodes."""
+    return float(_exp_dd_first_row(np.sort(np.asarray(zs, dtype=float)))[-1])
 
 
 def _exp_dd_equispaced(zs: list[float]) -> float:
@@ -292,6 +310,9 @@ def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
     m = z.shape[1]
     if m == 1:
         return np.exp(z[:, 0])
+    if m == 2:
+        g = z[:, 1] - z[:, 0]
+        return np.exp(z[:, 1]) * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
     mu = z.sum(axis=1) / m
     e = np.exp(z - mu[:, None])
     g = np.diff(z, axis=1)

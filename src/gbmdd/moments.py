@@ -12,12 +12,21 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .divdiff import OracleEstimate, choose_method, exp_dd, exp_dd_batch, ordered_exp_simplex_quad
+from .divdiff import (
+    EvalMethod,
+    OracleEstimate,
+    _exp_dd_first_row,
+    choose_method,
+    exp_dd,
+    exp_dd_batch,
+    ordered_exp_simplex_quad,
+)
 
 __all__ = [
     "GbmParams",
@@ -344,18 +353,35 @@ def moment_A(p: GbmParams, m: int) -> float:
 
 
 def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
-    """Moments of orders 0..max_m with the evaluation method recorded."""
-    out = []
-    for m in range(max_m + 1):
-        if m == 0:
-            out.append(MomentReport(order=0, value=1.0, method="exact"))
-            continue
-        nodes = BNodes.from_params(p, m).scaled(p.T)
-        out.append(MomentReport(
-            order=m,
-            value=math.factorial(m) * exp_dd(nodes),
-            method=choose_method(nodes).value,
-        ))
+    """Moments of orders 0..max_m with the evaluation method recorded.
+
+    Each order keeps the route AUTO picks for its own nodes.  The node sets
+    are nested, so one first row of the bidiagonal exponential on the nodes
+    of the highest matrix-route order M gives every matrix-route order up
+    to M; an entry that is not a normal positive double is evaluated on its
+    own instead.
+    """
+    nodes = BNodes.from_params(p, max_m).scaled(p.T)
+    methods = [choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
+    top = max((m for m, method in enumerate(methods, 1)
+               if method is EvalMethod.TAYLOR_MATRIX), default=0)
+    row = []
+    if top:
+        try:
+            row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
+        except OverflowError:
+            pass
+    out = [MomentReport(order=0, value=1.0, method="exact")]
+    for m, method in enumerate(methods, 1):
+        if (method is EvalMethod.TAYLOR_MATRIX and row
+                and sys.float_info.min <= row[m] < math.inf):
+            dd = row[m]
+        else:
+            dd = exp_dd(nodes[:m + 1])
+        value = math.factorial(m) * dd
+        if value == math.inf:
+            raise OverflowError(f"E A(T)^{m} is outside the double range")
+        out.append(MomentReport(order=m, value=value, method=method.value))
     return out
 
 

@@ -41,6 +41,7 @@ BLOCK_PATHS = 4096   # fixed block size: the reduction tree must not depend on s
 # Philox.advance(k) skips 4k draws, so every block start lo*steps must be a multiple of 4
 assert BLOCK_PATHS % 4 == 0
 CORR_BATCHES = 32    # batch-means batches for nonlinear statistics
+TILE_DRAWS = 2 ** 16  # uniforms per simulation tile (512 KiB of float64), whole paths at a time
 
 _AVERAGING = ("trapezoid", "left-riemann")
 _U_LO = 2.0 ** -55
@@ -99,31 +100,48 @@ def _block_ranges(paths: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BLOCK_PATHS, paths)) for lo in range(0, paths, BLOCK_PATHS)]
 
 
-def _block_uniforms(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Uniforms of paths [lo, hi) as rows of cfg.steps draws: draws
-    [lo*steps, hi*steps) of the Philox stream keyed by cfg.seed.  `lo` is a
-    block start, a multiple of BLOCK_PATHS."""
+def _block_generator(cfg: McConfig, lo: int) -> Generator:
+    """The Philox stream keyed by cfg.seed, advanced to draw lo*steps, the
+    first draw of path `lo`, a block start and so a multiple of BLOCK_PATHS."""
     bitgen = Philox(key=cfg.seed)
     bitgen.advance(lo * cfg.steps // 4)
-    return Generator(bitgen).random((hi - lo, cfg.steps))
+    return Generator(bitgen)
+
+
+def _block_uniforms(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Uniforms of paths [lo, hi) as rows of cfg.steps draws: draws
+    [lo*steps, hi*steps) of the Philox stream keyed by cfg.seed."""
+    return _block_generator(cfg, lo).random((hi - lo, cfg.steps))
 
 
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat)."""
+    """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
+
+    The block's uniforms stream through one reused tile of about TILE_DRAWS
+    draws, whole paths at a time; every step below acts on each row alone,
+    so the result does not depend on the tile size."""
     steps = cfg.steps
-    u = _block_uniforms(cfg, lo, hi)
-    z = normal_inv_cdf(np.clip(u, _U_LO, _U_HI, out=u))
+    gen = _block_generator(cfg, lo)
     dt = p.T / steps
-    # in place, one (paths, steps) buffer: increments, then log S, then the
-    # grid values S(t_1), ..., S(T); S(0) = 1
-    z *= p.sigma * math.sqrt(dt)
-    z += (p.r - 0.5 * p.sigma ** 2) * dt
-    s_grid = np.exp(np.cumsum(z, axis=1, out=z), out=z)
-    s_T = s_grid[:, -1].copy()  # a view would keep the whole block alive
-    if cfg.averaging == "trapezoid":
-        a_hat = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
-    else:
-        a_hat = (1.0 + s_grid[:, :-1].sum(axis=1)) / steps
+    scale = p.sigma * math.sqrt(dt)
+    drift = (p.r - 0.5 * p.sigma ** 2) * dt
+    s_T = np.empty(hi - lo)
+    a_hat = np.empty(hi - lo)
+    buf = np.empty((min(max(1, TILE_DRAWS // steps), hi - lo), steps))
+    for t0 in range(0, hi - lo, len(buf)):
+        t1 = min(t0 + len(buf), hi - lo)
+        # in place: uniforms, increments, log S, then S(t_1), ..., S(T); S(0) = 1
+        z = buf[:t1 - t0]
+        gen.random(out=z)
+        normal_inv_cdf(np.clip(z, _U_LO, _U_HI, out=z), out=z)
+        z *= scale
+        z += drift
+        s_grid = np.exp(np.cumsum(z, axis=1, out=z), out=z)
+        s_T[t0:t1] = s_grid[:, -1]
+        if cfg.averaging == "trapezoid":
+            a_hat[t0:t1] = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
+        else:
+            a_hat[t0:t1] = (1.0 + s_grid[:, :-1].sum(axis=1)) / steps
     return s_T, a_hat
 
 

@@ -32,6 +32,7 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_2_without_traceback(capsys):
     for argv in (("corr", "--r", "400", "--sigma", "1", "--T", "2"),
                  ("moments", "--max-m", "30", "--sigma", "1", "--T", "5")):
@@ -39,6 +40,15 @@ def test_overflow_exits_2_without_traceback(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("gbmdd: ") and "Traceback" not in err
+
+
+def test_order_one_moment_at_wide_spread_exits_0(capsys):
+    # E A(T) = exp[0, -1500]; the centred closed form overflowed in expm1(1500)
+    code, out, _ = run_cli(capsys, "moments", "--r", "-1500", "--sigma", "0.1",
+                           "--T", "1", "--max-m", "1")
+    assert code == 0
+    value = json.loads(out)["moments"][1]["value"]
+    assert value == pytest.approx(-math.expm1(-1500.0) / 1500.0, rel=1e-15)
 
 
 def test_corr_json(capsys):
@@ -119,6 +129,23 @@ def test_mc_z_scores_small(capsys):
     for name, row in doc["estimates"].items():
         assert abs(row["z"]) <= 4.0, name
         assert row["paths"] == 20000 and row["steps"] == 50
+
+
+def test_mc_zero_stderr_z_scores(capsys):
+    # at sigma = 0 every estimate is exact for its rule; with one step the
+    # trapezoid rule is biased, so an estimate off the analytic value has no z
+    code, out, _ = run_cli(capsys, "mc", "--paths", "64", "--steps", "1", "--sigma", "0")
+    assert code == 0
+    rows = json.loads(out)["estimates"]
+    assert rows["cross_moment_SA"]["stderr"] == 0.0
+    assert rows["cross_moment_SA"]["value"] != rows["cross_moment_SA"]["analytic"]
+    assert rows["cross_moment_SA"]["z"] is None and rows["mean_A"]["z"] is None
+    # r = 0: every path is identically 1, so estimates equal the analytic values
+    code, out, _ = run_cli(capsys, "mc", "--paths", "64", "--steps", "1", "--sigma", "0",
+                           "--r", "0")
+    assert code == 0
+    for name, row in json.loads(out)["estimates"].items():
+        assert row["value"] == row["analytic"] and row["z"] == 0.0, name
 
 
 def test_mc_too_few_paths_for_batch_means_exits_2(capsys):

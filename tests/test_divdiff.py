@@ -148,6 +148,55 @@ def test_order_one_closed_form_against_mpmath(base, log_gap):
         assert rel_err(exp_dd(nodes), want) <= 2e-15
 
 
+@pytest.mark.parametrize("top", [-600.0, -30.0, 0.0, 25.0, 600.0])
+def test_order_one_closed_form_at_wide_spreads(top):
+    # e^{z_0} expm1(g)/g overflowed in expm1 for g > 709.78 although the
+    # value, about e^{z_1}/g, is representable
+    spreads = np.append(np.geomspace(1.0, 1500.0, 25), [709.0, 710.0, 1500.0])
+    rows = [[top - g, top] for g in spreads] + [[top, top - g] for g in spreads]
+    batch = exp_dd_batch(rows)
+    with mp.workdps(40):
+        for row, got in zip(rows, batch):
+            z0, z1 = (mp.mpf(x) for x in row)
+            want = mp.exp(z0) * mp.expm1(z1 - z0) / (z1 - z0)
+            assert rel_err(exp_dd(row), want) <= 2e-15, row
+            assert rel_err(got, want) <= 2e-15, row
+
+
+def _one_loop_taylor_matrix(zs):
+    """The matrix route as a self-contained scaling-and-squaring loop on the
+    sorted nodes: the reference `exp_dd`'s matrix route reproduces bit for
+    bit."""
+    zs = np.sort(np.asarray(zs, dtype=float))
+    m = len(zs)
+    mu = float(zs.mean())
+    Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
+    norm = float(np.abs(Z).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    B = Z / (2.0 ** s)
+    F = np.eye(m)
+    term = np.eye(m)
+    for k in range(1, 64):
+        term = term @ B / k
+        F = F + term
+        if np.abs(term).max() <= 1e-20 * np.abs(F).max():
+            break
+    for _ in range(s):
+        F = F @ F
+    return math.exp(mu) * float(F[0, -1])
+
+
+def test_taylor_matrix_route_bit_identical_to_one_loop_reference():
+    rng = np.random.default_rng(37)
+    for n in range(1, 13):
+        z = _node_rows(rng, n, 40)
+        rng.permuted(z, axis=1, out=z)   # unsorted input
+        z[::5] *= 1e-7                  # clustered
+        for row in z:
+            got = exp_dd(row, method=EvalMethod.TAYLOR_MATRIX)
+            assert got == _one_loop_taylor_matrix(row), row.tolist()
+
+
 def test_choose_method_clustered_four_nodes():
     # three nodes within 3e-5 of each other, 0.07 from the fourth: the two
     # cancelling recurrence levels lost 5e-10 here before the guard

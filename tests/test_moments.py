@@ -1,6 +1,8 @@
 import io
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,6 +352,114 @@ def test_moment_table(bench):
     assert table[2].value == pytest.approx(second_moment_A(bench), rel=1e-13)
     assert table[4].method == "taylor-matrix"  # order guard
     assert table[2].method == "recurrence"
+
+
+def mp_bidiagonal_row(nodes, bits=320):
+    """exp[z_0..z_m] for m = 0..n as mpf: the first row of the exponential of
+    the upper bidiagonal matrix with the nodes on its diagonal and ones above
+    it.  The diagonal is shifted by the smallest node, so every Taylor term
+    and every product of the scaling and squaring adds nonnegative numbers
+    only; both run in `bits`-bit fixed point on Python integers, and mpmath
+    supplies e^{min node}."""
+    n = len(nodes)
+    lo = min(nodes)
+    shifted = [Fraction(x) - Fraction(lo) for x in nodes]
+    s = math.ceil(math.log2(float(max(shifted)) + 1.0)) + 3
+    unit = 1 << bits
+    diag = [int(x * unit) >> s for x in shifted]   # (Z - lo I) / 2^s
+    sup = unit >> s
+    F = [[unit if i == j else 0 for j in range(n)] for i in range(n)]
+    term = [row[:] for row in F]
+    k = 0
+    while any(any(row) for row in term):
+        k += 1
+        term = [[((term[i][j] * diag[j] + (term[i][j - 1] * sup if j > i else 0)) >> bits) // k
+                 if j >= i else 0 for j in range(n)] for i in range(n)]
+        F = [[a + b for a, b in zip(Fi, ti)] for Fi, ti in zip(F, term)]
+    for _ in range(s):
+        F = [[sum(F[i][q] * F[q][j] for q in range(i, j + 1)) >> bits if j >= i else 0
+              for j in range(n)] for i in range(n)]
+    with mp.workdps(40):
+        return [mp.exp(lo) * mp.ldexp(x, -bits) for x in F[0]]
+
+
+def test_mp_bidiagonal_row_against_mpmath_expm():
+    for nodes in ([0.0, 0.0, 1e-9, 3e-9], [0.0, -1.5, -2.0, 0.5, 4.0, 11.0],
+                  [(k * 2.0 + 2.25 * k * (k - 1) / 2) * 5.0 for k in range(9)]):
+        row = mp_bidiagonal_row(nodes)
+        with mp.workdps(40):
+            M = mp.zeros(len(nodes))
+            for i, x in enumerate(nodes):
+                M[i, i] = mp.mpf(x)
+                if i + 1 < len(nodes):
+                    M[i, i + 1] = 1
+            E = mp.expm(M)
+            for j, x in enumerate(row):
+                assert abs(x / E[0, j] - 1) < mp.mpf(10) ** -30
+
+
+def _moment_points(count):
+    """(r, sigma, T) with r in [-2, 2], sigma in [0, 1.5], T in [0.01, 5];
+    every eighth point has r = 0 and every eighth sigma^2 T <= 1e-8."""
+    rng = np.random.default_rng(2024)
+    points = [(0.0, 0.0, 1.0), (0.7, 0.0, 2.0), (0.0, 1e-4, 1.0), (0.0, 1e-5, 0.01)]
+    for j in range(count - len(points)):
+        r, sigma, T = rng.uniform(-2, 2), rng.uniform(0, 1.5), rng.uniform(0.01, 5)
+        if j % 8 == 0:
+            r = 0.0
+        if j % 8 == 4:
+            sigma = math.sqrt(10.0 ** rng.uniform(-12, -8) / T)
+        points.append((float(r), float(sigma), float(T)))
+    return points
+
+
+def test_moment_table_against_mpmath_bidiagonal_expm():
+    # scaling and squaring amplifies rounding by about 2^s, which grows with
+    # the spread of the table's nodes: the bound is 1e-12 up to a spread of
+    # 250 and grows in proportion beyond (worst seen: 0.64 of the bound; the
+    # flat 1e-12 failed at 1.1e-12, also for one exp_dd call per order)
+    for r, sigma, T in _moment_points(504):
+        p = GbmParams(r=r, sigma=sigma, T=T)
+        nodes = BNodes.from_params(p, 12).scaled(T)
+        ref = [float(math.factorial(m) * x) for m, x in enumerate(mp_bidiagonal_row(nodes))]
+        for max_m in (8, 12):
+            try:
+                table = moment_table(p, max_m)
+            except OverflowError:
+                assert ref[max_m] > 1e300, (r, sigma, T)
+                continue
+            assert [t.order for t in table] == list(range(max_m + 1))
+            assert table[0].value == 1.0 and table[0].method == "exact"
+            spread = max(nodes[:max_m + 1]) - min(nodes[:max_m + 1])
+            bound = 1e-12 * max(1.0, spread / 250.0)
+            for m in range(1, max_m + 1):
+                assert table[m].method == divdiff.choose_method(nodes[:m + 1]).value
+                assert abs(table[m].value / ref[m] - 1.0) <= bound, (r, sigma, T, m)
+
+
+def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
+    # an entry of the shared row that is zero, subnormal or not finite, or a
+    # row that overflows as a whole, falls back to exp_dd for that order
+    p = GbmParams(r=0.3, sigma=0.9, T=2.0)
+    nodes = BNodes.from_params(p, 10).scaled(p.T)
+    scalar = [math.factorial(m) * exp_dd(nodes[:m + 1]) for m in range(11)]
+    first_row = divdiff._exp_dd_first_row
+
+    def damaged(zs):
+        row = first_row(zs)
+        row[[4, 6, 9]] = [0.0, 5e-324, math.inf]
+        return row
+
+    def overflowing(zs):
+        raise OverflowError("row")
+
+    for fake, recomputed in ((damaged, (4, 6, 9)), (overflowing, range(1, 11))):
+        monkeypatch.setattr("gbmdd.moments._exp_dd_first_row", fake)
+        table = moment_table(p, 10)
+        for m in recomputed:
+            assert table[m].value == scalar[m], m
+        assert [t.method for t in table[1:]] == [
+            divdiff.choose_method(nodes[:m + 1]).value for m in range(1, 11)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,38 @@ def test_fewer_paths_give_a_prefix():
     assert np.array_equal(small[0], first[0]) and np.array_equal(small[1], first[1])
 
 
+def _one_shot_paths(p, cfg):
+    """(S(T), A_hat) built from each block's whole uniform array at once."""
+    dt = p.T / cfg.steps
+    s_parts, a_parts = [], []
+    for lo in range(0, cfg.paths, BLOCK_PATHS):
+        u = _block_uniforms(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
+        z = normal_inv_cdf(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
+        s = np.exp(np.cumsum(z * (p.sigma * math.sqrt(dt)) + (p.r - 0.5 * p.sigma ** 2) * dt,
+                             axis=1))
+        head = s[:, :-1].sum(axis=1)
+        if cfg.averaging == "trapezoid":
+            a_parts.append((0.5 + head + 0.5 * s[:, -1]) / cfg.steps)
+        else:
+            a_parts.append((1.0 + head) / cfg.steps)
+        s_parts.append(s[:, -1])
+    return np.concatenate(s_parts), np.concatenate(a_parts)
+
+
+@pytest.mark.parametrize("paths, steps", [(9_000, 333), (4_100, 1), (4_097, 1000),
+                                          (3, 70_000)])
+def test_tiled_simulation_equals_one_shot_reference(paths, steps):
+    # tiles of 2^16 // steps whole paths: 333 and 1000 do not divide 2^16,
+    # 70 000 steps exceed it (one path per tile); each case ends in a partial block
+    p = GbmParams(r=0.07, sigma=0.4, T=1.5)
+    for averaging in ("trapezoid", "left-riemann"):
+        cfg = McConfig(paths=paths, steps=steps, seed=41, averaging=averaging)
+        want = _one_shot_paths(p, cfg)
+        for threads in (1, 2):
+            got = simulate_terminal_and_average(p, cfg, threads=threads)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_sigma_zero_suite_stderr_is_exact_zero():
     # a one-pass sum-of-squares variance reported stderr ~ 1e-9 here
     p = GbmParams(r=0.05, sigma=0.0, T=1.0)
