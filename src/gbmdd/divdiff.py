@@ -61,6 +61,8 @@ TAYLOR_MIN_GAP_FACTOR = 1e-5
 # the recurrence stayed within 3e-13 of mpmath on clustered node sets that
 # reached 5e-10 without the guard.
 TAYLOR_MAX_AMPLIFICATION = 300.0
+# Below this mu the recurrence's factor e^mu is subnormal and loses digits.
+_LOG_MIN_NORMAL = math.log(2.0 ** -1022)
 
 
 class EvalMethod(enum.Enum):
@@ -178,22 +180,39 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
 
     First-order entries use exp[z, z+g] = e^z expm1(g)/g, which removes the
     dominant cancellation when a node pair sits much closer than the spread.
-    Two nodes take that form from the larger node, e^{z_1} (-expm1(-g))/g,
-    which stays finite for any spread whose value is representable.
+    Two nodes, and wide spreads where the centered form overflows or e^mu is
+    subnormal, take the form anchored on the largest node instead, with
+    e^{z_{i+1}} (-expm1(-g))/g at the first level: every entry then lies in
+    (0, 1], so it stays finite wherever the value is representable.
     """
     zs = sorted(zs)
     n = len(zs)
     if n == 1:
         return math.exp(zs[0])
     if n == 2:
-        g = zs[1] - zs[0]
-        return math.exp(zs[1]) * (-math.expm1(-g) / g if g != 0.0 else 1.0)
+        return _recurrence_tableau(zs, zs[1], anchored=True)
     mu = math.fsum(zs) / n
+    if mu >= _LOG_MIN_NORMAL:
+        try:
+            value = _recurrence_tableau(zs, mu, anchored=False)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    return _recurrence_tableau(zs, zs[-1], anchored=True)
+
+
+def _recurrence_tableau(zs: list[float], mu: float, anchored: bool) -> float:
+    """e^mu times the divided-difference tableau of exp(z - mu) on sorted
+    nodes; the first level from the upper node of each pair if `anchored`."""
+    n = len(zs)
     lev = []
     for i in range(n - 1):
         g = zs[i + 1] - zs[i]
-        ratio = math.expm1(g) / g if g != 0.0 else 1.0
-        lev.append(math.exp(zs[i] - mu) * ratio)
+        if anchored:
+            lev.append(math.exp(zs[i + 1] - mu) * (-math.expm1(-g) / g if g != 0.0 else 1.0))
+        else:
+            lev.append(math.exp(zs[i] - mu) * (math.expm1(g) / g if g != 0.0 else 1.0))
     fact = 1.0
     for k in range(2, n):
         fact *= k
@@ -306,17 +325,30 @@ def _taylor_rows(z: np.ndarray) -> np.ndarray:
 
 def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
     """`_exp_dd_recurrence` on every sorted row at once, one tableau level
-    at a time."""
+    at a time: the centered form first, then the anchored form on the rows
+    where the scalar route takes it."""
     m = z.shape[1]
     if m == 1:
         return np.exp(z[:, 0])
     if m == 2:
-        g = z[:, 1] - z[:, 0]
-        return np.exp(z[:, 1]) * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
+        return _recurrence_tableau_rows(z, z[:, -1], anchored=True)
     mu = z.sum(axis=1) / m
+    out = _recurrence_tableau_rows(z, mu, anchored=False)
+    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
+    if redo.any():
+        out[redo] = _recurrence_tableau_rows(z[redo], z[redo, -1], anchored=True)
+    return out
+
+
+def _recurrence_tableau_rows(z: np.ndarray, mu: np.ndarray, anchored: bool) -> np.ndarray:
+    """`_recurrence_tableau` on every sorted row, with per-row `mu`."""
+    m = z.shape[1]
     e = np.exp(z - mu[:, None])
     g = np.diff(z, axis=1)
-    lev = e[:, :-1] * np.where(g != 0.0, np.expm1(g) / g, 1.0)
+    if anchored:
+        lev = e[:, 1:] * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
+    else:
+        lev = e[:, :-1] * np.where(g != 0.0, np.expm1(g) / g, 1.0)
     fact = 1.0
     for k in range(2, m):
         fact *= k

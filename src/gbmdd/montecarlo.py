@@ -2,12 +2,12 @@
 with exact lognormal increments and estimates every analytic quantity with
 standard errors.
 
-Reproducibility contract: all uniforms come from one counter-based Philox
-stream keyed by the seed, path i owning draws [i*steps, (i+1)*steps).  Each
-block of paths advances its own copy of the stream straight to its first
-draw, and per-block statistics are merged in block-index order, so an
-estimate depends only on (seed, paths, steps, averaging), never on the
-thread count or the order in which blocks finish.
+Reproducibility contract: block b of BLOCK_PATHS paths draws its normals
+from its own PCG64DXSM stream, seeded by child b of the seed's SeedSequence,
+row-major, one row of `steps` normals per path (numpy's ziggurat
+`standard_normal`).  Per-block statistics are merged in block-index order,
+so an estimate depends only on (seed, paths, steps, averaging) and the fixed
+BLOCK_PATHS, never on the thread count or the order in which blocks finish.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .moments import GbmParams
-from .pricing import normal_inv_cdf
 
 __all__ = [
     "McConfig",
@@ -37,15 +36,11 @@ __all__ = [
     "estimate_suite",
 ]
 
-BLOCK_PATHS = 4096   # fixed block size: the reduction tree must not depend on scheduling
-# Philox.advance(k) skips 4k draws, so every block start lo*steps must be a multiple of 4
-assert BLOCK_PATHS % 4 == 0
+BLOCK_PATHS = 4096   # fixed block size: part of the stream layout and the reduction tree
 CORR_BATCHES = 32    # batch-means batches for nonlinear statistics
-TILE_DRAWS = 2 ** 16  # uniforms per simulation tile (512 KiB of float64), whole paths at a time
+TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole paths at a time
 
 _AVERAGING = ("trapezoid", "left-riemann")
-_U_LO = 2.0 ** -55
-_U_HI = 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -84,6 +79,9 @@ class McEstimate:
 class FloatingStrikeAsianCall:
     """Payoff (S(T) - A(T))^+."""
 
+    def values(self, s_T: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+        return np.maximum(s_T - a_hat, 0.0)
+
 
 @dataclass(frozen=True)
 class FixedStrikeAsianCall:
@@ -95,31 +93,33 @@ class FixedStrikeAsianCall:
         if not (math.isfinite(self.strike) and self.strike >= 0):
             raise ValueError("strike must be finite and nonnegative")
 
+    def values(self, s_T: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+        return np.maximum(a_hat - self.strike, 0.0)
+
 
 def _block_ranges(paths: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BLOCK_PATHS, paths)) for lo in range(0, paths, BLOCK_PATHS)]
 
 
 def _block_generator(cfg: McConfig, lo: int) -> Generator:
-    """The Philox stream keyed by cfg.seed, advanced to draw lo*steps, the
-    first draw of path `lo`, a block start and so a multiple of BLOCK_PATHS."""
-    bitgen = Philox(key=cfg.seed)
-    bitgen.advance(lo * cfg.steps // 4)
-    return Generator(bitgen)
+    """The stream of the block starting at path `lo` (a multiple of
+    BLOCK_PATHS): PCG64DXSM seeded by child b = lo // BLOCK_PATHS of
+    SeedSequence(cfg.seed), the child `.spawn` would give as its b-th."""
+    return Generator(PCG64DXSM(SeedSequence(cfg.seed, spawn_key=(lo // BLOCK_PATHS,))))
 
 
-def _block_uniforms(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Uniforms of paths [lo, hi) as rows of cfg.steps draws: draws
-    [lo*steps, hi*steps) of the Philox stream keyed by cfg.seed."""
-    return _block_generator(cfg, lo).random((hi - lo, cfg.steps))
+def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Standard normals of paths [lo, hi) of the block starting at `lo`, as
+    rows of cfg.steps draws, in the order the simulator draws them."""
+    return _block_generator(cfg, lo).standard_normal((hi - lo, cfg.steps))
 
 
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
 
-    The block's uniforms stream through one reused tile of about TILE_DRAWS
-    draws, whole paths at a time; every step below acts on each row alone,
-    so the result does not depend on the tile size."""
+    The block's normals stream through one reused tile of about TILE_DRAWS
+    draws, whole paths at a time, filled in stream order; every step below
+    acts on each row alone, so the result does not depend on the tile size."""
     steps = cfg.steps
     gen = _block_generator(cfg, lo)
     dt = p.T / steps
@@ -130,10 +130,9 @@ def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.n
     buf = np.empty((min(max(1, TILE_DRAWS // steps), hi - lo), steps))
     for t0 in range(0, hi - lo, len(buf)):
         t1 = min(t0 + len(buf), hi - lo)
-        # in place: uniforms, increments, log S, then S(t_1), ..., S(T); S(0) = 1
+        # in place: normals, increments, log S, then S(t_1), ..., S(T); S(0) = 1
         z = buf[:t1 - t0]
-        gen.random(out=z)
-        normal_inv_cdf(np.clip(z, _U_LO, _U_HI, out=z), out=z)
+        gen.standard_normal(out=z)
         z *= scale
         z += drift
         s_grid = np.exp(np.cumsum(z, axis=1, out=z), out=z)
@@ -192,28 +191,26 @@ def _mean_stderr(block_stats: list[tuple[int, float, float]]) -> McEstimate:
     return McEstimate(value=mean, stderr=math.sqrt(m2 / (n - 1) / n), paths_used=n)
 
 
+def _path_mean(p: GbmParams, cfg: McConfig, f, threads: int) -> McEstimate:
+    """Sample mean of f(S(T), A_hat) over all paths with standard error."""
+    return _mean_stderr([_block_stats(f(s_T, a_hat)) for s_T, a_hat
+                         in iter_terminal_and_average(p, cfg, threads=threads)])
+
+
 def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> McEstimate:
     """Sample mean of A_hat^m with standard error.  Carries the quadrature
     discretization bias of the averaging rule, O(1/steps^2) for trapezoid."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    return _mean_stderr([_block_stats(a_hat ** m) for _, a_hat
-                         in iter_terminal_and_average(p, cfg, threads=threads)])
+    return _path_mean(p, cfg, lambda s_T, a_hat: a_hat ** m, threads)
 
 
 def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> McEstimate:
     """Discounted sample mean of the Asian payoff with standard error."""
+    if not isinstance(payoff, (FloatingStrikeAsianCall, FixedStrikeAsianCall)):
+        raise ValueError(f"unknown payoff: {payoff!r}")
     disc = math.exp(-p.r * p.T)
-    stats = []
-    for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        if isinstance(payoff, FloatingStrikeAsianCall):
-            x = disc * np.maximum(s_T - a_hat, 0.0)
-        elif isinstance(payoff, FixedStrikeAsianCall):
-            x = disc * np.maximum(a_hat - payoff.strike, 0.0)
-        else:
-            raise ValueError(f"unknown payoff: {payoff!r}")
-        stats.append(_block_stats(x))
-    return _mean_stderr(stats)
+    return _path_mean(p, cfg, lambda s_T, a_hat: disc * payoff.values(s_T, a_hat), threads)
 
 
 def _pearson(row: np.ndarray) -> float:

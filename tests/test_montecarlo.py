@@ -17,7 +17,7 @@ from gbmdd.montecarlo import (
     FixedStrikeAsianCall,
     FloatingStrikeAsianCall,
     McConfig,
-    _block_uniforms,
+    _block_normals,
     estimate_correlation,
     estimate_moment_A,
     estimate_payoff,
@@ -25,7 +25,6 @@ from gbmdd.montecarlo import (
     iter_terminal_and_average,
     simulate_terminal_and_average,
 )
-from gbmdd.pricing import normal_inv_cdf
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 
@@ -82,22 +81,51 @@ def test_thread_count_invariance():
 
 
 def test_single_stream_layout():
-    # path i owns draws [i*steps, (i+1)*steps) of one Philox stream keyed by the seed
-    from numpy.random import Generator, Philox
+    # block b draws its normals row-major from a PCG64DXSM stream seeded by
+    # child b of the seed's SeedSequence
+    from numpy.random import PCG64DXSM, Generator, SeedSequence
 
     cfg = McConfig(paths=10_000, steps=7, seed=2 ** 64 - 3)
-    ref = Generator(Philox(key=cfg.seed)).random(cfg.paths * cfg.steps)
-    ref = ref.reshape(cfg.paths, cfg.steps)
-    for lo in range(0, cfg.paths, BLOCK_PATHS):
+    starts = range(0, cfg.paths, BLOCK_PATHS)
+    children = SeedSequence(cfg.seed).spawn(len(starts))
+    blocks = []
+    for child, lo in zip(children, starts):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        assert np.array_equal(_block_uniforms(cfg, lo, hi), ref[lo:hi])
+        want = Generator(PCG64DXSM(child)).standard_normal((hi - lo) * cfg.steps)
+        blocks.append(_block_normals(cfg, lo, hi))
+        assert np.array_equal(blocks[-1], want.reshape(hi - lo, cfg.steps))
     # the simulator builds its paths from exactly those rows
     s_T, _ = simulate_terminal_and_average(BENCH, cfg)
     dt = BENCH.T / cfg.steps
-    z = normal_inv_cdf(np.clip(ref, 2.0 ** -55, 1.0 - 2.0 ** -53))
+    z = np.concatenate(blocks)
     log_inc = (BENCH.r - 0.5 * BENCH.sigma ** 2) * dt + BENCH.sigma * math.sqrt(dt) * z
     want = np.exp(log_inc.sum(axis=1))
     assert np.allclose(s_T, want, rtol=1e-13, atol=0.0)
+
+
+def test_block_normals_against_mpmath_distribution():
+    # 2^22 draws from four blocks: chi-square over 100 bins equiprobable under
+    # mpmath's normal quantile, and the counts beyond |z| > 4 and > 5
+    import mpmath
+
+    cfg = McConfig(paths=4 * BLOCK_PATHS, steps=256, seed=20_100_611)
+    z = np.concatenate([_block_normals(cfg, lo, lo + BLOCK_PATHS)
+                        for lo in range(0, cfg.paths, BLOCK_PATHS)]).ravel()
+    n = z.size
+    assert n == 2 ** 22
+    bins = 100
+    edges = [float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(2 * k) / bins - 1))
+             for k in range(1, bins)]
+    counts = np.bincount(np.searchsorted(edges, z), minlength=bins)
+    stat = float(((counts - n / bins) ** 2).sum() / (n / bins))
+    # the chi-square(bins - 1) upper 1e-6 quantile, about 180.8
+    crit = mpmath.findroot(lambda x: mpmath.gammainc(mpmath.mpf(bins - 1) / 2, x / 2, mpmath.inf,
+                                                     regularized=True) - mpmath.mpf("1e-6"), 180)
+    assert stat < crit
+    for x in (4, 5):
+        tail = float(mpmath.erfc(x / mpmath.sqrt(2)))
+        beyond = int((np.abs(z) > x).sum())
+        assert abs(beyond - n * tail) <= 5.0 * math.sqrt(n * tail * (1.0 - tail)), x
 
 
 def test_fewer_paths_give_a_prefix():
@@ -107,12 +135,11 @@ def test_fewer_paths_give_a_prefix():
 
 
 def _one_shot_paths(p, cfg):
-    """(S(T), A_hat) built from each block's whole uniform array at once."""
+    """(S(T), A_hat) built from each block's whole normal array at once."""
     dt = p.T / cfg.steps
     s_parts, a_parts = [], []
     for lo in range(0, cfg.paths, BLOCK_PATHS):
-        u = _block_uniforms(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
-        z = normal_inv_cdf(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
+        z = _block_normals(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
         s = np.exp(np.cumsum(z * (p.sigma * math.sqrt(dt)) + (p.r - 0.5 * p.sigma ** 2) * dt,
                              axis=1))
         head = s[:, :-1].sum(axis=1)
@@ -230,7 +257,7 @@ def test_estimate_correlation():
 
 def test_ordered_product_mc_cross_check():
     # E S(t1) S(t2) S(t3) against the analytic formula, using paths rebuilt
-    # from the simulator's own uniforms
+    # from the simulator's own normals
     p = BENCH
     cfg = McConfig(paths=60_000, steps=64, seed=17)
     times = (0.25, 0.5, 1.0)
@@ -238,8 +265,7 @@ def test_ordered_product_mc_cross_check():
     dt = p.T / cfg.steps
     prods = []
     for lo in range(0, cfg.paths, BLOCK_PATHS):
-        u = _block_uniforms(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
-        z = normal_inv_cdf(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
+        z = _block_normals(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
         log_s = np.cumsum((p.r - 0.5 * p.sigma ** 2) * dt + p.sigma * math.sqrt(dt) * z,
                           axis=1)
         s = np.exp(log_s)
