@@ -10,6 +10,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -110,14 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The report's destination: stdout, or the file at `path`."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, path: str | None) -> None:
+    with _output(path) as out:
+        out.write(text)
+        if path is None and not text.endswith("\n"):
+            out.write("\n")
 
 
 def _cmd_moments(args) -> int:
@@ -157,10 +165,10 @@ def _cmd_scan(args) -> int:
                "decreasing_in_a": result.decreasing_in_a}
         _emit(json.dumps(doc), args.output)
     else:
-        text = result.to_csv_string()
-        text += (f"# min S = {result.min_S:.17g} at r = {rmin:.17g}, a = {amin:.17g}; "
-                 f"decreasing in a: {result.decreasing_in_a}\n")
-        _emit(text, args.output)
+        with _output(args.output) as out:
+            result.to_csv(out)
+            out.write(f"# min S = {result.min_S:.17g} at r = {rmin:.17g}, a = {amin:.17g}; "
+                      f"decreasing in a: {result.decreasing_in_a}\n")
     return EXIT_OK
 
 
@@ -169,7 +177,7 @@ def _cmd_mc(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=seed,
                               averaging=args.averaging)
-    suite = montecarlo.estimate_suite(p, cfg, threads=args.threads)
+    suite = montecarlo.estimate_suite(p, cfg, threads=args.threads, m=args.m)
     analytic = {
         "mean_S": moments.mean_S(p),
         "mean_A": moments.mean_A(p),
@@ -179,8 +187,6 @@ def _cmd_mc(args) -> int:
     if p.sigma > 0:
         analytic["correlation"] = moments.correlation(p).R
     if args.m is not None:
-        suite[f"moment_A_{args.m}"] = montecarlo.estimate_moment_A(
-            p, cfg, args.m, threads=args.threads)
         analytic[f"moment_A_{args.m}"] = moments.moment_A(p, args.m)
     rows = {}
     for name, est in suite.items():

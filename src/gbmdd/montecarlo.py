@@ -229,16 +229,21 @@ def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEst
     return estimate_suite(p, cfg, threads)["correlation"]
 
 
-def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1) -> dict[str, McEstimate]:
-    """One simulation pass estimating mean S(T), mean A, E A^2, E S A and
-    (for sigma > 0) the correlation; used by the CLI cross-check.  The
-    correlation pools per-batch sums [n, sum S, sum A, sum S^2, sum A^2,
-    sum SA], batches assigned by path index, so sigma > 0 needs at least
-    2 * CORR_BATCHES paths."""
+def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
+                   m: int | None = None) -> dict[str, McEstimate]:
+    """One simulation pass estimating mean S(T), mean A, E A^2, E S A,
+    (for sigma > 0) the correlation and, when `m` is given, E A^m under the
+    key "moment_A_<m>", bit-identical to `estimate_moment_A`; used by the
+    CLI cross-check.  The correlation pools per-batch sums [n, sum S, sum A,
+    sum S^2, sum A^2, sum SA], batches assigned by path index, so sigma > 0
+    needs at least 2 * CORR_BATCHES paths."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
+    if m is not None and m < 0:
+        raise ValueError("moment order must be nonnegative")
     acc = np.zeros((CORR_BATCHES, 6))
     stats = {"mean_S": [], "mean_A": [], "second_moment_A": [], "cross_moment_SA": []}
+    moment_stats = []
     lo = 0
     for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
         n = len(s_T)
@@ -248,6 +253,8 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1) -> dict[str, M
         np.add.at(acc, batch, np.stack([np.ones(n), s_T, a_hat, s_T * s_T, a2, sa], axis=1))
         for block_stats, x in zip(stats.values(), (s_T, a_hat, a2, sa)):
             block_stats.append(_block_stats(x))
+        if m is not None:
+            moment_stats.append(_block_stats(a_hat ** m))
         lo += n
     out = {name: _mean_stderr(block_stats) for name, block_stats in stats.items()}
     if p.sigma > 0:
@@ -255,4 +262,6 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1) -> dict[str, M
         out["correlation"] = McEstimate(_pearson(acc.sum(axis=0)),
                                         float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES),
                                         cfg.paths)
+    if m is not None:
+        out[f"moment_A_{m}"] = _mean_stderr(moment_stats)
     return out

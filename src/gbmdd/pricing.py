@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from . import moments
 from .moments import GbmParams
@@ -37,12 +36,14 @@ _SQRT2 = math.sqrt(2.0)
 def normal_cdf(x):
     """Standard normal CDF from the complementary error function,
     Phi(x) = erfc(-x / sqrt(2)) / 2; absolute error below 1e-10 and
-    Phi(-x) = 1 - Phi(x) at the ulp level.  Accepts scalars or arrays."""
+    Phi(-x) = 1 - Phi(x) at the ulp level.  Accepts scalars (`math.erfc`)
+    or arrays (`scipy.special.erfc`, imported on the first array call)."""
     if np.ndim(x) == 0:
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")
         return 0.5 * math.erfc(-x / _SQRT2)
+    from scipy.special import erfc
     return 0.5 * erfc(np.asarray(x, dtype=float) / -_SQRT2)
 
 
@@ -50,13 +51,15 @@ def normal_inv_cdf(u, out=None):
     """Inverse of `normal_cdf` on (0, 1) by `scipy.special.ndtri`, within a
     few ulp of the exact quantile from 2^-55 to 1 - 2^-53 (worst relative
     error about 5e-16 against mpmath over that range, tails included).
-    Accepts scalars or arrays; an array result goes to `out` when given."""
-    scalar = np.ndim(u) == 0
+    Accepts scalars or arrays; an array result goes to `out` when given.
+    Raises ValueError when any entry lies outside (0, 1) or is nan.
+    scipy is imported on the first call, not with the package."""
     uu = np.asarray(u, dtype=float)
-    if scalar and not (0.0 < float(uu) < 1.0):
+    if not ((0.0 < uu) & (uu < 1.0)).all():
         raise ValueError("u must lie strictly between 0 and 1")
+    from scipy.special import ndtri
     x = ndtri(uu, out=out)
-    return float(x) if scalar else x
+    return float(x) if np.ndim(u) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ class LognormalFit:
 def lognormal_match(mean: float, second_moment: float) -> LognormalFit:
     """Two-moment lognormal fit: s2 = ln(second_moment / mean^2),
     mu = ln(mean) - s2 / 2."""
+    if not (math.isfinite(mean) and math.isfinite(second_moment)):
+        raise ValueError("moments must be finite")
     if mean <= 0 or second_moment <= 0:
         raise ValueError("moments must be positive")
     excess = (second_moment - mean * mean) / (mean * mean)
@@ -152,8 +157,8 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
     moment-matched lognormal fit of A(T)."""
     if p.sigma == 0:
         raise ValueError("approximation undefined for deterministic paths")
-    if K < 0:
-        raise ValueError("strike must be nonnegative")
+    if not (math.isfinite(K) and K >= 0):
+        raise ValueError("strike must be finite and nonnegative")
     rT = p.r * p.T
     mA = moments.mean_A(p)
     fit = lognormal_match(mA, moments.second_moment_A(p))
@@ -165,6 +170,9 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
     if fit.s2 == 0.0:
         return PriceQuote(discount * max(mA - K, 0.0), "black-approx", inputs)
     sh = math.sqrt(fit.s2)
-    d1 = (math.log(mA / K) + fit.s2 / 2.0) / sh
+    ratio = mA / K
+    # a strike below about mA / 1.8e308 overflows the quotient, not its log
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(mA) - math.log(K)
+    d1 = (log_ratio + fit.s2 / 2.0) / sh
     value = discount * (mA * normal_cdf(d1) - K * normal_cdf(d1 - sh))
     return PriceQuote(max(value, 0.0), "black-approx", inputs)

@@ -1,9 +1,14 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gbmdd import montecarlo
 from gbmdd.cli import DEFAULT_SEED, main
+from gbmdd.moments import GbmParams
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +133,17 @@ def test_scan_output_file(tmp_path, capsys):
     assert target.read_text().startswith("r,a,S\n")
 
 
+def test_scan_csv_to_stdout_and_file_match(tmp_path, capsys):
+    argv = ["scan", "--na", "7", "--nr", "4", "--a-min", "-3", "--a-max", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "surface.csv"
+    code, _, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert target.read_text() == out
+    assert out.count("\n") == 1 + 7 * 4 + 1 and out.splitlines()[-1].startswith("# min S")
+
+
 def test_mc_z_scores_small(capsys):
     code, out, _ = run_cli(capsys, "mc", "--paths", "20000", "--steps", "50",
                            "--seed", str(DEFAULT_SEED))
@@ -173,6 +189,45 @@ def test_mc_extra_moment_flag(capsys):
     assert abs(doc["estimates"]["moment_A_3"]["z"]) <= 4.0
 
 
+def _count_blocks(monkeypatch) -> list:
+    """Record every simulated block, (lo, hi), in call order."""
+    calls = []
+    simulate = montecarlo._simulate_block
+
+    def counted(p, cfg, lo, hi):
+        calls.append((lo, hi))
+        return simulate(p, cfg, lo, hi)
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", counted)
+    return calls
+
+
+def test_mc_extra_moment_simulates_each_block_once(capsys, monkeypatch):
+    calls = _count_blocks(monkeypatch)
+    code, out, _ = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25",
+                           "--m", "3", "--seed", "1")
+    assert code == 0
+    assert calls == [(0, 4096), (4096, 8192)]
+    rows = json.loads(out)["estimates"]
+    # the same numbers as a suite pass followed by a separate E A^3 pass
+    p = GbmParams(r=0.05, sigma=0.2, T=1.0)
+    cfg = montecarlo.McConfig(paths=8192, steps=25, seed=1)
+    want = {**montecarlo.estimate_suite(p, cfg),
+            "moment_A_3": montecarlo.estimate_moment_A(p, cfg, 3)}
+    assert list(rows) == list(want)
+    for name, est in want.items():
+        assert (rows[name]["value"], rows[name]["stderr"]) == (est.value, est.stderr), name
+
+
+def test_mc_negative_moment_order_exits_2_before_simulating(capsys, monkeypatch):
+    calls = _count_blocks(monkeypatch)
+    code, out, err = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25", "--m", "-1")
+    assert code == 2
+    assert out == ""
+    assert "moment order" in err
+    assert calls == []
+
+
 def test_mc_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("GBMDD_SEED", "777")
     code, out, _ = run_cli(capsys, "mc", "--paths", "2000", "--steps", "10")
@@ -213,3 +268,37 @@ def test_oracle_suite_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gbmdd
+from gbmdd import cli, pricing
+assert not scipy_modules(), ("import gbmdd", scipy_modules())
+for argv in (["moments", "--max-m", "3"], ["corr"], ["scan", "--na", "4", "--nr", "3"],
+             ["mc", "--paths", "128", "--steps", "4", "--m", "2"],
+             ["price", "--style", "floating", "--compare-mc", "--paths", "256", "--steps", "4"],
+             ["price", "--style", "fixed", "--compare-mc", "--paths", "256", "--steps", "4"],
+             ["oracle"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+out = pricing.normal_cdf(np.array([-1.0, 0.0, 1.0]))
+assert out[1] == 0.5 and abs(out[0] + out[2] - 1.0) < 1e-15
+assert "scipy.special" in sys.modules
+print("ok")
+"""
+
+
+def test_import_and_subcommands_leave_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

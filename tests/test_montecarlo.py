@@ -243,6 +243,18 @@ def test_left_riemann_bias_is_first_order():
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
 
 
+def test_suite_moment_order_matches_estimate_moment_A():
+    cfg = McConfig(paths=5000, steps=20, seed=13)
+    for m in (0, 1, 4):
+        for threads in (1, 2):
+            suite = estimate_suite(BENCH, cfg, threads=threads, m=m)
+            alone = estimate_moment_A(BENCH, cfg, m)
+            assert list(suite)[-1] == f"moment_A_{m}"
+            assert suite[f"moment_A_{m}"] == alone
+    with pytest.raises(ValueError, match="moment order"):
+        estimate_suite(BENCH, cfg, m=-1)
+
+
 def test_estimate_correlation():
     cfg = McConfig(paths=40_000, steps=100, seed=13)
     from gbmdd.moments import correlation

@@ -58,6 +58,16 @@ def test_normal_inv_cdf_round_trip():
     assert arr[0] == -arr[1]
 
 
+def test_normal_inv_cdf_array_rejects_entries_outside_unit_interval():
+    for bad in (0.0, 1.0, math.nan, -0.5, 1.5, math.inf):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            normal_inv_cdf(np.array([0.25, bad, 0.75]))
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            normal_inv_cdf(bad)
+    out = np.empty(2)
+    assert normal_inv_cdf(np.array([0.25, 0.75]), out=out) is out
+
+
 def test_normal_inv_cdf_against_mpmath():
     # the Monte Carlo clip range [2^-55, 1 - 2^-53], both tails and the middle
     us = np.concatenate([np.geomspace(2.0 ** -55, 0.5, 60),
@@ -103,6 +113,13 @@ def test_lognormal_match_jensen_violation():
         lognormal_match(2.0, 3.9)
     with pytest.raises(ValueError):
         lognormal_match(-1.0, 2.0)
+
+
+def test_lognormal_match_rejects_non_finite_moments():
+    for mean, second in ((math.nan, 2.0), (1.0, math.nan), (1.0, math.inf),
+                         (math.inf, 2.0), (math.inf, math.inf), (-math.inf, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            lognormal_match(mean, second)
 
 
 # ---------------------------------------------------------------------------
@@ -207,3 +224,16 @@ def test_fixed_strike_decreasing_in_strike(bench):
     ks = np.linspace(0.0, 2.0, 21)
     vals = [fixed_strike_asian_approx(bench, float(k)).value for k in ks]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_fixed_strike_non_finite_strike_rejected(bench):
+    for K in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
+            fixed_strike_asian_approx(bench, K)
+
+
+def test_fixed_strike_tiny_strike_is_discounted_mean(bench):
+    # mean_A / 1e-320 overflows; the quote takes log(mean_A) - log(K) instead
+    want = fixed_strike_asian_approx(bench, 0.0).value
+    for K in (1e-320, 5e-324):
+        assert fixed_strike_asian_approx(bench, K).value == want
