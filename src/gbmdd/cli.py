@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -109,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     subs.add_parser("oracle", help="run the numerical cross-check suite")
     return parser
+
+
+# main's parser, built once per process: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
 
 
 @contextlib.contextmanager
@@ -322,9 +327,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,10 +12,10 @@ form e^{z_1} (-expm1(-g))/g, taken from the larger node so that it stays
 finite for any spread.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
-(N, n+1) array each.  It applies the AUTO rule row by row with the same
-constants and evaluates each route in vectorised numpy: the recurrence one
-tableau level at a time across rows, the matrix method as a stack of
-bidiagonal Taylor series grouped by their squaring count.
+(N, n+1) array each.  It works on node columns: a sorting network orders
+every row, AUTO's rule runs elementwise with the same constants, the
+recurrence one tableau level at a time, and the matrix method as a stack
+of bidiagonal Taylor series grouped by their squaring count.
 """
 
 from __future__ import annotations
@@ -304,57 +304,74 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     raise ValueError(f"unknown evaluation method: {method!r}")
 
 
-def _taylor_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise `choose_method` on sorted rows: True where AUTO takes the
-    matrix method."""
-    n = z.shape[1] - 1
+def _sort_columns(c) -> list[np.ndarray]:
+    """Node columns `c` sorted within each row, without writing to `c`: an
+    odd-even transposition network of compare-exchanges (Batcher, 1968)."""
+    c = list(c)
+    for step in range(len(c)):
+        for i in range(step % 2, len(c) - 1, 2):
+            c[i], c[i + 1] = np.minimum(c[i], c[i + 1]), np.maximum(c[i], c[i + 1])
+    return c
+
+
+def _taylor_columns(c) -> np.ndarray:
+    """`choose_method` on every row of sorted node columns `c`: True where
+    AUTO takes the matrix method."""
+    n = len(c) - 1
     if n <= 1 or n >= TAYLOR_MIN_ORDER:
-        return np.full(len(z), n >= TAYLOR_MIN_ORDER)
-    spread = z[:, -1] - z[:, 0]
-    scale_bound = 1.0 + np.maximum(np.abs(z[:, 0]), np.abs(z[:, -1]))
-    gaps = np.diff(z, axis=1)
-    min_gap = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
+        return np.full(len(c[0]), n >= TAYLOR_MIN_ORDER)
+    spread = c[-1] - c[0]
+    scale_bound = 1.0 + np.maximum(np.abs(c[0]), np.abs(c[-1]))
     taylor = ((spread < TAYLOR_SPREAD_FACTOR * scale_bound)
-              | (min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound))
+              | (_min_positive_span(c, 1) < TAYLOR_MIN_GAP_FACTOR * scale_bound))
     if n == 3:
-        spans = z[:, 2:] - z[:, :-2]
-        s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
-        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * s2 * spread
+        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * _min_positive_span(c, 2) * spread
     return taylor
 
 
-def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
-    """`_exp_dd_recurrence` on every sorted row at once, one tableau level
-    at a time: the centered form first, then the anchored form on the rows
-    where the scalar route takes it."""
-    m = z.shape[1]
-    if m == 1:
-        return np.exp(z[:, 0])
-    if m == 2:
-        return _recurrence_tableau_rows(z, z[:, -1], anchored=True)
-    mu = z.sum(axis=1) / m
-    out = _recurrence_tableau_rows(z, mu, anchored=False)
-    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
-    if redo.any():
-        out[redo] = _recurrence_tableau_rows(z[redo], z[redo, -1], anchored=True)
+def _min_positive_span(c, k: int):
+    """Smallest positive c[i+k] - c[i] on every row; inf where there is none."""
+    out = np.inf
+    for i in range(len(c) - k):
+        span = c[i + k] - c[i]
+        out = np.minimum(out, np.where(span > 0.0, span, np.inf))
     return out
 
 
-def _recurrence_tableau_rows(z: np.ndarray, mu: np.ndarray, anchored: bool) -> np.ndarray:
-    """`_recurrence_tableau` on every sorted row, with per-row `mu`."""
-    m = z.shape[1]
-    e = np.exp(z - mu[:, None])
-    g = np.diff(z, axis=1)
+def _exp_dd_recurrence_columns(c) -> np.ndarray:
+    """`_exp_dd_recurrence` on every row of sorted node columns `c` at once,
+    one tableau level at a time: the centered form first, then the anchored
+    form on the rows where the scalar route takes it."""
+    m = len(c)
+    if m == 1:
+        return np.exp(c[0])
+    if m == 2:
+        return _recurrence_tableau_columns(c, c[-1], anchored=True)
+    mu = sum(c) / m
+    out = _recurrence_tableau_columns(c, mu, anchored=False)
+    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
+    if redo.any():
+        cr = [x[redo] for x in c]
+        out[redo] = _recurrence_tableau_columns(cr, cr[-1], anchored=True)
+    return out
+
+
+def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray:
+    """`_recurrence_tableau` on every row of sorted node columns `c`, with
+    per-row `mu`."""
+    m = len(c)
+    e = [np.exp(x - mu) for x in c]
+    g = [c[i + 1] - c[i] for i in range(m - 1)]
     if anchored:
-        lev = e[:, 1:] * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
+        lev = [e[i + 1] * np.where(x != 0.0, -np.expm1(-x) / x, 1.0) for i, x in enumerate(g)]
     else:
-        lev = e[:, :-1] * np.where(g != 0.0, np.expm1(g) / g, 1.0)
+        lev = [e[i] * np.where(x != 0.0, np.expm1(x) / x, 1.0) for i, x in enumerate(g)]
     fact = 1.0
     for k in range(2, m):
         fact *= k
-        span = z[:, k:] - z[:, :-k]
-        lev = np.where(span == 0.0, e[:, :-k] / fact, (lev[:, 1:] - lev[:, :-1]) / span)
-    return np.exp(mu) * lev[:, 0]
+        lev = [np.where(c[i + k] == c[i], e[i] / fact, (lev[i + 1] - lev[i]) / (c[i + k] - c[i]))
+               for i in range(m - k)]
+    return np.exp(mu) * lev[0]
 
 
 def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
@@ -393,18 +410,22 @@ def exp_dd_batch(nodes) -> np.ndarray:
     Each row takes the route AUTO picks for it in `exp_dd` and agrees with
     the scalar value to rounding.  Raises ValueError for a bad shape or
     non-finite nodes, OverflowError where a value leaves the double range.
+    It works on node columns: the transpose of a C-contiguous (n+1, N) array
+    is read without a copy.
     """
     z = np.asarray(nodes, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError("nodes must have shape (N, n+1) with n+1 >= 1")
     if not np.isfinite(z).all():
         raise ValueError("nodes must be finite")
-    z = np.sort(z, axis=1)
-    out = np.empty(len(z))
+    c = _sort_columns(np.ascontiguousarray(z.T))
     with np.errstate(all="ignore"):
-        taylor = _taylor_rows(z)
-        out[~taylor] = _exp_dd_recurrence_rows(z[~taylor])
-        out[taylor] = _exp_dd_taylor_matrix_rows(z[taylor])
+        taylor = _taylor_columns(c)
+        # every row takes the recurrence, cheaper than masking the columns
+        # when few rows take the matrix method, which overwrites its own rows
+        out = _exp_dd_recurrence_columns(c)
+        if taylor.any():
+            out[taylor] = _exp_dd_taylor_matrix_rows(np.stack([x[taylor] for x in c], axis=1))
     if not np.isfinite(out).all():
         raise OverflowError("exp_dd_batch: a value is outside the double range")
     return out

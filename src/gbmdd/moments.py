@@ -285,10 +285,10 @@ class GridResult:
     def to_csv(self, out) -> None:
         """Write `r,a,S` rows at 17 significant digits to a file object."""
         out.write("r,a,S\n")
-        a_txt = [f"{a:.17g}" for a in self.a_values.tolist()]
+        cells = [f"{a:.17g},%.17g\n" for a in self.a_values.tolist()]
         for r, row in zip(self.r_values.tolist(), self.values.tolist()):
-            line = f"{r:.17g},%s,%.17g\n"
-            out.write("".join([line % cell for cell in zip(a_txt, row)]))
+            r_txt = f"{r:.17g},"
+            out.write((r_txt + r_txt.join(cells)) % tuple(row))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -304,10 +304,11 @@ def grid_scan(spec: GridSpec | None = None) -> GridResult:
     rv = spec.r_values()
     av = spec.a_values()
     r, a = (x.ravel() for x in np.meshgrid(rv, av, indexing="ij"))
-    r2 = 2.0 * r
-    num = exp_dd_batch(np.stack([a, r2, r], axis=1))
-    d1 = exp_dd_batch(np.stack([a, r2], axis=1))
-    d2 = exp_dd_batch(np.stack([a, r2, r, np.zeros_like(r)], axis=1))
+    # node columns; each batch reads a leading block of them, transposed
+    nodes = np.stack([a, 2.0 * r, r, np.zeros_like(r)])
+    num = exp_dd_batch(nodes[:3].T)
+    d1 = exp_dd_batch(nodes[:2].T)
+    d2 = exp_dd_batch(nodes.T)
     with np.errstate(all="ignore"):
         values = (num * num / (d1 * d2)).reshape(spec.nr, spec.na)
     if not np.isfinite(values).all():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gbmdd import montecarlo
+from gbmdd import cli, montecarlo
 from gbmdd.cli import DEFAULT_SEED, main
 from gbmdd.moments import GbmParams
 
@@ -142,6 +142,27 @@ def test_scan_csv_to_stdout_and_file_match(tmp_path, capsys):
     assert code == 0
     assert target.read_text() == out
     assert out.count("\n") == 1 + 7 * 4 + 1 and out.splitlines()[-1].startswith("# min S")
+
+
+def test_consecutive_calls_match_fresh_parser(capsys):
+    # main builds its parser once per process: no flag, default or usage
+    # error may carry over from one call to the next
+    runs = [("scan", "--na", "3", "--nr", "2"), ("scan", "--na", "4", "--nr", "2"),
+            ("mc", "--paths", "128", "--steps", "4", "--m", "2"),
+            ("mc", "--paths", "128", "--steps", "4"), ("corr", "--bogus"),
+            ("scan", "--na", "3", "--nr", "2", "--format", "json")]
+    shared = [run_cli(capsys, *argv) for argv in runs]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0]
+    assert shared[0][1].count("\n") == 1 + 3 * 2 + 1
+    assert shared[1][1].count("\n") == 1 + 4 * 2 + 1
+    assert "moment_A_2" in json.loads(shared[2][1])["estimates"]
+    assert "moment_A_2" not in json.loads(shared[3][1])["estimates"]
 
 
 def test_mc_z_scores_small(capsys):

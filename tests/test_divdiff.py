@@ -254,7 +254,7 @@ def test_exp_dd_batch_routes_match_choose_method(monkeypatch, constants):
     rng = np.random.default_rng(23)
     for n in range(0, 7):
         z = _node_rows(rng, n, 300)
-        got = divdiff._taylor_rows(z)
+        got = divdiff._taylor_columns(z.T)
         want = [choose_method(row) is EvalMethod.TAYLOR_MATRIX for row in z]
         assert got.tolist() == want, n
 
@@ -280,13 +280,125 @@ def test_exp_dd_batch_matrix_rows():
     for n in range(2, 9):
         z = _node_rows(rng, n, 60)
         z[::4] = z[::4, :1] + 1e-3 * np.arange(n + 1)  # clustered: matrix at any order
-        assert divdiff._taylor_rows(z[::4]).all()
+        assert divdiff._taylor_columns(z[::4].T).all()
         got = exp_dd_batch(z)
         want = np.array([exp_dd(row) for row in z])
         assert np.abs(got / want - 1.0).max() <= 1e-12, n
     # one node per row is exp itself; an empty batch is empty
     assert exp_dd_batch([[0.0], [1.0]]) == pytest.approx([1.0, math.e], rel=1e-15)
     assert exp_dd_batch(np.empty((0, 3))).shape == (0,)
+
+
+# The row kernels `exp_dd_batch` ran on before it moved to node columns, kept
+# verbatim: the column kernel reproduces them bit for bit.
+from gbmdd.divdiff import (  # noqa: E402
+    _LOG_MIN_NORMAL,
+    TAYLOR_MAX_AMPLIFICATION,
+    TAYLOR_MIN_GAP_FACTOR,
+    TAYLOR_MIN_ORDER,
+    TAYLOR_SPREAD_FACTOR,
+)
+
+
+def _taylor_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise `choose_method` on sorted rows: True where AUTO takes the
+    matrix method."""
+    n = z.shape[1] - 1
+    if n <= 1 or n >= TAYLOR_MIN_ORDER:
+        return np.full(len(z), n >= TAYLOR_MIN_ORDER)
+    spread = z[:, -1] - z[:, 0]
+    scale_bound = 1.0 + np.maximum(np.abs(z[:, 0]), np.abs(z[:, -1]))
+    gaps = np.diff(z, axis=1)
+    min_gap = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
+    taylor = ((spread < TAYLOR_SPREAD_FACTOR * scale_bound)
+              | (min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound))
+    if n == 3:
+        spans = z[:, 2:] - z[:, :-2]
+        s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
+        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * s2 * spread
+    return taylor
+
+
+def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
+    """`_exp_dd_recurrence` on every sorted row at once, one tableau level
+    at a time: the centered form first, then the anchored form on the rows
+    where the scalar route takes it."""
+    m = z.shape[1]
+    if m == 1:
+        return np.exp(z[:, 0])
+    if m == 2:
+        return _recurrence_tableau_rows(z, z[:, -1], anchored=True)
+    mu = z.sum(axis=1) / m
+    out = _recurrence_tableau_rows(z, mu, anchored=False)
+    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
+    if redo.any():
+        out[redo] = _recurrence_tableau_rows(z[redo], z[redo, -1], anchored=True)
+    return out
+
+
+def _recurrence_tableau_rows(z: np.ndarray, mu: np.ndarray, anchored: bool) -> np.ndarray:
+    """`_recurrence_tableau` on every sorted row, with per-row `mu`."""
+    m = z.shape[1]
+    e = np.exp(z - mu[:, None])
+    g = np.diff(z, axis=1)
+    if anchored:
+        lev = e[:, 1:] * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
+    else:
+        lev = e[:, :-1] * np.where(g != 0.0, np.expm1(g) / g, 1.0)
+    fact = 1.0
+    for k in range(2, m):
+        fact *= k
+        span = z[:, k:] - z[:, :-k]
+        lev = np.where(span == 0.0, e[:, :-k] / fact, (lev[:, 1:] - lev[:, :-1]) / span)
+    return np.exp(mu) * lev[:, 0]
+
+
+def _row_exp_dd_batch(nodes):
+    """`exp_dd_batch` on sorted rows, through the reference row kernels."""
+    z = np.sort(np.asarray(nodes, dtype=float), axis=1)
+    out = np.empty(len(z))
+    with np.errstate(all="ignore"):
+        taylor = _taylor_rows(z)
+        out[~taylor] = _exp_dd_recurrence_rows(z[~taylor])
+        out[taylor] = divdiff._exp_dd_taylor_matrix_rows(z[taylor])
+    return out
+
+
+def _column_kernel_cases(rng, n):
+    """Unsorted node rows of order n: exact and near ties on mixed routes,
+    -0.0 next to 0.0, and at orders up to 3 spreads up to 1500 (the anchored
+    redo) and rows whose e^mu is subnormal."""
+    parts = [_node_rows(rng, n, 90),
+             rng.choice([-0.0, 0.0, 0.0, 1.5, -2.0], (30, n + 1))]
+    if 1 <= n <= 3:
+        shapes = {1: [[]], 2: [[0.5], [0.01], [0.99]], 3: [[0.7, 0.3], [0.5, 0.01], [0.999, 0.5]]}
+        parts.append([[top - g] + [top - f * g for f in shape] + [top]
+                      for shape in shapes[n] for top in (-600.0, 0.0, 600.0)
+                      for g in np.geomspace(50.0, 1500.0, 6)])
+        parts.append([[top - g] + [top - f * g for f in shape] + [top]
+                      for shape in shapes[n] for top in (-720.0, -700.0) for g in (40.0, 300.0)])
+    z = np.concatenate(parts)
+    return rng.permuted(rng.permutation(z), axis=1)
+
+
+def test_exp_dd_batch_bit_identical_to_row_kernels():
+    rng = np.random.default_rng(41)
+    for n in range(0, 7):
+        z = _column_kernel_cases(rng, n)
+        zs = np.sort(z, axis=1)
+        with np.errstate(all="ignore"):   # as in exp_dd_batch: inf * 0 on all-tie rows
+            taylor = _taylor_rows(zs)
+            assert divdiff._taylor_columns(zs.T).tolist() == taylor.tolist(), n
+        if 2 <= n <= 3:
+            assert 0 < taylor.sum() < len(z), n   # both routes in one batch
+            # rows where e^mu is subnormal or the centred tableau overflows
+            # take the anchored redo
+            rec = zs[~taylor]
+            mu = rec.mean(axis=1)
+            assert (mu < _LOG_MIN_NORMAL).any() and (rec[:, -1] - mu > 709.8).any(), n
+        assert np.array_equal(np.stack(divdiff._sort_columns(z.T)), zs.T), n
+        assert exp_dd_batch(z).tobytes() == _row_exp_dd_batch(z).tobytes(), n
+        assert exp_dd_batch(np.empty((0, n + 1))).tobytes() == b""
 
 
 def test_exp_dd_batch_validation():

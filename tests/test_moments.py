@@ -206,17 +206,19 @@ def _per_cell(res):
                      for r in res.r_values.tolist()])
 
 
+def _scan_window(seed):
+    """The published window, or it moved by a seeded fraction of one step."""
+    if seed is None:
+        return GridSpec()
+    fa, fr = np.random.default_rng(seed).uniform(size=2)
+    da, dr = 60.0 / 120, 9.9 / 99
+    return GridSpec(a_min=-20.0 + fa * da, a_max=40.0 + fa * da,
+                    r_min=0.1 + fr * dr, r_max=10.0 + fr * dr)
+
+
 @pytest.mark.parametrize("seed", [None, 0], ids=["published", "shifted"])
 def test_grid_scan_matches_per_cell_s_statistic(seed):
-    if seed is None:
-        spec = GridSpec()
-    else:
-        # the published window moved by a seeded fraction of one step
-        fa, fr = np.random.default_rng(seed).uniform(size=2)
-        da, dr = 60.0 / 120, 9.9 / 99
-        spec = GridSpec(a_min=-20.0 + fa * da, a_max=40.0 + fa * da,
-                        r_min=0.1 + fr * dr, r_max=10.0 + fr * dr)
-    res = grid_scan(spec)
+    res = grid_scan(_scan_window(seed))
     want = _per_cell(res)
     assert np.abs(res.values / want - 1.0).max() <= 1e-13
 
@@ -227,7 +229,7 @@ def test_grid_scan_matrix_route_window():
     res = grid_scan(spec)
     r, a = (x.ravel() for x in np.meshgrid(res.r_values, res.a_values, indexing="ij"))
     for nodes in ([a, 2 * r, r], [a, 2 * r, r, 0 * r]):
-        assert divdiff._taylor_rows(np.sort(np.stack(nodes, axis=1), axis=1)).all()
+        assert divdiff._taylor_columns(np.sort(np.stack(nodes, axis=1), axis=1).T).all()
     assert np.abs(res.values / _per_cell(res) - 1.0).max() <= 1e-13
     one = grid_scan(GridSpec(a_min=40.0, a_max=40.0, r_min=10.0, r_max=10.0, na=1, nr=1))
     assert one.values.shape == (1, 1)
@@ -242,13 +244,14 @@ def test_grid_scan_unrepresentable_window():
 
 
 def test_grid_csv_matches_per_cell_writer():
-    spec = GridSpec(a_min=-3.3, a_max=7.1, r_min=0.1, r_max=2.9, na=13, nr=9)
-    res = grid_scan(spec)
-    old = io.StringIO()
-    old.write("r,a,S\n")
-    for r, a, s in res.iter_rows():
-        old.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
-    assert res.to_csv_string() == old.getvalue()
+    for spec in (GridSpec(a_min=-3.3, a_max=7.1, r_min=0.1, r_max=2.9, na=13, nr=9),
+                 _scan_window(None), _scan_window(1)):
+        res = grid_scan(spec)
+        old = io.StringIO()
+        old.write("r,a,S\n")
+        for r, a, s in res.iter_rows():
+            old.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
+        assert res.to_csv_string() == old.getvalue(), spec
 
 
 def test_grid_spec_validation():
