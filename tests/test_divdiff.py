@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from gbmdd import divdiff
 from gbmdd.ddarith import exp_dd_reference
 from gbmdd.divdiff import (
+    _LOG_MIN_NORMAL,
+    TAYLOR_MAX_AMPLIFICATION,
+    TAYLOR_MIN_GAP_FACTOR,
+    TAYLOR_MIN_ORDER,
+    TAYLOR_SPREAD_FACTOR,
     EvalMethod,
     NodeList,
     SimplexSpec,
@@ -291,13 +296,6 @@ def test_exp_dd_batch_matrix_rows():
 
 # The row kernels `exp_dd_batch` ran on before it moved to node columns, kept
 # verbatim: the column kernel reproduces them bit for bit.
-from gbmdd.divdiff import (  # noqa: E402
-    _LOG_MIN_NORMAL,
-    TAYLOR_MAX_AMPLIFICATION,
-    TAYLOR_MIN_GAP_FACTOR,
-    TAYLOR_MIN_ORDER,
-    TAYLOR_SPREAD_FACTOR,
-)
 
 
 def _taylor_rows(z: np.ndarray) -> np.ndarray:
