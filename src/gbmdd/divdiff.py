@@ -9,7 +9,11 @@ method keeps full relative accuracy.  `EvalMethod.AUTO` switches between the
 two; the thresholds are module constants and deliberately conservative.
 Two-node sets always take the recurrence, whose single level is the closed
 form e^{z_1} (-expm1(-g))/g, taken from the larger node so that it stays
-finite for any spread.
+finite for any spread.  A scalar call validates its scaled nodes, sorts
+them and routes them once; `choose_method` is the same rule on the same
+sorted nodes.  The matrix method's Taylor loop keeps its term and partial
+sum in one buffer and takes both maxima of its stopping test in one
+reduction.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns: a sorting network orders
@@ -72,15 +76,17 @@ class EvalMethod(enum.Enum):
     TAYLOR_MATRIX = "taylor-matrix"
 
 
-def _coerce_nodes(nodes) -> tuple[float, ...]:
-    if isinstance(nodes, NodeList):
-        return nodes.nodes
-    vals = tuple(float(x) for x in nodes)
-    if len(vals) == 0:
+def _coerce_nodes(nodes, scale: float = 1.0) -> list[float]:
+    """The nodes times `scale` as floats; ValueError unless every product is
+    finite."""
+    if not math.isfinite(scale):
+        raise ValueError("scale must be finite")
+    zs = [scale * float(x) for x in nodes]
+    if not zs:
         raise ValueError("need at least one node")
-    if not all(math.isfinite(x) for x in vals):
+    if not all(map(math.isfinite, zs)):
         raise ValueError("nodes must be finite")
-    return vals
+    return zs
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class NodeList:
     nodes: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _coerce_nodes(self.nodes))
+        object.__setattr__(self, "nodes", tuple(_coerce_nodes(self.nodes)))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -156,7 +162,11 @@ def newton_table(values: Sequence[float], nodes) -> DDTable:
 def choose_method(nodes, scale: float = 1.0) -> EvalMethod:
     """Deterministic AUTO resolution for `exp_dd` from node geometry; one or
     two nodes always take the recurrence (a closed form at order 1)."""
-    zs = sorted(scale * x for x in _coerce_nodes(nodes))
+    return _route(sorted(_coerce_nodes(nodes, scale)))
+
+
+def _route(zs: list[float]) -> EvalMethod:
+    """AUTO's rule on sorted, finite nodes."""
     n = len(zs) - 1
     if n <= 1:
         return EvalMethod.RECURRENCE
@@ -183,9 +193,9 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
     Two nodes, and wide spreads where the centered form overflows or e^mu is
     subnormal, take the form anchored on the largest node instead, with
     e^{z_{i+1}} (-expm1(-g))/g at the first level: every entry then lies in
-    (0, 1], so it stays finite wherever the value is representable.
+    (0, 1], so it stays finite wherever the value is representable.  The
+    nodes come sorted.
     """
-    zs = sorted(zs)
     n = len(zs)
     if n == 1:
         return math.exp(zs[0])
@@ -244,12 +254,14 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     norm = float(np.abs(Z).sum(axis=0).max())
     s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
     B = Z / (2.0 ** s)
-    F = np.eye(m)
-    term = np.eye(m)
+    # term and partial sum in one buffer: one reduction takes both maxima
+    term, F = buf = np.array([np.eye(m)] * 2)
     for k in range(1, 64):
-        term = term @ B / k
-        F = F + term
-        if np.abs(term).max() <= 1e-20 * np.abs(F).max():
+        np.matmul(term, B, out=term)
+        np.divide(term, k, out=term)
+        np.add(F, term, out=F)
+        top = np.maximum.reduce(np.absolute(buf), axis=(1, 2))
+        if top[0] <= 1e-20 * top[1]:
             break
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
@@ -260,16 +272,9 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     return row
 
 
-def _exp_dd_taylor_matrix(zs: list[float]) -> float:
-    """exp[z_0..z_n] as the last entry of `_exp_dd_first_row` on the sorted
-    nodes."""
-    return float(_exp_dd_first_row(np.sort(np.asarray(zs, dtype=float)))[-1])
-
-
 def _exp_dd_equispaced(zs: list[float]) -> float:
-    """Closed form for equispaced nodes: the n-th forward difference of exp
-    collapses to e^x (e^h - 1)^n, evaluated through expm1."""
-    zs = sorted(zs)
+    """Closed form for equispaced sorted nodes: the n-th forward difference
+    of exp collapses to e^x (e^h - 1)^n, evaluated through expm1."""
     n = len(zs) - 1
     h = (zs[-1] - zs[0]) / n
     if h == 0.0:
@@ -286,19 +291,18 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     Repeated nodes are handled confluently (n+1 copies of x give e^x / n!).
     The result is positive for any real nodes.  Nearly coincident distinct
     nodes embedded in a wide spread lose accuracy on the recurrence path at
-    the usual epsilon/gap rate; exact ties do not.
+    the usual epsilon/gap rate; exact ties do not.  Raises ValueError unless
+    every scaled node is finite.
     """
-    if not math.isfinite(scale):
-        raise ValueError("scale must be finite")
-    zs = [scale * x for x in _coerce_nodes(nodes)]
+    zs = sorted(_coerce_nodes(nodes, scale))
     if len(zs) == 1:
         return math.exp(zs[0])
     if method is EvalMethod.AUTO:
-        method = choose_method(nodes, scale)
+        method = _route(zs)
     if method is EvalMethod.RECURRENCE:
         return _exp_dd_recurrence(zs)
     if method is EvalMethod.TAYLOR_MATRIX:
-        return _exp_dd_taylor_matrix(zs)
+        return float(_exp_dd_first_row(np.array(zs))[-1])
     if method is EvalMethod.EQUISPACED_FORWARD_DIFFERENCE:
         return _exp_dd_equispaced(zs)
     raise ValueError(f"unknown evaluation method: {method!r}")
@@ -375,9 +379,9 @@ def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray
 
 
 def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
-    """`_exp_dd_taylor_matrix` on every sorted row, as a stack of bidiagonal
-    matrices; rows sharing a squaring count share one Taylor loop, which
-    stops once every row in it passes the scalar route's test."""
+    """The last entry of `_exp_dd_first_row` on every sorted row, as a stack
+    of bidiagonal matrices; rows sharing a squaring count share one Taylor
+    loop, which stops once every row in it passes the scalar route's test."""
     K, m = z.shape
     mu = z.mean(axis=1)
     Z = np.zeros((K, m, m))

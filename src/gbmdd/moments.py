@@ -10,6 +10,7 @@ closed forms blow up.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import sys
@@ -21,8 +22,9 @@ import numpy as np
 from .divdiff import (
     EvalMethod,
     OracleEstimate,
+    _coerce_nodes,
     _exp_dd_first_row,
-    choose_method,
+    _route,
     exp_dd,
     exp_dd_batch,
     ordered_exp_simplex_quad,
@@ -362,8 +364,12 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     to M; an entry that is not a normal positive double is evaluated on its
     own instead.
     """
-    nodes = BNodes.from_params(p, max_m).scaled(p.T)
-    methods = [choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
+    nodes = _coerce_nodes(BNodes.from_params(p, max_m).scaled(p.T))
+    # AUTO's rule on each order's sorted nodes, built up from the last order's
+    prefix, methods = nodes[:1], []
+    for z in nodes[1:]:
+        bisect.insort(prefix, z)
+        methods.append(_route(prefix))
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
     row = []

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gbmdd import divdiff
 from gbmdd.ddarith import exp_dd_reference
+from gbmdd.moments import BNodes, GbmParams, moment_table
 from gbmdd.divdiff import (
     _LOG_MIN_NORMAL,
     TAYLOR_MAX_AMPLIFICATION,
@@ -92,6 +94,23 @@ def test_exp_dd_scale():
         0.53291500034602833099, rel=1e-13)
     with pytest.raises(ValueError):
         exp_dd([0.0, 1.0], scale=math.nan)
+    # the nodes are read once, so any iterable will do
+    assert exp_dd(x for x in (0.0, 0.5, 1.4)) == exp_dd([0.0, 0.5, 1.4])
+
+
+def test_nonfinite_scaled_nodes_rejected():
+    # finite nodes whose products with a finite scale are not finite gave
+    # nan and inf from exp_dd, and choose_method took any scale
+    for nodes, scale in (([1.0, 2.0], 1e308), ([1e200], 1e200), ([0.0, -1e300, 1.0], 1e10)):
+        with pytest.raises(ValueError, match="finite"):
+            exp_dd(nodes, scale=scale)
+        with pytest.raises(ValueError, match="finite"):
+            choose_method(nodes, scale=scale)
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            choose_method([0.0, 1.0, 2.0], scale=scale)
+        with pytest.raises(ValueError, match="finite"):
+            exp_dd([0.0, 1.0, 2.0], scale=scale)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -234,6 +253,61 @@ def test_choose_method_clustered_four_nodes():
     assert rel_err(exp_dd(nodes, method=EvalMethod.RECURRENCE), mp_exp_dd(nodes)) > 1e-11
     # exact ties inside the cluster stay confluent-safe
     assert choose_method([0.0, 1.0, 1.0, 1.0]) is EvalMethod.RECURRENCE
+
+
+def _flip(matrix, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent doubles a < b in [lo, hi] with matrix(a) and not matrix(b),
+    by bisection; matrix(lo) must hold and matrix(hi) must not."""
+    assert matrix(lo) and not matrix(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + (hi - lo) / 2.0
+        lo, hi = (mid, hi) if matrix(mid) else (lo, mid)
+    return lo, hi
+
+
+def _boundary_node_sets():
+    """Pairs of sorted node sets one ulp apart on either side of one of
+    AUTO's bounds, the matrix side first; each bound is written out as the
+    rule evaluates it, on the sets built here, where no other bound holds."""
+    def bound(z):
+        return 1.0 + max(abs(z[0]), abs(z[-1]))
+
+    def pair(kind, rows, test, lo, hi):
+        a, b = _flip(lambda x: test(rows(x)), lo, hi)
+        return kind, rows(a), rows(b)
+
+    for lo in (-40.0, -3.0, -0.25, 0.0, 0.7, 2.5, 100.0):
+        yield pair("spread", lambda x: [lo, lo + (x - lo) / 2.0, x],
+                   lambda z: z[-1] - z[0] < TAYLOR_SPREAD_FACTOR * bound(z),
+                   lo, lo + 1.0 + 2.0 * abs(lo))
+        if abs(lo) > 10.0:
+            continue
+        # a near-tie above lo, at orders 2 and 3
+        for tail in ([lo + 2.0], [lo + 1.0, lo + 2.0]):
+            yield pair("gap", lambda x: [lo, x] + tail,
+                       lambda z: z[1] - z[0] < TAYLOR_MIN_GAP_FACTOR * bound(z),
+                       math.nextafter(lo, math.inf), lo + 0.5)
+        # four nodes: the span z_2 - z_0 shrinks onto z_1
+        z1 = lo + 1e-3 * (1.0 + abs(lo))
+        yield pair("amplification", lambda x: [lo, z1, x, lo + 1.0],
+                   lambda z: bound(z) > TAYLOR_MAX_AMPLIFICATION * (z[2] - z[0]) * (z[-1] - z[0]),
+                   lo + 2e-3 * (1.0 + abs(lo)), lo + 0.5)
+
+
+def test_auto_rule_at_its_threshold_boundaries():
+    # one ulp either side of each bound: the scalar rule, choose_method and
+    # the batch kernel's column rule all switch exactly there
+    seen = set()
+    for kind, matrix_side, recurrence_side in _boundary_node_sets():
+        seen.add(kind)
+        for zs, want in ((matrix_side, EvalMethod.TAYLOR_MATRIX),
+                         (recurrence_side, EvalMethod.RECURRENCE)):
+            assert zs == sorted(zs), (kind, zs)
+            assert divdiff._route(zs) is want, (kind, zs)
+            assert choose_method(zs[::-1]) is want, (kind, zs)
+            taylor = divdiff._taylor_columns(np.array([zs]).T)
+            assert taylor.tolist() == [want is EvalMethod.TAYLOR_MATRIX], (kind, zs)
+    assert seen == {"spread", "gap", "amplification"}
 
 
 def _node_rows(rng, n, count):
@@ -408,6 +482,174 @@ def test_exp_dd_batch_validation():
             exp_dd_batch([[0.0, 1.0], [0.0, value]])
     with pytest.raises(OverflowError):
         exp_dd_batch([[0.0, 800.0]])
+
+
+# The scalar dispatch as it was before `exp_dd` validated, sorted and routed
+# its scaled nodes once, kept verbatim (with `_coerce_nodes` and the Taylor
+# loop that tested each maximum on its own): the single path reproduces it
+# bit for bit.
+
+
+def _coerce_nodes(nodes) -> tuple[float, ...]:
+    if isinstance(nodes, NodeList):
+        return nodes.nodes
+    vals = tuple(float(x) for x in nodes)
+    if len(vals) == 0:
+        raise ValueError("need at least one node")
+    if not all(math.isfinite(x) for x in vals):
+        raise ValueError("nodes must be finite")
+    return vals
+
+
+def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
+    zs = sorted(scale * x for x in _coerce_nodes(nodes))
+    n = len(zs) - 1
+    if n <= 1:
+        return EvalMethod.RECURRENCE
+    spread = zs[-1] - zs[0]
+    scale_bound = 1.0 + max(abs(zs[0]), abs(zs[-1]))
+    if n >= TAYLOR_MIN_ORDER or spread < TAYLOR_SPREAD_FACTOR * scale_bound:
+        return EvalMethod.TAYLOR_MATRIX
+    # exact ties are confluent-safe on the recurrence; near-ties are not
+    min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
+    if 0.0 < min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound:
+        return EvalMethod.TAYLOR_MATRIX
+    if n == 3:
+        spans = [s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0]
+        if spans and scale_bound > TAYLOR_MAX_AMPLIFICATION * min(spans) * spread:
+            return EvalMethod.TAYLOR_MATRIX
+    return EvalMethod.RECURRENCE
+
+
+def _exp_dd_recurrence(zs: list[float]) -> float:
+    zs = sorted(zs)
+    n = len(zs)
+    if n == 1:
+        return math.exp(zs[0])
+    if n == 2:
+        return divdiff._recurrence_tableau(zs, zs[1], anchored=True)
+    mu = math.fsum(zs) / n
+    if mu >= _LOG_MIN_NORMAL:
+        try:
+            value = divdiff._recurrence_tableau(zs, mu, anchored=False)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    return divdiff._recurrence_tableau(zs, zs[-1], anchored=True)
+
+
+def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
+    m = len(zs)
+    mu = float(zs.mean())
+    Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
+    norm = float(np.abs(Z).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    B = Z / (2.0 ** s)
+    F = np.eye(m)
+    term = np.eye(m)
+    for k in range(1, 64):
+        term = term @ B / k
+        F = F + term
+        if np.abs(term).max() <= 1e-20 * np.abs(F).max():
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            F = F @ F
+        row = math.exp(mu) * F[0]
+    if not np.isfinite(row).all():
+        raise OverflowError("exp_dd: a value is outside the double range")
+    return row
+
+
+def _exp_dd_taylor_matrix(zs: list[float]) -> float:
+    return float(_exp_dd_first_row(np.sort(np.asarray(zs, dtype=float)))[-1])
+
+
+def _exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> float:
+    if not math.isfinite(scale):
+        raise ValueError("scale must be finite")
+    zs = [scale * x for x in _coerce_nodes(nodes)]
+    if len(zs) == 1:
+        return math.exp(zs[0])
+    if method is EvalMethod.AUTO:
+        method = _choose_method(nodes, scale)
+    if method is EvalMethod.RECURRENCE:
+        return _exp_dd_recurrence(zs)
+    if method is EvalMethod.TAYLOR_MATRIX:
+        return _exp_dd_taylor_matrix(zs)
+    raise ValueError(f"unknown evaluation method: {method!r}")
+
+
+def _moment_table(p, max_m: int) -> list[tuple[int, float, str]]:
+    """`moment_table` on the dispatch above, as (order, value, method)."""
+    nodes = BNodes.from_params(p, max_m).scaled(p.T)
+    methods = [_choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
+    top = max((m for m, method in enumerate(methods, 1)
+               if method is EvalMethod.TAYLOR_MATRIX), default=0)
+    row = []
+    if top:
+        try:
+            row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
+        except OverflowError:
+            pass
+    out = [(0, 1.0, "exact")]
+    for m, method in enumerate(methods, 1):
+        if (method is EvalMethod.TAYLOR_MATRIX and row
+                and sys.float_info.min <= row[m] < math.inf):
+            dd = row[m]
+        else:
+            dd = _exp_dd(nodes[:m + 1])
+        value = math.factorial(m) * dd
+        if value == math.inf:
+            raise OverflowError(f"E A(T)^{m} is outside the double range")
+        out.append((m, value, method.value))
+    return out
+
+
+def _outcome(f, *args, **kwargs):
+    """f's value, a float as its bits, or the type of the exception it raises."""
+    try:
+        value = f(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_exp_dd_bit_identical_to_reference_dispatch():
+    rng = np.random.default_rng(43)
+    for n in range(0, 13):
+        if n <= 6:
+            z = _column_kernel_cases(rng, n)
+        else:
+            z = np.concatenate([_node_rows(rng, n, 30),
+                                rng.choice([-0.0, 0.0, 0.0, 1.5, -2.0], (10, n + 1))])
+            z = rng.permuted(z, axis=1)
+        for scale in (1.0, -1.0, 0.37, -2.5):
+            for row in z.tolist():
+                for method in (EvalMethod.AUTO, EvalMethod.RECURRENCE, EvalMethod.TAYLOR_MATRIX):
+                    want = _outcome(_exp_dd, row, scale, method)
+                    assert _outcome(exp_dd, row, scale, method) == want, (row, scale, method)
+                want = _choose_method(row, scale)
+                assert choose_method(row, scale) is want, (row, scale)
+                assert choose_method(NodeList(row), scale) is want, (row, scale)
+
+
+def test_moment_table_bit_identical_to_reference_dispatch():
+    rng = np.random.default_rng(47)
+    points = [(0.05, 0.2, 1.0), (0.0, 0.3, 2.0), (0.1, 0.0, 1.0), (0.0, 0.0, 1.0),
+              (-1.0, 0.1, 1.0), (-800.0, 0.1, 1.0)]
+    points += zip(rng.uniform(-2.0, 2.0, 150), rng.uniform(0.0, 1.5, 150), rng.uniform(0.01, 5.0, 150))
+    for i, (r, sigma, T) in enumerate(points):
+        if i % 10 == 9:
+            sigma = math.sqrt(10.0 ** rng.uniform(-8.0, -3.0) / T)
+        p = GbmParams(r=float(r), sigma=float(sigma), T=float(T))
+        for max_m in (0, 1, 3, 8, 12):
+            got = _outcome(lambda: [(t.order, t.value.hex(), t.method)
+                                    for t in moment_table(p, max_m)])
+            want = _outcome(lambda: [(m, v.hex(), method)
+                                     for m, v, method in _moment_table(p, max_m)])
+            assert got == want, (p, max_m)
 
 
 @settings(max_examples=200, deadline=None)
