@@ -178,6 +178,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     p = GbmParams(r=args.r, sigma=args.sigma, T=args.T)
     seed = args.seed if args.seed is not None else _default_seed()
     cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=seed,

@@ -250,8 +250,13 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     """
     m = len(zs)
     mu = float(zs.mean())
-    Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
-    norm = float(np.abs(Z).sum(axis=0).max())
+    d = zs - mu
+    Z = np.diag(d)
+    Z.ravel()[1::m + 1] = 1.0   # the superdiagonal, through a view of the new matrix
+    # the largest column sum of |Z|: |d_0| for the first column, 1 + |d_j| after
+    col = np.abs(d)
+    col[1:] += 1.0
+    norm = float(col.max())
     s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
     B = Z / (2.0 ** s)
     # term and partial sum in one buffer: one reduction takes both maxima

@@ -11,6 +11,7 @@ closed forms blow up.
 from __future__ import annotations
 
 import bisect
+import functools
 import io
 import math
 import sys
@@ -252,6 +253,71 @@ class GridSpec:
         return np.linspace(self.r_min, self.r_max, self.nr)
 
 
+_CSV_BLOCK_CELLS = 4096     # cells per block of CSV rows: keeps the writer's buffers under 1 MB
+_SPLITTER = 134217729.0     # 2^27 + 1: Veltkamp's split into two halves of at most 26 bits
+_E16_HI = _SPLITTER * 1e16 - (_SPLITTER * 1e16 - 1e16)
+_E16_LO = 1e16 - _E16_HI
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as one uint32 in memory
+    order: entries 0..9999 with trailing '0's turned into NULs (four NULs
+    for 0), entries 10000..19999 in full.  Built on first use, read-only."""
+    digits = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + ord("0")
+    kept = digits != ord("0")
+    for k in (2, 1, 0):   # up to the last nonzero digit
+        kept[:, k] |= kept[:, k + 1]
+    words = np.concatenate([digits * kept, digits]).view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+def _ascii_fields(texts: list[str], width: int = 0) -> np.ndarray:
+    """`texts` as rows of ASCII bytes, NUL-padded to `width` or the longest."""
+    width = max([width, *map(len, texts)])
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+def _s_fields(v: np.ndarray) -> np.ndarray:
+    """`'%.17g' % x` for every x of the float array `v`, as NUL-padded ASCII
+    of shape `v.shape + (width,)`.
+
+    For 1 <= x < 2, `%.17g` is "1." and the 16 decimals of
+    q = round-half-even(x * 1e16) - 1e16 with trailing zeros dropped ("1"
+    for q = 0).  p = fl(x * 1e16) is an even integer (the spacing of doubles
+    in [1e16, 2e16) is 2 or 4), Dekker's two-product on Veltkamp splits
+    gives the rounding error e = x * 1e16 - p exactly, and so
+    q = p + rint(e) - 1e16 exactly, ties to even included.  Every other x
+    (below 1, 2 or more, nan, inf) is formatted by `%.17g` itself.
+    """
+    ok = (v >= 1.0) & (v < 2.0)
+    x = np.where(ok, v, 1.0).ravel()
+    p = x * 1e16
+    c = x * _SPLITTER
+    hi = c - (c - x)
+    lo = x - hi
+    e = ((hi * _E16_HI - p) + hi * _E16_LO + lo * _E16_HI) + lo * _E16_LO
+    q = p.astype(np.int64) + np.rint(e).astype(np.int64) - 10 ** 16
+    table = _digit_words()
+    words = np.empty((len(q), 4), np.uint32)
+    nonzero = np.zeros(len(q), bool)    # a less significant group has a nonzero digit
+    for k in (3, 2, 1, 0):
+        q, group = np.divmod(q, 10000)
+        words[:, k] = table[group + 10000 * nonzero]
+        nonzero |= group != 0
+    others = ["%.17g" % y for y in v[~ok].tolist()]
+    width = max([18, *map(len, others)])
+    fields = np.zeros((len(x), width), np.uint8)
+    fields[:, 0] = ord("1")
+    fields[:, 1] = ord(".") * nonzero
+    fields[:, 2:18] = words.view(np.uint8)
+    fields = fields.reshape(v.shape + (width,))
+    if others:
+        fields[~ok] = _ascii_fields(others, width)
+    return fields
+
+
 @dataclass(frozen=True)
 class GridResult:
     """Sampled S(r, a) surface; `values[i, j]` is S(r_i, a_j)."""
@@ -260,6 +326,10 @@ class GridResult:
     r_values: np.ndarray
     a_values: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.values) != (len(self.r_values), len(self.a_values)):
+            raise ValueError("values must have shape (len(r_values), len(a_values))")
 
     @property
     def min_S(self) -> float:
@@ -280,17 +350,34 @@ class GridResult:
 
     def iter_rows(self):
         """(r, a, S) triples, row-major in r then a."""
-        for i, r in enumerate(self.r_values):
-            for j, a in enumerate(self.a_values):
-                yield float(r), float(a), float(self.values[i, j])
+        a_values = self.a_values.tolist()
+        for r, row in zip(self.r_values.tolist(), self.values.tolist()):
+            for a, s in zip(a_values, row):
+                yield r, a, s
 
     def to_csv(self, out) -> None:
-        """Write `r,a,S` rows at 17 significant digits to a file object."""
+        """Write `r,a,S` rows at 17 significant digits to a file object.
+
+        Every field is `'%.17g' % x`.  The S column is formatted in bulk:
+        R >= 1/sqrt(2) puts S = 2 R^2 in [1, 2], and there `%.17g` reduces to
+        exact integer arithmetic (see `_s_fields`).  The rows are assembled
+        as NUL-padded ASCII fields, block by block of about
+        `_CSV_BLOCK_CELLS` cells, and written with the padding removed.
+        """
         out.write("r,a,S\n")
-        cells = [f"{a:.17g},%.17g\n" for a in self.a_values.tolist()]
-        for r, row in zip(self.r_values.tolist(), self.values.tolist()):
-            r_txt = f"{r:.17g},"
-            out.write((r_txt + r_txt.join(cells)) % tuple(row))
+        a_field = _ascii_fields([f"{a:.17g}," for a in self.a_values.tolist()])
+        wa = a_field.shape[1]
+        rows = max(1, _CSV_BLOCK_CELLS // max(1, len(a_field)))
+        for i in range(0, len(self.r_values), rows):
+            r_field = _ascii_fields([f"{r:.17g}," for r in self.r_values[i:i + rows].tolist()])
+            s_field = _s_fields(np.asarray(self.values[i:i + rows], dtype=float))
+            wr, ws = r_field.shape[1], s_field.shape[2]
+            line = np.empty(s_field.shape[:2] + (wr + wa + ws + 1,), np.uint8)
+            line[:, :, :wr] = r_field[:, None]
+            line[:, :, wr:wr + wa] = a_field
+            line[:, :, wr + wa:-1] = s_field
+            line[:, :, -1] = ord("\n")
+            out.write(line[line != 0].tobytes().decode("ascii"))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()

@@ -147,13 +147,20 @@ def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.n
 def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
                               threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream of per-block (S(T), A_hat) arrays in block order; block
-    contents do not depend on the thread count."""
+    contents do not depend on the thread count.  Runs on at most one worker
+    thread per block; raises ValueError unless `threads` >= 1."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     ranges = _block_ranges(cfg.paths)
-    if threads <= 1:
-        for lo, hi in ranges:
-            yield _simulate_block(p, cfg, lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(ranges))
+    if workers == 1:
+        return (_simulate_block(p, cfg, lo, hi) for lo, hi in ranges)
+    return _pooled_blocks(p, cfg, ranges, workers)
+
+
+def _pooled_blocks(p: GbmParams, cfg: McConfig, ranges: list[tuple[int, int]],
+                   workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(lambda r: _simulate_block(p, cfg, *r), ranges)
 
 

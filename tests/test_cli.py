@@ -249,6 +249,17 @@ def test_mc_negative_moment_order_exits_2_before_simulating(capsys, monkeypatch)
     assert calls == []
 
 
+def test_mc_thread_counts_below_one_exit_1_before_simulating(capsys, monkeypatch):
+    calls = _count_blocks(monkeypatch)
+    for threads in ("0", "-1"):
+        code, out, err = run_cli(capsys, "mc", "--paths", "128", "--steps", "4",
+                                 "--threads", threads)
+        assert code == 1
+        assert out == ""
+        assert "--threads must be at least 1" in err
+    assert calls == []
+
+
 def test_mc_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("GBMDD_SEED", "777")
     code, out, _ = run_cli(capsys, "mc", "--paths", "2000", "--steps", "10")

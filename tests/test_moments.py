@@ -13,6 +13,7 @@ from gbmdd.divdiff import exp_dd, newton_table
 from gbmdd.moments import (
     BNodes,
     GbmParams,
+    GridResult,
     GridSpec,
     correlation,
     covariance_SA,
@@ -252,6 +253,38 @@ def test_grid_csv_matches_per_cell_writer():
         for r, a, s in res.iter_rows():
             old.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
         assert res.to_csv_string() == old.getvalue(), spec
+
+
+def test_grid_csv_fields_match_percent_format_on_adversarial_values():
+    # the S column's bulk formatter against '%.17g', field by field: the ends
+    # of [1, 2), exact ties of v * 1e16, seeded uniforms, and values it must
+    # hand to '%.17g' itself
+    edges = [1.0, 1.0 + 2.0 ** -52, 2.0 - 2.0 ** -52, 1.5, 1.25]
+    ties = (1.0 + np.arange(1, 2 ** 17, 2) * 2.0 ** -17).tolist()
+    others = [2.0, 0.9999999999999999, 0.5, 3.0, 1e300, 5e-324, -0.0, -1.5,
+              math.nan, math.inf, -math.inf, -1.7976931348623157e308]
+    uniform = np.random.default_rng(20240613).uniform(1.0, 2.0, 10 ** 5).tolist()
+    cells = edges + others + ties + uniform
+    na = 128
+    cells += [1.0] * (-len(cells) % na)
+    values = np.array(cells).reshape(-1, na)
+    r_values = np.linspace(-1.0, 3.0, len(values))
+    a_values = np.linspace(-20.0, 40.0, na)
+    res = GridResult(spec=GridSpec(), r_values=r_values, a_values=a_values, values=values)
+    lines = res.to_csv_string().split("\n")
+    assert lines[0] == "r,a,S" and lines[-1] == ""
+    want = [("%.17g" % r, "%.17g" % a, "%.17g" % s)
+            for r, row in zip(r_values.tolist(), values.tolist())
+            for a, s in zip(a_values.tolist(), row)]
+    assert [tuple(ln.split(",")) for ln in lines[1:-1]] == want
+    # iter_rows reads the same cells as Python floats
+    rows = list(res.iter_rows())
+    assert all(type(x) is float for row in rows for x in row)
+    grid = np.column_stack([np.repeat(r_values, na), np.tile(a_values, len(r_values)),
+                            values.ravel()])
+    assert np.array_equal(np.array(rows), grid, equal_nan=True)
+    with pytest.raises(ValueError, match="shape"):
+        GridResult(spec=GridSpec(), r_values=r_values[:-1], a_values=a_values, values=values)
 
 
 def test_grid_spec_validation():

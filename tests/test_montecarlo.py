@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gbmdd import montecarlo
 from gbmdd.moments import (
     GbmParams,
     cross_moment_SA,
@@ -78,6 +79,32 @@ def test_thread_count_invariance():
         suite = estimate_suite(BENCH, cfg, threads=threads)
         results[threads] = {k: (v.value, v.stderr) for k, v in suite.items()}
     assert results[1] == results[2] == results[8]
+
+
+def test_thread_counts_below_one_rejected():
+    cfg = McConfig(paths=100, steps=4, seed=5)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            iter_terminal_and_average(BENCH, cfg, threads=threads)
+
+
+def test_pool_workers_capped_at_block_count(monkeypatch):
+    # 8 threads over 2 blocks start 2 workers and give the 1-thread blocks
+    started = []
+
+    class Pool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+    cfg = McConfig(paths=BLOCK_PATHS + 100, steps=8, seed=11)
+    one = list(iter_terminal_and_average(BENCH, cfg, threads=1))
+    eight = list(iter_terminal_and_average(BENCH, cfg, threads=8))
+    assert started == [2]
+    assert len(one) == len(eight) == 2
+    for (s1, a1), (s8, a8) in zip(one, eight):
+        assert s1.tobytes() == s8.tobytes() and a1.tobytes() == a8.tobytes()
 
 
 def test_single_stream_layout():
