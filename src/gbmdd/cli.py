@@ -126,6 +126,12 @@ def _output(path: str | None):
             yield fh
 
 
+def _emit_json(doc, path: str | None, indent: int | None = 2) -> None:
+    """`doc` as strict JSON: a non-finite float raises ValueError, never
+    prints as `NaN` or `Infinity`."""
+    _emit(json.dumps(doc, indent=indent, allow_nan=False), path)
+
+
 def _emit(text: str, path: str | None) -> None:
     with _output(path) as out:
         out.write(text)
@@ -145,7 +151,7 @@ def _cmd_moments(args) -> int:
     else:
         doc = {"r": p.r, "sigma": p.sigma, "T": p.T,
                "moments": [{"m": t.order, "value": t.value, "method": t.method} for t in table]}
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit_json(doc, args.output)
     return EXIT_OK
 
 
@@ -155,7 +161,7 @@ def _cmd_corr(args) -> int:
     doc = {"r": p.r, "sigma": p.sigma, "T": p.T, "R": rep.R,
            "covariance": rep.covariance, "var_S": rep.var_S, "var_A": rep.var_A,
            "s_statistic": rep.s_statistic}
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit_json(doc, args.output)
     return EXIT_OK
 
 
@@ -168,7 +174,7 @@ def _cmd_scan(args) -> int:
         doc = {"rows": [[r, a, s] for r, a, s in result.iter_rows()],
                "min_S": result.min_S, "argmin": {"r": rmin, "a": amin},
                "decreasing_in_a": result.decreasing_in_a}
-        _emit(json.dumps(doc), args.output)
+        _emit_json(doc, args.output, indent=None)
     else:
         with _output(args.output) as out:
             result.to_csv(out)
@@ -203,8 +209,7 @@ def _cmd_mc(args) -> int:
         else:  # an exact estimate off the analytic value (discretisation bias) has no z
             z = 0.0 if est.value == truth else None
         rows[name] = {**est.to_dict(cfg), "analytic": truth, "z": z}
-    _emit(json.dumps({"r": p.r, "sigma": p.sigma, "T": p.T, "estimates": rows}, indent=2),
-          args.output)
+    _emit_json({"r": p.r, "sigma": p.sigma, "T": p.T, "estimates": rows}, args.output)
     return EXIT_OK
 
 
@@ -222,8 +227,9 @@ def _cmd_price(args) -> int:
         cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=seed)
         est = montecarlo.estimate_payoff(p, cfg, payoff)
         doc["mc"] = est.to_dict(cfg)
-        doc["relative_gap"] = (quote.value - est.value) / est.value if est.value else math.inf
-    _emit(json.dumps(doc, indent=2), args.output)
+        # undefined against an MC estimate of 0: null, like an undefined "z"
+        doc["relative_gap"] = (quote.value - est.value) / est.value if est.value else None
+    _emit_json(doc, args.output)
     return EXIT_OK
 
 

@@ -12,8 +12,8 @@ form e^{z_1} (-expm1(-g))/g, taken from the larger node so that it stays
 finite for any spread.  A scalar call validates its scaled nodes, sorts
 them and routes them once; `choose_method` is the same rule on the same
 sorted nodes.  The matrix method's Taylor loop keeps its term and partial
-sum in one buffer and takes both maxima of its stopping test in one
-reduction.
+sum in one buffer, takes both maxima of its stopping test in one reduction
+and skips that test at the first steps, where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns: a sorting network orders
@@ -249,7 +249,7 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     double range.
     """
     m = len(zs)
-    mu = float(zs.mean())
+    mu = float(np.add.reduce(zs)) / m   # the bits of zs.mean()
     d = zs - mu
     Z = np.diag(d)
     Z.ravel()[1::m + 1] = 1.0   # the superdiagonal, through a view of the new matrix
@@ -259,15 +259,25 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     norm = float(col.max())
     s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
     B = Z / (2.0 ** s)
+    c = 2.0 ** -s
+    # Entry (0, k) of term k is c^k / k! up to k roundings and max|F| <= e^0.25,
+    # so the stopping test cannot pass before step k_test: the first k with
+    # k = m or c^k / k! <= 1e-19.
+    k_test, ck = 1, c
+    while k_test < m and ck > 1e-19:
+        k_test += 1
+        ck *= c / k_test
     # term and partial sum in one buffer: one reduction takes both maxima
     term, F = buf = np.array([np.eye(m)] * 2)
+    absbuf = np.empty_like(buf)
     for k in range(1, 64):
         np.matmul(term, B, out=term)
         np.divide(term, k, out=term)
         np.add(F, term, out=F)
-        top = np.maximum.reduce(np.absolute(buf), axis=(1, 2))
-        if top[0] <= 1e-20 * top[1]:
-            break
+        if k >= k_test:
+            top = np.maximum.reduce(np.absolute(buf, out=absbuf), axis=(1, 2))
+            if top[0] <= 1e-20 * top[1]:
+                break
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             F = F @ F

@@ -79,6 +79,9 @@ class GbmParams:
             raise ValueError("sigma must be nonnegative")
         if self.T <= 0:
             raise ValueError("T must be positive")
+        # plain floats: equal points hash and compute alike (see _memo)
+        for name in ("r", "sigma", "T"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,15 @@ class MomentReport:
     method: str
 
 
+# A market quote (correlation, moment_table, both prices) asks for mean_A,
+# second_moment_A and correlation at least twice at one point.  Each is memoised per
+# point and returns the object its first call computed, so no bit changes;
+# each holds the last _MEMO_SIZE points.  After rebinding `exp_dd` or changing
+# an AUTO constant, call `cache_clear()` on all three.
+_MEMO_SIZE = 32
+_memo = functools.lru_cache(maxsize=_MEMO_SIZE)
+
+
 def _ddn(p: GbmParams) -> tuple[float, float, float]:
     """The recurring nodes rT, 2rT, (2r + sigma^2) T."""
     rT = p.r * p.T
@@ -132,6 +144,7 @@ def mean_S(p: GbmParams) -> float:
     return math.exp(p.r * p.T)
 
 
+@_memo
 def mean_A(p: GbmParams) -> float:
     """E A(T) = exp[0, rT], confluently 1 at rT = 0."""
     return exp_dd([0.0, p.r * p.T])
@@ -150,6 +163,7 @@ def cross_moment_SA(p: GbmParams) -> float:
     return exp_dd([rT, b])
 
 
+@_memo
 def second_moment_A(p: GbmParams) -> float:
     """E A(T)^2 = 2 exp[0, rT, (2r + sigma^2) T]."""
     rT, _, b = _ddn(p)
@@ -197,6 +211,7 @@ def var_A(p: GbmParams) -> float:
     return 2.0 * p.sigma ** 2 * p.T * exp_dd([0.0, rT, r2T, b])
 
 
+@_memo
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
     divided differences; always in [1/sqrt(2), 1]."""
@@ -449,7 +464,8 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     are nested, so one first row of the bidiagonal exponential on the nodes
     of the highest matrix-route order M gives every matrix-route order up
     to M; an entry that is not a normal positive double is evaluated on its
-    own instead.
+    own instead.  Orders 1 and 2 evaluated on their own are the memoised
+    `mean_A` and `second_moment_A`: the same nodes, so the same bits.
     """
     nodes = _coerce_nodes(BNodes.from_params(p, max_m).scaled(p.T))
     # AUTO's rule on each order's sorted nodes, built up from the last order's
@@ -465,14 +481,16 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
             row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
         except OverflowError:
             pass
+    shared = {1: mean_A, 2: second_moment_A}
     out = [MomentReport(order=0, value=1.0, method="exact")]
     for m, method in enumerate(methods, 1):
         if (method is EvalMethod.TAYLOR_MATRIX and row
                 and sys.float_info.min <= row[m] < math.inf):
-            dd = row[m]
+            value = math.factorial(m) * row[m]
+        elif m in shared:
+            value = shared[m](p)
         else:
-            dd = exp_dd(nodes[:m + 1])
-        value = math.factorial(m) * dd
+            value = math.factorial(m) * exp_dd(nodes[:m + 1])
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
         out.append(MomentReport(order=m, value=value, method=method.value))

@@ -38,7 +38,7 @@ def normal_cdf(x):
     Phi(x) = erfc(-x / sqrt(2)) / 2; absolute error below 1e-10 and
     Phi(-x) = 1 - Phi(x) at the ulp level.  Accepts scalars (`math.erfc`)
     or arrays (`scipy.special.erfc`, imported on the first array call)."""
-    if np.ndim(x) == 0:
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:   # np.ndim costs ~1 us
         x = float(x)
         if not math.isfinite(x):
             raise ValueError("x must be finite")

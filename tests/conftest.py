@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from gbmdd import GbmParams
+from gbmdd import GbmParams, moments
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -25,3 +25,17 @@ def load_dd_cases(name):
 def bench():
     """The repository benchmark point."""
     return GbmParams(r=0.05, sigma=0.2, T=1.0)
+
+
+MEMOISED = (moments.correlation, moments.mean_A, moments.second_moment_A)
+
+
+@pytest.fixture(autouse=True)
+def _clear_moment_memo():
+    """Empty the per-point memos around every test, so a test that rebinds
+    `exp_dd` or an AUTO constant computes afresh and leaves nothing stale."""
+    for fn in MEMOISED:
+        fn.cache_clear()
+    yield
+    for fn in MEMOISED:
+        fn.cache_clear()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gbmdd import cli, montecarlo
+from gbmdd import cli, moments, montecarlo
 from gbmdd.cli import DEFAULT_SEED, main
 from gbmdd.moments import GbmParams
 
@@ -15,6 +15,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """`json.loads` that refuses `NaN`, `Infinity` and `-Infinity`."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_usage_errors_exit_1(capsys):
@@ -283,6 +292,37 @@ def test_price_floating_with_mc(capsys):
     assert doc["value"] == pytest.approx(0.058617448717988637, rel=1e-10)
     assert abs(doc["relative_gap"]) < 0.10
     assert doc["mc"]["paths"] == 20000
+
+
+def test_price_gap_to_zero_mc_estimate_is_null(capsys):
+    # K = 100 is far out of the money: every one of the 64 paths pays 0
+    code, out, _ = run_cli(capsys, "price", "--style", "fixed", "--K", "100", "--compare-mc",
+                           "--paths", "64", "--steps", "4", "--seed", "1")
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["mc"]["value"] == 0.0
+    assert doc["relative_gap"] is None
+
+
+def test_json_subcommands_emit_strict_json(capsys):
+    for argv in (("moments", "--max-m", "3"), ("corr",),
+                 ("scan", "--na", "3", "--nr", "2", "--format", "json"),
+                 ("mc", "--paths", "128", "--steps", "4", "--seed", "2"),
+                 ("price", "--style", "floating", "--compare-mc", "--paths", "256",
+                  "--steps", "4", "--seed", "2")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        strict_json(out)
+
+
+def test_non_finite_json_field_exits_2(capsys, monkeypatch):
+    rep = moments.CorrelationReport(R=math.nan, covariance=1.0, var_S=1.0, var_A=1.0,
+                                    s_statistic=math.inf)
+    monkeypatch.setattr(moments, "correlation", lambda p: rep)
+    code, out, err = run_cli(capsys, "corr")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gbmdd: ") and "Traceback" not in err
 
 
 def test_price_fixed(capsys):

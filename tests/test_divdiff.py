@@ -638,7 +638,7 @@ def test_exp_dd_bit_identical_to_reference_dispatch():
 def test_moment_table_bit_identical_to_reference_dispatch():
     rng = np.random.default_rng(47)
     points = [(0.05, 0.2, 1.0), (0.0, 0.3, 2.0), (0.1, 0.0, 1.0), (0.0, 0.0, 1.0),
-              (-1.0, 0.1, 1.0), (-800.0, 0.1, 1.0)]
+              (-1.0, 0.1, 1.0), (-800.0, 0.1, 1.0), (-0.0, 0.3, 2.0), (-0.03, 0.0, 2.0)]
     points += zip(rng.uniform(-2.0, 2.0, 150), rng.uniform(0.0, 1.5, 150), rng.uniform(0.01, 5.0, 150))
     for i, (r, sigma, T) in enumerate(points):
         if i % 10 == 9:
@@ -650,6 +650,49 @@ def test_moment_table_bit_identical_to_reference_dispatch():
             want = _outcome(lambda: [(m, v.hex(), method)
                                      for m, v, method in _moment_table(p, max_m)])
             assert got == want, (p, max_m)
+
+
+def _squarings(zs: np.ndarray) -> int:
+    """The squaring count s of the reference `_exp_dd_first_row`."""
+    m = len(zs)
+    Z = np.diag(zs - zs.mean()) + np.diag(np.ones(m - 1), 1)
+    norm = float(np.abs(Z).sum(axis=0).max())
+    return max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+
+
+def _first_tested_step(s: int, m: int) -> int:
+    """The first Taylor step whose stopping test can pass: k = m, or
+    c^k / k! <= 1e-19 for c = 2^-s."""
+    k = 1
+    while k < m and 2.0 ** (-s * k) / math.factorial(k) > 1e-19:
+        k += 1
+    return k
+
+
+def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
+    # Node sets of 1..13 nodes scaled to every squaring count s from 0 to 10
+    # that the bidiagonal matrix allows (norm 0 for one node, else at least
+    # 1), at both ends of each count's norm range.  The scalar loop skips its
+    # stopping test before `_first_tested_step`; the reference tests it at
+    # every step.
+    rng = np.random.default_rng(59)
+    seen = set()
+    for m in range(1, 14):
+        for s in range(0, 11):
+            spans = [0.0] if s <= 2 else [(2.0 ** (s - 3) - 1.0) * (1 + 1e-9) + 1e-9,
+                                           (2.0 ** (s - 2) - 1.0) * (1 - 1e-9)]
+            for span, center in ((d, c) for d in spans for c in (0.0, 2.5, -7.0)):
+                u = rng.uniform(-1.0, 1.0, m)
+                u -= u.mean()
+                zs = center + span * u / (np.abs(u).max() or 1.0)
+                seen.add((_squarings(zs), m))
+                got = divdiff._exp_dd_first_row(zs)
+                assert got.tobytes() == _exp_dd_first_row(zs).tobytes(), (s, m, zs.tolist())
+    want = {(0, 1)} | {(s, m) for s in range(2, 11) for m in range(2, 14)}
+    assert want <= seen
+    # the skip ends below m for some pairs and reaches m for others
+    crossings = {_first_tested_step(s, m) < m for s, m in seen}
+    assert crossings == {True, False}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmdd import divdiff
+from gbmdd import divdiff, moments, pricing
 from gbmdd.ddarith import DD, dd_exp, exp_dd_reference
 from gbmdd.divdiff import exp_dd, newton_table
 from gbmdd.moments import (
@@ -36,7 +37,22 @@ from gbmdd.moments import (
     var_S,
 )
 
+from conftest import MEMOISED
+
 BENCH_R = 0.86638428741831168064  # 50-digit recurrence value at r=.05, s=.2, T=1
+
+
+def _bits(x):
+    """A float, a report of floats or a list of them, as exact hex strings."""
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return [(f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
 
 
 def test_params_validation():
@@ -47,6 +63,19 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GbmParams(r=math.inf, sigma=0.2, T=1.0)
     GbmParams(r=-0.03, sigma=0.0, T=2.0)  # negative rate is fine
+
+
+@pytest.mark.parametrize("args", [(0, 1, 2), (np.float64(0.05), np.float64(0.2), np.float64(1.5))])
+def test_params_store_plain_floats(args):
+    p = GbmParams(*args)
+    q = GbmParams(*map(float, args))
+    assert [type(x) for x in (p.r, p.sigma, p.T)] == [float] * 3
+    assert p == q and hash(p) == hash(q)
+    rep = correlation.__wrapped__(p)
+    assert all(type(x) is float for x in dataclasses.astuple(rep))
+    assert _bits(rep) == _bits(correlation.__wrapped__(q))
+    for fn in (mean_A, second_moment_A):
+        assert _bits(fn.__wrapped__(p)) == _bits(fn.__wrapped__(q))
 
 
 def test_b_nodes():
@@ -134,6 +163,77 @@ def test_dd_consistency_invariants(bench):
             cross_moment_SA(p) - mean_S(p) * mean_A(p), rel=1e-10)
         assert var_A(p) == pytest.approx(
             second_moment_A(p) - mean_A(p) ** 2, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# per-point memo of correlation, mean_A and second_moment_A
+
+
+def _quote_points():
+    """Seeded points of the benchmark's market box, with an r = 0.0, an
+    r = -0.0 and a tiny sigma^2 T among them; one strike each."""
+    rng = np.random.default_rng(2024)
+    points = [GbmParams(r, s, T) for r, s, T in zip(rng.uniform(-0.02, 0.12, 12),
+                                                    rng.uniform(0.05, 0.8, 12),
+                                                    rng.uniform(0.1, 5.0, 12))]
+    points += [GbmParams(0.0, 0.3, 2.0), GbmParams(-0.0, 0.3, 2.0),
+               GbmParams(0.04, math.sqrt(1e-7 / 3.0), 3.0)]
+    return [(p, mean_A.__wrapped__(p) * k) for p, k in zip(points, rng.uniform(0.8, 1.2, 15))]
+
+
+def _quote_sequence(points):
+    """What one market quote computes at each point, in its order."""
+    return [(moments.correlation(p), moments.moment_table(p, 8),
+             pricing.floating_strike_asian_approx(p), pricing.fixed_strike_asian_approx(p, K))
+            for p, K in points]
+
+
+def _count_exp_dd(monkeypatch) -> list:
+    calls = []
+    exp_dd = moments.exp_dd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exp_dd(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "exp_dd", counted)
+    return calls
+
+
+def test_memo_saves_divided_differences_and_keeps_bits(monkeypatch):
+    points = _quote_points()
+    calls = _count_exp_dd(monkeypatch)
+    cached = _quote_sequence(points)
+    n_cached = len(calls)
+    # a quote asks for each of the three at least twice and computes it once
+    # per distinct point; the r = -0.0 point equals the r = 0.0 one
+    for fn in MEMOISED:
+        info = fn.cache_info()
+        assert info.misses == len(points) - 1, fn
+        assert info.hits >= len(points) + 1, fn
+    assert correlation.cache_info().hits == len(points) + 1
+    calls.clear()
+    for fn in MEMOISED:
+        monkeypatch.setattr(moments, fn.__name__, fn.__wrapped__)
+    uncached = _quote_sequence(points)
+    assert n_cached < len(calls)
+    assert _bits(cached) == _bits(uncached)
+
+
+def test_memo_negative_zero_rate_gives_the_bits_of_zero():
+    for sigma, T in ((0.3, 2.0), (1e-4, 0.5), (0.8, 5.0)):
+        zero, neg = GbmParams(0.0, sigma, T), GbmParams(-0.0, sigma, T)
+        assert zero == neg and hash(zero) == hash(neg)
+        for fn in MEMOISED:
+            want = _bits(fn.__wrapped__(zero))
+            assert _bits(fn.__wrapped__(neg)) == want
+            assert _bits(fn(neg)) == want and _bits(fn(zero)) == want
+
+
+def test_memo_is_small_and_bounded():
+    for fn in MEMOISED:
+        assert fn.cache_info().maxsize is not None
+        assert 1 <= fn.cache_info().maxsize <= 64
 
 
 # ---------------------------------------------------------------------------

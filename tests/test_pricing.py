@@ -46,6 +46,28 @@ def test_normal_cdf_array_and_validation():
         normal_cdf(math.inf)
 
 
+def test_normal_cdf_scalar_fast_path(monkeypatch):
+    values = [0.0, -0.0, 0.3, -1.7, 8.5, -40.0, 3, -2, True, np.float64(0.3), np.float64(-6.25)]
+    want = [(0.5 * math.erfc(-float(x) / math.sqrt(2.0))).hex() for x in values]
+    # 0-d arrays and other numpy scalars still take the np.ndim route
+    assert [normal_cdf(np.array(x)).hex() for x in values] == want
+    assert normal_cdf(np.float32(0.5)) == 0.5 * math.erfc(-0.5 / math.sqrt(2.0))
+
+    def no_ndim(x):
+        raise AssertionError("np.ndim called on a Python scalar")
+
+    monkeypatch.setattr(np, "ndim", no_ndim)
+    got = [normal_cdf(x) for x in values]
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == want
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError):
+            normal_cdf(bad)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        normal_cdf(np.array(math.inf))
+
+
 def test_normal_inv_cdf_round_trip():
     for u in (1e-12, 1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-10):
         x = normal_inv_cdf(u)
