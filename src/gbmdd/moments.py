@@ -25,6 +25,7 @@ from .divdiff import (
     OracleEstimate,
     _coerce_nodes,
     _exp_dd_first_row,
+    _exp_dd_sorted,
     _route,
     exp_dd,
     exp_dd_batch,
@@ -443,6 +444,10 @@ def ordered_product_expectation(p: GbmParams, times: Sequence[float]) -> float:
     ))
 
 
+# the largest m with m! below the double range: E A(T)^m = m! exp[...] overflows above it
+_MAX_ORDER = max(m for m in range(200) if math.factorial(m) < sys.float_info.max)
+
+
 def moment_A(p: GbmParams, m: int) -> float:
     """E A(T)^m = m! exp[b_0 T, b_1 T, ..., b_m T].
 
@@ -453,6 +458,8 @@ def moment_A(p: GbmParams, m: int) -> float:
         raise ValueError("moment order must be nonnegative")
     if m == 0:
         return 1.0
+    if m > _MAX_ORDER:
+        raise OverflowError(f"E A(T)^{m} is outside the double range, as {m}! is")
     nodes = BNodes.from_params(p, m).scaled(p.T)
     return math.factorial(m) * exp_dd(nodes)
 
@@ -464,15 +471,19 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     are nested, so one first row of the bidiagonal exponential on the nodes
     of the highest matrix-route order M gives every matrix-route order up
     to M; an entry that is not a normal positive double is evaluated on its
-    own instead.  Orders 1 and 2 evaluated on their own are the memoised
+    own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
+    computed here.  Orders 1 and 2 evaluated on their own are the memoised
     `mean_A` and `second_moment_A`: the same nodes, so the same bits.
     """
+    if max_m > _MAX_ORDER:
+        raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
     nodes = _coerce_nodes(BNodes.from_params(p, max_m).scaled(p.T))
-    # AUTO's rule on each order's sorted nodes, built up from the last order's
-    prefix, methods = nodes[:1], []
+    # each order's sorted nodes, built up from the last order's, and AUTO's rule on them
+    ordered = [nodes[:1]]
     for z in nodes[1:]:
-        bisect.insort(prefix, z)
-        methods.append(_route(prefix))
+        ordered.append(ordered[-1].copy())
+        bisect.insort(ordered[-1], z)
+    methods = [_route(zs) for zs in ordered[1:]]
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
     row = []
@@ -490,7 +501,7 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
         elif m in shared:
             value = shared[m](p)
         else:
-            value = math.factorial(m) * exp_dd(nodes[:m + 1])
+            value = math.factorial(m) * _exp_dd_sorted(ordered[m], method)
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
         out.append(MomentReport(order=m, value=value, method=method.value))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,17 @@ def test_overflow_exits_2_without_traceback(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("gbmdd: ") and "Traceback" not in err
+
+
+def test_moments_beyond_the_factorial_range_exit_2_at_once(capsys):
+    # 171! is not a double: the table fails before it builds any node set
+    for max_m in ("171", "100000"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "moments", "--max-m", max_m)
+        assert time.perf_counter() - start < 1.0, max_m
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gbmdd: ") and "outside the double range" in err
 
 
 def test_order_one_moment_at_wide_spread_exits_0(capsys):
@@ -255,6 +267,15 @@ def test_mc_negative_moment_order_exits_2_before_simulating(capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert "moment order" in err
+    assert calls == []
+
+
+def test_mc_order_beyond_the_factorial_range_exits_2_before_simulating(capsys, monkeypatch):
+    calls = _count_blocks(monkeypatch)
+    code, out, err = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25", "--m", "171")
+    assert code == 2
+    assert out == ""
+    assert "outside the double range" in err
     assert calls == []
 
 

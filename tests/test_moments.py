@@ -598,6 +598,42 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
             divdiff.choose_method(nodes[:m + 1]).value for m in range(1, 11)]
 
 
+def test_moment_table_evaluates_without_exp_dd(monkeypatch, bench):
+    # the table sorts and routes each order's nodes once and hands them to the
+    # dispatch itself: with orders 1 and 2 memoised, `exp_dd` is never called
+    nodes = BNodes.from_params(bench, 8).scaled(bench.T)
+    assert divdiff.choose_method(nodes[:4]) is divdiff.EvalMethod.RECURRENCE
+    assert divdiff.choose_method(nodes[:5]) is divdiff.EvalMethod.TAYLOR_MATRIX
+    mean_A(bench)           # orders 1 and 2 come from the memo
+    second_moment_A(bench)
+    want = moment_table(bench, 8)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("moment_table called exp_dd")
+
+    monkeypatch.setattr(moments, "exp_dd", refused)
+    assert moment_table(bench, 8) == want
+
+
+def test_orders_beyond_the_factorial_range_fail_fast(monkeypatch, bench):
+    # 171! is not a double, so m! exp[...] overflows for every point: both
+    # raise before building a node set (an order of 10^5 asked for 80 GB)
+    assert moments._MAX_ORDER == 170
+    with pytest.raises(OverflowError):
+        float(math.factorial(moments._MAX_ORDER + 1))
+    assert math.isfinite(moment_A(bench, moments._MAX_ORDER))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built a node set")
+
+    monkeypatch.setattr(BNodes, "from_params", refused)
+    for m in (moments._MAX_ORDER + 1, 10 ** 5, 10 ** 12):
+        with pytest.raises(OverflowError, match="outside the double range"):
+            moment_A(bench, m)
+        with pytest.raises(OverflowError, match="outside the double range"):
+            moment_table(bench, m)
+
+
 # ---------------------------------------------------------------------------
 # the driftless-case binomial formula
 
