@@ -1,16 +1,17 @@
 """Command-line front end: analytics, surface scans, Monte Carlo
 verification and pricing as subcommands with machine-readable output.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-domain error, 3 oracle
-suite failure.  Reports go to stdout, diagnostics to stderr.  The default
-Monte Carlo seed can be overridden with the GBMDD_SEED environment
-variable.
+Exit codes: 0 success, 1 usage error, 2 numerical-domain error or failed
+allocation, 3 oracle suite failure.  Reports go to stdout, diagnostics to
+stderr.  The default Monte Carlo seed can be overridden with the GBMDD_SEED
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -79,12 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_corr)
 
     p_scan = subs.add_parser("scan", help="S(r, a) surface as CSV (defaults: published grid)")
-    p_scan.add_argument("--a-min", type=float, default=-20.0)
-    p_scan.add_argument("--a-max", type=float, default=40.0)
-    p_scan.add_argument("--r-min", type=float, default=0.1)
-    p_scan.add_argument("--r-max", type=float, default=10.0)
-    p_scan.add_argument("--na", type=int, default=121)
-    p_scan.add_argument("--nr", type=int, default=100)
+    for field in dataclasses.fields(GridSpec):   # --a-min, ..., --nr
+        p_scan.add_argument("--" + field.name.replace("_", "-"),
+                            type=type(field.default), default=field.default)
     _add_output_flags(p_scan, formats=("csv", "json"))
 
     p_mc = subs.add_parser("mc", help="Monte Carlo estimates next to analytic values")
@@ -166,8 +164,8 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    spec = GridSpec(a_min=args.a_min, a_max=args.a_max, r_min=args.r_min,
-                    r_max=args.r_max, na=args.na, nr=args.nr)
+    spec = GridSpec(**{field.name: getattr(args, field.name)
+                       for field in dataclasses.fields(GridSpec)})
     result = moments.grid_scan(spec)
     rmin, amin = result.argmin
     if args.format == "json":
@@ -350,6 +348,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (OverflowError, FloatingPointError) as exc:
         print(f"gbmdd: result outside double range: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"gbmdd: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

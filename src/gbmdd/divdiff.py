@@ -301,7 +301,7 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
 
 def _exp_dd_sorted(zs: list[float], method: EvalMethod) -> float:
     """`exp_dd` on sorted, finite nodes by the route `method`, not AUTO."""
-    if len(zs) == 1:
+    if len(zs) == 1 and method in (EvalMethod.RECURRENCE, EvalMethod.TAYLOR_MATRIX):
         return math.exp(zs[0])
     if method is EvalMethod.RECURRENCE:
         return _exp_dd_recurrence(zs)
@@ -457,9 +457,8 @@ def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> flo
 
 
 def symmetric_equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:
-    """Divided difference over -nh, ..., -h, 0, h, ..., nh from sampled values."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    """Divided difference over -nh, ..., -h, 0, h, ..., nh from sampled values:
+    `equispaced_dd` over the same 2n + 1 values."""
     fv = [float(v) for v in fvals]
     if n is None:
         if len(fv) % 2 == 0:
@@ -467,11 +466,7 @@ def symmetric_equispaced_dd(fvals: Sequence[float], h: float, n: int | None = No
         n = (len(fv) - 1) // 2
     if len(fv) != 2 * n + 1:
         raise ValueError(f"need 2n+1 = {2 * n + 1} values, got {len(fv)}")
-    total = math.fsum(
-        math.comb(2 * n, k) * (fv[k] if k % 2 == 0 else -fv[k])
-        for k in range(2 * n + 1)
-    )
-    return total / (math.factorial(2 * n) * h ** (2 * n))
+    return equispaced_dd(fv, h, 2 * n)
 
 
 def leibniz_dd(vtable: DDTable, wtable: DDTable) -> float:

@@ -452,16 +452,10 @@ def moment_A(p: GbmParams, m: int) -> float:
     """E A(T)^m = m! exp[b_0 T, b_1 T, ..., b_m T].
 
     The node set collapses confluently at sigma = 0 or r = 0; the divided
-    difference handles that exactly.
+    difference handles that exactly.  The value is `moment_table(p, m)`'s
+    last entry, with its ValueError and OverflowError.
     """
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if m == 0:
-        return 1.0
-    if m > _MAX_ORDER:
-        raise OverflowError(f"E A(T)^{m} is outside the double range, as {m}! is")
-    nodes = BNodes.from_params(p, m).scaled(p.T)
-    return math.factorial(m) * exp_dd(nodes)
+    return moment_table(p, m)[m].value
 
 
 def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:

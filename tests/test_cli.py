@@ -3,13 +3,14 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from gbmdd import cli, moments, montecarlo
 from gbmdd.cli import DEFAULT_SEED, main
-from gbmdd.moments import GbmParams
+from gbmdd.moments import GbmParams, GridSpec
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +66,45 @@ def test_moments_beyond_the_factorial_range_exit_2_at_once(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("gbmdd: ") and "outside the double range" in err
+
+
+# each fails on its input; 10^7 x 10^7 scan cells (727 TiB) exceed a 47-bit
+# address space, so that allocation fails under any overcommit policy
+_FAILING_ARGV = [
+    ["scan", "--na", "10000000", "--nr", "10000000", "-o", "f"],
+    ["moments", "--max-m", "171"],
+    ["moments", "--max-m", "-1"],
+    ["moments", "--r", "94", "--sigma", "0", "--max-m", "8"],
+    ["mc", "--m", "171"],
+    ["mc", "--threads", "0"],
+    ["mc", "--paths", "1"],
+    ["corr", "--sigma", "0"],
+    ["corr", "--r", "400", "--sigma", "1", "--T", "2"],
+    ["corr", "--T", "inf"],
+    ["price", "--style", "fixed", "--K", "nan"],
+    ["scan", "--na", "0"],
+    ["scan", "--a-min", "nan"],
+    ["mc", "--r", "94", "--sigma", "0.001", "--T", "1", "--m", "8",
+     "--paths", "256", "--steps", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", _FAILING_ARGV, ids=" ".join)
+def test_failures_exit_1_or_2_at_once_and_quietly(capsys, monkeypatch, tmp_path, argv):
+    # an uncaught exception (a traceback on the command line) fails the test
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+    out = capsys.readouterr()
+    assert code in (1, 2)
+    assert elapsed < 1.0
+    assert out.out == ""
+    assert out.err.startswith("gbmdd: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err and "Warning" not in out.err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_order_one_moment_at_wide_spread_exits_0(capsys):
@@ -132,6 +172,15 @@ def test_scan_csv_and_summary(capsys):
     # 17-significant-digit fields round-trip: reformatting reproduces the line
     r0, a0, s0 = data[0]
     assert f"{r0:.17g},{a0:.17g},{s0:.17g}" == lines[1]
+
+
+def test_scan_window_defaults_are_grid_spec(capsys, monkeypatch):
+    specs = []
+    scan = moments.grid_scan
+    monkeypatch.setattr(moments, "grid_scan", lambda spec: specs.append(spec) or scan(spec))
+    code, _, _ = run_cli(capsys, "scan")
+    assert code == 0
+    assert specs == [GridSpec()]
 
 
 def test_scan_json_format(capsys):
@@ -273,6 +322,17 @@ def test_mc_negative_moment_order_exits_2_before_simulating(capsys, monkeypatch)
 def test_mc_order_beyond_the_factorial_range_exits_2_before_simulating(capsys, monkeypatch):
     calls = _count_blocks(monkeypatch)
     code, out, err = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25", "--m", "171")
+    assert code == 2
+    assert out == ""
+    assert "outside the double range" in err
+    assert calls == []
+
+
+def test_mc_moment_past_the_double_range_exits_2_before_simulating(capsys, monkeypatch):
+    # exp[0, 94, ..., 752] = 1.6e306 is a double; 8! times it is not
+    calls = _count_blocks(monkeypatch)
+    code, out, err = run_cli(capsys, "mc", "--r", "94", "--sigma", "0.001", "--T", "1",
+                             "--m", "8", "--paths", "256", "--steps", "4")
     assert code == 2
     assert out == ""
     assert "outside the double range" in err

@@ -563,6 +563,8 @@ def test_moment_table_against_mpmath_bidiagonal_expm():
                 table = moment_table(p, max_m)
             except OverflowError:
                 assert ref[max_m] > 1e300, (r, sigma, T)
+                with pytest.raises(OverflowError):
+                    moment_A(p, max_m)
                 continue
             assert [t.order for t in table] == list(range(max_m + 1))
             assert table[0].value == 1.0 and table[0].method == "exact"
@@ -571,6 +573,7 @@ def test_moment_table_against_mpmath_bidiagonal_expm():
             for m in range(1, max_m + 1):
                 assert table[m].method == divdiff.choose_method(nodes[:m + 1]).value
                 assert abs(table[m].value / ref[m] - 1.0) <= bound, (r, sigma, T, m)
+            assert abs(moment_A(p, max_m) / ref[max_m] - 1.0) <= bound, (r, sigma, T)
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
@@ -632,6 +635,35 @@ def test_orders_beyond_the_factorial_range_fail_fast(monkeypatch, bench):
             moment_A(bench, m)
         with pytest.raises(OverflowError, match="outside the double range"):
             moment_table(bench, m)
+
+
+def _outcome(fn, *args):
+    """`fn(*args)` as exact hex, or the type of the exception it raises."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def test_moment_A_is_the_table_entry():
+    # moment_A(p, m) is the last entry of moment_table(p, m), bit for bit, or
+    # the same exception; the mirrored points bring r < 0, r = -0.0 and sigma = 0
+    points = _moment_points(1000)
+    points += [(-r, 0.0 if j % 2 else sigma, T) for j, (r, sigma, T) in enumerate(points)]
+    points += [(94.0, 0.0, 1.0), (-94.0, 14.0, 1.0), (60.0, 2.0, 1.0), (300.0, 0.1, 1.0)]
+    for r, sigma, T in points:
+        p = GbmParams(r=r, sigma=sigma, T=T)
+        for m in range(13):
+            want = _outcome(lambda: moment_table(p, m)[m].value)
+            assert _outcome(moment_A, p, m) == want, (r, sigma, T, m)
+
+
+def test_moment_A_overflows_where_m_factorial_times_the_dd_does():
+    # exp[0, 94, ..., 752] = 1.6e306 is a double; 8! times it is not
+    p = GbmParams(r=94.0, sigma=0.0, T=1.0)
+    assert math.isfinite(moment_A(p, 7))
+    with pytest.raises(OverflowError, match="outside the double range"):
+        moment_A(p, 8)
 
 
 # ---------------------------------------------------------------------------
