@@ -13,8 +13,9 @@ finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
 only code that acts on a route, then evaluates them, also for `moment_table`,
 which sorts and routes its nested node sets itself.  The matrix method's
-Taylor loop keeps its term and partial sum in one buffer, takes both maxima
-of its stopping test in one reduction and skips that test where it cannot pass.
+Taylor loop and squarings write each product by `np.dot` into a per-call
+buffer, never onto a factor, take both maxima of the stopping test in one
+reduction and skip that test where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns: a sorting network orders
@@ -248,15 +249,15 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     """
     m = len(zs)
     mu = float(np.add.reduce(zs)) / m   # the bits of zs.mean()
-    d = zs - mu
-    Z = np.diag(d)
-    Z.ravel()[1::m + 1] = 1.0   # the superdiagonal, through a view of the new matrix
-    # the largest column sum of |Z|: |d_0| for the first column, 1 + |d_j| after
-    col = np.abs(d)
-    col[1:] += 1.0
-    norm = float(col.max())
+    # Slots: the terms of even and of odd k on either side of the partial sum
+    # F, then B and room for |term|, |F|; np.dot never writes onto a factor.
+    buf = np.zeros((6, m, m))
+    flat = buf.reshape(6, m * m)
+    np.subtract(zs, mu, out=flat[3, ::m + 1])
+    flat[3, 1::m + 1] = flat[1, ::m + 1] = 1.0
+    norm = float(np.abs(buf[3]).sum(axis=0).max())   # the largest column sum of |Z|
     s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-    B = Z / (2.0 ** s)
+    F, B = buf[1], np.divide(buf[3], 2.0 ** s, out=buf[3])
     c = 2.0 ** -s
     # Entry (0, k) of term k is c^k / k! up to k roundings and max|F| <= e^0.25,
     # so the stopping test cannot pass before step k_test: the first k with
@@ -265,20 +266,24 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     while k_test < m and ck > 1e-19:
         k_test += 1
         ck *= c / k_test
-    # term and partial sum in one buffer: one reduction takes both maxima
-    term, F = buf = np.array([np.eye(m)] * 2)
-    absbuf = np.empty_like(buf)
-    for k in range(1, 64):
-        np.matmul(term, B, out=term)
-        np.divide(term, k, out=term)
+    # Step 1 adds I B / 1 = B exactly.  Its test cannot pass: B's largest
+    # column sum, over at most two entries, exceeds 1/8, or B = 0 (one node).
+    np.add(F, B, out=F)
+    # each term slot with F as one (term, F) view: one reduction takes both maxima
+    slots = [(buf[0], buf[0:2]), (buf[2], buf[2:0:-1])]
+    term = B
+    for k in range(2, 64):
+        prev, (term, pair) = term, slots[k % 2]
+        np.dot(prev, B, out=term)
+        np.divide(term, float(k), out=term)   # a float divisor: the same bits, half the cost
         np.add(F, term, out=F)
         if k >= k_test:
-            top = np.maximum.reduce(np.absolute(buf, out=absbuf), axis=(1, 2))
+            top = np.maximum.reduce(np.absolute(pair, out=buf[4:]), axis=(1, 2))
             if top[0] <= 1e-20 * top[1]:
                 break
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            F = F @ F
+        for i in range(s):
+            F = np.dot(F, F, out=buf[i % 2])
         row = math.exp(mu) * F[0]
     if not np.isfinite(row).all():
         raise OverflowError("exp_dd: a value is outside the double range")

@@ -10,7 +10,6 @@ closed forms blow up.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import io
 import math
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .divdiff import (
+    TAYLOR_MIN_ORDER,
     EvalMethod,
     OracleEstimate,
     _coerce_nodes,
@@ -259,6 +259,8 @@ class GridSpec:
     def __post_init__(self):
         if self.na < 1 or self.nr < 1:
             raise ValueError("step counts must be positive")
+        if not all(map(math.isfinite, (self.a_min, self.a_max, self.r_min, self.r_max))):
+            raise ValueError("scan window bounds must be finite")
         if not (self.a_min <= self.a_max and self.r_min <= self.r_max):
             raise ValueError("empty scan window")
 
@@ -472,12 +474,11 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
     nodes = _coerce_nodes(BNodes.from_params(p, max_m).scaled(p.T))
-    # each order's sorted nodes, built up from the last order's, and AUTO's rule on them
-    ordered = [nodes[:1]]
-    for z in nodes[1:]:
-        ordered.append(ordered[-1].copy())
-        bisect.insort(ordered[-1], z)
-    methods = [_route(zs) for zs in ordered[1:]]
+    # AUTO's rule on each order's sorted nodes; from TAYLOR_MIN_ORDER on it
+    # is the matrix method whatever the nodes
+    low = min(max_m, TAYLOR_MIN_ORDER - 1)
+    methods = ([_route(sorted(nodes[:m + 1])) for m in range(1, low + 1)]
+               + [EvalMethod.TAYLOR_MATRIX] * (max_m - low))
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
     row = []
@@ -495,7 +496,7 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
         elif m in shared:
             value = shared[m](p)
         else:
-            value = math.factorial(m) * _exp_dd_sorted(ordered[m], method)
+            value = math.factorial(m) * _exp_dd_sorted(sorted(nodes[:m + 1]), method)
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
         out.append(MomentReport(order=m, value=value, method=method.value))

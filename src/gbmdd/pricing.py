@@ -37,14 +37,16 @@ def normal_cdf(x):
     """Standard normal CDF from the complementary error function,
     Phi(x) = erfc(-x / sqrt(2)) / 2; absolute error below 1e-10 and
     Phi(-x) = 1 - Phi(x) at the ulp level.  Accepts scalars (`math.erfc`)
-    or arrays (`scipy.special.erfc`, imported on the first array call)."""
+    or arrays (`scipy.special.erfc`, imported on the first array call).
+    Raises ValueError unless every entry is finite."""
     if isinstance(x, (float, int)) or np.ndim(x) == 0:   # np.ndim costs ~1 us
         x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        return 0.5 * math.erfc(-x / _SQRT2)
-    from scipy.special import erfc
-    return 0.5 * erfc(np.asarray(x, dtype=float) / -_SQRT2)
+        if math.isfinite(x):
+            return 0.5 * math.erfc(-x / _SQRT2)
+    elif np.isfinite(x := np.asarray(x, dtype=float)).all():
+        from scipy.special import erfc
+        return 0.5 * erfc(x / -_SQRT2)
+    raise ValueError("x must be finite")
 
 
 def normal_inv_cdf(u, out=None):

@@ -84,6 +84,8 @@ _FAILING_ARGV = [
     ["price", "--style", "fixed", "--K", "nan"],
     ["scan", "--na", "0"],
     ["scan", "--a-min", "nan"],
+    ["scan", "--a-max", "inf"],
+    ["scan", "--r-min=-inf"],
     ["mc", "--r", "94", "--sigma", "0.001", "--T", "1", "--m", "8",
      "--paths", "256", "--steps", "4"],
 ]

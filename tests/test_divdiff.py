@@ -708,16 +708,28 @@ def _first_tested_step(s: int, m: int) -> int:
     return k
 
 
+def _first_row_outcome(f, zs: np.ndarray):
+    """f's row as bytes, or OverflowError where it raises that."""
+    try:
+        return f(zs).tobytes()
+    except OverflowError:
+        return OverflowError
+
+
 def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
-    # Node sets of 1..13 nodes scaled to every squaring count s from 0 to 10
+    # Node sets of 1..13 nodes scaled to every squaring count s from 0 to 16
     # that the bidiagonal matrix allows (norm 0 for one node, else at least
-    # 1), at both ends of each count's norm range.  The scalar loop skips its
-    # stopping test before `_first_tested_step`; the reference tests it at
-    # every step.
+    # 1), at both ends of each count's norm range; from s = 12 on the
+    # squarings overflow for some of them.  Then three nodes at s = 68, whose
+    # first tested step is 1, and the order-10 moment nodes of a wide point,
+    # whose row underflows to zeros sorted and overflows in moment order.  The scalar loop skips its stopping test before
+    # `_first_tested_step`; the reference tests it at every step.  The kernel
+    # writes its products into buffers of its own, never into its input.
     rng = np.random.default_rng(59)
     seen = set()
+    cases = []
     for m in range(1, 14):
-        for s in range(0, 11):
+        for s in range(0, 17):
             spans = [0.0] if s <= 2 else [(2.0 ** (s - 3) - 1.0) * (1 + 1e-9) + 1e-9,
                                            (2.0 ** (s - 2) - 1.0) * (1 - 1e-9)]
             for span, center in ((d, c) for d in spans for c in (0.0, 2.5, -7.0)):
@@ -725,10 +737,21 @@ def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
                 u -= u.mean()
                 zs = center + span * u / (np.abs(u).max() or 1.0)
                 seen.add((_squarings(zs), m))
-                got = divdiff._exp_dd_first_row(zs)
-                assert got.tobytes() == _exp_dd_first_row(zs).tobytes(), (s, m, zs.tolist())
-    want = {(0, 1)} | {(s, m) for s in range(2, 11) for m in range(2, 14)}
+                cases.append(zs)
+    p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
+    wide = np.array(BNodes.from_params(p, 10).scaled(p.T))
+    cases += [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide)]
+    outcomes = []
+    for zs in cases:
+        before = zs.tobytes()
+        got = _first_row_outcome(divdiff._exp_dd_first_row, zs)
+        assert zs.tobytes() == before, zs.tolist()
+        assert got == _first_row_outcome(_exp_dd_first_row, zs), zs.tolist()
+        outcomes.append(got)
+    want = {(0, 1)} | {(s, m) for s in range(2, 17) for m in range(2, 14)}
     assert want <= seen
+    assert OverflowError in outcomes
+    assert outcomes[-2:] == [OverflowError, np.zeros(11).tobytes()]
     # the skip ends below m for some pairs and reaches m for others
     crossings = {_first_tested_step(s, m) < m for s, m in seen}
     assert crossings == {True, False}

@@ -46,6 +46,15 @@ def test_normal_cdf_array_and_validation():
         normal_cdf(math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normal_cdf_array_rejects_non_finite_entries(bad):
+    # the array path keeps the scalar path's contract: a finite value or ValueError
+    with pytest.raises(ValueError, match="finite"):
+        normal_cdf(np.array([bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        normal_cdf([[0.0, 1.0], [2.0, bad]])
+
+
 def test_normal_cdf_scalar_fast_path(monkeypatch):
     values = [0.0, -0.0, 0.3, -1.7, 8.5, -40.0, 3, -2, True, np.float64(0.3), np.float64(-6.25)]
     want = [(0.5 * math.erfc(-float(x) / math.sqrt(2.0))).hex() for x in values]
