@@ -12,16 +12,16 @@ recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
 only code that acts on a route, then evaluates them, also for `moment_table`,
-which sorts and routes its nested node sets itself.  The matrix method's
-Taylor loop and squarings write each product by `np.dot` into a per-call
-buffer, never onto a factor, take both maxima of the stopping test in one
-reduction and skip that test where it cannot pass.
+which sorts and routes its nested node sets itself.  The matrix method's one
+kernel, `_bidiagonal_first_rows`, writes each product into a per-call buffer,
+never onto a factor, takes both maxima of the stopping test in one reduction
+and skips that test where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns: a sorting network orders
 every row, AUTO's rule runs elementwise with the same constants, the
-recurrence one tableau level at a time, and the matrix method as a stack
-of bidiagonal Taylor series grouped by their squaring count.
+recurrence one tableau level at a time, and the matrix method through the
+same kernel as the scalar route, one stack per squaring count.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ __all__ = [
 
 # For three or more nodes, AUTO picks the matrix method when the node spread
 # is below this fraction of the node magnitude, when the order is at least
-# TAYLOR_MIN_ORDER, or when two distinct nodes nearly coincide.  Tunable; the
-# order and gap guards reflect measured recurrence error growth (roughly
-# eps/gap per tableau level).
+# TAYLOR_MIN_ORDER, or when two distinct nodes nearly coincide.  A near-tie
+# costs three nodes little (expm1 first level: 1.2e-14), but four such as
+# [0, a, 2a, 2a + 1e-7] reached 4.5e-13 on the recurrence, 1.3e-15 here.
 TAYLOR_SPREAD_FACTOR = 0.05
 TAYLOR_MIN_ORDER = 4
 TAYLOR_MIN_GAP_FACTOR = 1e-5
@@ -175,7 +175,7 @@ def _route(zs: list[float]) -> EvalMethod:
     scale_bound = 1.0 + max(abs(zs[0]), abs(zs[-1]))
     if n >= TAYLOR_MIN_ORDER or spread < TAYLOR_SPREAD_FACTOR * scale_bound:
         return EvalMethod.TAYLOR_MATRIX
-    # exact ties are confluent-safe on the recurrence; near-ties are not
+    # exact ties are confluent-safe on the recurrence; a near-tie among four nodes is not
     min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
     if 0.0 < min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound:
         return EvalMethod.TAYLOR_MATRIX
@@ -235,28 +235,30 @@ def _recurrence_tableau(zs: list[float], mu: float, anchored: bool) -> float:
     return math.exp(mu) * lev[0]
 
 
-def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
-    """exp[z_0..z_k] for k = 0..n, the nodes taken in the order given: the
-    first row of the exponential of the upper bidiagonal matrix with the
-    centered nodes on the diagonal and ones on the superdiagonal, by scaling
-    and squaring of a truncated Taylor series, times e^mu.
+def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
+    """e^mu times the first row of exp(Z) for the upper bidiagonal Z with
+    z - mu on the diagonal and ones above it, by scaling and squaring of a
+    truncated Taylor series: for one node set z (m,) with float mu and e_mu,
+    which computes its own squaring count s, or for a stack (K, m) with mu
+    and e_mu of shape (K, 1) and the s it shares.  The caller computes e_mu.
 
-    Entry (i, j) of that exponential is exp[z_i - mu, ..., z_j - mu], a
-    positive number for any node order, so the repeated squarings involve no
-    cancellation and every entry keeps full relative accuracy even for
-    tightly clustered nodes.  Raises OverflowError when an entry leaves the
-    double range.
+    Entry (i, j) of exp(Z) is exp[z_i - mu, ..., z_j - mu], positive for any
+    node order, so the squarings involve no cancellation and every entry
+    keeps full relative accuracy even for tightly clustered nodes.  An entry
+    outside the double range comes back inf or nan, without a warning.
     """
-    m = len(zs)
-    mu = float(np.add.reduce(zs)) / m   # the bits of zs.mean()
+    one = z.ndim == 1
+    product = np.dot if one else np.matmul   # the same dgemm; np.dot costs ~60% per call
+    *stack, m = z.shape
     # Slots: the terms of even and of odd k on either side of the partial sum
-    # F, then B and room for |term|, |F|; np.dot never writes onto a factor.
-    buf = np.zeros((6, m, m))
-    flat = buf.reshape(6, m * m)
-    np.subtract(zs, mu, out=flat[3, ::m + 1])
-    flat[3, 1::m + 1] = flat[1, ::m + 1] = 1.0
-    norm = float(np.abs(buf[3]).sum(axis=0).max())   # the largest column sum of |Z|
-    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    # F, then B and room for |term|, |F|; no product is written onto a factor.
+    buf = np.zeros((6, *stack, m, m))
+    flat = buf.reshape(6, *stack, m * m)
+    np.subtract(z, mu, out=flat[3, ..., ::m + 1])
+    flat[3, ..., 1::m + 1] = flat[1, ..., ::m + 1] = 1.0
+    if one:
+        norm = float(np.abs(buf[3]).sum(axis=0).max())   # the largest column sum of |Z|
+        s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
     F, B = buf[1], np.divide(buf[3], 2.0 ** s, out=buf[3])
     c = 2.0 ** -s
     # Entry (0, k) of term k is c^k / k! up to k roundings and max|F| <= e^0.25,
@@ -271,20 +273,31 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
     np.add(F, B, out=F)
     # each term slot with F as one (term, F) view: one reduction takes both maxima
     slots = [(buf[0], buf[0:2]), (buf[2], buf[2:0:-1])]
-    term = B
+    term, axes = B, (z.ndim, z.ndim + 1)   # the matrix axes of a (term, F) pair
     for k in range(2, 64):
         prev, (term, pair) = term, slots[k % 2]
-        np.dot(prev, B, out=term)
+        product(prev, B, out=term)
         np.divide(term, float(k), out=term)   # a float divisor: the same bits, half the cost
         np.add(F, term, out=F)
         if k >= k_test:
-            top = np.maximum.reduce(np.absolute(pair, out=buf[4:]), axis=(1, 2))
-            if top[0] <= 1e-20 * top[1]:
+            top = np.maximum.reduce(np.absolute(pair, out=buf[4:]), axis=axes)
+            passed = top[0] <= 1e-20 * top[1]
+            # a stack stops once every row passes; .all() costs ~3 us
+            if passed if one else np.logical_and.reduce(passed):
                 break
+    # the error state only here: numpy calls under a non-default one cost more
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(s):
-            F = np.dot(F, F, out=buf[i % 2])
-        row = math.exp(mu) * F[0]
+            F = product(F, F, out=buf[i % 2])
+        return e_mu * F[..., 0, :]
+
+
+def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
+    """exp[z_0..z_k] for k = 0..n, the nodes taken in the order given and
+    centered on their mean.  Raises OverflowError when an entry leaves the
+    double range."""
+    mu = float(np.add.reduce(zs)) / len(zs)   # the bits of zs.mean()
+    row = _bidiagonal_first_rows(zs, mu, math.exp(mu))
     if not np.isfinite(row).all():
         raise OverflowError("exp_dd: a value is outside the double range")
     return row
@@ -294,9 +307,9 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     """Divided difference of the exponential, exp[s*x_0, ..., s*x_n].
 
     Repeated nodes are handled confluently (n+1 copies of x give e^x / n!).
-    The result is positive for any real nodes.  Nearly coincident distinct
-    nodes embedded in a wide spread lose accuracy on the recurrence path at
-    the usual epsilon/gap rate; exact ties do not.  A `method` other than
+    The result is positive for any real nodes.  AUTO sends nearly coincident
+    distinct nodes to the matrix route (four such as [0, a, 2a, 2a + 1e-7]
+    lose digits on the recurrence); exact ties stay.  A `method` other than
     AUTO forces that route.  Raises ValueError for any other `method` and
     unless every scaled node is finite.
     """
@@ -385,36 +398,6 @@ def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray
     return np.exp(mu) * lev[0]
 
 
-def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
-    """The last entry of `_exp_dd_first_row` on every sorted row, as a stack
-    of bidiagonal matrices; rows sharing a squaring count share one Taylor
-    loop, which stops once every row in it passes the scalar route's test."""
-    K, m = z.shape
-    mu = z.mean(axis=1)
-    Z = np.zeros((K, m, m))
-    idx = np.arange(m)
-    Z[:, idx, idx] = z - mu[:, None]
-    Z[:, idx[:-1], idx[1:]] = 1.0
-    # the superdiagonal ones keep every norm >= 1, above the scalar route's 0.25
-    norm = np.abs(Z).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(norm / 0.25)).astype(int)
-    out = np.empty(K)
-    for sg in np.unique(s):
-        rows = s == sg
-        B = Z[rows] / (2.0 ** sg)
-        F = np.broadcast_to(np.eye(m), B.shape).copy()
-        term = F.copy()
-        for k in range(1, 64):
-            term = term @ B / k
-            F += term
-            if (np.abs(term).max(axis=(1, 2)) <= 1e-20 * np.abs(F).max(axis=(1, 2))).all():
-                break
-        for _ in range(sg):
-            F = F @ F
-        out[rows] = F[:, 0, -1]
-    return np.exp(mu) * out
-
-
 def exp_dd_batch(nodes) -> np.ndarray:
     """exp[z_0, ..., z_n] for every row of an (N, n+1) array of nodes.
 
@@ -436,7 +419,17 @@ def exp_dd_batch(nodes) -> np.ndarray:
         # when few rows take the matrix method, which overwrites its own rows
         out = _exp_dd_recurrence_columns(c)
         if taylor.any():
-            out[taylor] = _exp_dd_taylor_matrix_rows(np.stack([x[taylor] for x in c], axis=1))
+            z = np.stack([x[taylor] for x in c], axis=1)
+            mu = z.mean(axis=1)
+            d = np.abs(z - mu[:, None])
+            # the largest column sum of |Z| in the same bits; the superdiagonal keeps it >= 1
+            norm = np.maximum(d[:, 0], 1.0 + d[:, 1:].max(axis=1))
+            s = np.ceil(np.log2(norm / 0.25)).astype(int)
+            e_mu, rows = np.exp(mu), np.empty(len(z))
+            for sg in np.unique(s):   # each count's rows as one stack
+                g = s == sg
+                rows[g] = _bidiagonal_first_rows(z[g], mu[g, None], e_mu[g, None], sg)[:, -1]
+            out[taylor] = rows
     if not np.isfinite(out).all():
         raise OverflowError("exp_dd_batch: a value is outside the double range")
     return out

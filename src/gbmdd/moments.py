@@ -126,10 +126,11 @@ class MomentReport:
 
 
 # A market quote (correlation, moment_table, both prices) asks for mean_A,
-# second_moment_A and correlation at least twice at one point.  Each is memoised per
-# point and returns the object its first call computed, so no bit changes;
-# each holds the last _MEMO_SIZE points.  After rebinding `exp_dd` or changing
-# an AUTO constant, call `cache_clear()` on all three.
+# correlation and _var_A_dd at least twice at one point, and `gbmdd mc --m`
+# asks for second_moment_A twice.  Each is memoised per point and returns the
+# object its first call computed, so no bit changes; each holds the last
+# _MEMO_SIZE points.  After rebinding `exp_dd` or changing an AUTO constant,
+# call `cache_clear()` on all four.
 _MEMO_SIZE = 32
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
@@ -206,10 +207,16 @@ def var_S(p: GbmParams) -> float:
     return p.sigma ** 2 * p.T * exp_dd([r2T, b])
 
 
+@_memo
+def _var_A_dd(p: GbmParams) -> float:
+    """exp[0, rT, 2rT, (2r + sigma^2) T], shared by `var_A` and `correlation`."""
+    rT, r2T, b = _ddn(p)
+    return exp_dd([0.0, rT, r2T, b])
+
+
 def var_A(p: GbmParams) -> float:
     """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]."""
-    rT, r2T, b = _ddn(p)
-    return 2.0 * p.sigma ** 2 * p.T * exp_dd([0.0, rT, r2T, b])
+    return 2.0 * p.sigma ** 2 * p.T * _var_A_dd(p)
 
 
 @_memo
@@ -221,7 +228,7 @@ def correlation(p: GbmParams) -> CorrelationReport:
     rT, r2T, b = _ddn(p)
     num = exp_dd([rT, r2T, b])
     d1 = exp_dd([r2T, b])
-    d2 = exp_dd([0.0, rT, r2T, b])
+    d2 = _var_A_dd(p)
     R = num / math.sqrt(2.0 * d1 * d2)
     s2T = p.sigma ** 2 * p.T
     return CorrelationReport(
@@ -259,8 +266,9 @@ class GridSpec:
     def __post_init__(self):
         if self.na < 1 or self.nr < 1:
             raise ValueError("step counts must be positive")
-        if not all(map(math.isfinite, (self.a_min, self.a_max, self.r_min, self.r_max))):
-            raise ValueError("scan window bounds must be finite")
+        spans = (self.a_max - self.a_min, 2.0 * self.r_min, 2.0 * self.r_max)
+        if not all(map(math.isfinite, spans)):
+            raise ValueError("scan window bounds, a_max - a_min and 2r must be finite")
         if not (self.a_min <= self.a_max and self.r_min <= self.r_max):
             raise ValueError("empty scan window")
 

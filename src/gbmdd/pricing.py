@@ -88,10 +88,16 @@ def lognormal_match(mean: float, second_moment: float) -> LognormalFit:
         raise ValueError("moments must be finite")
     if mean <= 0 or second_moment <= 0:
         raise ValueError("moments must be positive")
-    excess = (second_moment - mean * mean) / (mean * mean)
-    if excess < 0:
+    variance = second_moment - mean * mean
+    if variance < 0:
         raise ValueError("second moment below mean squared violates Jensen")
-    s2 = math.log1p(excess)
+    return _variance_fit(mean, variance)
+
+
+def _variance_fit(mean: float, variance: float) -> LognormalFit:
+    """The lognormal with this mean and variance; a variance computed on its
+    own keeps the digits that second_moment - mean^2 cancels."""
+    s2 = math.log1p(variance / (mean * mean))
     return LognormalFit(mu=math.log(mean) - s2 / 2.0, s2=s2)
 
 
@@ -133,6 +139,16 @@ def margrabe_price(F1: float, F2: float, s1: float, s2: float,
     return PriceQuote(max(value, 0.0), "margrabe", inputs)
 
 
+def _fit_A(p: GbmParams) -> tuple[float, LognormalFit]:
+    """E A(T) and the lognormal fit of A(T) to it and var A(T), or to E A(T)^2
+    where var A(T) overflows on the matrix route at a wide spread."""
+    mA = moments.mean_A(p)
+    try:
+        return mA, _variance_fit(mA, moments.var_A(p))
+    except OverflowError:
+        return mA, lognormal_match(mA, moments.second_moment_A(p))
+
+
 def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     """Value of the payoff (S(T) - A(T))^+ by exchanging the exactly
     lognormal S(T) against the moment-matched lognormal fit of A(T), with
@@ -140,8 +156,7 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     if p.sigma == 0:
         raise ValueError("approximation undefined for deterministic paths")
     rT = p.r * p.T
-    mA = moments.mean_A(p)
-    fit = lognormal_match(mA, moments.second_moment_A(p))
+    mA, fit = _fit_A(p)
     rho = moments.correlation(p).R
     quote = margrabe_price(
         F1=math.exp(rT), F2=mA,
@@ -162,8 +177,7 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
     if not (math.isfinite(K) and K >= 0):
         raise ValueError("strike must be finite and nonnegative")
     rT = p.r * p.T
-    mA = moments.mean_A(p)
-    fit = lognormal_match(mA, moments.second_moment_A(p))
+    mA, fit = _fit_A(p)
     discount = math.exp(-rT)
     inputs = {"r": p.r, "sigma": p.sigma, "T": p.T, "K": K,
               "fit_mu": fit.mu, "fit_s2": fit.s2, "discount": discount}

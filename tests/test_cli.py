@@ -86,6 +86,8 @@ _FAILING_ARGV = [
     ["scan", "--a-min", "nan"],
     ["scan", "--a-max", "inf"],
     ["scan", "--r-min=-inf"],
+    ["scan", "--na", "2", "--nr", "2", "--r-max", "1e308", "-o", "f"],
+    ["scan", "--na", "2", "--nr", "2", "--a-min=-1.7e308", "--a-max", "1.7e308", "-o", "f"],
     ["mc", "--r", "94", "--sigma", "0.001", "--T", "1", "--m", "8",
      "--paths", "256", "--steps", "4"],
 ]

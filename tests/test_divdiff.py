@@ -260,6 +260,20 @@ def test_choose_method_clustered_four_nodes():
     assert choose_method([0.0, 1.0, 1.0, 1.0]) is EvalMethod.RECURRENCE
 
 
+def test_near_tie_guard_keeps_var_A_nodes_accurate():
+    # var A(T)'s nodes [0, rT, 2rT, (2r + sigma^2) T] at a small sigma: the
+    # TAYLOR_MIN_GAP_FACTOR guard sends the near-tie to the matrix route
+    # (worst seen 1.3e-15); without it the recurrence reached 4.5e-13
+    rng = np.random.default_rng(73)
+    worst = 0.0
+    for _ in range(150):
+        rT = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.03, 0.3))
+        eps = float(10.0 ** rng.uniform(-8.0, -5.5))
+        nodes = [0.0, rT, 2.0 * rT, 2.0 * rT + eps]
+        worst = max(worst, rel_err(exp_dd(nodes), mp_exp_dd(nodes)))
+    assert worst <= 1e-14
+
+
 def _amplification_bound_sets(rng, count: int) -> list[list[float]]:
     """Sorted four-node sets {lo, lo + u s2, lo + s2, lo + spread}, half of
     them mirrored about their middle, with s2 just large enough that AUTO's
@@ -407,8 +421,9 @@ def test_exp_dd_batch_matrix_rows():
     assert exp_dd_batch(np.empty((0, 3))).shape == (0,)
 
 
-# The row kernels `exp_dd_batch` ran on before it moved to node columns, kept
-# verbatim: the column kernel reproduces them bit for bit.
+# The row kernels `exp_dd_batch` ran on before it moved to node columns, and
+# the stacked Taylor loop its matrix route ran before it shared the scalar
+# first-row kernel, kept verbatim: the batch reproduces them bit for bit.
 
 
 def _taylor_rows(z: np.ndarray) -> np.ndarray:
@@ -464,6 +479,36 @@ def _recurrence_tableau_rows(z: np.ndarray, mu: np.ndarray, anchored: bool) -> n
     return np.exp(mu) * lev[:, 0]
 
 
+def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
+    """The last entry of `_exp_dd_first_row` on every sorted row, as a stack
+    of bidiagonal matrices; rows sharing a squaring count share one Taylor
+    loop, which stops once every row in it passes the scalar route's test."""
+    K, m = z.shape
+    mu = z.mean(axis=1)
+    Z = np.zeros((K, m, m))
+    idx = np.arange(m)
+    Z[:, idx, idx] = z - mu[:, None]
+    Z[:, idx[:-1], idx[1:]] = 1.0
+    # the superdiagonal ones keep every norm >= 1, above the scalar route's 0.25
+    norm = np.abs(Z).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(norm / 0.25)).astype(int)
+    out = np.empty(K)
+    for sg in np.unique(s):
+        rows = s == sg
+        B = Z[rows] / (2.0 ** sg)
+        F = np.broadcast_to(np.eye(m), B.shape).copy()
+        term = F.copy()
+        for k in range(1, 64):
+            term = term @ B / k
+            F += term
+            if (np.abs(term).max(axis=(1, 2)) <= 1e-20 * np.abs(F).max(axis=(1, 2))).all():
+                break
+        for _ in range(sg):
+            F = F @ F
+        out[rows] = F[:, 0, -1]
+    return np.exp(mu) * out
+
+
 def _row_exp_dd_batch(nodes):
     """`exp_dd_batch` on sorted rows, through the reference row kernels."""
     z = np.sort(np.asarray(nodes, dtype=float), axis=1)
@@ -471,7 +516,7 @@ def _row_exp_dd_batch(nodes):
     with np.errstate(all="ignore"):
         taylor = _taylor_rows(z)
         out[~taylor] = _exp_dd_recurrence_rows(z[~taylor])
-        out[taylor] = divdiff._exp_dd_taylor_matrix_rows(z[taylor])
+        out[taylor] = _exp_dd_taylor_matrix_rows(z[taylor])
     return out
 
 

@@ -166,7 +166,7 @@ def test_dd_consistency_invariants(bench):
 
 
 # ---------------------------------------------------------------------------
-# per-point memo of correlation, mean_A and second_moment_A
+# per-point memo of correlation, mean_A, second_moment_A and var_A's divided difference
 
 
 def _quote_points():
@@ -205,9 +205,9 @@ def test_memo_saves_divided_differences_and_keeps_bits(monkeypatch):
     calls = _count_exp_dd(monkeypatch)
     cached = _quote_sequence(points)
     n_cached = len(calls)
-    # a quote asks for each of the three at least twice and computes it once
+    # a quote asks for each of these three at least twice and computes it once
     # per distinct point; the r = -0.0 point equals the r = 0.0 one
-    for fn in MEMOISED:
+    for fn in (correlation, mean_A, moments._var_A_dd):
         info = fn.cache_info()
         assert info.misses == len(points) - 1, fn
         assert info.hits >= len(points) + 1, fn

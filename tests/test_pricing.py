@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbmdd.cli import main
 from gbmdd.moments import GbmParams, mean_A, second_moment_A
 from gbmdd.pricing import (
     fixed_strike_asian_approx,
@@ -268,3 +269,52 @@ def test_fixed_strike_tiny_strike_is_discounted_mean(bench):
     want = fixed_strike_asian_approx(bench, 0.0).value
     for K in (1e-320, 5e-324):
         assert fixed_strike_asian_approx(bench, K).value == want
+
+
+def _mp_fit_s2(p: GbmParams) -> mp.mpf:
+    """ln(E A^2 / (E A)^2) at 150 digits, each moment from the exponential of
+    the bidiagonal matrix of its nodes (confluent nodes included)."""
+    with mp.workdps(150):
+        def dd(nodes):
+            M = mp.zeros(len(nodes))
+            for i, x in enumerate(nodes):
+                M[i, i] = x
+                if i + 1 < len(nodes):
+                    M[i, i + 1] = 1
+            return mp.expm(M)[0, len(nodes) - 1]
+        r, sigma, T = mp.mpf(p.r), mp.mpf(p.sigma), mp.mpf(p.T)
+        mean = dd([0, r * T])
+        return mp.log(2 * dd([0, r * T, (2 * r + sigma ** 2) * T]) / mean ** 2)
+
+
+def test_fit_s2_against_mpmath_down_to_tiny_sigma():
+    # the fit takes var A(T), which no difference of moments cancels: the
+    # fit of E A^2 - (E A)^2 was off by up to 6.3e1 relative for sigma in
+    # [1e-8, 1e-5] and raised on many points below 1e-8
+    rng = np.random.default_rng(71)
+    sigmas = 10.0 ** rng.uniform(-12.0, math.log10(1.5), 60)
+    rates = np.where(np.arange(60) % 6 == 0, 0.0, rng.uniform(-0.5, 0.5, 60))
+    for sigma, r, T in zip(sigmas, rates, rng.uniform(0.1, 5.0, 60)):
+        p = GbmParams(float(r), float(sigma), float(T))
+        want = _mp_fit_s2(p)
+        for quote in (floating_strike_asian_approx(p), fixed_strike_asian_approx(p, 1.0)):
+            s2 = quote.inputs["fit_s2"]
+            assert float(abs((s2 - want) / want)) <= 1e-12, (p, s2)
+
+
+def test_approximations_finite_at_tiny_sigma():
+    # the fit of E A^2 - (E A)^2 raised the Jensen ValueError on 32 of these
+    # 80 quotes
+    rng = np.random.default_rng(79)
+    for sigma, r, T in zip(10.0 ** rng.uniform(-12.0, -8.0, 40), rng.uniform(-0.1, 0.1, 40),
+                           rng.uniform(0.1, 5.0, 40)):
+        p = GbmParams(r=float(r), sigma=float(sigma), T=float(T))
+        for value in (floating_strike_asian_approx(p).value,
+                      fixed_strike_asian_approx(p, mean_A(p)).value):
+            assert math.isfinite(value) and value >= 0.0, (p, value)
+
+
+@pytest.mark.parametrize("style", ["floating", "fixed"])
+def test_price_cli_at_tiny_sigma_exits_0(capsys, style):
+    assert main(["price", "--style", style, "--sigma", "1e-8"]) == 0
+    assert capsys.readouterr().err == ""
