@@ -126,11 +126,10 @@ class MomentReport:
 
 
 # A market quote (correlation, moment_table, both prices) asks for mean_A,
-# correlation and _var_A_dd at least twice at one point, and `gbmdd mc --m`
-# asks for second_moment_A twice.  Each is memoised per point and returns the
-# object its first call computed, so no bit changes; each holds the last
-# _MEMO_SIZE points.  After rebinding `exp_dd` or changing an AUTO constant,
-# call `cache_clear()` on all four.
+# correlation and _var_A_dd at least twice at one point.  Each is memoised per
+# point and returns the object its first call computed, so no bit changes;
+# each holds the last _MEMO_SIZE points.  After rebinding `exp_dd` or changing
+# an AUTO constant, call `cache_clear()` on all three.
 _MEMO_SIZE = 32
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
@@ -165,7 +164,6 @@ def cross_moment_SA(p: GbmParams) -> float:
     return exp_dd([rT, b])
 
 
-@_memo
 def second_moment_A(p: GbmParams) -> float:
     """E A(T)^2 = 2 exp[0, rT, (2r + sigma^2) T]."""
     rT, _, b = _ddn(p)
@@ -215,8 +213,12 @@ def _var_A_dd(p: GbmParams) -> float:
 
 
 def var_A(p: GbmParams) -> float:
-    """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]."""
-    return 2.0 * p.sigma ** 2 * p.T * _var_A_dd(p)
+    """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]; OverflowError
+    where that product leaves the double range."""
+    v = 2.0 * p.sigma ** 2 * p.T * _var_A_dd(p)
+    if v == math.inf:
+        raise OverflowError("var A(T) is outside the double range")
+    return v
 
 
 @_memo
@@ -476,8 +478,8 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     of the highest matrix-route order M gives every matrix-route order up
     to M; an entry that is not a normal positive double is evaluated on its
     own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
-    computed here.  Orders 1 and 2 evaluated on their own are the memoised
-    `mean_A` and `second_moment_A`: the same nodes, so the same bits.
+    computed here.  Order 1 evaluated on its own is the memoised `mean_A`,
+    and order 2 has the bits of `second_moment_A`: the same nodes.
     """
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
@@ -495,14 +497,13 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
             row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
         except OverflowError:
             pass
-    shared = {1: mean_A, 2: second_moment_A}
     out = [MomentReport(order=0, value=1.0, method="exact")]
     for m, method in enumerate(methods, 1):
         if (method is EvalMethod.TAYLOR_MATRIX and row
                 and sys.float_info.min <= row[m] < math.inf):
             value = math.factorial(m) * row[m]
-        elif m in shared:
-            value = shared[m](p)
+        elif m == 1:
+            value = mean_A(p)
         else:
             value = math.factorial(m) * _exp_dd_sorted(sorted(nodes[:m + 1]), method)
         if value == math.inf:

@@ -96,8 +96,9 @@ def lognormal_match(mean: float, second_moment: float) -> LognormalFit:
 
 def _variance_fit(mean: float, variance: float) -> LognormalFit:
     """The lognormal with this mean and variance; a variance computed on its
-    own keeps the digits that second_moment - mean^2 cancels."""
-    s2 = math.log1p(variance / (mean * mean))
+    own keeps the digits that second_moment - mean^2 cancels.  Dividing by
+    the mean twice stays finite where mean^2 overflows."""
+    s2 = math.log1p(variance / mean / mean)
     return LognormalFit(mu=math.log(mean) - s2 / 2.0, s2=s2)
 
 
@@ -141,7 +142,8 @@ def margrabe_price(F1: float, F2: float, s1: float, s2: float,
 
 def _fit_A(p: GbmParams) -> tuple[float, LognormalFit]:
     """E A(T) and the lognormal fit of A(T) to it and var A(T), or to E A(T)^2
-    where var A(T) overflows on the matrix route at a wide spread."""
+    where var A(T) overflows (its matrix route, below rT of about -584 at
+    small sigma, while E A(T)^2 takes the recurrence)."""
     mA = moments.mean_A(p)
     try:
         return mA, _variance_fit(mA, moments.var_A(p))

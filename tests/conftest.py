@@ -27,7 +27,7 @@ def bench():
     return GbmParams(r=0.05, sigma=0.2, T=1.0)
 
 
-MEMOISED = (moments.correlation, moments.mean_A, moments.second_moment_A, moments._var_A_dd)
+MEMOISED = (moments.correlation, moments.mean_A, moments._var_A_dd)
 
 
 @pytest.fixture(autouse=True)

@@ -74,8 +74,8 @@ def test_params_store_plain_floats(args):
     rep = correlation.__wrapped__(p)
     assert all(type(x) is float for x in dataclasses.astuple(rep))
     assert _bits(rep) == _bits(correlation.__wrapped__(q))
-    for fn in (mean_A, second_moment_A):
-        assert _bits(fn.__wrapped__(p)) == _bits(fn.__wrapped__(q))
+    for fn in (mean_A.__wrapped__, moments._var_A_dd.__wrapped__, second_moment_A):
+        assert _bits(fn(p)) == _bits(fn(q))
 
 
 def test_b_nodes():
@@ -156,6 +156,16 @@ def test_variances_and_covariance(bench):
     assert covariance_SA(bench) == pytest.approx(0.04 * 0.55083983941132645014, rel=1e-13)
 
 
+def test_var_A_raises_where_it_overflows():
+    # its divided difference is finite; 2 sigma^2 T times it is not, and
+    # var_A returned inf where var_S and covariance_SA raise
+    p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
+    assert math.isfinite(moments._var_A_dd(p))
+    for fn in (var_A, var_S, covariance_SA):
+        with pytest.raises(OverflowError):
+            fn(p)
+
+
 def test_dd_consistency_invariants(bench):
     # one recurrence step relates the covariance to the raw cross moment
     for p in (bench, GbmParams(r=0.3, sigma=0.4, T=0.5), GbmParams(r=-0.1, sigma=0.3, T=2.0)):
@@ -166,7 +176,7 @@ def test_dd_consistency_invariants(bench):
 
 
 # ---------------------------------------------------------------------------
-# per-point memo of correlation, mean_A, second_moment_A and var_A's divided difference
+# per-point memo of correlation, mean_A and var_A's divided difference
 
 
 def _quote_points():
@@ -205,9 +215,9 @@ def test_memo_saves_divided_differences_and_keeps_bits(monkeypatch):
     calls = _count_exp_dd(monkeypatch)
     cached = _quote_sequence(points)
     n_cached = len(calls)
-    # a quote asks for each of these three at least twice and computes it once
+    # a quote asks for each of the three at least twice and computes it once
     # per distinct point; the r = -0.0 point equals the r = 0.0 one
-    for fn in (correlation, mean_A, moments._var_A_dd):
+    for fn in MEMOISED:
         info = fn.cache_info()
         assert info.misses == len(points) - 1, fn
         assert info.hits >= len(points) + 1, fn
@@ -603,12 +613,11 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
 
 def test_moment_table_evaluates_without_exp_dd(monkeypatch, bench):
     # the table sorts and routes each order's nodes once and hands them to the
-    # dispatch itself: with orders 1 and 2 memoised, `exp_dd` is never called
+    # dispatch itself: with order 1 memoised, `exp_dd` is never called
     nodes = BNodes.from_params(bench, 8).scaled(bench.T)
     assert divdiff.choose_method(nodes[:4]) is divdiff.EvalMethod.RECURRENCE
     assert divdiff.choose_method(nodes[:5]) is divdiff.EvalMethod.TAYLOR_MATRIX
-    mean_A(bench)           # orders 1 and 2 come from the memo
-    second_moment_A(bench)
+    mean_A(bench)           # order 1 comes from the memo
     want = moment_table(bench, 8)
 
     def refused(*args, **kwargs):

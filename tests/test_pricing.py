@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmdd.cli import main
-from gbmdd.moments import GbmParams, mean_A, second_moment_A
+from gbmdd.moments import GbmParams, mean_A, second_moment_A, var_A
 from gbmdd.pricing import (
     fixed_strike_asian_approx,
     floating_strike_asian_approx,
@@ -318,3 +318,37 @@ def test_approximations_finite_at_tiny_sigma():
 def test_price_cli_at_tiny_sigma_exits_0(capsys, style):
     assert main(["price", "--style", style, "--sigma", "1e-8"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_fit_s2_where_mean_squared_overflows():
+    # E A = 1.67e154: (E A)^2 overflows while var A = 2.8e298 does not, and a
+    # fit that divided by (E A)^2 took s2 = 0 and priced the call at the
+    # money as worthless
+    p = GbmParams(361.0, 1e-5, 1.0)
+    quote = fixed_strike_asian_approx(p, mean_A(p))
+    want = _mp_fit_s2(p)
+    assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-12
+    assert quote.value > 0.0
+
+
+def test_fit_falls_back_to_second_moment_where_var_A_overflows():
+    # var A's four nodes take the matrix route here and overflow before the
+    # factor e^mu; E A^2's three take the recurrence, so the fit uses it and
+    # keeps the cancellation of E A^2 - (E A)^2 (2.4e-9 relative here)
+    p = GbmParams(-600.0, 0.01, 1.0)
+    with pytest.raises(OverflowError):
+        var_A(p)
+    quote = fixed_strike_asian_approx(p, mean_A(p))
+    want = _mp_fit_s2(p)
+    assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-8
+    assert math.isfinite(quote.value) and quote.value > 0.0
+
+
+def test_fit_raises_overflow_where_var_A_and_second_moment_overflow():
+    # 2 sigma^2 T times var A's finite divided difference overflows; the quote
+    # used to fail deep in normal_cdf with "x must be finite"
+    p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
+    for quote in (lambda: fixed_strike_asian_approx(p, 1.0),
+                  lambda: floating_strike_asian_approx(p)):
+        with pytest.raises(OverflowError):
+            quote()
