@@ -158,10 +158,12 @@ def test_variances_and_covariance(bench):
 
 def test_var_A_raises_where_it_overflows():
     # its divided difference is finite; 2 sigma^2 T times it is not, and
-    # var_A returned inf where var_S and covariance_SA raise
+    # var_A returned inf where var_S and covariance_SA raise, so a quote
+    # failed inside normal_cdf with "x must be finite"
     p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
     assert math.isfinite(moments._var_A_dd(p))
-    for fn in (var_A, var_S, covariance_SA):
+    for fn in (var_A, var_S, covariance_SA, pricing.floating_strike_asian_approx,
+               lambda p: pricing.fixed_strike_asian_approx(p, 1.0)):
         with pytest.raises(OverflowError):
             fn(p)
 

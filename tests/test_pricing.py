@@ -342,13 +342,3 @@ def test_fit_falls_back_to_second_moment_where_var_A_overflows():
     want = _mp_fit_s2(p)
     assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-8
     assert math.isfinite(quote.value) and quote.value > 0.0
-
-
-def test_fit_raises_overflow_where_var_A_and_second_moment_overflow():
-    # 2 sigma^2 T times var A's finite divided difference overflows; the quote
-    # used to fail deep in normal_cdf with "x must be finite"
-    p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
-    for quote in (lambda: fixed_strike_asian_approx(p, 1.0),
-                  lambda: floating_strike_asian_approx(p)):
-        with pytest.raises(OverflowError):
-            quote()
