@@ -12,10 +12,11 @@ recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
 only code that acts on a route, then evaluates them, also for `moment_table`,
-which sorts and routes its nested node sets itself.  The matrix method's one
-kernel, `_bidiagonal_first_rows`, writes each product into a per-call buffer,
-never onto a factor, takes both maxima of the stopping test in one reduction
-and skips that test where it cannot pass.
+which sorts and routes its nested node sets itself.  Both routes centre on the
+mean node, or on the largest where that leaves the double range or e^mean is
+subnormal.  The matrix method's one kernel, `_bidiagonal_first_rows`, writes
+each product into a per-call buffer, never onto a factor, takes both maxima of
+the stopping test in one reduction and skips that test where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns: a sorting network orders
@@ -292,11 +293,13 @@ def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
         return e_mu * F[..., 0, :]
 
 
-def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
+def _exp_dd_first_row(zs: np.ndarray, anchored: bool = False) -> np.ndarray:
     """exp[z_0..z_k] for k = 0..n, the nodes taken in the order given and
-    centered on their mean.  Raises OverflowError when an entry leaves the
-    double range."""
-    mu = float(np.add.reduce(zs)) / len(zs)   # the bits of zs.mean()
+    centered on their mean, or on the last if `anchored`.  OverflowError where
+    an entry leaves the double range, or e^mean is subnormal."""
+    mu = float(zs[-1]) if anchored else float(np.add.reduce(zs)) / len(zs)   # zs.mean()'s bits
+    if mu < _LOG_MIN_NORMAL and not anchored:
+        raise OverflowError("exp_dd: e^mean is subnormal")
     row = _bidiagonal_first_rows(zs, mu, math.exp(mu))
     if not np.isfinite(row).all():
         raise OverflowError("exp_dd: a value is outside the double range")
@@ -324,7 +327,10 @@ def _exp_dd_sorted(zs: list[float], method: EvalMethod) -> float:
     if method is EvalMethod.RECURRENCE:
         return _exp_dd_recurrence(zs)
     if method is EvalMethod.TAYLOR_MATRIX:
-        return float(_exp_dd_first_row(np.array(zs))[-1])
+        try:
+            return float(_exp_dd_first_row(np.array(zs))[-1])
+        except OverflowError:   # anchored, every entry before the factor e^{z_n} lies in (0, 1]
+            return float(_exp_dd_first_row(np.array(zs), anchored=True)[-1])
     raise ValueError(f"unknown evaluation method: {method!r}")
 
 
@@ -429,6 +435,8 @@ def exp_dd_batch(nodes) -> np.ndarray:
             for sg in np.unique(s):   # each count's rows as one stack
                 g = s == sg
                 rows[g] = _bidiagonal_first_rows(z[g], mu[g, None], e_mu[g, None], sg)[:, -1]
+            for i in np.flatnonzero((mu < _LOG_MIN_NORMAL) | ~np.isfinite(rows)):
+                rows[i] = _exp_dd_sorted(z[i].tolist(), EvalMethod.TAYLOR_MATRIX)
             out[taylor] = rows
     if not np.isfinite(out).all():
         raise OverflowError("exp_dd_batch: a value is outside the double range")

@@ -221,17 +221,33 @@ def var_A(p: GbmParams) -> float:
     return v
 
 
+def _scaled_dd(nodes: list[float]) -> tuple[float, float]:
+    """(t, x) with exp[nodes] = e^t x, t the largest node: x = exp[nodes - t]
+    lies in (0, 1] and stays a normal double where exp[nodes] does not."""
+    t = max(nodes)
+    return t, exp_dd([z - t for z in nodes])
+
+
 @_memo
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
-    divided differences; always in [1/sqrt(2), 1]."""
+    divided differences; in [1/sqrt(2), 1] for r >= 0, lower at negative rates;
+    OverflowError where a divided difference underflows to 0."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
     rT, r2T, b = _ddn(p)
     num = exp_dd([rT, r2T, b])
     d1 = exp_dd([r2T, b])
     d2 = _var_A_dd(p)
-    R = num / math.sqrt(2.0 * d1 * d2)
+    if not (num and d1 and d2):
+        raise OverflowError("correlation: a divided difference underflows to 0")
+    prod = 2.0 * d1 * d2
+    if sys.float_info.min <= prod < math.inf:
+        R = num / math.sqrt(prod)
+    else:
+        z = [r2T, b, rT, 0.0]
+        (tn, xn), (t1, x1), (t2, x2) = map(_scaled_dd, (z[:3], z[:2], z))
+        R = math.exp(tn - (t1 + t2) / 2.0 + math.log(xn / math.sqrt(2.0 * x1 * x2)))
     s2T = p.sigma ** 2 * p.T
     return CorrelationReport(
         R=R,
@@ -249,8 +265,14 @@ def s_statistic(r: float, a: float) -> float:
     formal continuation scanned by the correlation surface, not a model
     state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).
     """
-    num = exp_dd([a, 2.0 * r, r])
-    return num * num / (exp_dd([a, 2.0 * r]) * exp_dd([a, 2.0 * r, r, 0.0]))
+    z = [a, 2.0 * r, r, 0.0]
+    num, d1, d2 = exp_dd(z[:3]), exp_dd(z[:2]), exp_dd(z)
+    square, prod = num * num, d1 * d2
+    if sys.float_info.min <= min(square, prod) and max(square, prod) < math.inf:
+        return square / prod
+    (tn, xn), (t1, x1), (t2, x2) = map(_scaled_dd, (z[:3], z[:2], z))
+    # one exp: a subnormal e^{2 t_num - t_1 - t_2} would lose digits
+    return math.exp(2.0 * tn - t1 - t2 + math.log(xn * xn / (x1 * x2)))
 
 
 @dataclass(frozen=True)

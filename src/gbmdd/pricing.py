@@ -140,17 +140,6 @@ def margrabe_price(F1: float, F2: float, s1: float, s2: float,
     return PriceQuote(max(value, 0.0), "margrabe", inputs)
 
 
-def _fit_A(p: GbmParams) -> tuple[float, LognormalFit]:
-    """E A(T) and the lognormal fit of A(T) to it and var A(T), or to E A(T)^2
-    where var A(T) overflows (its matrix route, below rT of about -584 at
-    small sigma, while E A(T)^2 takes the recurrence)."""
-    mA = moments.mean_A(p)
-    try:
-        return mA, _variance_fit(mA, moments.var_A(p))
-    except OverflowError:
-        return mA, lognormal_match(mA, moments.second_moment_A(p))
-
-
 def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     """Value of the payoff (S(T) - A(T))^+ by exchanging the exactly
     lognormal S(T) against the moment-matched lognormal fit of A(T), with
@@ -158,7 +147,8 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     if p.sigma == 0:
         raise ValueError("approximation undefined for deterministic paths")
     rT = p.r * p.T
-    mA, fit = _fit_A(p)
+    mA = moments.mean_A(p)
+    fit = _variance_fit(mA, moments.var_A(p))
     rho = moments.correlation(p).R
     quote = margrabe_price(
         F1=math.exp(rT), F2=mA,
@@ -179,7 +169,8 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
     if not (math.isfinite(K) and K >= 0):
         raise ValueError("strike must be finite and nonnegative")
     rT = p.r * p.T
-    mA, fit = _fit_A(p)
+    mA = moments.mean_A(p)
+    fit = _variance_fit(mA, moments.var_A(p))
     discount = math.exp(-rT)
     inputs = {"r": p.r, "sigma": p.sigma, "T": p.T, "K": K,
               "fit_mu": fit.mu, "fit_s2": fit.s2, "discount": discount}

@@ -6,6 +6,7 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from gbmdd import cli, moments, montecarlo
@@ -80,6 +81,10 @@ _FAILING_ARGV = [
     ["mc", "--paths", "1"],
     ["corr", "--sigma", "0"],
     ["corr", "--r", "400", "--sigma", "1", "--T", "2"],
+    ["corr", "--r", "-268.6425722144426", "--sigma", "7.886271062952987",
+     "--T", "1.9296876647912937"],
+    ["price", "--style", "floating", "--r", "-268.6425722144426",
+     "--sigma", "7.886271062952987", "--T", "1.9296876647912937"],
     ["corr", "--T", "inf"],
     ["price", "--style", "fixed", "--K", "nan"],
     ["scan", "--na", "0"],
@@ -128,6 +133,23 @@ def test_second_moment_at_wide_spread_exits_0(capsys):
     assert code == 0
     value = json.loads(out)["moments"][2]["value"]
     assert value == pytest.approx(1.5625098e-6, rel=1e-7)
+
+
+def test_fourth_moment_at_wide_spread_exits_0(capsys):
+    # E A^4's five nodes reach -3199.94 on the matrix route, whose entries
+    # centred on the mean overflowed
+    code, out, _ = run_cli(capsys, "moments", "--r", "-800", "--sigma", "0.1",
+                           "--T", "1", "--max-m", "4")
+    assert code == 0
+    values = [t["value"] for t in json.loads(out)["moments"]]
+    nodes = moments.BNodes.from_params(GbmParams(-800.0, 0.1, 1.0), 4).scaled(1.0)
+    with mp.workdps(1600):
+        for m in range(1, 5):
+            z = [mp.mpf(x) for x in nodes[:m + 1]]
+            want = math.factorial(m) * mp.fsum(
+                mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi) for zi in z)
+            bound = 1e-12 * max(1.0, (z[0] - z[-1]) / 250.0)
+            assert abs(values[m] / want - 1) <= bound, m
 
 
 def test_corr_json(capsys):

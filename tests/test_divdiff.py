@@ -214,6 +214,33 @@ def test_recurrence_at_wide_spreads(top):
                 assert rel_err(got, want) <= 1e-13, row
 
 
+def test_matrix_route_at_wide_spreads():
+    # centred on the mean the matrix route overflowed although the value is
+    # representable, or multiplied by a subnormal e^mean: 0.0 for the order-10
+    # moment nodes of a wide point, whose value is 5.4e-29.  Anchored on the
+    # largest node every entry before the factor e^{z_n} lies in (0, 1].
+    p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
+    rows = [[0.0, -400.0, -800.0, -1200.0, -1600.0], [-740.0, -700.0], [-740.0, -715.0, -710.0],
+            list(BNodes.from_params(p, 10).scaled(p.T))]
+    shapes = ([0.5], [0.2, 0.7], [0.1, 0.5, 0.6], [0.05, 0.3, 0.6, 0.9], [0.3, 0.31, 0.32, 0.6, 0.95])
+    rows += [[top - g] + [top - f * g for f in shape] + [top]
+             for top in (-600.0, -300.0, 0.0, 300.0) for g in (700.0, 1000.0, 1600.0)
+             for shape in shapes]
+    for row in rows:
+        with mp.workdps(900):
+            z = [mp.mpf(x) for x in row]
+            want = mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi) for zi in z)
+        bound = 1e-12 * max(1.0, (max(row) - min(row)) / 250.0)
+        for method in (EvalMethod.AUTO, EvalMethod.TAYLOR_MATRIX):
+            assert rel_err(exp_dd(row, method=method), want) <= bound, (row, method)
+    # the batch's matrix rows take the scalar route's re-centring
+    for n in range(2, 11):
+        same = [row for row in rows
+                if len(row) == n + 1 and choose_method(row) is EvalMethod.TAYLOR_MATRIX]
+        if same:
+            assert exp_dd_batch(same).tolist() == [exp_dd(row) for row in same], n
+
+
 def _one_loop_taylor_matrix(zs):
     """The matrix route as a self-contained scaling-and-squaring loop on the
     sorted nodes: the reference `exp_dd`'s matrix route reproduces bit for
@@ -570,8 +597,10 @@ def test_exp_dd_batch_validation():
 
 # The scalar dispatch as it was before `exp_dd` validated, sorted and routed
 # its scaled nodes once, kept verbatim (with `_coerce_nodes` and the Taylor
-# loop that tested each maximum on its own): the single path reproduces it
-# bit for bit.
+# loop that tested each maximum on its own) but for the matrix route's rule:
+# centred on the mean unless e^mean is subnormal or an entry leaves the
+# double range, then anchored on the largest node.  The single path
+# reproduces it bit for bit.
 
 
 def _coerce_nodes(nodes) -> tuple[float, ...]:
@@ -623,9 +652,11 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
     return divdiff._recurrence_tableau(zs, zs[-1], anchored=True)
 
 
-def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
+def _exp_dd_first_row(zs: np.ndarray, anchored: bool = False) -> np.ndarray:
     m = len(zs)
-    mu = float(zs.mean())
+    mu = float(zs[-1]) if anchored else float(zs.mean())
+    if mu < _LOG_MIN_NORMAL and not anchored:
+        raise OverflowError("exp_dd: e^mean is subnormal")
     Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
     norm = float(np.abs(Z).sum(axis=0).max())
     s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
@@ -647,7 +678,11 @@ def _exp_dd_first_row(zs: np.ndarray) -> np.ndarray:
 
 
 def _exp_dd_taylor_matrix(zs: list[float]) -> float:
-    return float(_exp_dd_first_row(np.sort(np.asarray(zs, dtype=float)))[-1])
+    z = np.sort(np.asarray(zs, dtype=float))
+    try:
+        return float(_exp_dd_first_row(z)[-1])
+    except OverflowError:
+        return float(_exp_dd_first_row(z, anchored=True)[-1])
 
 
 def _exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> float:
@@ -767,7 +802,9 @@ def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
     # 1), at both ends of each count's norm range; from s = 12 on the
     # squarings overflow for some of them.  Then three nodes at s = 68, whose
     # first tested step is 1, and the order-10 moment nodes of a wide point,
-    # whose row underflows to zeros sorted and overflows in moment order.  The scalar loop skips its stopping test before
+    # whose e^mean is subnormal (the row underflowed to zeros sorted) and
+    # whose row overflows in moment order.  Each set is also run anchored on
+    # its last node.  The scalar loop skips its stopping test before
     # `_first_tested_step`; the reference tests it at every step.  The kernel
     # writes its products into buffers of its own, never into its input.
     rng = np.random.default_rng(59)
@@ -793,10 +830,12 @@ def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
         assert zs.tobytes() == before, zs.tolist()
         assert got == _first_row_outcome(_exp_dd_first_row, zs), zs.tolist()
         outcomes.append(got)
+        anchored = _first_row_outcome(lambda z: divdiff._exp_dd_first_row(z, anchored=True), zs)
+        assert anchored == _first_row_outcome(lambda z: _exp_dd_first_row(z, anchored=True), zs)
     want = {(0, 1)} | {(s, m) for s in range(2, 17) for m in range(2, 14)}
     assert want <= seen
     assert OverflowError in outcomes
-    assert outcomes[-2:] == [OverflowError, np.zeros(11).tobytes()]
+    assert outcomes[-2:] == [OverflowError, OverflowError]
     # the skip ends below m for some pairs and reaches m for others
     crossings = {_first_tested_step(s, m) < m for s, m in seen}
     assert crossings == {True, False}
@@ -872,6 +911,8 @@ def test_equispaced_dd_exp_cases():
     # matches the generic tableau
     assert equispaced_dd(vals, 1.0) == pytest.approx(
         newton_table(vals, [0.0, 1.0, 2.0]).top, rel=1e-13)
+    # order 0: the value itself
+    assert equispaced_dd([2.5], 0.1) == equispaced_dd([2.5], 0.1, n=0) == 2.5
 
 
 def test_equispaced_dd_errors():

@@ -296,6 +296,42 @@ def test_s_statistic_limits():
     assert abs(s_statistic(1.0, 50.0) - 1.0) <= 0.05
 
 
+def _mp_dd(nodes) -> mp.mpf:
+    """exp[nodes] for distinct nodes by the Newton form, at the working precision."""
+    z = [mp.mpf(x) for x in nodes]
+    return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi) for zi in z)
+
+
+def test_correlation_at_wide_rates_against_mpmath():
+    # 2 d1 d2 overflows from rT of about 178 (R read 0.0, S(r, a) nan) or
+    # leaves the normal range at wide negative rates: R was off by 7e-9 at
+    # the fourth point, by 5.7e-2 at the fifth (d1 subnormal), and raised
+    # ZeroDivisionError at the last (d1 = 5e-324).  There each divided
+    # difference is taken as e^t x with t its largest node, whose subtraction
+    # rounds each node by up to 1.1e-16 |node| (about 1e-13 relative here).
+    for r, sigma, T in ((180.0, 1.0, 1.0), (300.0, 1.0, 1.0), (354.85, 1e-3, 1.0),
+                        (-208.87911432654286, 0.9661561164116761, 1.6998192890824302),
+                        (-179.71162324938604, 0.05673902273430583, 2.0159407597153876),
+                        (-328.90861086454083, 0.8528190821690533, 1.133038795044639)):
+        p = GbmParams(r, sigma, T)
+        rT, b = r * T, (2.0 * r + sigma ** 2) * T
+        with mp.workdps(400):
+            R = _mp_dd([rT, 2 * rT, b]) / mp.sqrt(2 * _mp_dd([2 * rT, b])
+                                                  * _mp_dd([0, rT, 2 * rT, b]))
+            assert abs(correlation(p).R / R - 1) <= 1e-12, p
+            assert abs(s_statistic(rT, b) / (2 * R * R) - 1) <= 1e-12, p
+        assert pricing.floating_strike_asian_approx(p).inputs["rho"] == correlation(p).R
+    # where d1 underflows to 0 R raised ZeroDivisionError, and the report's
+    # var_S would read 0; S(r, a) needs no report
+    p = GbmParams(-268.6425722144426, 7.886271062952987, 1.9296876647912937)
+    with pytest.raises(OverflowError, match="underflows"):
+        correlation(p)
+    rT, b = p.r * p.T, (2.0 * p.r + p.sigma ** 2) * p.T
+    with mp.workdps(800):
+        S = _mp_dd([rT, 2 * rT, b]) ** 2 / (_mp_dd([2 * rT, b]) * _mp_dd([0, rT, 2 * rT, b]))
+        assert abs(s_statistic(rT, b) / S - 1) <= 1e-12
+
+
 def test_grid_scan_defaults_match_published_window():
     res = grid_scan()
     assert res.values.shape == (100, 121)
@@ -312,6 +348,7 @@ def test_grid_scan_degenerate_cell():
     res = grid_scan(spec)
     assert res.values[0, 0] == pytest.approx(s_statistic(0.05, 0.14), rel=1e-15)
     assert res.min_S == res.values[0, 0]
+    assert res.decreasing_in_a   # one column: nothing to compare
 
 
 def _per_cell(res):
@@ -675,6 +712,20 @@ def test_moment_A_overflows_where_m_factorial_times_the_dd_does():
     assert math.isfinite(moment_A(p, 7))
     with pytest.raises(OverflowError, match="outside the double range"):
         moment_A(p, 8)
+
+
+def test_moment_A_at_wide_negative_rates_against_mpmath():
+    # the matrix route centred on the mean read 0.0 at order 10 of the first
+    # point (its e^mean is subnormal) and overflowed at orders 4 and 5 of
+    # the second, so its order 6 raised
+    for (r, sigma, T), m in (((-294.18111374533737, 8.030179567610869, 1.522390629675763), 10),
+                             ((-400.63, 11.85, 1.4585), 6)):
+        p = GbmParams(r, sigma, T)
+        nodes = BNodes.from_params(p, m).scaled(T)
+        with mp.workdps(1000):
+            want = math.factorial(m) * _mp_dd(nodes)
+            bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
+            assert abs(moment_A(p, m) / want - 1) <= bound, p
 
 
 # ---------------------------------------------------------------------------

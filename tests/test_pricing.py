@@ -187,6 +187,10 @@ def test_margrabe_degenerate_volatility():
     assert q.value == pytest.approx(0.9 * 0.3, rel=1e-14)
     q = margrabe_price(F1=1.0, F2=1.2, s1=0.3, s2=0.3, rho=1.0, discount=0.9)
     assert q.value == 0.0  # identical vols, rho 1: forward intrinsic only
+    # s1^2 + s2^2 - 2 s1 s2 rounds to -8.9e-16 here: clamped, not a domain error
+    q = margrabe_price(F1=1.2, F2=1.0, s1=1.4620143383955886, s2=1.4620143383955877,
+                       rho=1.0, discount=0.9)
+    assert q.value == 0.9 * (1.2 - 1.0)
 
 
 def test_margrabe_validation():
@@ -250,6 +254,11 @@ def test_fixed_strike_cases(bench):
         fixed_strike_asian_approx(bench, -1.0)
     with pytest.raises(ValueError):
         fixed_strike_asian_approx(GbmParams(r=0.05, sigma=0.0, T=1.0), 1.0)
+    # sigma^2 underflows: the fit degenerates to s2 = 0, the discounted intrinsic value
+    p = GbmParams(r=0.05, sigma=1e-170, T=1.0)
+    q = fixed_strike_asian_approx(p, 0.9)
+    assert q.inputs["fit_s2"] == 0.0
+    assert q.value == disc * (mean_A(p) - 0.9) == pytest.approx(0.119305, rel=1e-5)
 
 
 def test_fixed_strike_decreasing_in_strike(bench):
@@ -271,20 +280,23 @@ def test_fixed_strike_tiny_strike_is_discounted_mean(bench):
         assert fixed_strike_asian_approx(bench, K).value == want
 
 
+def _mp_dd(nodes) -> mp.mpf:
+    """exp[nodes] from the exponential of the bidiagonal matrix of the nodes
+    (confluent nodes included), at the working precision."""
+    M = mp.zeros(len(nodes))
+    for i, x in enumerate(nodes):
+        M[i, i] = x
+        if i + 1 < len(nodes):
+            M[i, i + 1] = 1
+    return mp.expm(M)[0, len(nodes) - 1]
+
+
 def _mp_fit_s2(p: GbmParams) -> mp.mpf:
-    """ln(E A^2 / (E A)^2) at 150 digits, each moment from the exponential of
-    the bidiagonal matrix of its nodes (confluent nodes included)."""
+    """ln(E A^2 / (E A)^2) at 150 digits."""
     with mp.workdps(150):
-        def dd(nodes):
-            M = mp.zeros(len(nodes))
-            for i, x in enumerate(nodes):
-                M[i, i] = x
-                if i + 1 < len(nodes):
-                    M[i, i + 1] = 1
-            return mp.expm(M)[0, len(nodes) - 1]
         r, sigma, T = mp.mpf(p.r), mp.mpf(p.sigma), mp.mpf(p.T)
-        mean = dd([0, r * T])
-        return mp.log(2 * dd([0, r * T, (2 * r + sigma ** 2) * T]) / mean ** 2)
+        mean = _mp_dd([0, r * T])
+        return mp.log(2 * _mp_dd([0, r * T, (2 * r + sigma ** 2) * T]) / mean ** 2)
 
 
 def test_fit_s2_against_mpmath_down_to_tiny_sigma():
@@ -331,14 +343,17 @@ def test_fit_s2_where_mean_squared_overflows():
     assert quote.value > 0.0
 
 
-def test_fit_falls_back_to_second_moment_where_var_A_overflows():
-    # var A's four nodes take the matrix route here and overflow before the
-    # factor e^mu; E A^2's three take the recurrence, so the fit uses it and
-    # keeps the cancellation of E A^2 - (E A)^2 (2.4e-9 relative here)
+def test_fit_s2_and_var_A_where_the_mean_centred_matrix_route_overflows():
+    # var A's four nodes take the matrix route, whose entries centred on the
+    # mean overflow before the factor e^mu; anchored on the largest node they
+    # stay in (0, 1].  A fit to E A^2 instead kept the cancellation of
+    # E A^2 - (E A)^2, 2.4e-9 relative here.
     p = GbmParams(-600.0, 0.01, 1.0)
-    with pytest.raises(OverflowError):
-        var_A(p)
+    with mp.workdps(150):
+        rT, b = mp.mpf(p.r) * p.T, (2 * mp.mpf(p.r) + mp.mpf(p.sigma) ** 2) * p.T
+        want = 2 * mp.mpf(p.sigma) ** 2 * p.T * _mp_dd([0, rT, 2 * rT, b])
+    assert float(abs((var_A(p) - want) / want)) <= 1e-12
     quote = fixed_strike_asian_approx(p, mean_A(p))
     want = _mp_fit_s2(p)
-    assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-8
+    assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-12
     assert math.isfinite(quote.value) and quote.value > 0.0
