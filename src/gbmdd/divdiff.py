@@ -19,10 +19,13 @@ each product into a per-call buffer, never onto a factor, takes both maxima of
 the stopping test in one reduction and skips that test where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
-(N, n+1) array each.  It works on node columns: a sorting network orders
-every row, AUTO's rule runs elementwise with the same constants, the
-recurrence one tableau level at a time, and the matrix method through the
-same kernel as the scalar route, one stack per squaring count.
+(N, n+1) array each.  It works on node columns, in place: each step writes
+through `out=` into a few columns the kernel owns, not into a new temporary.
+A sorting network orders every row on a copy, AUTO's rule runs elementwise
+with the same constants in four scratch columns, each recurrence tableau
+level overwrites the one before it, and the matrix method runs through the
+same kernel as the scalar route, one stack per squaring count.  `grid_scan`
+hands its node columns to this kernel directly.
 """
 
 from __future__ import annotations
@@ -335,13 +338,16 @@ def _exp_dd_sorted(zs: list[float], method: EvalMethod) -> float:
 
 
 def _sort_columns(c) -> list[np.ndarray]:
-    """Node columns `c` sorted within each row, without writing to `c`: an
-    odd-even transposition network of compare-exchanges (Batcher, 1968)."""
-    c = list(c)
-    for step in range(len(c)):
-        for i in range(step % 2, len(c) - 1, 2):
-            c[i], c[i + 1] = np.minimum(c[i], c[i + 1]), np.maximum(c[i], c[i + 1])
-    return c
+    """Node columns `c` sorted within each row on a copy: an odd-even
+    transposition network of compare-exchanges (Batcher, 1968), each writing
+    its minimum into a spare column and its maximum over its upper input."""
+    *s, spare = np.array([*c, c[0]])   # a copy of c and a spare row, one buffer
+    for step in range(len(s)):
+        for i in range(step % 2, len(s) - 1, 2):
+            np.minimum(s[i], s[i + 1], out=spare)
+            np.maximum(s[i], s[i + 1], out=s[i + 1])
+            s[i], spare = spare, s[i]
+    return s
 
 
 def _taylor_columns(c) -> np.ndarray:
@@ -350,21 +356,26 @@ def _taylor_columns(c) -> np.ndarray:
     n = len(c) - 1
     if n <= 1 or n >= TAYLOR_MIN_ORDER:
         return np.full(len(c[0]), n >= TAYLOR_MIN_ORDER)
-    spread = c[-1] - c[0]
-    scale_bound = 1.0 + np.maximum(np.abs(c[0]), np.abs(c[-1]))
-    taylor = ((spread < TAYLOR_SPREAD_FACTOR * scale_bound)
-              | (_min_positive_span(c, 1) < TAYLOR_MIN_GAP_FACTOR * scale_bound))
+    spread, bound, span, t = np.empty((4, len(c[0])))
+    np.subtract(c[-1], c[0], out=spread)
+    np.maximum(np.abs(c[0], out=bound), np.abs(c[-1], out=t), out=bound)
+    np.add(1.0, bound, out=bound)   # scale_bound
+    taylor = spread < np.multiply(TAYLOR_SPREAD_FACTOR, bound, out=t)
+    taylor |= _min_positive_span(c, 1, span, t) < np.multiply(TAYLOR_MIN_GAP_FACTOR, bound, out=t)
     if n == 3:
-        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * _min_positive_span(c, 2) * spread
+        s2 = np.multiply(TAYLOR_MAX_AMPLIFICATION, _min_positive_span(c, 2, span, t), out=span)
+        taylor |= bound > np.multiply(s2, spread, out=s2)
     return taylor
 
 
-def _min_positive_span(c, k: int):
-    """Smallest positive c[i+k] - c[i] on every row; inf where there is none."""
-    out = np.inf
+def _min_positive_span(c, k: int, out, t):
+    """Smallest positive c[i+k] - c[i] on every row into `out`, inf where
+    there is none; `t` is scratch."""
+    out[...] = np.inf
     for i in range(len(c) - k):
-        span = c[i + k] - c[i]
-        out = np.minimum(out, np.where(span > 0.0, span, np.inf))
+        span = np.subtract(c[i + k], c[i], out=t)
+        span[span <= 0.0] = np.inf
+        np.minimum(out, span, out=out)
     return out
 
 
@@ -377,7 +388,10 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
         return np.exp(c[0])
     if m == 2:
         return _recurrence_tableau_columns(c, c[-1], anchored=True)
-    mu = sum(c) / m
+    mu = np.add(c[0], c[1])
+    for x in c[2:]:
+        mu += x
+    mu /= m   # sum(c) / m but for the sign of a zero, which no entry sees
     out = _recurrence_tableau_columns(c, mu, anchored=False)
     redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
     if redo.any():
@@ -388,20 +402,29 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
 
 def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray:
     """`_recurrence_tableau` on every row of sorted node columns `c`, with
-    per-row `mu`."""
+    per-row `mu`, each level written over the one before it: m - 1 columns
+    and a scratch column.  A tie takes e^{c_i - mu} / k! on its rows."""
     m = len(c)
-    e = [np.exp(x - mu) for x in c]
-    g = [c[i + 1] - c[i] for i in range(m - 1)]
-    if anchored:
-        lev = [e[i + 1] * np.where(x != 0.0, -np.expm1(-x) / x, 1.0) for i, x in enumerate(g)]
-    else:
-        lev = [e[i] * np.where(x != 0.0, np.expm1(x) / x, 1.0) for i, x in enumerate(g)]
+    lev = [np.empty(len(mu)) for _ in range(m - 1)]
+    t = np.empty(len(mu))
     fact = 1.0
-    for k in range(2, m):
+    for k in range(1, m):
         fact *= k
-        lev = [np.where(c[i + k] == c[i], e[i] / fact, (lev[i + 1] - lev[i]) / (c[i + k] - c[i]))
-               for i in range(m - k)]
-    return np.exp(mu) * lev[0]
+        for i, x in enumerate(lev[:m - k]):
+            span = np.subtract(c[i + k], c[i], out=t)
+            if k > 1:
+                np.subtract(lev[i + 1], x, out=x)
+            elif anchored:   # e^{c_{i+1} - mu} (-expm1(-g)) / g
+                np.negative(np.expm1(np.negative(span, out=x), out=x), out=x)
+            else:   # e^{c_i - mu} expm1(g) / g
+                np.expm1(span, out=x)
+            np.divide(x, span, out=x)
+            tie = span == 0.0
+            if k == 1:
+                np.multiply(np.exp(np.subtract(c[i + anchored], mu, out=t), out=t), x, out=x)
+            if tie.any():
+                x[tie] = np.exp(c[i][tie] - mu[tie]) / fact
+    return np.multiply(np.exp(mu, out=t), lev[0], out=lev[0])
 
 
 def exp_dd_batch(nodes) -> np.ndarray:
@@ -410,15 +433,24 @@ def exp_dd_batch(nodes) -> np.ndarray:
     Each row takes the route AUTO picks for it in `exp_dd` and agrees with
     the scalar value to rounding.  Raises ValueError for a bad shape or
     non-finite nodes, OverflowError where a value leaves the double range.
-    It works on node columns: the transpose of a C-contiguous (n+1, N) array
-    is read without a copy.
+    It works on node columns; the sorting network's buffer is the one copy
+    it makes of the nodes.
     """
     z = np.asarray(nodes, dtype=float)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError("nodes must have shape (N, n+1) with n+1 >= 1")
     if not np.isfinite(z).all():
         raise ValueError("nodes must be finite")
-    c = _sort_columns(np.ascontiguousarray(z.T))
+    out = _exp_dd_columns(z.T)
+    if not np.isfinite(out).all():
+        raise OverflowError("exp_dd_batch: a value is outside the double range")
+    return out
+
+
+def _exp_dd_columns(c) -> np.ndarray:
+    """`exp_dd_batch` on finite node columns `c`, read without writing to
+    them; a value outside the double range comes back inf or nan."""
+    c = _sort_columns(c)
     with np.errstate(all="ignore"):
         taylor = _taylor_columns(c)
         # every row takes the recurrence, cheaper than masking the columns
@@ -438,8 +470,6 @@ def exp_dd_batch(nodes) -> np.ndarray:
             for i in np.flatnonzero((mu < _LOG_MIN_NORMAL) | ~np.isfinite(rows)):
                 rows[i] = _exp_dd_sorted(z[i].tolist(), EvalMethod.TAYLOR_MATRIX)
             out[taylor] = rows
-    if not np.isfinite(out).all():
-        raise OverflowError("exp_dd_batch: a value is outside the double range")
     return out
 
 

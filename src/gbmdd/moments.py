@@ -24,11 +24,11 @@ from .divdiff import (
     EvalMethod,
     OracleEstimate,
     _coerce_nodes,
+    _exp_dd_columns,
     _exp_dd_first_row,
     _exp_dd_sorted,
     _route,
     exp_dd,
-    exp_dd_batch,
     ordered_exp_simplex_quad,
 )
 
@@ -437,19 +437,22 @@ class GridResult:
 
 def grid_scan(spec: GridSpec | None = None) -> GridResult:
     """Evaluate S(r, a) on the grid: `s_statistic` for every cell, with each
-    of its three divided differences taken over all cells in one
-    `exp_dd_batch` call."""
+    of its three divided differences taken over all cells in one batch that
+    reads the node columns in place.  Cells outside `s_statistic`'s normal
+    range take its scalar call; ValueError where S is still not finite."""
     spec = spec or GridSpec()
     rv = spec.r_values()
     av = spec.a_values()
     r, a = (x.ravel() for x in np.meshgrid(rv, av, indexing="ij"))
-    # node columns; each batch reads a leading block of them, transposed
-    nodes = np.stack([a, 2.0 * r, r, np.zeros_like(r)])
-    num = exp_dd_batch(nodes[:3].T)
-    d1 = exp_dd_batch(nodes[:2].T)
-    d2 = exp_dd_batch(nodes.T)
+    c = [a, 2.0 * r, r, np.zeros_like(r)]
+    tiny = sys.float_info.min
     with np.errstate(all="ignore"):
-        values = (num * num / (d1 * d2)).reshape(spec.nr, spec.na)
+        num, d1, d2 = (_exp_dd_columns(c[:k]) for k in (3, 2, 4))
+        square, prod = np.multiply(num, num, out=num), np.multiply(d1, d2, out=d1)
+        bad = np.flatnonzero(~((tiny <= square) & (square < math.inf)
+                               & (tiny <= prod) & (prod < math.inf)))
+        values = np.divide(square, prod, out=square).reshape(spec.nr, spec.na)
+    values.flat[bad] = [s_statistic(*x) for x in zip(r[bad].tolist(), a[bad].tolist())]
     if not np.isfinite(values).all():
         raise ValueError("S(r, a) is not representable in double precision on this window")
     return GridResult(spec=spec, r_values=rv, a_values=av, values=values)

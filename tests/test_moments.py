@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -38,6 +40,7 @@ from gbmdd.moments import (
 )
 
 from conftest import MEMOISED
+from test_divdiff import _row_exp_dd_batch, _taylor_rows
 
 BENCH_R = 0.86638428741831168064  # 50-digit recurrence value at r=.05, s=.2, T=1
 
@@ -387,10 +390,47 @@ def test_grid_scan_matrix_route_window():
 
 
 def test_grid_scan_unrepresentable_window():
-    # exp[a, 2r] and exp[a, 2r, r]^2 underflow to 0 here, so S would be 0/0
-    with pytest.raises(ValueError, match="double precision"):
-        grid_scan(GridSpec(a_min=-800.0, a_max=-800.0, r_min=-400.0, r_max=-400.0,
-                           na=1, nr=1))
+    # exp[a, 2r, r]^2 overflows at (r, a) = (180, 361); exp[a, 2r] and
+    # exp[a, 2r, r]^2 underflow to 0 at (-400, -800), where S read 0/0; at
+    # (-360, -860) and (-360, -840) they are subnormal, and S read 1.0 and
+    # 0.5 for 0.9632 and 0.875.  Those cells take s_statistic's scaled form.
+    for spec in (GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1),
+                 GridSpec(-800.0, -800.0, -400.0, -400.0, 1, 1),
+                 GridSpec(-860.0, -840.0, -360.0, -350.0, 3, 2)):
+        res = grid_scan(spec)
+        assert res.values.tolist() == _per_cell(res).tolist()
+        for (i, r), (j, a) in itertools.product(enumerate(res.r_values.tolist()),
+                                                enumerate(res.a_values.tolist())):
+            with mp.workdps(800):
+                z = [a + mp.mpf(10) ** -300, 2 * r, r, 0]   # off the tie a = 2r by 1e-300
+                S = _mp_dd(z[:3]) ** 2 / (_mp_dd(z[:2]) * _mp_dd(z))
+                assert abs(res.values[i, j] / S - 1) <= 1e-12, (r, a)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(), _scan_window(1),
+                                  GridSpec(a_min=-0.5, a_max=0.5, r_min=-0.25, r_max=0.25)],
+                         ids=["published", "shifted", "near-origin"])
+def test_grid_scan_bit_identical_to_row_kernels(spec):
+    res = grid_scan(spec)
+    r, a = (x.ravel() for x in np.meshgrid(res.r_values, res.a_values, indexing="ij"))
+    nodes = np.stack([a, 2.0 * r, r, np.zeros_like(r)], axis=1)
+    num, d1, d2 = (_row_exp_dd_batch(nodes[:, :k]) for k in (3, 2, 4))
+    assert res.values.ravel().tobytes() == (num * num / (d1 * d2)).tobytes()
+    if spec.r_min < 0.0:   # the near-origin window, with matrix rows
+        assert _taylor_rows(np.sort(nodes, axis=1)).sum() > 500
+
+
+def test_grid_scan_traced_peak():
+    # the column kernels write into columns they own: the published scan
+    # peaked at 28.3 columns of 12 100 doubles when every step allocated one
+    grid_scan()
+    tracemalloc.start()
+    try:
+        grid_scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 12_100 * 8
 
 
 def test_grid_csv_matches_per_cell_writer():
