@@ -221,33 +221,33 @@ def var_A(p: GbmParams) -> float:
     return v
 
 
-def _scaled_dd(nodes: list[float]) -> tuple[float, float]:
-    """(t, x) with exp[nodes] = e^t x, t the largest node: x = exp[nodes - t]
-    lies in (0, 1] and stays a normal double where exp[nodes] does not."""
-    t = max(nodes)
-    return t, exp_dd([z - t for z in nodes])
+def _log_s(z: list[float]) -> float:
+    """log S on z = [a, 2r, r, 0], each exp[nodes] taken as e^t x with t its
+    largest node and x = exp[nodes - t] in (0, 1]; OverflowError where an x is 0."""
+    (tn, xn), (t1, x1), (t2, x2) = ((max(zs), exp_dd([x - max(zs) for x in zs]))
+                                    for zs in (z[:3], z[:2], z))
+    if not (xn and x1 and x2):
+        raise OverflowError("S(r, a): a scaled divided difference underflows to 0")
+    return 2.0 * tn - t1 - t2 + math.log(xn / x1 * (xn / x2))
 
 
 @_memo
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
-    divided differences; in [1/sqrt(2), 1] for r >= 0, lower at negative rates;
-    OverflowError where a divided difference underflows to 0."""
+    divided differences, by `_log_s` outside the normal range (report fields
+    may then read 0); OverflowError where one overflows.  In [1/sqrt(2), 1]
+    for r >= 0, not for r < 0 at large sigma^2 T (`test_correlation_bound_*`)."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
     rT, r2T, b = _ddn(p)
     num = exp_dd([rT, r2T, b])
     d1 = exp_dd([r2T, b])
     d2 = _var_A_dd(p)
-    if not (num and d1 and d2):
-        raise OverflowError("correlation: a divided difference underflows to 0")
     prod = 2.0 * d1 * d2
-    if sys.float_info.min <= prod < math.inf:
+    if num and sys.float_info.min <= prod < math.inf:
         R = num / math.sqrt(prod)
     else:
-        z = [r2T, b, rT, 0.0]
-        (tn, xn), (t1, x1), (t2, x2) = map(_scaled_dd, (z[:3], z[:2], z))
-        R = math.exp(tn - (t1 + t2) / 2.0 + math.log(xn / math.sqrt(2.0 * x1 * x2)))
+        R = math.exp((_log_s([b, r2T, rT, 0.0]) - math.log(2.0)) / 2.0)
     s2T = p.sigma ** 2 * p.T
     return CorrelationReport(
         R=R,
@@ -263,16 +263,18 @@ def s_statistic(r: float, a: float) -> float:
 
     Pure function of the divided-difference expression; negative `a` is the
     formal continuation scanned by the correlation surface, not a model
-    state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).
+    state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).  Outside
+    the normal range S = exp(`_log_s`): it may read 0, or raise OverflowError.
     """
     z = [a, 2.0 * r, r, 0.0]
-    num, d1, d2 = exp_dd(z[:3]), exp_dd(z[:2]), exp_dd(z)
-    square, prod = num * num, d1 * d2
-    if sys.float_info.min <= min(square, prod) and max(square, prod) < math.inf:
-        return square / prod
-    (tn, xn), (t1, x1), (t2, x2) = map(_scaled_dd, (z[:3], z[:2], z))
-    # one exp: a subnormal e^{2 t_num - t_1 - t_2} would lose digits
-    return math.exp(2.0 * tn - t1 - t2 + math.log(xn * xn / (x1 * x2)))
+    try:
+        num, d1, d2 = exp_dd(z[:3]), exp_dd(z[:2]), exp_dd(z)
+        square, prod = num * num, d1 * d2
+        if sys.float_info.min <= min(square, prod) and max(square, prod) < math.inf:
+            return square / prod
+    except OverflowError:
+        pass
+    return math.exp(_log_s(z))
 
 
 @dataclass(frozen=True)
@@ -439,7 +441,7 @@ def grid_scan(spec: GridSpec | None = None) -> GridResult:
     """Evaluate S(r, a) on the grid: `s_statistic` for every cell, with each
     of its three divided differences taken over all cells in one batch that
     reads the node columns in place.  Cells outside `s_statistic`'s normal
-    range take its scalar call; ValueError where S is still not finite."""
+    range take its scalar call: finite, or its OverflowError."""
     spec = spec or GridSpec()
     rv = spec.r_values()
     av = spec.a_values()
@@ -453,8 +455,6 @@ def grid_scan(spec: GridSpec | None = None) -> GridResult:
                                & (tiny <= prod) & (prod < math.inf)))
         values = np.divide(square, prod, out=square).reshape(spec.nr, spec.na)
     values.flat[bad] = [s_statistic(*x) for x in zip(r[bad].tolist(), a[bad].tolist())]
-    if not np.isfinite(values).all():
-        raise ValueError("S(r, a) is not representable in double precision on this window")
     return GridResult(spec=spec, r_values=rv, a_values=av, values=values)
 
 

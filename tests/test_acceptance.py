@@ -51,6 +51,46 @@ def test_criterion_1_correlation_bound():
           f"max R = {r_max:.12f} <= 1+1e-12, {elapsed:.1f}s < 10s")
 
 
+def _R(x, s):
+    """R at rT = x, sigma^2 T = s as sqrt(S(x, 2x + s) / 2); defined where
+    e^{2x + s} overflows and `correlation` raises."""
+    return math.sqrt(s_statistic(x, 2.0 * x + s) / 2.0)
+
+
+def test_correlation_bound_holds_for_nonnegative_rates():
+    """R >= 1/sqrt(2) for rT in [0, 5] out to sigma^2 T = 3000, beyond
+    criterion 1's grid; at rT = 0 the bound is tight as sigma^2 T grows."""
+    r_min = 2.0
+    for x in np.linspace(0.0, 5.0, 26).tolist():
+        for s in np.logspace(-3.0, math.log10(3000.0), 80).tolist():
+            R = _R(x, s)
+            r_min = min(r_min, R)
+            if 2.0 * x + s < 700.0:
+                assert R == pytest.approx(correlation(GbmParams(x, math.sqrt(s), 1.0)).R,
+                                          rel=1e-12)
+    assert r_min >= 1.0 / math.sqrt(2.0) - 1e-12
+    print(f"\nPASS bound region: min R = {r_min!r} on rT in [0, 5], sigma^2 T <= 3000")
+
+
+@pytest.mark.parametrize("x", [-0.1, -0.001, 0.001, 0.1])
+def test_correlation_bound_fails_for_negative_rates_at_large_variance(x):
+    """R - 1/sqrt(2) ~ x / (2 sqrt(2) s) as s = sigma^2 T grows at fixed
+    x = rT: the bound is approached from above for r > 0 and fails for every
+    r < 0 once s is large enough."""
+    for s in (1000.0, 3000.0):
+        gap = _R(x, s) - 1.0 / math.sqrt(2.0)
+        want = x / (2.0 * math.sqrt(2.0) * s)
+        assert gap * x > 0.0, (x, s)
+        assert abs(gap / want - 1.0) <= 0.01, (x, s)
+
+
+def test_correlation_on_the_line_sigma2_equals_r():
+    """sigma^2 = r puts the nodes 3x, 2x, x, 0 equispaced: S = 3/2, so
+    R = sqrt(3)/2, at every rate; e^{3x} overflows from x = 237."""
+    for x in [*range(-20000, 20001, 37), 236, 237, 20000]:
+        assert abs(s_statistic(float(x), 3.0 * x) - 1.5) <= 2e-15, x
+
+
 def test_criterion_2_figure_grid(capsys):
     """Default scan reproduces the published window; the surface obeys the
     S >= 1 bound and approaches its two limiting values: at fixed r,

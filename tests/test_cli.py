@@ -81,10 +81,6 @@ _FAILING_ARGV = [
     ["mc", "--paths", "1"],
     ["corr", "--sigma", "0"],
     ["corr", "--r", "400", "--sigma", "1", "--T", "2"],
-    ["corr", "--r", "-268.6425722144426", "--sigma", "7.886271062952987",
-     "--T", "1.9296876647912937"],
-    ["price", "--style", "floating", "--r", "-268.6425722144426",
-     "--sigma", "7.886271062952987", "--T", "1.9296876647912937"],
     ["corr", "--T", "inf"],
     ["price", "--style", "fixed", "--K", "nan"],
     ["scan", "--na", "0"],
@@ -114,6 +110,37 @@ def test_failures_exit_1_or_2_at_once_and_quietly(capsys, monkeypatch, tmp_path,
     assert out.err.startswith("gbmdd: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err and "Warning" not in out.err
     assert [str(w.message) for w in caught] == []
+
+
+_WIDE_NEGATIVE_RATE = ["--r", "-268.6425722144426", "--sigma", "7.886271062952987",
+                       "--T", "1.9296876647912937"]
+
+
+@pytest.mark.parametrize("argv", [["corr", *_WIDE_NEGATIVE_RATE],
+                                  ["price", "--style", "floating", *_WIDE_NEGATIVE_RATE]],
+                         ids=["corr", "price-floating"])
+def test_correlation_where_var_S_underflows_exits_0(capsys, argv):
+    # exp[2rT, (2r + sigma^2) T] underflows to 0 here: R = 7.24e-27 comes from
+    # the scaled form; these exited 2 (and before that 1, with a traceback)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = strict_json(out)
+    R = doc["R"] if argv[0] == "corr" else doc["inputs"]["rho"]
+    assert R == pytest.approx(7.241482451818302e-27, rel=1e-12)
+    if argv[0] == "corr":
+        assert doc["var_S"] == 0.0
+
+
+def test_scan_at_a_far_negative_a_exits_0(capsys, tmp_path):
+    # S(1, -1e300) is 2 to within 1e-300; exp[a, 2r] exp[a, 2r, r, 0]
+    # underflows, as did its scaled form, and the scan exited 1 with a
+    # ZeroDivisionError traceback
+    target = tmp_path / "f"
+    code, out, err = run_cli(capsys, "scan", "--na", "1", "--nr", "1", "--a-min=-1e300",
+                             "--a-max=-1e300", "--r-min", "1", "--r-max", "1", "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    header, row, summary = target.read_text().splitlines()
+    assert abs(float(row.split(",")[2]) - 2.0) <= 2e-15
 
 
 def test_order_one_moment_at_wide_spread_exits_0(capsys):

@@ -2,13 +2,14 @@ import dataclasses
 import io
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from gbmdd import divdiff, moments, pricing
 from gbmdd.ddarith import DD, dd_exp, exp_dd_reference
@@ -309,30 +310,64 @@ def test_correlation_at_wide_rates_against_mpmath():
     # 2 d1 d2 overflows from rT of about 178 (R read 0.0, S(r, a) nan) or
     # leaves the normal range at wide negative rates: R was off by 7e-9 at
     # the fourth point, by 5.7e-2 at the fifth (d1 subnormal), and raised
-    # ZeroDivisionError at the last (d1 = 5e-324).  There each divided
-    # difference is taken as e^t x with t its largest node, whose subtraction
-    # rounds each node by up to 1.1e-16 |node| (about 1e-13 relative here).
+    # at the last three, where d1 (and at the last num) underflows to 0 and
+    # the report's var_S (covariance) reads 0.  There each divided difference
+    # is taken as e^t x with t its largest node, whose subtraction rounds each
+    # node by up to 1.1e-16 |node| (about 1e-13 relative here).
     for r, sigma, T in ((180.0, 1.0, 1.0), (300.0, 1.0, 1.0), (354.85, 1e-3, 1.0),
                         (-208.87911432654286, 0.9661561164116761, 1.6998192890824302),
                         (-179.71162324938604, 0.05673902273430583, 2.0159407597153876),
-                        (-328.90861086454083, 0.8528190821690533, 1.133038795044639)):
+                        (-328.90861086454083, 0.8528190821690533, 1.133038795044639),
+                        (-268.6425722144426, 7.886271062952987, 1.9296876647912937),
+                        (-600.0, 0.01, 1.0),
+                        (-124.25323661389916, 10.132275730097296, 7.841856606558624)):
         p = GbmParams(r, sigma, T)
         rT, b = r * T, (2.0 * r + sigma ** 2) * T
-        with mp.workdps(400):
+        with mp.workdps(800):
             R = _mp_dd([rT, 2 * rT, b]) / mp.sqrt(2 * _mp_dd([2 * rT, b])
                                                   * _mp_dd([0, rT, 2 * rT, b]))
             assert abs(correlation(p).R / R - 1) <= 1e-12, p
-            assert abs(s_statistic(rT, b) / (2 * R * R) - 1) <= 1e-12, p
-        assert pricing.floating_strike_asian_approx(p).inputs["rho"] == correlation(p).R
-    # where d1 underflows to 0 R raised ZeroDivisionError, and the report's
-    # var_S would read 0; S(r, a) needs no report
-    p = GbmParams(-268.6425722144426, 7.886271062952987, 1.9296876647912937)
-    with pytest.raises(OverflowError, match="underflows"):
-        correlation(p)
-    rT, b = p.r * p.T, (2.0 * p.r + p.sigma ** 2) * p.T
-    with mp.workdps(800):
-        S = _mp_dd([rT, 2 * rT, b]) ** 2 / (_mp_dd([2 * rT, b]) * _mp_dd([0, rT, 2 * rT, b]))
-        assert abs(s_statistic(rT, b) / S - 1) <= 1e-12
+            S = 2 * R * R
+            if S > sys.float_info.min:
+                assert abs(s_statistic(rT, b) / S - 1) <= 1e-12, p
+            else:   # S = 1.5e-348 at the last point
+                assert s_statistic(rT, b) == 0.0
+        if rT > -700.0:
+            assert pricing.floating_strike_asian_approx(p).inputs["rho"] == correlation(p).R
+        else:   # R = 8.6e-175, but the quote's discount e^{-rT} overflows
+            with pytest.raises(OverflowError):
+                pricing.floating_strike_asian_approx(p)
+
+
+_WIDE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@seed(17)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e4, max_value=1e4), st.floats(min_value=-1e4, max_value=1e4),
+       _WIDE, _WIDE)
+def test_s_statistic_range_contract(r, a, wide_r, wide_a):
+    # finite on |r|, |a| <= 1e4; out to 1e300 finite or OverflowError, where
+    # the scaled form's x_1 x_2 underflowed and S raised ZeroDivisionError
+    S = s_statistic(r, a)
+    assert math.isfinite(S) and S >= 0.0, (r, a)
+    try:
+        S = s_statistic(wide_r, wide_a)
+    except OverflowError:
+        return
+    assert math.isfinite(S) and S >= 0.0, (wide_r, wide_a)
+
+
+@seed(17)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-1e5, max_value=1e5), st.floats(min_value=1e-6, max_value=1e3),
+       st.floats(min_value=1e-3, max_value=1e2))
+def test_correlation_range_contract(r, sigma, T):
+    try:
+        R = correlation(GbmParams(r, sigma, T)).R
+    except OverflowError:
+        return
+    assert 0.0 <= R <= 1.0 + 1e-12, (r, sigma, T)
 
 
 def test_grid_scan_defaults_match_published_window():
@@ -393,8 +428,11 @@ def test_grid_scan_unrepresentable_window():
     # exp[a, 2r, r]^2 overflows at (r, a) = (180, 361); exp[a, 2r] and
     # exp[a, 2r, r]^2 underflow to 0 at (-400, -800), where S read 0/0; at
     # (-360, -860) and (-360, -840) they are subnormal, and S read 1.0 and
-    # 0.5 for 0.9632 and 0.875.  Those cells take s_statistic's scaled form.
+    # 0.5 for 0.9632 and 0.875; exp[a, 2r, r] itself overflows at (237, 711),
+    # where S is 3/2 and the scan raised.  Those cells take s_statistic's
+    # scaled form.
     for spec in (GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1),
+                 GridSpec(711.0, 711.0, 237.0, 237.0, 1, 1),
                  GridSpec(-800.0, -800.0, -400.0, -400.0, 1, 1),
                  GridSpec(-860.0, -840.0, -360.0, -350.0, 3, 2)):
         res = grid_scan(spec)
