@@ -12,11 +12,13 @@ recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
 only code that acts on a route, then evaluates them, also for `moment_table`,
-which sorts and routes its nested node sets itself.  Both routes centre on the
-mean node, or on the largest where that leaves the double range or e^mean is
-subnormal.  The matrix method's one kernel, `_bidiagonal_first_rows`, writes
-each product into a per-call buffer, never onto a factor, takes both maxima of
-the stopping test in one reduction and skips that test where it cannot pass.
+which sorts and routes its nested node sets itself.  The recurrence anchors
+on the largest node, so every tableau entry lies in (0, 1]; the matrix route
+centres on the mean node, or on the largest where that leaves the double range
+or e^mean is subnormal.  The matrix method's one kernel,
+`_bidiagonal_first_rows`, writes each product into a per-call buffer, never
+onto a factor, takes both maxima of the stopping test in one reduction and
+skips that test where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -71,7 +73,7 @@ TAYLOR_MIN_GAP_FACTOR = 1e-5
 # clustered node sets that reached 5e-10 without the guard; just below it the
 # recurrence stayed within 7.9e-13 of mpmath (worst of 100 000 seeded sets).
 TAYLOR_MAX_AMPLIFICATION = 300.0
-# Below this mu the recurrence's factor e^mu is subnormal and loses digits.
+# Below this mean the matrix route's factor e^mean is subnormal and loses digits.
 _LOG_MIN_NORMAL = math.log(2.0 ** -1022)
 
 
@@ -191,52 +193,38 @@ def _route(zs: list[float]) -> EvalMethod:
 
 
 def _exp_dd_recurrence(zs: list[float]) -> float:
-    """Centered confluent recurrence; adequate for a few well-spread nodes.
+    """Confluent recurrence on sorted nodes; adequate for a few well-spread
+    nodes: e^{z_n} times the divided-difference tableau of exp(z - z_n).
 
-    First-order entries use exp[z, z+g] = e^z expm1(g)/g, which removes the
-    dominant cancellation when a node pair sits much closer than the spread.
-    Two nodes, and wide spreads where the centered form overflows or e^mu is
-    subnormal, take the form anchored on the largest node instead, with
-    e^{z_{i+1}} (-expm1(-g))/g at the first level: every entry then lies in
-    (0, 1], so it stays finite wherever the value is representable.  The
-    nodes come sorted.
+    First-order entries use exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which
+    removes the dominant cancellation when a node pair sits much closer than
+    the spread.  Every entry lies in (0, 1], so the tableau stays finite;
+    where e^{z_n} overflows the value is taken as h x h with h = e^{z_n / 2},
+    and OverflowError where that overflows too or the tableau underflows to 0.
     """
-    n = len(zs)
-    if n == 2:
-        return _recurrence_tableau(zs, zs[1], anchored=True)
-    mu = math.fsum(zs) / n
-    if mu >= _LOG_MIN_NORMAL:
-        try:
-            value = _recurrence_tableau(zs, mu, anchored=False)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    return _recurrence_tableau(zs, zs[-1], anchored=True)
-
-
-def _recurrence_tableau(zs: list[float], mu: float, anchored: bool) -> float:
-    """e^mu times the divided-difference tableau of exp(z - mu) on sorted
-    nodes; the first level from the upper node of each pair if `anchored`."""
-    n = len(zs)
+    n, top = len(zs), zs[-1]
     lev = []
     for i in range(n - 1):
         g = zs[i + 1] - zs[i]
-        if anchored:
-            lev.append(math.exp(zs[i + 1] - mu) * (-math.expm1(-g) / g if g != 0.0 else 1.0))
-        else:
-            lev.append(math.exp(zs[i] - mu) * (math.expm1(g) / g if g != 0.0 else 1.0))
+        lev.append(math.exp(zs[i + 1] - top) * (-math.expm1(-g) / g if g != 0.0 else 1.0))
     fact = 1.0
     for k in range(2, n):
         fact *= k
         nxt = []
         for i in range(n - k):
             if zs[i + k] == zs[i]:
-                nxt.append(math.exp(zs[i] - mu) / fact)
+                nxt.append(math.exp(zs[i] - top) / fact)
             else:
                 nxt.append((lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]))
         lev = nxt
-    return math.exp(mu) * lev[0]
+    try:
+        return math.exp(top) * lev[0]
+    except OverflowError:
+        h = math.exp(top / 2.0)
+        value = h * lev[0] * h
+        if not 0.0 < value < math.inf:   # 0 only where the tableau underflowed
+            raise
+        return value
 
 
 def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
@@ -381,32 +369,13 @@ def _min_positive_span(c, k: int, out, t):
 
 def _exp_dd_recurrence_columns(c) -> np.ndarray:
     """`_exp_dd_recurrence` on every row of sorted node columns `c` at once,
-    one tableau level at a time: the centered form first, then the anchored
-    form on the rows where the scalar route takes it."""
-    m = len(c)
+    each tableau level written over the one before it: m - 1 columns and a
+    scratch column.  A tie takes e^{c_i - c_n} / k! on its rows."""
+    m, top = len(c), c[-1]
     if m == 1:
-        return np.exp(c[0])
-    if m == 2:
-        return _recurrence_tableau_columns(c, c[-1], anchored=True)
-    mu = np.add(c[0], c[1])
-    for x in c[2:]:
-        mu += x
-    mu /= m   # sum(c) / m but for the sign of a zero, which no entry sees
-    out = _recurrence_tableau_columns(c, mu, anchored=False)
-    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
-    if redo.any():
-        cr = [x[redo] for x in c]
-        out[redo] = _recurrence_tableau_columns(cr, cr[-1], anchored=True)
-    return out
-
-
-def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray:
-    """`_recurrence_tableau` on every row of sorted node columns `c`, with
-    per-row `mu`, each level written over the one before it: m - 1 columns
-    and a scratch column.  A tie takes e^{c_i - mu} / k! on its rows."""
-    m = len(c)
-    lev = [np.empty(len(mu)) for _ in range(m - 1)]
-    t = np.empty(len(mu))
+        return np.exp(top)
+    lev = [np.empty(len(top)) for _ in range(m - 1)]
+    t = np.empty(len(top))
     fact = 1.0
     for k in range(1, m):
         fact *= k
@@ -414,17 +383,21 @@ def _recurrence_tableau_columns(c, mu: np.ndarray, anchored: bool) -> np.ndarray
             span = np.subtract(c[i + k], c[i], out=t)
             if k > 1:
                 np.subtract(lev[i + 1], x, out=x)
-            elif anchored:   # e^{c_{i+1} - mu} (-expm1(-g)) / g
+            else:   # e^{c_{i+1} - c_n} (-expm1(-g)) / g
                 np.negative(np.expm1(np.negative(span, out=x), out=x), out=x)
-            else:   # e^{c_i - mu} expm1(g) / g
-                np.expm1(span, out=x)
             np.divide(x, span, out=x)
             tie = span == 0.0
             if k == 1:
-                np.multiply(np.exp(np.subtract(c[i + anchored], mu, out=t), out=t), x, out=x)
+                np.multiply(np.exp(np.subtract(c[i + 1], top, out=t), out=t), x, out=x)
             if tie.any():
-                x[tie] = np.exp(c[i][tie] - mu[tie]) / fact
-    return np.multiply(np.exp(mu, out=t), lev[0], out=lev[0])
+                x[tie] = np.exp(c[i][tie] - top[tie]) / fact
+    big = np.isinf(np.exp(top, out=t))
+    if big.any():   # e^{c_n} overflows there: h x h with h = e^{c_n / 2}, times 1
+        big &= lev[0] > 0.0   # a tableau that underflowed to 0 keeps inf * 0 = nan
+        h = np.exp(top[big] / 2.0)
+        lev[0][big] = h * lev[0][big] * h
+        t[big] = 1.0
+    return np.multiply(t, lev[0], out=lev[0])
 
 
 def exp_dd_batch(nodes) -> np.ndarray:

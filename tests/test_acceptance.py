@@ -5,6 +5,7 @@ its measured margin.  Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -30,6 +31,8 @@ from gbmdd.montecarlo import (
 )
 from gbmdd.moments import cross_moment_SA, mean_A, mean_S, second_moment_A
 from gbmdd.pricing import floating_strike_asian_approx, margrabe_price
+
+from references import mp_exp_dd
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 
@@ -89,6 +92,36 @@ def test_correlation_on_the_line_sigma2_equals_r():
     R = sqrt(3)/2, at every rate; e^{3x} overflows from x = 237."""
     for x in [*range(-20000, 20001, 37), 236, 237, 20000]:
         assert abs(s_statistic(float(x), 3.0 * x) - 1.5) <= 2e-15, x
+
+
+def _R0(x):
+    """R's limit as sigma -> 0 at rT = x, on confluent nodes:
+    exp[x, 2x, 2x] / sqrt(2 exp[2x, 2x] exp[0, x, 2x, 2x])."""
+    return exp_dd([x, 2.0 * x, 2.0 * x]) / math.sqrt(
+        2.0 * exp_dd([2.0 * x, 2.0 * x]) * exp_dd([0.0, x, 2.0 * x, 2.0 * x]))
+
+
+def _mp_R0(x):
+    return mp_exp_dd([x, 2 * x, 2 * x]) / mp.sqrt(
+        2 * mp_exp_dd([2 * x, 2 * x]) * mp_exp_dd([0, x, 2 * x, 2 * x]))
+
+
+def test_correlation_sigma_zero_limit():
+    """R0 = lim R as sigma -> 0 against 50-digit mpmath: sqrt(3)/2 at rT = 0,
+    sqrt(2 / |rT|) as rT -> -inf, and 1/sqrt(2) at rT = x* ~ -3.2453045:
+    below x* the bound fails even as sigma -> 0."""
+    with mp.workdps(50):
+        for x in [*np.linspace(-100.0, 5.0, 43).tolist(), -1e-3, 1e-3]:
+            assert abs(_R0(x) / _mp_R0(x) - 1) <= 2e-14, x
+        x_star = mp.findroot(lambda x: _mp_R0(x) - 1 / mp.sqrt(2), -3.2453)
+    assert abs(x_star + 3.2453045) <= 1e-7
+    x_star = float(x_star)
+    assert abs(_R0(x_star) - 1.0 / math.sqrt(2.0)) <= 4e-16
+    assert _R0(x_star - 1e-9) < 1.0 / math.sqrt(2.0) < _R0(x_star + 1e-9)
+    assert abs(_R0(0.0) - math.sqrt(3.0) / 2.0) <= 2e-16
+    assert abs(_R0(-100.0) - math.sqrt(0.02)) <= 1e-15
+    print(f"\nPASS sigma -> 0 limit: R0(0) = {_R0(0.0)!r}, R0(-100) = {_R0(-100.0)!r}, "
+          f"R0 = 1/sqrt(2) at rT = {x_star!r}")
 
 
 def test_criterion_2_figure_grid(capsys):

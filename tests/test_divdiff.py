@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmdd import divdiff
+from gbmdd import divdiff, moments
 from gbmdd.ddarith import exp_dd_reference
 from gbmdd.moments import BNodes, GbmParams, moment_table
 from gbmdd.divdiff import (
@@ -33,6 +33,7 @@ from gbmdd.divdiff import (
 )
 
 from conftest import load_dd_cases
+from references import _row_exp_dd_batch, _taylor_rows, mp_exp_dd
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +150,6 @@ def test_choose_method_geometry():
     assert choose_method([0.0, 1.0, 2.0], scale=1e-3) is EvalMethod.TAYLOR_MATRIX
 
 
-def mp_exp_dd(nodes) -> mp.mpf:
-    """exp[x_0..x_n] as entry (0, n) of the exponential of the upper
-    bidiagonal matrix of the nodes, at 50 digits; confluent nodes included."""
-    with mp.workdps(50):
-        m = len(nodes)
-        M = mp.zeros(m)
-        for i, x in enumerate(sorted(nodes)):
-            M[i, i] = mp.mpf(float(x))
-            if i + 1 < m:
-                M[i, i + 1] = 1
-        return mp.expm(M)[0, m - 1]
-
-
 def rel_err(got, want) -> float:
     return float(abs((mp.mpf(float(got)) - want) / want))
 
@@ -207,9 +195,7 @@ def test_recurrence_at_wide_spreads(top):
         with mp.workdps(60):
             for row, got in zip(same, batch):
                 assert choose_method(row) is EvalMethod.RECURRENCE, row
-                z = [mp.mpf(x) for x in row]
-                want = mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi)
-                               for zi in z)
+                want = mp_exp_dd(row)
                 assert rel_err(exp_dd(row), want) <= 1e-13, row
                 assert rel_err(got, want) <= 1e-13, row
 
@@ -228,8 +214,7 @@ def test_matrix_route_at_wide_spreads():
              for shape in shapes]
     for row in rows:
         with mp.workdps(900):
-            z = [mp.mpf(x) for x in row]
-            want = mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi) for zi in z)
+            want = mp_exp_dd(row)
         bound = 1e-12 * max(1.0, (max(row) - min(row)) / 250.0)
         for method in (EvalMethod.AUTO, EvalMethod.TAYLOR_MATRIX):
             assert rel_err(exp_dd(row, method=method), want) <= bound, (row, method)
@@ -328,11 +313,79 @@ def test_recurrence_accuracy_at_the_amplification_bound():
     worst = 0.0
     with mp.workdps(60):
         for row in _amplification_bound_sets(np.random.default_rng(7), 3000):
-            z = [mp.mpf(x) for x in row]
-            want = mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi)
-                           for zi in z)
-            worst = max(worst, rel_err(exp_dd(row), want))
+            worst = max(worst, rel_err(exp_dd(row), mp_exp_dd(row)))
     assert worst <= 1e-12
+
+
+def _centred_recurrence(zs: list[float]) -> float:
+    """The recurrence centred on the mean mu of the sorted nodes, which
+    `exp_dd` took before it anchored every tableau on the largest node, kept
+    as an accuracy baseline: e^mu times the Newton tableau of exp(z - mu),
+    whose first level is e^{z_i - mu} expm1(g) / g."""
+    n = len(zs)
+    mu = math.fsum(zs) / n
+    lev = [math.exp(zs[i] - mu) * (math.expm1(g) / g if g != 0.0 else 1.0)
+           for i, g in enumerate(b - a for a, b in zip(zs, zs[1:]))]
+    for k in range(2, n):
+        lev = [math.exp(zs[i] - mu) / math.factorial(k) if zs[i + k] == zs[i]
+               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
+    return math.exp(mu) * lev[0]
+
+
+def test_anchored_recurrence_at_least_as_accurate_as_centred():
+    # seeded sets of three and four distinct nodes that AUTO sends to the
+    # recurrence, and the four-node sets at its amplification bound: the
+    # anchored tableau's worst and mean errors stay at or below the centred
+    # one's (worst 5.1e-15, 2.5e-13 and 2.6e-13 against 7.3e-15, 4.4e-13 and
+    # 5.5e-13)
+    rng = np.random.default_rng(5)
+    groups = []
+    for n in (2, 3):
+        rows = []
+        while len(rows) < 3000:
+            rows += [row for row in _node_rows(rng, n, 512).tolist() if len(set(row)) == n + 1
+                     and divdiff._route(row) is EvalMethod.RECURRENCE]
+        groups.append(rows[:3000])
+    groups.append(_amplification_bound_sets(np.random.default_rng(7), 3000))
+    for i, rows in enumerate(groups):
+        with mp.workdps(60):
+            want = [mp_exp_dd(row) for row in rows]
+        got = [rel_err(exp_dd(row), w) for row, w in zip(rows, want)]
+        base = [rel_err(_centred_recurrence(row), w) for row, w in zip(rows, want)]
+        assert max(got) <= max(base) and np.mean(got) <= np.mean(base), i
+
+
+def test_recurrence_where_the_top_exponential_overflows():
+    # e^{z_n} overflows above z_n = 709.78 although the value may not; there
+    # the recurrence takes h x h with h = e^{z_n / 2}, and scalar and batch
+    # raise OverflowError where the value overflows too
+    p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
+    assert moments._var_A_dd(p) == 6.134249211933302e+307
+    shapes = ([], [0.5], [0.01], [0.99], [0.7, 0.3], [0.5, 0.01], [0.999, 0.5])
+    rows = [[0.0, *moments._ddn(p)], [0.0, 800.0]]
+    rows += [[top - g] + [top - f * g for f in shape] + [top] for shape in shapes
+             for top in (709.8, 712.0, 725.0, 740.0, 759.9) for g in (40.0, 100.0, 300.0, 1500.0)]
+    seen = set()
+    for row in rows:
+        assert choose_method(row) is EvalMethod.RECURRENCE, row
+        with mp.workdps(60):
+            want = mp_exp_dd(row)
+        seen.add(want < sys.float_info.max)
+        if want < sys.float_info.max:
+            assert rel_err(exp_dd(row), want) <= 1e-13, row
+            assert rel_err(exp_dd_batch([row])[0], want) <= 1e-13, row
+        else:
+            with pytest.raises(OverflowError):
+                exp_dd(row)
+            with pytest.raises(OverflowError):
+                exp_dd_batch([row])
+    assert seen == {True, False}
+    # at a spread of 1e134 the tableau underflows to 0; the value, 6.9e206,
+    # is not taken as 0.0
+    with pytest.raises(OverflowError):
+        exp_dd([-1e134, -5e133, -3e133, 1400.0])
+    with pytest.raises(OverflowError):
+        exp_dd_batch([[-1e134, -5e133, -3e133, 1400.0]])
 
 
 def _flip(matrix, lo: float, hi: float) -> tuple[float, float]:
@@ -448,109 +501,11 @@ def test_exp_dd_batch_matrix_rows():
     assert exp_dd_batch(np.empty((0, 3))).shape == (0,)
 
 
-# The row kernels `exp_dd_batch` ran on before it moved to node columns, and
-# the stacked Taylor loop its matrix route ran before it shared the scalar
-# first-row kernel, kept verbatim: the batch reproduces them bit for bit.
-
-
-def _taylor_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise `choose_method` on sorted rows: True where AUTO takes the
-    matrix method."""
-    n = z.shape[1] - 1
-    if n <= 1 or n >= TAYLOR_MIN_ORDER:
-        return np.full(len(z), n >= TAYLOR_MIN_ORDER)
-    spread = z[:, -1] - z[:, 0]
-    scale_bound = 1.0 + np.maximum(np.abs(z[:, 0]), np.abs(z[:, -1]))
-    gaps = np.diff(z, axis=1)
-    min_gap = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
-    taylor = ((spread < TAYLOR_SPREAD_FACTOR * scale_bound)
-              | (min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound))
-    if n == 3:
-        spans = z[:, 2:] - z[:, :-2]
-        s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
-        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * s2 * spread
-    return taylor
-
-
-def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
-    """`_exp_dd_recurrence` on every sorted row at once, one tableau level
-    at a time: the centered form first, then the anchored form on the rows
-    where the scalar route takes it."""
-    m = z.shape[1]
-    if m == 1:
-        return np.exp(z[:, 0])
-    if m == 2:
-        return _recurrence_tableau_rows(z, z[:, -1], anchored=True)
-    mu = z.sum(axis=1) / m
-    out = _recurrence_tableau_rows(z, mu, anchored=False)
-    redo = (mu < _LOG_MIN_NORMAL) | ~np.isfinite(out)
-    if redo.any():
-        out[redo] = _recurrence_tableau_rows(z[redo], z[redo, -1], anchored=True)
-    return out
-
-
-def _recurrence_tableau_rows(z: np.ndarray, mu: np.ndarray, anchored: bool) -> np.ndarray:
-    """`_recurrence_tableau` on every sorted row, with per-row `mu`."""
-    m = z.shape[1]
-    e = np.exp(z - mu[:, None])
-    g = np.diff(z, axis=1)
-    if anchored:
-        lev = e[:, 1:] * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
-    else:
-        lev = e[:, :-1] * np.where(g != 0.0, np.expm1(g) / g, 1.0)
-    fact = 1.0
-    for k in range(2, m):
-        fact *= k
-        span = z[:, k:] - z[:, :-k]
-        lev = np.where(span == 0.0, e[:, :-k] / fact, (lev[:, 1:] - lev[:, :-1]) / span)
-    return np.exp(mu) * lev[:, 0]
-
-
-def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
-    """The last entry of `_exp_dd_first_row` on every sorted row, as a stack
-    of bidiagonal matrices; rows sharing a squaring count share one Taylor
-    loop, which stops once every row in it passes the scalar route's test."""
-    K, m = z.shape
-    mu = z.mean(axis=1)
-    Z = np.zeros((K, m, m))
-    idx = np.arange(m)
-    Z[:, idx, idx] = z - mu[:, None]
-    Z[:, idx[:-1], idx[1:]] = 1.0
-    # the superdiagonal ones keep every norm >= 1, above the scalar route's 0.25
-    norm = np.abs(Z).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(norm / 0.25)).astype(int)
-    out = np.empty(K)
-    for sg in np.unique(s):
-        rows = s == sg
-        B = Z[rows] / (2.0 ** sg)
-        F = np.broadcast_to(np.eye(m), B.shape).copy()
-        term = F.copy()
-        for k in range(1, 64):
-            term = term @ B / k
-            F += term
-            if (np.abs(term).max(axis=(1, 2)) <= 1e-20 * np.abs(F).max(axis=(1, 2))).all():
-                break
-        for _ in range(sg):
-            F = F @ F
-        out[rows] = F[:, 0, -1]
-    return np.exp(mu) * out
-
-
-def _row_exp_dd_batch(nodes):
-    """`exp_dd_batch` on sorted rows, through the reference row kernels."""
-    z = np.sort(np.asarray(nodes, dtype=float), axis=1)
-    out = np.empty(len(z))
-    with np.errstate(all="ignore"):
-        taylor = _taylor_rows(z)
-        out[~taylor] = _exp_dd_recurrence_rows(z[~taylor])
-        out[taylor] = _exp_dd_taylor_matrix_rows(z[taylor])
-    return out
-
-
 def _column_kernel_cases(rng, n):
     """Unsorted node rows of order n: exact and near ties on mixed routes,
-    -0.0 next to 0.0, and at orders up to 3 spreads up to 1500 (the anchored
-    redo) and rows whose e^mu is subnormal."""
+    -0.0 next to 0.0, and at orders up to 3 spreads up to 1500, tops down to
+    -720, and tops in (709.8, 760), where e^{z_n} overflows and the value
+    may or may not."""
     parts = [_node_rows(rng, n, 90),
              rng.choice([-0.0, 0.0, 0.0, 1.5, -2.0], (30, n + 1))]
     if 1 <= n <= 3:
@@ -560,6 +515,9 @@ def _column_kernel_cases(rng, n):
                       for g in np.geomspace(50.0, 1500.0, 6)])
         parts.append([[top - g] + [top - f * g for f in shape] + [top]
                       for shape in shapes[n] for top in (-720.0, -700.0) for g in (40.0, 300.0)])
+        parts.append([[top - g] + [top - f * g for f in shape] + [top]
+                      for shape in shapes[n] for top in (712.0, 735.0, 759.0)
+                      for g in (40.0, 300.0, 1500.0)])
     z = np.concatenate(parts)
     return rng.permuted(rng.permutation(z), axis=1)
 
@@ -574,13 +532,16 @@ def test_exp_dd_batch_bit_identical_to_row_kernels():
             assert divdiff._taylor_columns(zs.T).tolist() == taylor.tolist(), n
         if 2 <= n <= 3:
             assert 0 < taylor.sum() < len(z), n   # both routes in one batch
-            # rows where e^mu is subnormal or the centred tableau overflows
-            # take the anchored redo
-            rec = zs[~taylor]
-            mu = rec.mean(axis=1)
-            assert (mu < _LOG_MIN_NORMAL).any() and (rec[:, -1] - mu > 709.8).any(), n
         assert np.array_equal(np.stack(divdiff._sort_columns(z.T)), zs.T), n
-        assert exp_dd_batch(z).tobytes() == _row_exp_dd_batch(z).tobytes(), n
+        got = divdiff._exp_dd_columns(z.T)
+        assert got.tobytes() == _row_exp_dd_batch(z).tobytes(), n
+        finite = np.isfinite(got)
+        assert exp_dd_batch(z[finite]).tobytes() == got[finite].tobytes(), n
+        if 1 <= n <= 3:
+            # recurrence rows whose e^{z_n} overflows take h x h, h = e^{z_n / 2},
+            # and some of those values overflow too
+            big = ~taylor & (zs[:, -1] > 709.8)
+            assert finite[big].any() and not finite[big].all(), n
         assert exp_dd_batch(np.empty((0, n + 1))).tobytes() == b""
 
 
@@ -635,21 +596,27 @@ def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
 
 
 def _exp_dd_recurrence(zs: list[float]) -> float:
+    """e^{z_n} times the Newton tableau of exp(z - z_n) on the sorted nodes,
+    whose first level is e^{z_{i+1} - z_n} (-expm1(-g)) / g and whose ties
+    take e^{z_i - z_n} / k!; h x h with h = e^{z_n / 2} where e^{z_n}
+    overflows, OverflowError where that overflows too or is 0."""
     zs = sorted(zs)
-    n = len(zs)
+    n, top = len(zs), zs[-1]
     if n == 1:
-        return math.exp(zs[0])
-    if n == 2:
-        return divdiff._recurrence_tableau(zs, zs[1], anchored=True)
-    mu = math.fsum(zs) / n
-    if mu >= _LOG_MIN_NORMAL:
-        try:
-            value = divdiff._recurrence_tableau(zs, mu, anchored=False)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    return divdiff._recurrence_tableau(zs, zs[-1], anchored=True)
+        return math.exp(top)
+    e = [math.exp(z - top) for z in zs]
+    lev = [e[i + 1] * (-math.expm1(-g) / g if g != 0.0 else 1.0)
+           for i, g in enumerate(b - a for a, b in zip(zs, zs[1:]))]
+    for k in range(2, n):
+        lev = [e[i] / math.factorial(k) if zs[i + k] == zs[i]
+               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
+    try:
+        return math.exp(top) * lev[0]
+    except OverflowError:
+        h = math.exp(top / 2.0)
+        if h * lev[0] * h in (0.0, math.inf):
+            raise
+        return h * lev[0] * h
 
 
 def _exp_dd_first_row(zs: np.ndarray, anchored: bool = False) -> np.ndarray:

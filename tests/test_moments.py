@@ -41,7 +41,7 @@ from gbmdd.moments import (
 )
 
 from conftest import MEMOISED
-from test_divdiff import _row_exp_dd_batch, _taylor_rows
+from references import _row_exp_dd_batch, _taylor_rows, mp_exp_dd
 
 BENCH_R = 0.86638428741831168064  # 50-digit recurrence value at r=.05, s=.2, T=1
 
@@ -300,12 +300,6 @@ def test_s_statistic_limits():
     assert abs(s_statistic(1.0, 50.0) - 1.0) <= 0.05
 
 
-def _mp_dd(nodes) -> mp.mpf:
-    """exp[nodes] for distinct nodes by the Newton form, at the working precision."""
-    z = [mp.mpf(x) for x in nodes]
-    return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for zj in z if zj is not zi) for zi in z)
-
-
 def test_correlation_at_wide_rates_against_mpmath():
     # 2 d1 d2 overflows from rT of about 178 (R read 0.0, S(r, a) nan) or
     # leaves the normal range at wide negative rates: R was off by 7e-9 at
@@ -324,8 +318,8 @@ def test_correlation_at_wide_rates_against_mpmath():
         p = GbmParams(r, sigma, T)
         rT, b = r * T, (2.0 * r + sigma ** 2) * T
         with mp.workdps(800):
-            R = _mp_dd([rT, 2 * rT, b]) / mp.sqrt(2 * _mp_dd([2 * rT, b])
-                                                  * _mp_dd([0, rT, 2 * rT, b]))
+            R = mp_exp_dd([rT, 2 * rT, b]) / mp.sqrt(2 * mp_exp_dd([2 * rT, b])
+                                                     * mp_exp_dd([0, rT, 2 * rT, b]))
             assert abs(correlation(p).R / R - 1) <= 1e-12, p
             S = 2 * R * R
             if S > sys.float_info.min:
@@ -441,7 +435,7 @@ def test_grid_scan_unrepresentable_window():
                                                 enumerate(res.a_values.tolist())):
             with mp.workdps(800):
                 z = [a + mp.mpf(10) ** -300, 2 * r, r, 0]   # off the tie a = 2r by 1e-300
-                S = _mp_dd(z[:3]) ** 2 / (_mp_dd(z[:2]) * _mp_dd(z))
+                S = mp_exp_dd(z[:3]) ** 2 / (mp_exp_dd(z[:2]) * mp_exp_dd(z))
                 assert abs(res.values[i, j] / S - 1) <= 1e-12, (r, a)
 
 
@@ -801,7 +795,7 @@ def test_moment_A_at_wide_negative_rates_against_mpmath():
         p = GbmParams(r, sigma, T)
         nodes = BNodes.from_params(p, m).scaled(T)
         with mp.workdps(1000):
-            want = math.factorial(m) * _mp_dd(nodes)
+            want = math.factorial(m) * mp_exp_dd(nodes)
             bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
             assert abs(moment_A(p, m) / want - 1) <= bound, p
 

@@ -16,6 +16,8 @@ from gbmdd.pricing import (
     normal_inv_cdf,
 )
 
+from references import mp_exp_dd
+
 
 # ---------------------------------------------------------------------------
 # normal CDF kernel
@@ -280,23 +282,12 @@ def test_fixed_strike_tiny_strike_is_discounted_mean(bench):
         assert fixed_strike_asian_approx(bench, K).value == want
 
 
-def _mp_dd(nodes) -> mp.mpf:
-    """exp[nodes] from the exponential of the bidiagonal matrix of the nodes
-    (confluent nodes included), at the working precision."""
-    M = mp.zeros(len(nodes))
-    for i, x in enumerate(nodes):
-        M[i, i] = x
-        if i + 1 < len(nodes):
-            M[i, i + 1] = 1
-    return mp.expm(M)[0, len(nodes) - 1]
-
-
 def _mp_fit_s2(p: GbmParams) -> mp.mpf:
     """ln(E A^2 / (E A)^2) at 150 digits."""
     with mp.workdps(150):
         r, sigma, T = mp.mpf(p.r), mp.mpf(p.sigma), mp.mpf(p.T)
-        mean = _mp_dd([0, r * T])
-        return mp.log(2 * _mp_dd([0, r * T, (2 * r + sigma ** 2) * T]) / mean ** 2)
+        mean = mp_exp_dd([0, r * T])
+        return mp.log(2 * mp_exp_dd([0, r * T, (2 * r + sigma ** 2) * T]) / mean ** 2)
 
 
 def test_fit_s2_against_mpmath_down_to_tiny_sigma():
@@ -351,7 +342,7 @@ def test_fit_s2_and_var_A_where_the_mean_centred_matrix_route_overflows():
     p = GbmParams(-600.0, 0.01, 1.0)
     with mp.workdps(150):
         rT, b = mp.mpf(p.r) * p.T, (2 * mp.mpf(p.r) + mp.mpf(p.sigma) ** 2) * p.T
-        want = 2 * mp.mpf(p.sigma) ** 2 * p.T * _mp_dd([0, rT, 2 * rT, b])
+        want = 2 * mp.mpf(p.sigma) ** 2 * p.T * mp_exp_dd([0, rT, 2 * rT, b])
     assert float(abs((var_A(p) - want) / want)) <= 1e-12
     quote = fixed_strike_asian_approx(p, mean_A(p))
     want = _mp_fit_s2(p)
