@@ -12,13 +12,12 @@ recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
 only code that acts on a route, then evaluates them, also for `moment_table`,
-which sorts and routes its nested node sets itself.  The recurrence anchors
-on the largest node, so every tableau entry lies in (0, 1]; the matrix route
-centres on the mean node, or on the largest where that leaves the double range
-or e^mean is subnormal.  The matrix method's one kernel,
-`_bidiagonal_first_rows`, writes each product into a per-call buffer, never
-onto a factor, takes both maxima of the stopping test in one reduction and
-skips that test where it cannot pass.
+which sorts and routes its nested node sets itself.  Both routes compute
+x = exp[z - t] in (0, 1] for t the largest node (the matrix route anchors
+lower where x underflows at high orders), and one step, `_times_exp`, scales
+it by e^t.  The matrix method's one kernel, `_bidiagonal_first_rows`, writes
+each product into a per-call buffer, never onto a factor, takes both maxima
+of the stopping test in one reduction and skips it where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -26,14 +25,16 @@ through `out=` into a few columns the kernel owns, not into a new temporary.
 A sorting network orders every row on a copy, AUTO's rule runs elementwise
 with the same constants in four scratch columns, each recurrence tableau
 level overwrites the one before it, and the matrix method runs through the
-same kernel as the scalar route, one stack per squaring count.  `grid_scan`
-hands its node columns to this kernel directly.
+same kernel as the scalar route, one stack per squaring count, into the
+recurrence's x column, scaled once.  `grid_scan` hands its node columns to
+this kernel directly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,8 +74,10 @@ TAYLOR_MIN_GAP_FACTOR = 1e-5
 # clustered node sets that reached 5e-10 without the guard; just below it the
 # recurrence stayed within 7.9e-13 of mpmath (worst of 100 000 seeded sets).
 TAYLOR_MAX_AMPLIFICATION = 300.0
-# Below this mean the matrix route's factor e^mean is subnormal and loses digits.
-_LOG_MIN_NORMAL = math.log(2.0 ** -1022)
+# exp[z - max z] <= 1/n! underflows at high orders where the value need not
+# (order 140 of moment_A at r = 0.05, sigma = 0.2, T = 1); the matrix route
+# anchors this far lower there, so every entry stays below e^700.
+_LOW_ANCHOR = 700.0
 
 
 class EvalMethod(enum.Enum):
@@ -194,50 +197,48 @@ def _route(zs: list[float]) -> EvalMethod:
 
 def _exp_dd_recurrence(zs: list[float]) -> float:
     """Confluent recurrence on sorted nodes; adequate for a few well-spread
-    nodes: e^{z_n} times the divided-difference tableau of exp(z - z_n).
-
-    First-order entries use exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which
-    removes the dominant cancellation when a node pair sits much closer than
-    the spread.  Every entry lies in (0, 1], so the tableau stays finite;
-    where e^{z_n} overflows the value is taken as h x h with h = e^{z_n / 2},
-    and OverflowError where that overflows too or the tableau underflows to 0.
-    """
+    nodes: x = exp[z - z_n], the divided-difference tableau of exp(z - z_n),
+    every entry in (0, 1].  First-order entries use exp[z, z+g] =
+    e^{z+g} (-expm1(-g))/g, which removes the dominant cancellation when a
+    node pair sits much closer than the spread."""
     n, top = len(zs), zs[-1]
-    lev = []
-    for i in range(n - 1):
-        g = zs[i + 1] - zs[i]
-        lev.append(math.exp(zs[i + 1] - top) * (-math.expm1(-g) / g if g != 0.0 else 1.0))
+    lev = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
+           for a, b in zip(zs, zs[1:])]
     fact = 1.0
     for k in range(2, n):
         fact *= k
-        nxt = []
-        for i in range(n - k):
-            if zs[i + k] == zs[i]:
-                nxt.append(math.exp(zs[i] - top) / fact)
-            else:
-                nxt.append((lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]))
-        lev = nxt
+        lev = [math.exp(zs[i] - top) / fact if zs[i + k] == zs[i]
+               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
+    return lev[0] if lev else 1.0
+
+
+def _times_exp(t: float, x: float) -> float:
+    """e^t x for x = exp[z - t], the scaling step every route ends in: h x h
+    with h = e^{t / 2} where e^t overflows (t above 709.78).  OverflowError
+    where the value overflows, or where x is 0: it underflowed, losing it."""
+    if x == 0.0:
+        raise OverflowError("exp_dd: exp[z - max z] underflows to 0")
     try:
-        return math.exp(top) * lev[0]
+        value = math.exp(t) * x
     except OverflowError:
-        h = math.exp(top / 2.0)
-        value = h * lev[0] * h
-        if not 0.0 < value < math.inf:   # 0 only where the tableau underflowed
-            raise
-        return value
+        h = math.exp(t / 2.0)
+        value = h * x * h
+    if value == math.inf:
+        raise OverflowError("exp_dd: the value is outside the double range")
+    return value
 
 
-def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
-    """e^mu times the first row of exp(Z) for the upper bidiagonal Z with
-    z - mu on the diagonal and ones above it, by scaling and squaring of a
-    truncated Taylor series: for one node set z (m,) with float mu and e_mu,
-    which computes its own squaring count s, or for a stack (K, m) with mu
-    and e_mu of shape (K, 1) and the s it shares.  The caller computes e_mu.
+def _bidiagonal_first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
+    """x = exp[z_0 - t, ..., z_j - t] for j = 0..m-1, the first row of exp(Z)
+    for the upper bidiagonal Z with z - t on the diagonal and ones above it,
+    by scaling and squaring of a truncated Taylor series: for one node set z
+    (m,) with float t, which computes its own squaring count s, or for a
+    stack (K, m) with t of shape (K, 1) and the s it shares.
 
-    Entry (i, j) of exp(Z) is exp[z_i - mu, ..., z_j - mu], positive for any
-    node order, so the squarings involve no cancellation and every entry
-    keeps full relative accuracy even for tightly clustered nodes.  An entry
-    outside the double range comes back inf or nan, without a warning.
+    Entry (i, j) of exp(Z) is exp[z_i - t, ..., z_j - t], at most
+    e^{max z - t} and positive for any node order, so the squarings involve
+    no cancellation and every entry keeps full relative accuracy even for
+    tightly clustered nodes, until it underflows below the normal range.
     """
     one = z.ndim == 1
     product = np.dot if one else np.matmul   # the same dgemm; np.dot costs ~60% per call
@@ -246,7 +247,7 @@ def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
     # F, then B and room for |term|, |F|; no product is written onto a factor.
     buf = np.zeros((6, *stack, m, m))
     flat = buf.reshape(6, *stack, m * m)
-    np.subtract(z, mu, out=flat[3, ..., ::m + 1])
+    np.subtract(z, t, out=flat[3, ..., ::m + 1])
     flat[3, ..., 1::m + 1] = flat[1, ..., ::m + 1] = 1.0
     if one:
         norm = float(np.abs(buf[3]).sum(axis=0).max())   # the largest column sum of |Z|
@@ -277,24 +278,20 @@ def _bidiagonal_first_rows(z: np.ndarray, mu, e_mu, s=None) -> np.ndarray:
             # a stack stops once every row passes; .all() costs ~3 us
             if passed if one else np.logical_and.reduce(passed):
                 break
-    # the error state only here: numpy calls under a non-default one cost more
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(s):
-            F = product(F, F, out=buf[i % 2])
-        return e_mu * F[..., 0, :]
+    for i in range(s):
+        F = product(F, F, out=buf[i % 2])
+    return F[..., 0, :]
 
 
-def _exp_dd_first_row(zs: np.ndarray, anchored: bool = False) -> np.ndarray:
-    """exp[z_0..z_k] for k = 0..n, the nodes taken in the order given and
-    centered on their mean, or on the last if `anchored`.  OverflowError where
-    an entry leaves the double range, or e^mean is subnormal."""
-    mu = float(zs[-1]) if anchored else float(np.add.reduce(zs)) / len(zs)   # zs.mean()'s bits
-    if mu < _LOG_MIN_NORMAL and not anchored:
-        raise OverflowError("exp_dd: e^mean is subnormal")
-    row = _bidiagonal_first_rows(zs, mu, math.exp(mu))
-    if not np.isfinite(row).all():
-        raise OverflowError("exp_dd: a value is outside the double range")
-    return row
+def _first_row(z: np.ndarray, t: float) -> tuple[float, np.ndarray]:
+    """(t, x): one node set's first row anchored on its largest node t, or on
+    t - _LOW_ANCHOR where only that makes the last entry a normal double."""
+    x = _bidiagonal_first_rows(z, t)
+    if x[-1] < sys.float_info.min:
+        low = _bidiagonal_first_rows(z, t - _LOW_ANCHOR)
+        if low[-1] >= sys.float_info.min:
+            return t - _LOW_ANCHOR, low
+    return t, x
 
 
 def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> float:
@@ -305,7 +302,8 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     distinct nodes to the matrix route (four such as [0, a, 2a, 2a + 1e-7]
     lose digits on the recurrence); exact ties stay.  A `method` other than
     AUTO forces that route.  Raises ValueError for any other `method` and
-    unless every scaled node is finite.
+    unless every scaled node is finite; OverflowError where the value
+    overflows, or where x = exp[z - max z] underflows to 0, losing it.
     """
     zs = sorted(_coerce_nodes(nodes, scale))
     return _exp_dd_sorted(zs, _route(zs) if method is EvalMethod.AUTO else method)
@@ -313,15 +311,11 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
 
 def _exp_dd_sorted(zs: list[float], method: EvalMethod) -> float:
     """`exp_dd` on sorted, finite nodes by the route `method`, not AUTO."""
-    if len(zs) == 1 and method in (EvalMethod.RECURRENCE, EvalMethod.TAYLOR_MATRIX):
-        return math.exp(zs[0])
     if method is EvalMethod.RECURRENCE:
-        return _exp_dd_recurrence(zs)
+        return _times_exp(zs[-1], _exp_dd_recurrence(zs))
     if method is EvalMethod.TAYLOR_MATRIX:
-        try:
-            return float(_exp_dd_first_row(np.array(zs))[-1])
-        except OverflowError:   # anchored, every entry before the factor e^{z_n} lies in (0, 1]
-            return float(_exp_dd_first_row(np.array(zs), anchored=True)[-1])
+        t, row = _first_row(np.array(zs), zs[-1])
+        return _times_exp(t, float(row[-1]))
     raise ValueError(f"unknown evaluation method: {method!r}")
 
 
@@ -373,7 +367,7 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
     scratch column.  A tie takes e^{c_i - c_n} / k! on its rows."""
     m, top = len(c), c[-1]
     if m == 1:
-        return np.exp(top)
+        return np.ones(len(top))
     lev = [np.empty(len(top)) for _ in range(m - 1)]
     t = np.empty(len(top))
     fact = 1.0
@@ -391,13 +385,19 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
                 np.multiply(np.exp(np.subtract(c[i + 1], top, out=t), out=t), x, out=x)
             if tie.any():
                 x[tie] = np.exp(c[i][tie] - top[tie]) / fact
-    big = np.isinf(np.exp(top, out=t))
-    if big.any():   # e^{c_n} overflows there: h x h with h = e^{c_n / 2}, times 1
-        big &= lev[0] > 0.0   # a tableau that underflowed to 0 keeps inf * 0 = nan
-        h = np.exp(top[big] / 2.0)
-        lev[0][big] = h * lev[0][big] * h
-        t[big] = 1.0
-    return np.multiply(t, lev[0], out=lev[0])
+    return lev[0]
+
+
+def _times_exp_columns(t, x) -> np.ndarray:
+    """`_times_exp` on columns, in place on x: inf or nan where it raises."""
+    e = np.exp(t)
+    big = np.isinf(e)
+    if big.any():
+        h = np.exp(t[big] / 2.0)
+        x[big] = h * x[big] * h
+        e[big] = 1.0
+    e[x == 0.0] = np.nan
+    return np.multiply(e, x, out=x)
 
 
 def exp_dd_batch(nodes) -> np.ndarray:
@@ -428,22 +428,22 @@ def _exp_dd_columns(c) -> np.ndarray:
         taylor = _taylor_columns(c)
         # every row takes the recurrence, cheaper than masking the columns
         # when few rows take the matrix method, which overwrites its own rows
-        out = _exp_dd_recurrence_columns(c)
+        x = _exp_dd_recurrence_columns(c)
         if taylor.any():
-            z = np.stack([x[taylor] for x in c], axis=1)
-            mu = z.mean(axis=1)
-            d = np.abs(z - mu[:, None])
-            # the largest column sum of |Z| in the same bits; the superdiagonal keeps it >= 1
-            norm = np.maximum(d[:, 0], 1.0 + d[:, 1:].max(axis=1))
+            z = np.stack([col[taylor] for col in c], axis=1)
+            t = z[:, -1:]
+            # the largest column sum of |Z| in the kernel's bits, on sorted rows
+            norm = np.maximum(t[:, 0] - z[:, 0], 1.0 + (t[:, 0] - z[:, 1]))
             s = np.ceil(np.log2(norm / 0.25)).astype(int)
-            e_mu, rows = np.exp(mu), np.empty(len(z))
+            rows, top = np.empty(len(z)), c[-1][taylor]
             for sg in np.unique(s):   # each count's rows as one stack
                 g = s == sg
-                rows[g] = _bidiagonal_first_rows(z[g], mu[g, None], e_mu[g, None], sg)[:, -1]
-            for i in np.flatnonzero((mu < _LOG_MIN_NORMAL) | ~np.isfinite(rows)):
-                rows[i] = _exp_dd_sorted(z[i].tolist(), EvalMethod.TAYLOR_MATRIX)
-            out[taylor] = rows
-    return out
+                rows[g] = _bidiagonal_first_rows(z[g], t[g], sg)[:, -1]
+            for i in np.flatnonzero(rows < sys.float_info.min):   # high orders
+                top[i], row = _first_row(z[i], top[i])
+                rows[i] = row[-1]
+            x[taylor], c[-1][taylor] = rows, top
+        return _times_exp_columns(c[-1], x)
 
 
 def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:

@@ -25,9 +25,10 @@ from .divdiff import (
     OracleEstimate,
     _coerce_nodes,
     _exp_dd_columns,
-    _exp_dd_first_row,
     _exp_dd_sorted,
+    _first_row,
     _route,
+    _times_exp,
     exp_dd,
     ordered_exp_simplex_quad,
 )
@@ -223,11 +224,10 @@ def var_A(p: GbmParams) -> float:
 
 def _log_s(z: list[float]) -> float:
     """log S on z = [a, 2r, r, 0], each exp[nodes] taken as e^t x with t its
-    largest node and x = exp[nodes - t] in (0, 1]; OverflowError where an x is 0."""
+    largest node and x = exp[nodes - t] in (0, 1]; `exp_dd`'s OverflowError
+    where an x is 0."""
     (tn, xn), (t1, x1), (t2, x2) = ((max(zs), exp_dd([x - max(zs) for x in zs]))
                                     for zs in (z[:3], z[:2], z))
-    if not (xn and x1 and x2):
-        raise OverflowError("S(r, a): a scaled divided difference underflows to 0")
     return 2.0 * tn - t1 - t2 + math.log(xn / x1 * (xn / x2))
 
 
@@ -500,9 +500,10 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
 
     Each order keeps the route AUTO picks for its own nodes.  The node sets
     are nested, so one first row of the bidiagonal exponential on the nodes
-    of the highest matrix-route order M gives every matrix-route order up
-    to M; an entry that is not a normal positive double is evaluated on its
-    own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
+    of the highest matrix-route order M, anchored as `exp_dd`'s matrix route
+    anchors, gives x = exp[nodes - t] for every matrix-route order up to M,
+    scaled by e^t; an order whose x is not a normal double is evaluated on
+    its own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
     computed here.  Order 1 evaluated on its own is the memoised `mean_A`,
     and order 2 has the bits of `second_moment_A`: the same nodes.
     """
@@ -518,15 +519,13 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
     row = []
     if top:
-        try:
-            row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
-        except OverflowError:
-            pass
+        t, row = _first_row(np.array(nodes[:top + 1]), max(nodes[:top + 1]))
+        row = row.tolist()
     out = [MomentReport(order=0, value=1.0, method="exact")]
     for m, method in enumerate(methods, 1):
-        if (method is EvalMethod.TAYLOR_MATRIX and row
-                and sys.float_info.min <= row[m] < math.inf):
-            value = math.factorial(m) * row[m]
+        # where e^t x overflows, m! times the order's own value does too
+        if method is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
+            value = math.factorial(m) * _times_exp(t, row[m])
         elif m == 1:
             value = mean_A(p)
         else:

@@ -1,10 +1,15 @@
-"""Reference evaluations the tests share: an mpmath `exp_dd` and the row
-kernels that `exp_dd_batch` and `grid_scan` reproduce bit for bit."""
+"""Reference evaluations the tests share: an mpmath `exp_dd`, the matrix
+route's first row and scaling step, and the row kernels that
+`exp_dd_batch` and `grid_scan` reproduce bit for bit."""
+
+import math
+import sys
 
 import mpmath as mp
 import numpy as np
 
 from gbmdd.divdiff import (
+    _LOW_ANCHOR,
     TAYLOR_MAX_AMPLIFICATION,
     TAYLOR_MIN_GAP_FACTOR,
     TAYLOR_MIN_ORDER,
@@ -36,10 +41,54 @@ def mp_exp_dd(nodes) -> mp.mpf:
                            for i, zi in enumerate(z))
 
 
-# Row kernels for `exp_dd_batch`, which works on node columns: AUTO's rule
-# and the recurrence on whole sorted rows, and the stacked Taylor loop its
-# matrix route ran before it shared the scalar first-row kernel, kept
-# verbatim.
+# Reference kernels: the matrix route's first row as one self-contained
+# Taylor loop, which the shared kernel reproduces bit for bit, the scaling
+# step every route ends in, and for `exp_dd_batch`, which works on node
+# columns, AUTO's rule and the recurrence on whole sorted rows.
+
+
+def first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
+    """exp[z_0 - t, ..., z_j - t] for j = 0..m-1: the first row of exp(Z),
+    Z upper bidiagonal with z - t on its diagonal and ones above it, by
+    scaling and squaring of a truncated Taylor series tested at every step.
+    One node set (m,) with a float t computes its own squaring count s; a
+    stack (K, m) with t of shape (K, 1) shares s and stops once every row
+    passes the test."""
+    *stack, m = z.shape
+    Z = np.zeros((*stack, m, m))
+    idx = np.arange(m)
+    Z[..., idx, idx] = z - t
+    Z[..., idx[:-1], idx[1:]] = 1.0
+    if s is None:
+        norm = float(np.abs(Z).sum(axis=0).max())
+        s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    B = Z / (2.0 ** s)
+    F = np.broadcast_to(np.eye(m), B.shape).copy()
+    term = F.copy()
+    for k in range(1, 64):
+        term = term @ B / k
+        F = F + term
+        if (np.abs(term).max(axis=(-2, -1)) <= 1e-20 * np.abs(F).max(axis=(-2, -1))).all():
+            break
+    with np.errstate(over="ignore", invalid="ignore"):   # a centre below the largest node
+        for _ in range(s):
+            F = F @ F
+    return F[..., 0, :]
+
+
+def times_exp(t: float, x: float) -> float:
+    """e^t x, as h x h with h = e^{t / 2} where e^t overflows; OverflowError
+    where x is 0 or the value overflows."""
+    x = float(x)
+    if x == 0.0:
+        raise OverflowError("x is 0")
+    try:
+        value = math.exp(t) * x
+    except OverflowError:
+        value = math.exp(t / 2.0) * x * math.exp(t / 2.0)
+    if value == math.inf:
+        raise OverflowError("the value overflows")
+    return value
 
 
 def _taylor_rows(z: np.ndarray) -> np.ndarray:
@@ -61,16 +110,14 @@ def _taylor_rows(z: np.ndarray) -> np.ndarray:
     return taylor
 
 
-def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
-    """The recurrence on every sorted row at once: e^{z_n} times the Newton
-    tableau of exp(z - z_n), whose first level is e^{z_{i+1} - z_n}
-    (-expm1(-g)) / g and whose ties take e^{z_i - z_n} / k!; h x h with
-    h = e^{z_n / 2} where e^{z_n} overflows, nan there if the tableau is 0."""
+def _recurrence_rows(z: np.ndarray) -> np.ndarray:
+    """The recurrence's x = exp[z - z_n] on every sorted row at once: the
+    Newton tableau of exp(z - z_n), whose first level is e^{z_{i+1} - z_n}
+    (-expm1(-g)) / g and whose ties take e^{z_i - z_n} / k!."""
     m = z.shape[1]
     if m == 1:
-        return np.exp(z[:, 0])
-    top = z[:, -1]
-    e = np.exp(z - top[:, None])
+        return np.ones(len(z))
+    e = np.exp(z - z[:, -1:])
     g = np.diff(z, axis=1)
     lev = e[:, 1:] * np.where(g != 0.0, -np.expm1(-g) / g, 1.0)
     fact = 1.0
@@ -78,48 +125,53 @@ def _exp_dd_recurrence_rows(z: np.ndarray) -> np.ndarray:
         fact *= k
         span = z[:, k:] - z[:, :-k]
         lev = np.where(span == 0.0, e[:, :-k] / fact, (lev[:, 1:] - lev[:, :-1]) / span)
-    h = np.exp(top / 2.0)
-    big = np.isinf(np.exp(top)) & (lev[:, 0] > 0.0)
-    return np.where(big, h * lev[:, 0] * h, np.exp(top) * lev[:, 0])
+    return lev[:, 0]
 
 
-def _exp_dd_taylor_matrix_rows(z: np.ndarray) -> np.ndarray:
-    """The last entry of `_exp_dd_first_row` on every sorted row, as a stack
-    of bidiagonal matrices; rows sharing a squaring count share one Taylor
-    loop, which stops once every row in it passes the scalar route's test."""
-    K, m = z.shape
-    mu = z.mean(axis=1)
-    Z = np.zeros((K, m, m))
-    idx = np.arange(m)
-    Z[:, idx, idx] = z - mu[:, None]
-    Z[:, idx[:-1], idx[1:]] = 1.0
-    # the superdiagonal ones keep every norm >= 1, above the scalar route's 0.25
-    norm = np.abs(Z).sum(axis=1).max(axis=1)
+def anchored_first_row(z: np.ndarray, t: float):
+    """(t, row): `first_rows` of one node set anchored on its largest node
+    t, or on t - 700 where only that makes the row's last entry a normal
+    double."""
+    row = first_rows(z, t)
+    if row[-1] < sys.float_info.min:
+        low = first_rows(z, t - _LOW_ANCHOR)
+        if low[-1] >= sys.float_info.min:
+            return t - _LOW_ANCHOR, low
+    return t, row
+
+
+def _matrix_rows(z: np.ndarray):
+    """(t, x) of the matrix route on every sorted row: rows that share a
+    squaring count share one `first_rows` stack anchored on their largest
+    nodes, and a row whose x is not a normal double takes
+    `anchored_first_row`."""
+    t = z[:, -1].copy()
+    Z = z[:, -1:] - z
+    # the largest column sum of |Z|: the superdiagonal ones keep it >= 1
+    norm = np.maximum(Z[:, 0], 1.0 + Z[:, 1:].max(axis=1))
     s = np.ceil(np.log2(norm / 0.25)).astype(int)
-    out = np.empty(K)
+    x = np.empty(len(z))
     for sg in np.unique(s):
         rows = s == sg
-        B = Z[rows] / (2.0 ** sg)
-        F = np.broadcast_to(np.eye(m), B.shape).copy()
-        term = F.copy()
-        for k in range(1, 64):
-            term = term @ B / k
-            F += term
-            if (np.abs(term).max(axis=(1, 2)) <= 1e-20 * np.abs(F).max(axis=(1, 2))).all():
-                break
-        for _ in range(sg):
-            F = F @ F
-        out[rows] = F[:, 0, -1]
-    return np.exp(mu) * out
+        x[rows] = first_rows(z[rows], z[rows, -1:], sg)[:, -1]
+    for i in np.flatnonzero(x < sys.float_info.min):
+        t[i], row = anchored_first_row(z[i], t[i])
+        x[i] = row[-1]
+    return t, x
 
 
 def _row_exp_dd_batch(nodes):
-    """`exp_dd_batch` on sorted rows, through the reference row kernels; a
-    value outside the double range comes back inf or nan."""
+    """`exp_dd_batch` on sorted rows, through the reference row kernels: t
+    and x by each row's route, then e^t x, h x h with h = e^{t / 2} where
+    e^t overflows; inf where the value overflows, nan where x is 0."""
     z = np.sort(np.asarray(nodes, dtype=float), axis=1)
-    out = np.empty(len(z))
+    x = np.empty(len(z))
+    t = z[:, -1].copy()
     with np.errstate(all="ignore"):
         taylor = _taylor_rows(z)
-        out[~taylor] = _exp_dd_recurrence_rows(z[~taylor])
-        out[taylor] = _exp_dd_taylor_matrix_rows(z[taylor])
-    return out
+        x[~taylor] = _recurrence_rows(z[~taylor])
+        if taylor.any():
+            t[taylor], x[taylor] = _matrix_rows(z[taylor])
+        h = np.exp(t / 2.0)
+        value = np.where(np.isinf(np.exp(t)), h * x * h, np.exp(t) * x)
+    return np.where(x == 0.0, np.nan, value)

@@ -10,7 +10,6 @@ from gbmdd import divdiff, moments
 from gbmdd.ddarith import exp_dd_reference
 from gbmdd.moments import BNodes, GbmParams, moment_table
 from gbmdd.divdiff import (
-    _LOG_MIN_NORMAL,
     TAYLOR_MAX_AMPLIFICATION,
     TAYLOR_MIN_GAP_FACTOR,
     TAYLOR_MIN_ORDER,
@@ -33,7 +32,8 @@ from gbmdd.divdiff import (
 )
 
 from conftest import load_dd_cases
-from references import _row_exp_dd_batch, _taylor_rows, mp_exp_dd
+from references import (_row_exp_dd_batch, _taylor_rows, anchored_first_row, first_rows,
+                        mp_exp_dd, times_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_matrix_route_at_wide_spreads():
     # centred on the mean the matrix route overflowed although the value is
     # representable, or multiplied by a subnormal e^mean: 0.0 for the order-10
     # moment nodes of a wide point, whose value is 5.4e-29.  Anchored on the
-    # largest node every entry before the factor e^{z_n} lies in (0, 1].
+    # largest node every entry before the factor e^{z_n} lies in [0, 1].
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
     rows = [[0.0, -400.0, -800.0, -1200.0, -1600.0], [-740.0, -700.0], [-740.0, -715.0, -710.0],
             list(BNodes.from_params(p, 10).scaled(p.T))]
@@ -218,7 +218,7 @@ def test_matrix_route_at_wide_spreads():
         bound = 1e-12 * max(1.0, (max(row) - min(row)) / 250.0)
         for method in (EvalMethod.AUTO, EvalMethod.TAYLOR_MATRIX):
             assert rel_err(exp_dd(row, method=method), want) <= bound, (row, method)
-    # the batch's matrix rows take the scalar route's re-centring
+    # the batch's matrix rows, stacked by squaring count, keep the scalar bits
     for n in range(2, 11):
         same = [row for row in rows
                 if len(row) == n + 1 and choose_method(row) is EvalMethod.TAYLOR_MATRIX]
@@ -226,27 +226,72 @@ def test_matrix_route_at_wide_spreads():
             assert exp_dd_batch(same).tolist() == [exp_dd(row) for row in same], n
 
 
-def _one_loop_taylor_matrix(zs):
-    """The matrix route as a self-contained scaling-and-squaring loop on the
-    sorted nodes: the reference `exp_dd`'s matrix route reproduces bit for
-    bit."""
-    zs = np.sort(np.asarray(zs, dtype=float))
-    m = len(zs)
-    mu = float(zs.mean())
-    Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
-    norm = float(np.abs(Z).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-    B = Z / (2.0 ** s)
-    F = np.eye(m)
-    term = np.eye(m)
-    for k in range(1, 64):
-        term = term @ B / k
-        F = F + term
-        if np.abs(term).max() <= 1e-20 * np.abs(F).max():
-            break
-    for _ in range(s):
-        F = F @ F
-    return math.exp(mu) * float(F[0, -1])
+def _centred_row(z: np.ndarray):
+    """e^mu times the first row of exp(Z), Z with z - mu on its diagonal for
+    mu the mean node; None where e^mu is subnormal or overflows, or an entry
+    leaves the double range."""
+    mu = float(np.add.reduce(z)) / len(z)
+    if not math.log(sys.float_info.min) <= mu < math.log(sys.float_info.max):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = math.exp(mu) * first_rows(z, mu)
+    return row if np.isfinite(row).all() else None
+
+
+def _centred_matrix_route(zs) -> float:
+    """The matrix route centred on the mean node, which `exp_dd` took before
+    it anchored on the largest node, kept as an accuracy baseline; it fell
+    back on the largest node where `_centred_row` gives None."""
+    row = _centred_row(np.sort(np.asarray(zs, dtype=float)))
+    return float(row[-1]) if row is not None else exp_dd(zs, method=EvalMethod.TAYLOR_MATRIX)
+
+
+def _matrix_route_families(rng) -> dict:
+    """Seeded node sets the matrix route serves: clustered sets of three and
+    four distinct nodes and four-node near-ties that AUTO sends there (400
+    each), and sets of orders 5 to 12 at spreads 100 and 1000 (200 each)."""
+    families = {}
+    for name, n in (("clustered 3", 2), ("clustered 4", 3), ("near-tie 4", 3)):
+        rows = []
+        while len(rows) < 400:
+            if name == "near-tie 4":
+                z = _node_rows(rng, n, 300)[100:200]
+            else:
+                base = rng.uniform(-30.0, 30.0, (300, 1))
+                spread = (1.0 + np.abs(base)) * 10.0 ** rng.uniform(-7.0, math.log10(0.05), (300, 1))
+                z = np.sort(base + spread * rng.uniform(size=(300, n + 1)), axis=1)
+            rows += [row for row in z.tolist() if len(set(row)) == n + 1
+                     and divdiff._route(row) is EvalMethod.TAYLOR_MATRIX]
+        families[name] = rows[:400]
+    for spread in (100.0, 1000.0):
+        families[f"orders 5-12, spread {spread:g}"] = [
+            (rng.uniform(-300.0, 300.0) - spread * np.sort(np.r_[0.0, rng.uniform(size=n - 1), 1.0])).tolist()
+            for n in range(5, 13) for _ in range(25)]
+    return families
+
+
+def test_anchored_matrix_route_at_least_as_accurate_as_centred():
+    # on every family of `_matrix_route_families` and on the order-10 moment
+    # nodes of a wide point (which the centred route evaluated anchored,
+    # e^mean being subnormal) the anchored route's worst error against
+    # mpmath stays at or below the mean-centred route's.  `moment_table`'s
+    # shared row is not in this guard: it anchors low orders far below their
+    # own largest node, and over 400 seeded points its worst error reached
+    # 1.4 times the centred row's, its mean 1.05 times (the spread-scaled
+    # bound of `test_moment_table_against_mpmath_bidiagonal_expm` holds)
+    worst = {}
+    for name, rows in _matrix_route_families(np.random.default_rng(61)).items():
+        with mp.workdps(60):
+            want = [mp_exp_dd(row) for row in rows]
+        worst[name] = (max(rel_err(exp_dd(row), w) for row, w in zip(rows, want)),
+                       max(rel_err(_centred_matrix_route(row), w) for row, w in zip(rows, want)))
+    p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
+    nodes = BNodes.from_params(p, 10).scaled(p.T)
+    with mp.workdps(900):
+        want = mp_exp_dd(nodes)
+    worst["wide order 10"] = rel_err(exp_dd(nodes), want), rel_err(_centred_matrix_route(nodes), want)
+    for name, (anchored, centred) in worst.items():
+        assert anchored <= centred, (name, anchored, centred)
 
 
 def test_taylor_matrix_route_bit_identical_to_one_loop_reference():
@@ -257,7 +302,8 @@ def test_taylor_matrix_route_bit_identical_to_one_loop_reference():
         z[::5] *= 1e-7                  # clustered
         for row in z:
             got = exp_dd(row, method=EvalMethod.TAYLOR_MATRIX)
-            assert got == _one_loop_taylor_matrix(row), row.tolist()
+            t, x = anchored_first_row(np.sort(row), row.max())
+            assert got == times_exp(t, x[-1]), row.tolist()
 
 
 def test_choose_method_clustered_four_nodes():
@@ -353,6 +399,49 @@ def test_anchored_recurrence_at_least_as_accurate_as_centred():
         got = [rel_err(exp_dd(row), w) for row, w in zip(rows, want)]
         base = [rel_err(_centred_recurrence(row), w) for row, w in zip(rows, want)]
         assert max(got) <= max(base) and np.mean(got) <= np.mean(base), i
+
+
+def test_underflowed_tableau_raises_for_any_top():
+    # at a spread of 1e134 x = exp[z - z_n] underflows to 0; with a top of
+    # 700 both forms read 0.0 where the value is 6.8e-98, and now raise
+    # OverflowError for any top, as they did above 709.78
+    with mp.workdps(60):
+        assert rel_err(6.8e-98, mp_exp_dd([-1e134, -5e133, -3e133, 700.0])) < 0.01
+    for top in (-700.0, 0.0, 700.0, 1400.0):
+        row = [-1e134, -5e133, -3e133, top]
+        for method in (EvalMethod.AUTO, EvalMethod.TAYLOR_MATRIX):
+            with pytest.raises(OverflowError):
+                exp_dd(row, method=method)
+        with pytest.raises(OverflowError):
+            exp_dd_batch([row, [0.0, 1.0, 2.0, 3.0]])
+        assert np.isnan(divdiff._exp_dd_columns(np.array([row]).T)).all()
+
+
+def test_matrix_route_where_the_top_exponential_overflows():
+    # e^{z_n} overflows above z_n = 709.78 although the value may not: the
+    # matrix route takes h x h with h = e^{z_n / 2} as the recurrence does,
+    # and raises OverflowError where the value overflows too.  Centred, it
+    # raised wherever e^mean overflowed (the four sets with a mean above 712)
+    rows = [[610.0, 630.0, 650.0, 680.0, 715.0], [700.0, 700.1, 700.2, 712.0],
+            [714.0 + 0.25 * k for k in range(9)], [712.0 + 0.5 * k for k in range(10)],
+            [705.0 + 2.0 * k for k in range(8)], [700.0, 708.0, 712.0, 716.0, 718.0, 719.0, 720.0, 722.0],
+            [735.0, 735.0 + 1e-3, 735.0 + 2e-3], [650.0, 700.0, 710.0, 720.0, 730.0, 745.0],
+            [740.0, 741.0, 742.0, 743.0, 745.0], [756.0, 757.0, 758.0, 759.0, 759.9]]
+    seen = set()
+    for row in rows:
+        assert choose_method(row) is EvalMethod.TAYLOR_MATRIX, row
+        with mp.workdps(60):
+            want = mp_exp_dd(row)
+        seen.add(want < sys.float_info.max)
+        if want < sys.float_info.max:
+            assert rel_err(exp_dd(row), want) <= 1e-13, row
+            assert rel_err(exp_dd_batch([row])[0], want) <= 1e-13, row
+        else:
+            with pytest.raises(OverflowError):
+                exp_dd(row)
+            with pytest.raises(OverflowError):
+                exp_dd_batch([row])
+    assert seen == {True, False}
 
 
 def test_recurrence_where_the_top_exponential_overflows():
@@ -557,11 +646,10 @@ def test_exp_dd_batch_validation():
 
 
 # The scalar dispatch as it was before `exp_dd` validated, sorted and routed
-# its scaled nodes once, kept verbatim (with `_coerce_nodes` and the Taylor
-# loop that tested each maximum on its own) but for the matrix route's rule:
-# centred on the mean unless e^mean is subnormal or an entry leaves the
-# double range, then anchored on the largest node.  The single path
-# reproduces it bit for bit.
+# its scaled nodes once, kept verbatim (with `_coerce_nodes`) but for the
+# anchoring: each route computes x = exp[z - z_n] on the sorted nodes, the
+# matrix route by the reference Taylor loop `first_rows`, and `times_exp`
+# returns e^{z_n} x.  The single path reproduces it bit for bit.
 
 
 def _coerce_nodes(nodes) -> tuple[float, ...]:
@@ -596,95 +684,53 @@ def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
 
 
 def _exp_dd_recurrence(zs: list[float]) -> float:
-    """e^{z_n} times the Newton tableau of exp(z - z_n) on the sorted nodes,
-    whose first level is e^{z_{i+1} - z_n} (-expm1(-g)) / g and whose ties
-    take e^{z_i - z_n} / k!; h x h with h = e^{z_n / 2} where e^{z_n}
-    overflows, OverflowError where that overflows too or is 0."""
-    zs = sorted(zs)
+    """x = exp[z - z_n], the Newton tableau of exp(z - z_n) on the sorted
+    nodes, whose first level is e^{z_{i+1} - z_n} (-expm1(-g)) / g and whose
+    ties take e^{z_i - z_n} / k!."""
     n, top = len(zs), zs[-1]
     if n == 1:
-        return math.exp(top)
+        return 1.0
     e = [math.exp(z - top) for z in zs]
     lev = [e[i + 1] * (-math.expm1(-g) / g if g != 0.0 else 1.0)
            for i, g in enumerate(b - a for a, b in zip(zs, zs[1:]))]
     for k in range(2, n):
         lev = [e[i] / math.factorial(k) if zs[i + k] == zs[i]
                else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
-    try:
-        return math.exp(top) * lev[0]
-    except OverflowError:
-        h = math.exp(top / 2.0)
-        if h * lev[0] * h in (0.0, math.inf):
-            raise
-        return h * lev[0] * h
-
-
-def _exp_dd_first_row(zs: np.ndarray, anchored: bool = False) -> np.ndarray:
-    m = len(zs)
-    mu = float(zs[-1]) if anchored else float(zs.mean())
-    if mu < _LOG_MIN_NORMAL and not anchored:
-        raise OverflowError("exp_dd: e^mean is subnormal")
-    Z = np.diag(zs - mu) + np.diag(np.ones(m - 1), 1)
-    norm = float(np.abs(Z).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-    B = Z / (2.0 ** s)
-    F = np.eye(m)
-    term = np.eye(m)
-    for k in range(1, 64):
-        term = term @ B / k
-        F = F + term
-        if np.abs(term).max() <= 1e-20 * np.abs(F).max():
-            break
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            F = F @ F
-        row = math.exp(mu) * F[0]
-    if not np.isfinite(row).all():
-        raise OverflowError("exp_dd: a value is outside the double range")
-    return row
-
-
-def _exp_dd_taylor_matrix(zs: list[float]) -> float:
-    z = np.sort(np.asarray(zs, dtype=float))
-    try:
-        return float(_exp_dd_first_row(z)[-1])
-    except OverflowError:
-        return float(_exp_dd_first_row(z, anchored=True)[-1])
+    return lev[0]
 
 
 def _exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> float:
     if not math.isfinite(scale):
         raise ValueError("scale must be finite")
-    zs = [scale * x for x in _coerce_nodes(nodes)]
-    if len(zs) == 1:
-        return math.exp(zs[0])
+    zs = sorted(scale * x for x in _coerce_nodes(nodes))
     if method is EvalMethod.AUTO:
         method = _choose_method(nodes, scale)
     if method is EvalMethod.RECURRENCE:
-        return _exp_dd_recurrence(zs)
+        return times_exp(zs[-1], _exp_dd_recurrence(zs))
     if method is EvalMethod.TAYLOR_MATRIX:
-        return _exp_dd_taylor_matrix(zs)
+        t, row = anchored_first_row(np.array(zs), zs[-1])
+        return times_exp(t, row[-1])
     raise ValueError(f"unknown evaluation method: {method!r}")
 
 
 def _moment_table(p, max_m: int) -> list[tuple[int, float, str]]:
-    """`moment_table` on the dispatch above, as (order, value, method)."""
+    """`moment_table` on the dispatch above, as (order, value, method): one
+    first row on the nodes of the highest matrix-route order, anchored as
+    the matrix route anchors; an order whose x is not a normal double, or
+    whose e^t x overflows, is evaluated on its own."""
     nodes = BNodes.from_params(p, max_m).scaled(p.T)
     methods = [_choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
-    row = []
-    if top:
-        try:
-            row = _exp_dd_first_row(np.array(nodes[:top + 1])).tolist()
-        except OverflowError:
-            pass
+    t, row = anchored_first_row(np.array(nodes[:top + 1]), max(nodes[:top + 1]))
+    row = row.tolist()
     out = [(0, 1.0, "exact")]
     for m, method in enumerate(methods, 1):
-        if (method is EvalMethod.TAYLOR_MATRIX and row
-                and sys.float_info.min <= row[m] < math.inf):
-            dd = row[m]
-        else:
+        try:
+            if method is not EvalMethod.TAYLOR_MATRIX or not sys.float_info.min <= row[m] < math.inf:
+                raise OverflowError
+            dd = times_exp(t, row[m])
+        except OverflowError:
             dd = _exp_dd(nodes[:m + 1])
         value = math.factorial(m) * dd
         if value == math.inf:
@@ -739,9 +785,9 @@ def test_moment_table_bit_identical_to_reference_dispatch():
 
 
 def _squarings(zs: np.ndarray) -> int:
-    """The squaring count s of the reference `_exp_dd_first_row`."""
+    """The squaring count s of `first_rows` anchored on the largest node."""
     m = len(zs)
-    Z = np.diag(zs - zs.mean()) + np.diag(np.ones(m - 1), 1)
+    Z = np.diag(zs - zs.max()) + np.diag(np.ones(m - 1), 1)
     norm = float(np.abs(Z).sum(axis=0).max())
     return max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
 
@@ -755,54 +801,46 @@ def _first_tested_step(s: int, m: int) -> int:
     return k
 
 
-def _first_row_outcome(f, zs: np.ndarray):
-    """f's row as bytes, or OverflowError where it raises that."""
-    try:
-        return f(zs).tobytes()
-    except OverflowError:
-        return OverflowError
-
-
 def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
     # Node sets of 1..13 nodes scaled to every squaring count s from 0 to 16
     # that the bidiagonal matrix allows (norm 0 for one node, else at least
-    # 1), at both ends of each count's norm range; from s = 12 on the
-    # squarings overflow for some of them.  Then three nodes at s = 68, whose
-    # first tested step is 1, and the order-10 moment nodes of a wide point,
-    # whose e^mean is subnormal (the row underflowed to zeros sorted) and
-    # whose row overflows in moment order.  Each set is also run anchored on
-    # its last node.  The scalar loop skips its stopping test before
-    # `_first_tested_step`; the reference tests it at every step.  The kernel
-    # writes its products into buffers of its own, never into its input.
+    # 1), at both ends of each count's norm range, each anchored on its
+    # largest node.  Then three nodes at s = 68, whose first tested step is
+    # 1, the order-10 moment nodes of a wide point, in moment order and
+    # sorted (there the low entries underflow to 0), and order-8 moment
+    # nodes whose entries 2 to 4 are subnormal.  The
+    # scalar loop skips its stopping test before `_first_tested_step`; the
+    # reference tests it at every step.  The kernel writes its products into
+    # buffers of its own, never into its input.
     rng = np.random.default_rng(59)
     seen = set()
     cases = []
     for m in range(1, 14):
         for s in range(0, 17):
-            spans = [0.0] if s <= 2 else [(2.0 ** (s - 3) - 1.0) * (1 + 1e-9) + 1e-9,
+            # the norm is max(span, 1 + the second largest node's distance)
+            spans = [0.0] if s <= 2 else [2.0 ** (s - 3) * (1 + 1e-9),
                                            (2.0 ** (s - 2) - 1.0) * (1 - 1e-9)]
             for span, center in ((d, c) for d in spans for c in (0.0, 2.5, -7.0)):
                 u = rng.uniform(-1.0, 1.0, m)
-                u -= u.mean()
-                zs = center + span * u / (np.abs(u).max() or 1.0)
+                zs = center + span * (u - u.max()) / ((u.max() - u.min()) or 1.0)
                 seen.add((_squarings(zs), m))
                 cases.append(zs)
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
     wide = np.array(BNodes.from_params(p, 10).scaled(p.T))
-    cases += [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide)]
-    outcomes = []
+    sub = np.array(BNodes.from_params(GbmParams(-70.0, math.sqrt(45.0), 1.0), 8).scaled(1.0))
+    cases += [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide), sub]
     for zs in cases:
         before = zs.tobytes()
-        got = _first_row_outcome(divdiff._exp_dd_first_row, zs)
+        got = divdiff._bidiagonal_first_rows(zs, zs.max())
         assert zs.tobytes() == before, zs.tolist()
-        assert got == _first_row_outcome(_exp_dd_first_row, zs), zs.tolist()
-        outcomes.append(got)
-        anchored = _first_row_outcome(lambda z: divdiff._exp_dd_first_row(z, anchored=True), zs)
-        assert anchored == _first_row_outcome(lambda z: _exp_dd_first_row(z, anchored=True), zs)
+        assert got.tobytes() == first_rows(zs, zs.max()).tobytes(), zs.tolist()
+        assert ((0.0 <= got) & (got <= 1.0)).all(), zs.tolist()
     want = {(0, 1)} | {(s, m) for s in range(2, 17) for m in range(2, 14)}
     assert want <= seen
-    assert OverflowError in outcomes
-    assert outcomes[-2:] == [OverflowError, OverflowError]
+    assert _squarings(cases[-4]) == 68
+    assert 0.0 in divdiff._bidiagonal_first_rows(np.sort(wide), wide.max())
+    row = divdiff._bidiagonal_first_rows(sub, sub.max())
+    assert ((0.0 < row[2:5]) & (row[2:5] < sys.float_info.min)).all()
     # the skip ends below m for some pairs and reaches m for others
     crossings = {_first_tested_step(s, m) < m for s, m in seen}
     assert crossings == {True, False}

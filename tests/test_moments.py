@@ -698,28 +698,24 @@ def test_moment_table_against_mpmath_bidiagonal_expm():
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
-    # an entry of the shared row that is zero, subnormal or not finite, or a
-    # row that overflows as a whole, falls back to exp_dd for that order
+    # an entry of the shared row that is zero, subnormal or not finite falls
+    # back to exp_dd for that order
     p = GbmParams(r=0.3, sigma=0.9, T=2.0)
     nodes = BNodes.from_params(p, 10).scaled(p.T)
     scalar = [math.factorial(m) * exp_dd(nodes[:m + 1]) for m in range(11)]
-    first_row = divdiff._exp_dd_first_row
+    first_row = divdiff._first_row
 
-    def damaged(zs):
-        row = first_row(zs)
+    def damaged(zs, t):
+        t, row = first_row(zs, t)
         row[[4, 6, 9]] = [0.0, 5e-324, math.inf]
-        return row
+        return t, row
 
-    def overflowing(zs):
-        raise OverflowError("row")
-
-    for fake, recomputed in ((damaged, (4, 6, 9)), (overflowing, range(1, 11))):
-        monkeypatch.setattr("gbmdd.moments._exp_dd_first_row", fake)
-        table = moment_table(p, 10)
-        for m in recomputed:
-            assert table[m].value == scalar[m], m
-        assert [t.method for t in table[1:]] == [
-            divdiff.choose_method(nodes[:m + 1]).value for m in range(1, 11)]
+    monkeypatch.setattr("gbmdd.moments._first_row", damaged)
+    table = moment_table(p, 10)
+    for m in (4, 6, 9):
+        assert table[m].value == scalar[m], m
+    assert [t.method for t in table[1:]] == [
+        divdiff.choose_method(nodes[:m + 1]).value for m in range(1, 11)]
 
 
 def test_moment_table_evaluates_without_exp_dd(monkeypatch, bench):
@@ -798,6 +794,57 @@ def test_moment_A_at_wide_negative_rates_against_mpmath():
             want = math.factorial(m) * mp_exp_dd(nodes)
             bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
             assert abs(moment_A(p, m) / want - 1) <= bound, p
+
+
+def test_moment_table_with_subnormal_row_entries_against_mpmath():
+    # the largest order-8 node at r = -70, sigma^2 = 45, T = 1 is 700, so the
+    # shared row's entries 2 to 4 are subnormal (read from the row, order 4
+    # was 2e-13 off); those orders are evaluated on their own
+    p = GbmParams(-70.0, math.sqrt(45.0), 1.0)
+    nodes = BNodes.from_params(p, 8).scaled(p.T)
+    row = divdiff._bidiagonal_first_rows(np.array(nodes), max(nodes))
+    assert ((0.0 < row[2:5]) & (row[2:5] < sys.float_info.min)).all()
+    bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
+    with mp.workdps(60):
+        for m, entry in enumerate(moment_table(p, 8)):
+            assert abs(entry.value / (math.factorial(m) * mp_exp_dd(nodes[:m + 1])) - 1) <= bound, m
+
+
+def test_high_moment_orders_anchor_lower(bench):
+    # exp[z - max z] <= 1/n! underflows from about order 133 at the benchmark
+    # point, where E A^m is representable: there the matrix route anchors
+    # 700 below the largest node, in the table, in exp_dd and in the batch.
+    # Orders up to 160 stay within the spread-scaled bound of mpmath; at 170
+    # the high Taylor terms underflow (1.8e-7 off, 0.82 off centred)
+    nodes = BNodes.from_params(bench, 160).scaled(bench.T)
+    table = moment_table(bench, 160)
+    batch_rows = np.array([nodes[:151], [x - 1.0 for x in nodes[:151]]])
+    assert divdiff._bidiagonal_first_rows(np.array(nodes), max(nodes))[140] == 0.0
+    with mp.workdps(60):
+        for m in (20, 100, 140, 150, 160):
+            want = mp_exp_dd(nodes[:m + 1])
+            bound = 1e-12 * max(1.0, (max(nodes[:m + 1]) - min(nodes[:m + 1])) / 250.0)
+            assert abs(table[m].value / (math.factorial(m) * want) - 1) <= bound, m
+            assert abs(exp_dd(nodes[:m + 1]) / want - 1) <= bound, m
+        for row, value in zip(batch_rows, divdiff.exp_dd_batch(batch_rows)):
+            bound = 1e-12 * max(1.0, (row.max() - row.min()) / 250.0)
+            assert abs(value / mp_exp_dd(row) - 1) <= bound
+    assert divdiff._exp_dd_columns(batch_rows.T).tobytes() == _row_exp_dd_batch(batch_rows).tobytes()
+    assert math.isfinite(moment_A(bench, 170))
+
+
+def test_scaled_form_serves_s_statistic_grid_scan_and_correlation(monkeypatch):
+    # where a divided difference or a product leaves the normal range all
+    # three still reach `_log_s`
+    calls = []
+    log_s = moments._log_s
+    monkeypatch.setattr(moments, "_log_s", lambda z: calls.append(z) or log_s(z))
+    assert s_statistic(180.0, 361.0) == pytest.approx(1.9912740744957953, rel=1e-12)
+    assert grid_scan(GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1)).values[0, 0] == pytest.approx(
+        1.9912740744957953, rel=1e-12)
+    R = correlation(GbmParams(-268.6425722144426, 7.886271062952987, 1.9296876647912937)).R
+    assert R == pytest.approx(7.241482451818302e-27, rel=1e-12)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
