@@ -6,8 +6,9 @@ The exponential evaluator `exp_dd` is the workhorse.  Its two routes: the
 plain recurrence is fast and accurate for a handful of well-separated nodes
 but cancels catastrophically for clustered nodes, where the bidiagonal
 matrix-exponential method (McCurdy, Ng and Parlett, 1984) keeps full
-relative accuracy.  `EvalMethod.AUTO` switches between the two with
-conservative thresholds, module constants.  Two nodes always take the
+relative accuracy.  `EvalMethod.AUTO` switches between the two by a rule on
+node spans alone, module constants, so a shifted set keeps its route.  Two
+nodes always take the
 recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
@@ -15,15 +16,16 @@ only code that acts on a route, then evaluates them, also for `moment_table`,
 which sorts and routes its nested node sets itself.  Both routes compute
 x = exp[z - t] in (0, 1] for t the largest node (the matrix route anchors
 lower where x underflows at high orders), and one step, `_times_exp`, scales
-it by e^t.  The matrix method's one kernel, `_bidiagonal_first_rows`, writes
-each product into a per-call buffer, never onto a factor, takes both maxima
-of the stopping test in one reduction and skips it where it cannot pass.
+it by e^t, or raises where x is not a normal double.  The matrix method's one
+kernel, `_bidiagonal_first_rows`, writes each product into a per-call buffer,
+never onto a factor, takes both maxima of the stopping test in one reduction
+and skips it where it cannot pass.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
 through `out=` into a few columns the kernel owns, not into a new temporary.
 A sorting network orders every row on a copy, AUTO's rule runs elementwise
-with the same constants in four scratch columns, each recurrence tableau
+with the same constants in three scratch columns, each recurrence tableau
 level overwrites the one before it, and the matrix method runs through the
 same kernel as the scalar route, one stack per squaring count, into the
 recurrence's x column, scaled once.  `grid_scan` hands its node columns to
@@ -60,20 +62,18 @@ __all__ = [
     "ordered_exp_simplex_quad",
 ]
 
-# For three or more nodes, AUTO picks the matrix method when the node spread
-# is below this fraction of the node magnitude, when the order is at least
-# TAYLOR_MIN_ORDER, or when two distinct nodes nearly coincide.  A near-tie
-# costs three nodes little (expm1 first level: 1.2e-14), but four such as
-# [0, a, 2a, 2a + 1e-7] reached 4.5e-13 on the recurrence, 1.3e-15 here.
-TAYLOR_SPREAD_FACTOR = 0.05
+# AUTO reads node spans only (anchored, the recurrence's error does not grow
+# with the nodes' magnitude; the matrix route's ~log2(spread) squarings lose
+# wide sets).  The matrix method takes five or more nodes, three of spread
+# below TAYLOR_MIN_SPREAD, and four where the recurrence amplifies rounding by
+# 1 / (s2 * spread) > TAYLOR_MAX_AMPLIFICATION (s2 the smallest nonzero span of
+# three consecutive nodes) or a gap below TAYLOR_MIN_GAP lies inside a cluster
+# (spread < 1): var A(T)'s [0, a, 2a, 2a + 1e-7] read 4.5e-13 on the
+# recurrence, 1.3e-15 here.  Exact ties stay: they are confluent-safe.
 TAYLOR_MIN_ORDER = 4
-TAYLOR_MIN_GAP_FACTOR = 1e-5
-# Four nodes: the recurrence's two cancelling levels amplify rounding by about
-# scale_bound / (s2 * spread), s2 the smallest nonzero span of three
-# consecutive nodes.  Above this bound AUTO takes the matrix method, on
-# clustered node sets that reached 5e-10 without the guard; just below it the
-# recurrence stayed within 7.9e-13 of mpmath (worst of 100 000 seeded sets).
-TAYLOR_MAX_AMPLIFICATION = 300.0
+TAYLOR_MIN_SPREAD = 0.05
+TAYLOR_MAX_AMPLIFICATION = 100.0
+TAYLOR_MIN_GAP = 1e-5
 # exp[z - max z] <= 1/n! underflows at high orders where the value need not
 # (order 140 of moment_A at r = 0.05, sigma = 0.2, T = 1); the matrix route
 # anchors this far lower there, so every entry stays below e^700.
@@ -176,23 +176,15 @@ def choose_method(nodes, scale: float = 1.0) -> EvalMethod:
 
 
 def _route(zs: list[float]) -> EvalMethod:
-    """AUTO's rule on sorted, finite nodes."""
-    n = len(zs) - 1
-    if n <= 1:
-        return EvalMethod.RECURRENCE
-    spread = zs[-1] - zs[0]
-    scale_bound = 1.0 + max(abs(zs[0]), abs(zs[-1]))
-    if n >= TAYLOR_MIN_ORDER or spread < TAYLOR_SPREAD_FACTOR * scale_bound:
-        return EvalMethod.TAYLOR_MATRIX
-    # exact ties are confluent-safe on the recurrence; a near-tie among four nodes is not
-    min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
-    if 0.0 < min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound:
-        return EvalMethod.TAYLOR_MATRIX
-    if n == 3:
-        spans = [s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0]
-        if spans and scale_bound > TAYLOR_MAX_AMPLIFICATION * min(spans) * spread:
-            return EvalMethod.TAYLOR_MATRIX
-    return EvalMethod.RECURRENCE
+    """AUTO's rule on sorted, finite nodes, from their spans alone."""
+    n, spread = len(zs) - 1, zs[-1] - zs[0]
+    matrix = n >= TAYLOR_MIN_ORDER or n == 2 and spread < TAYLOR_MIN_SPREAD
+    if n == 3 and not matrix:
+        s2 = min((s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0), default=math.inf)
+        gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=math.inf)
+        matrix = (TAYLOR_MAX_AMPLIFICATION * s2 * spread < 1.0
+                  or spread < 1.0 and gap < TAYLOR_MIN_GAP)
+    return EvalMethod.TAYLOR_MATRIX if matrix else EvalMethod.RECURRENCE
 
 
 def _exp_dd_recurrence(zs: list[float]) -> float:
@@ -215,9 +207,10 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
 def _times_exp(t: float, x: float) -> float:
     """e^t x for x = exp[z - t], the scaling step every route ends in: h x h
     with h = e^{t / 2} where e^t overflows (t above 709.78).  OverflowError
-    where the value overflows, or where x is 0: it underflowed, losing it."""
-    if x == 0.0:
-        raise OverflowError("exp_dd: exp[z - max z] underflows to 0")
+    where the value overflows, or where x is not a normal double: it
+    underflowed, or a forced route lost it, and its digits with it."""
+    if not x >= sys.float_info.min:
+        raise OverflowError("exp_dd: exp[z - max z] is not a normal double")
     try:
         value = math.exp(t) * x
     except OverflowError:
@@ -298,12 +291,13 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     """Divided difference of the exponential, exp[s*x_0, ..., s*x_n].
 
     Repeated nodes are handled confluently (n+1 copies of x give e^x / n!).
-    The result is positive for any real nodes.  AUTO sends nearly coincident
-    distinct nodes to the matrix route (four such as [0, a, 2a, 2a + 1e-7]
-    lose digits on the recurrence); exact ties stay.  A `method` other than
-    AUTO forces that route.  Raises ValueError for any other `method` and
-    unless every scaled node is finite; OverflowError where the value
-    overflows, or where x = exp[z - max z] underflows to 0, losing it.
+    The result is positive for any real nodes.  AUTO reads node spans only:
+    clustered nodes take the matrix route, as do four with a near-tie in a
+    cluster such as [0, a, 2a, 2a + 1e-7]; exact ties stay.  A `method` other
+    than AUTO forces that route.  Raises ValueError for any other `method`
+    and unless every scaled node is finite; OverflowError where the value
+    overflows, or where x = exp[z - max z] is not a normal double, its
+    digits lost to underflow or to a forced route.
     """
     zs = sorted(_coerce_nodes(nodes, scale))
     return _exp_dd_sorted(zs, _route(zs) if method is EvalMethod.AUTO else method)
@@ -338,15 +332,13 @@ def _taylor_columns(c) -> np.ndarray:
     n = len(c) - 1
     if n <= 1 or n >= TAYLOR_MIN_ORDER:
         return np.full(len(c[0]), n >= TAYLOR_MIN_ORDER)
-    spread, bound, span, t = np.empty((4, len(c[0])))
+    spread, span, t = np.empty((3, len(c[0])))
     np.subtract(c[-1], c[0], out=spread)
-    np.maximum(np.abs(c[0], out=bound), np.abs(c[-1], out=t), out=bound)
-    np.add(1.0, bound, out=bound)   # scale_bound
-    taylor = spread < np.multiply(TAYLOR_SPREAD_FACTOR, bound, out=t)
-    taylor |= _min_positive_span(c, 1, span, t) < np.multiply(TAYLOR_MIN_GAP_FACTOR, bound, out=t)
-    if n == 3:
-        s2 = np.multiply(TAYLOR_MAX_AMPLIFICATION, _min_positive_span(c, 2, span, t), out=span)
-        taylor |= bound > np.multiply(s2, spread, out=s2)
+    if n == 2:
+        return spread < TAYLOR_MIN_SPREAD
+    s2 = np.multiply(TAYLOR_MAX_AMPLIFICATION, _min_positive_span(c, 2, span, t), out=span)
+    taylor = np.multiply(s2, spread, out=s2) < 1.0
+    taylor |= (spread < 1.0) & (_min_positive_span(c, 1, span, t) < TAYLOR_MIN_GAP)
     return taylor
 
 
@@ -391,12 +383,12 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
 def _times_exp_columns(t, x) -> np.ndarray:
     """`_times_exp` on columns, in place on x: inf or nan where it raises."""
     e = np.exp(t)
+    e[~(x >= sys.float_info.min)] = np.nan
     big = np.isinf(e)
     if big.any():
         h = np.exp(t[big] / 2.0)
         x[big] = h * x[big] * h
         e[big] = 1.0
-    e[x == 0.0] = np.nan
     return np.multiply(e, x, out=x)
 
 
@@ -405,7 +397,8 @@ def exp_dd_batch(nodes) -> np.ndarray:
 
     Each row takes the route AUTO picks for it in `exp_dd` and agrees with
     the scalar value to rounding.  Raises ValueError for a bad shape or
-    non-finite nodes, OverflowError where a value leaves the double range.
+    non-finite nodes, OverflowError where a value overflows or a row's
+    x = exp[z - max z] is not a normal double, as `exp_dd` does.
     It works on node columns; the sorting network's buffer is the one copy
     it makes of the nodes.
     """
@@ -416,13 +409,13 @@ def exp_dd_batch(nodes) -> np.ndarray:
         raise ValueError("nodes must be finite")
     out = _exp_dd_columns(z.T)
     if not np.isfinite(out).all():
-        raise OverflowError("exp_dd_batch: a value is outside the double range")
+        raise OverflowError("exp_dd_batch: a value overflows or its x is not a normal double")
     return out
 
 
 def _exp_dd_columns(c) -> np.ndarray:
     """`exp_dd_batch` on finite node columns `c`, read without writing to
-    them; a value outside the double range comes back inf or nan."""
+    them; a value where `exp_dd` raises comes back inf or nan."""
     c = _sort_columns(c)
     with np.errstate(all="ignore"):
         taylor = _taylor_columns(c)

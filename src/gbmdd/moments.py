@@ -490,7 +490,7 @@ def moment_A(p: GbmParams, m: int) -> float:
 
     The node set collapses confluently at sigma = 0 or r = 0; the divided
     difference handles that exactly.  The value is `moment_table(p, m)`'s
-    last entry, with its ValueError and OverflowError.
+    last entry, with its exceptions and its accuracy at high orders.
     """
     return moment_table(p, m)[m].value
 
@@ -505,7 +505,9 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     scaled by e^t; an order whose x is not a normal double is evaluated on
     its own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
     computed here.  Order 1 evaluated on its own is the memoised `mean_A`,
-    and order 2 has the bits of `second_moment_A`: the same nodes.
+    and order 2 has the bits of `second_moment_A`: the same nodes.  The Taylor
+    terms of high offsets underflow: at r = 0.05, sigma = 0.2, T = 1, orders
+    150, 160 and 170 (the last below 171!) are 2.5e-13, 1.6e-13 and 1.8e-7 off.
     """
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")

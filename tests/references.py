@@ -11,9 +11,9 @@ import numpy as np
 from gbmdd.divdiff import (
     _LOW_ANCHOR,
     TAYLOR_MAX_AMPLIFICATION,
-    TAYLOR_MIN_GAP_FACTOR,
+    TAYLOR_MIN_GAP,
     TAYLOR_MIN_ORDER,
-    TAYLOR_SPREAD_FACTOR,
+    TAYLOR_MIN_SPREAD,
 )
 
 
@@ -78,10 +78,10 @@ def first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
 
 def times_exp(t: float, x: float) -> float:
     """e^t x, as h x h with h = e^{t / 2} where e^t overflows; OverflowError
-    where x is 0 or the value overflows."""
+    where x is not a normal double or the value overflows."""
     x = float(x)
-    if x == 0.0:
-        raise OverflowError("x is 0")
+    if not x >= sys.float_info.min:
+        raise OverflowError("x is not a normal double")
     try:
         value = math.exp(t) * x
     except OverflowError:
@@ -98,16 +98,13 @@ def _taylor_rows(z: np.ndarray) -> np.ndarray:
     if n <= 1 or n >= TAYLOR_MIN_ORDER:
         return np.full(len(z), n >= TAYLOR_MIN_ORDER)
     spread = z[:, -1] - z[:, 0]
-    scale_bound = 1.0 + np.maximum(np.abs(z[:, 0]), np.abs(z[:, -1]))
+    if n == 2:
+        return spread < TAYLOR_MIN_SPREAD
+    spans = z[:, 2:] - z[:, :-2]
+    s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
     gaps = np.diff(z, axis=1)
     min_gap = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
-    taylor = ((spread < TAYLOR_SPREAD_FACTOR * scale_bound)
-              | (min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound))
-    if n == 3:
-        spans = z[:, 2:] - z[:, :-2]
-        s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
-        taylor |= scale_bound > TAYLOR_MAX_AMPLIFICATION * s2 * spread
-    return taylor
+    return (TAYLOR_MAX_AMPLIFICATION * s2 * spread < 1.0) | ((spread < 1.0) & (min_gap < TAYLOR_MIN_GAP))
 
 
 def _recurrence_rows(z: np.ndarray) -> np.ndarray:
@@ -163,7 +160,8 @@ def _matrix_rows(z: np.ndarray):
 def _row_exp_dd_batch(nodes):
     """`exp_dd_batch` on sorted rows, through the reference row kernels: t
     and x by each row's route, then e^t x, h x h with h = e^{t / 2} where
-    e^t overflows; inf where the value overflows, nan where x is 0."""
+    e^t overflows; inf where the value overflows, nan where x is not a
+    normal double."""
     z = np.sort(np.asarray(nodes, dtype=float), axis=1)
     x = np.empty(len(z))
     t = z[:, -1].copy()
@@ -174,4 +172,4 @@ def _row_exp_dd_batch(nodes):
             t[taylor], x[taylor] = _matrix_rows(z[taylor])
         h = np.exp(t / 2.0)
         value = np.where(np.isinf(np.exp(t)), h * x * h, np.exp(t) * x)
-    return np.where(x == 0.0, np.nan, value)
+    return np.where(x >= sys.float_info.min, value, np.nan)

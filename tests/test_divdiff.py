@@ -11,9 +11,9 @@ from gbmdd.ddarith import exp_dd_reference
 from gbmdd.moments import BNodes, GbmParams, moment_table
 from gbmdd.divdiff import (
     TAYLOR_MAX_AMPLIFICATION,
-    TAYLOR_MIN_GAP_FACTOR,
+    TAYLOR_MIN_GAP,
     TAYLOR_MIN_ORDER,
-    TAYLOR_SPREAD_FACTOR,
+    TAYLOR_MIN_SPREAD,
     EvalMethod,
     NodeList,
     SimplexSpec,
@@ -142,8 +142,10 @@ def test_choose_method_geometry():
     assert choose_method([1.0, 1.001, 1.002]) is EvalMethod.TAYLOR_MATRIX
     # order guard
     assert choose_method(list(range(6))) is EvalMethod.TAYLOR_MATRIX
-    # near-coincident pair inside a wide spread
-    assert choose_method([0.0, 1.0, 1.0 + 1e-9, 3.0]) is EvalMethod.TAYLOR_MATRIX
+    # a near-coincident pair inside a cluster; inside a wide spread it costs
+    # the recurrence no more than a generic set of the same s2 * spread
+    assert choose_method([0.0, 0.1, 0.1 + 1e-9, 0.3]) is EvalMethod.TAYLOR_MATRIX
+    assert choose_method([0.0, 1.0, 1.0 + 1e-9, 3.0]) is EvalMethod.RECURRENCE
     # exact ties stay on the recurrence (confluent-safe)
     assert choose_method([0.0, 1.0, 1.0, 3.0]) is EvalMethod.RECURRENCE
     # scale shrinks the spread below the threshold
@@ -320,7 +322,7 @@ def test_choose_method_clustered_four_nodes():
 
 def test_near_tie_guard_keeps_var_A_nodes_accurate():
     # var A(T)'s nodes [0, rT, 2rT, (2r + sigma^2) T] at a small sigma: the
-    # TAYLOR_MIN_GAP_FACTOR guard sends the near-tie to the matrix route
+    # TAYLOR_MIN_GAP guard sends the near-tie to the matrix route
     # (worst seen 1.3e-15); without it the recurrence reached 4.5e-13
     rng = np.random.default_rng(73)
     worst = 0.0
@@ -342,8 +344,7 @@ def _amplification_bound_sets(rng, count: int) -> list[list[float]]:
         k = 1024
         lo = rng.uniform(-30.0, 30.0, k)
         spread = 10.0 ** rng.uniform(-1.0, math.log10(30.0), k)
-        bound = 1.0 + np.maximum(np.abs(lo), np.abs(lo + spread))
-        s2 = bound / (TAYLOR_MAX_AMPLIFICATION * spread) * rng.uniform(1.0, 1.5, k)
+        s2 = 1.0 / (TAYLOR_MAX_AMPLIFICATION * spread) * rng.uniform(1.0, 1.5, k)
         z = np.stack([lo, lo + rng.uniform(0.05, 0.95, k) * s2, lo + s2, lo + spread], axis=1)
         flip = rng.random(k) < 0.5
         z[flip] = (z[flip].min(axis=1) + z[flip].max(axis=1))[:, None] - z[flip]
@@ -417,12 +418,34 @@ def test_underflowed_tableau_raises_for_any_top():
         assert np.isnan(divdiff._exp_dd_columns(np.array([row]).T)).all()
 
 
+def test_x_outside_the_normal_range_raises():
+    # a subnormal x = exp[z - max z] keeps few digits: e^700 x read 3.1e-5
+    # off at the first set, whose value 6.8e-15 is a normal double, and 77%
+    # off at the second on the recurrence; a recurrence forced onto five
+    # clustered nodes returned a negative value
+    rows = [[-1e80, -5e79, -3e79, -1e79, 700.0], [-6.4e161, -3.2e161, 0.0, 1.0]]
+    with mp.workdps(60):
+        assert 6e-15 < mp_exp_dd(rows[0]) < 7e-15
+    for row in rows:
+        with pytest.raises(OverflowError):
+            exp_dd(row)
+        with pytest.raises(OverflowError):
+            exp_dd_batch([row, [0.0, 1.0, 2.0, 3.0, 4.0][:len(row)]])
+        assert np.isnan(divdiff._exp_dd_columns(np.array([row]).T)).all()
+    clustered = [0.34125003469931237, 0.34125076260196946, 0.34125086251458175,
+                 0.3412519106533954, 0.34125196209372305]
+    assert divdiff._exp_dd_recurrence(clustered) < 0.0
+    with pytest.raises(OverflowError):
+        exp_dd(clustered, method=EvalMethod.RECURRENCE)
+    assert rel_err(exp_dd(clustered), mp_exp_dd(clustered)) <= 1e-14
+
+
 def test_matrix_route_where_the_top_exponential_overflows():
     # e^{z_n} overflows above z_n = 709.78 although the value may not: the
     # matrix route takes h x h with h = e^{z_n / 2} as the recurrence does,
     # and raises OverflowError where the value overflows too.  Centred, it
     # raised wherever e^mean overflowed (the four sets with a mean above 712)
-    rows = [[610.0, 630.0, 650.0, 680.0, 715.0], [700.0, 700.1, 700.2, 712.0],
+    rows = [[610.0, 630.0, 650.0, 680.0, 715.0], [700.0, 700.0001, 700.0002, 712.0],
             [714.0 + 0.25 * k for k in range(9)], [712.0 + 0.5 * k for k in range(10)],
             [705.0 + 2.0 * k for k in range(8)], [700.0, 708.0, 712.0, 716.0, 718.0, 719.0, 720.0, 722.0],
             [735.0, 735.0 + 1e-3, 735.0 + 2e-3], [650.0, 700.0, 710.0, 720.0, 730.0, 745.0],
@@ -491,29 +514,23 @@ def _boundary_node_sets():
     """Pairs of sorted node sets one ulp apart on either side of one of
     AUTO's bounds, the matrix side first; each bound is written out as the
     rule evaluates it, on the sets built here, where no other bound holds."""
-    def bound(z):
-        return 1.0 + max(abs(z[0]), abs(z[-1]))
-
     def pair(kind, rows, test, lo, hi):
         a, b = _flip(lambda x: test(rows(x)), lo, hi)
         return kind, rows(a), rows(b)
 
-    for lo in (-40.0, -3.0, -0.25, 0.0, 0.7, 2.5, 100.0):
+    for lo in (-700.0, -40.0, -3.0, -0.25, 0.0, 0.7, 2.5, 100.0, 700.0):
         yield pair("spread", lambda x: [lo, lo + (x - lo) / 2.0, x],
-                   lambda z: z[-1] - z[0] < TAYLOR_SPREAD_FACTOR * bound(z),
-                   lo, lo + 1.0 + 2.0 * abs(lo))
-        if abs(lo) > 10.0:
-            continue
-        # a near-tie above lo, at orders 2 and 3
-        for tail in ([lo + 2.0], [lo + 1.0, lo + 2.0]):
-            yield pair("gap", lambda x: [lo, x] + tail,
-                       lambda z: z[1] - z[0] < TAYLOR_MIN_GAP_FACTOR * bound(z),
-                       math.nextafter(lo, math.inf), lo + 0.5)
-        # four nodes: the span z_2 - z_0 shrinks onto z_1
-        z1 = lo + 1e-3 * (1.0 + abs(lo))
-        yield pair("amplification", lambda x: [lo, z1, x, lo + 1.0],
-                   lambda z: bound(z) > TAYLOR_MAX_AMPLIFICATION * (z[2] - z[0]) * (z[-1] - z[0]),
-                   lo + 2e-3 * (1.0 + abs(lo)), lo + 0.5)
+                   lambda z: z[-1] - z[0] < TAYLOR_MIN_SPREAD, lo, lo + 1.0)
+        # four nodes: a near-tie above lo inside a cluster, and the cluster's
+        # spread crossing 1 around a near-tie
+        yield pair("gap", lambda x: [lo, x, lo + 0.3, lo + 0.6],
+                   lambda z: z[1] - z[0] < TAYLOR_MIN_GAP, math.nextafter(lo, math.inf), lo + 0.1)
+        yield pair("cluster", lambda x: [lo, lo + 1e-7, lo + 0.5, x],
+                   lambda z: z[-1] - z[0] < 1.0, lo + 0.9, lo + 1.1)
+        # the span z_2 - z_0 shrinks onto z_1
+        yield pair("amplification", lambda x: [lo, lo + 1e-3, x, lo + 2.0],
+                   lambda z: TAYLOR_MAX_AMPLIFICATION * (z[2] - z[0]) * (z[-1] - z[0]) < 1.0,
+                   lo + 2e-3, lo + 0.5)
 
 
 def test_auto_rule_at_its_threshold_boundaries():
@@ -529,7 +546,71 @@ def test_auto_rule_at_its_threshold_boundaries():
             assert choose_method(zs[::-1]) is want, (kind, zs)
             taylor = divdiff._taylor_columns(np.array([zs]).T)
             assert taylor.tolist() == [want is EvalMethod.TAYLOR_MATRIX], (kind, zs)
-    assert seen == {"spread", "gap", "amplification"}
+    assert seen == {"spread", "gap", "cluster", "amplification"}
+
+
+def _threshold_margin(z) -> float:
+    """The smallest log-distance of a sorted set's rule quantities from
+    AUTO's bounds: the spread of three nodes; of four, the amplification
+    product, the spread against 1 and the smallest positive gap."""
+    spread = z[-1] - z[0]
+    if len(z) == 3:
+        q = [spread / TAYLOR_MIN_SPREAD]
+    else:
+        s2 = min((s for s in (z[2] - z[0], z[3] - z[1]) if s > 0.0), default=math.inf)
+        gap = min((b - a for a, b in zip(z, z[1:]) if b > a), default=math.inf)
+        q = [TAYLOR_MAX_AMPLIFICATION * s2 * spread, spread, gap / TAYLOR_MIN_GAP]
+    return min((abs(math.log(x)) for x in q if 0.0 < x < math.inf), default=math.inf)
+
+
+def test_auto_route_is_translation_invariant():
+    # AUTO reads spans only, so a shape keeps its route at every offset, in
+    # the scalar rule and in the batch's column rule; the seeded shapes (a
+    # third with an exact tie, a third with a gap of 1e-9 to 1e-3) stay at
+    # least 1% away from each bound
+    rng = np.random.default_rng(89)
+    seen = set()
+    for n in (2, 3):
+        z = 10.0 ** rng.uniform(-3.0, 0.7, (600, 1)) * rng.uniform(size=(600, n + 1))
+        z[:200, 1] = z[:200, 0]
+        z[200:400, 1] = z[200:400, 0] + 10.0 ** rng.uniform(-9.0, -3.0, 200)
+        z = np.sort(z, axis=1)
+        z = z[[_threshold_margin(row) > math.log(1.01) for row in z.tolist()]]
+        want = [choose_method(row) for row in z]
+        seen.update((n, method) for method in want)
+        for offset in (0.0, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 700.0, -700.0):
+            shifted = z + offset
+            assert [divdiff._route(row) for row in shifted.tolist()] == want, (n, offset)
+            taylor = divdiff._taylor_columns(shifted.T)
+            assert taylor.tolist() == [m is EvalMethod.TAYLOR_MATRIX for m in want], (n, offset)
+    assert seen == {(n, m) for n in (2, 3) for m in (EvalMethod.RECURRENCE, EvalMethod.TAYLOR_MATRIX)}
+
+
+@pytest.mark.parametrize("shape", [lambda L: [-L, -1.0, 0.0], lambda L: [-L, -2.0, -1.0, 0.0],
+                                   lambda L: [-L, 0.0, 0.5], lambda L: [-L, -L / 2.0, 0.0, 1.0],
+                                   lambda L: [-L, -1e-6, 0.0, 1.0], lambda L: [-L, 0.0, 1e-7, 2.0]],
+                         ids=["-L,-1,0", "-L,-2,-1,0", "-L,0,0.5", "-L,-L/2,0,1", "-L,-1e-6,0,1",
+                              "-L,0,1e-7,2"])
+def test_wide_node_sets_accurate_or_raise(shape):
+    # spreads L = 10^k up to 1e300: the matrix route's ~log2(L) squarings
+    # returned values up to 2.4 times off without a sign; the recurrence,
+    # which AUTO now takes, is within 1e-12 of mpmath or raises
+    # OverflowError, and only where x = exp[z - max z] is not a normal double
+    returned = 0
+    for k in range(1, 301):
+        row = shape(10.0 ** k)
+        with mp.workdps(60):
+            want = mp_exp_dd(row)
+            x = want / mp.exp(max(row))
+        for f in (exp_dd, lambda r: exp_dd_batch([r])[0]):
+            try:
+                got = f(row)
+            except OverflowError:
+                assert x < 2.0 * sys.float_info.min, (row, f)
+                continue
+            assert rel_err(got, want) <= 1e-12, (row, f)
+            returned += 1
+    assert returned >= 2 * 150
 
 
 def _node_rows(rng, n, count):
@@ -546,8 +627,8 @@ def _node_rows(rng, n, count):
     return z
 
 
-@pytest.mark.parametrize("constants", [{}, {"TAYLOR_SPREAD_FACTOR": 0.3},
-                                       {"TAYLOR_MIN_GAP_FACTOR": 1e-2},
+@pytest.mark.parametrize("constants", [{}, {"TAYLOR_MIN_SPREAD": 0.3},
+                                       {"TAYLOR_MIN_GAP": 1e-2},
                                        {"TAYLOR_MAX_AMPLIFICATION": 3.0}])
 def test_exp_dd_batch_routes_match_choose_method(monkeypatch, constants):
     for name, value in constants.items():
@@ -669,16 +750,15 @@ def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
     if n <= 1:
         return EvalMethod.RECURRENCE
     spread = zs[-1] - zs[0]
-    scale_bound = 1.0 + max(abs(zs[0]), abs(zs[-1]))
-    if n >= TAYLOR_MIN_ORDER or spread < TAYLOR_SPREAD_FACTOR * scale_bound:
-        return EvalMethod.TAYLOR_MATRIX
-    # exact ties are confluent-safe on the recurrence; near-ties are not
-    min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
-    if 0.0 < min_gap < TAYLOR_MIN_GAP_FACTOR * scale_bound:
+    if n >= TAYLOR_MIN_ORDER or n == 2 and spread < TAYLOR_MIN_SPREAD:
         return EvalMethod.TAYLOR_MATRIX
     if n == 3:
+        # exact ties are confluent-safe on the recurrence; near-ties in a cluster are not
         spans = [s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0]
-        if spans and scale_bound > TAYLOR_MAX_AMPLIFICATION * min(spans) * spread:
+        if spans and TAYLOR_MAX_AMPLIFICATION * min(spans) * spread < 1.0:
+            return EvalMethod.TAYLOR_MATRIX
+        min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
+        if spread < 1.0 and 0.0 < min_gap < TAYLOR_MIN_GAP:
             return EvalMethod.TAYLOR_MATRIX
     return EvalMethod.RECURRENCE
 
