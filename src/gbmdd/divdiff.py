@@ -17,9 +17,9 @@ which sorts and routes its nested node sets itself.  Both routes compute
 x = exp[z - t] in (0, 1] for t the largest node (the matrix route anchors
 lower where x underflows at high orders), and one step, `_times_exp`, scales
 it by e^t, or raises where x is not a normal double.  The matrix method's one
-kernel, `_bidiagonal_first_rows`, writes each product into a per-call buffer,
-never onto a factor, takes both maxima of the stopping test in one reduction
-and skips it where it cannot pass.
+kernel, `_bidiagonal_first_rows`, takes a degree-15 Taylor polynomial by
+Paterson and Stockmeyer's scheme in six products into a per-call buffer and
+squares it `_squarings` times.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -221,58 +221,57 @@ def _times_exp(t: float, x: float) -> float:
     return value
 
 
+def _squarings(zs, t: float) -> int:
+    """The matrix route's squaring count for nodes `zs`, in any order,
+    anchored on t: the least s >= 0 with norm / 2^s <= 1/4, for the largest
+    column sum of |Z|, max(|z_0 - t|, 1 + max_{j >= 1} |z_j - t|).  Rounding
+    is monotone, so the largest |z_j - t| is at the largest or smallest z_j."""
+    norm = abs(zs[0] - t)
+    if len(zs) > 1:
+        norm = max(norm, 1.0 + max(max(zs[1:]) - t, t - min(zs[1:])))
+    return math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
+
+
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
+
+
 def _bidiagonal_first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
     """x = exp[z_0 - t, ..., z_j - t] for j = 0..m-1, the first row of exp(Z)
-    for the upper bidiagonal Z with z - t on the diagonal and ones above it,
-    by scaling and squaring of a truncated Taylor series: for one node set z
-    (m,) with float t, which computes its own squaring count s, or for a
-    stack (K, m) with t of shape (K, 1) and the s it shares.
+    for the upper bidiagonal Z with z - t on the diagonal and ones above it:
+    for one node set z (m,) with float t, which computes its own squaring
+    count s, or for a stack (K, m) with t of shape (K, 1) and the s it shares.
 
+    The norm of B = Z / 2^s is at most 1/4, so the terms the degree-15
+    Taylor polynomial of exp(B) leaves out sum to below 2 * 0.25^16 / 16!,
+    under 1e-20 e^-0.25.  Paterson and Stockmeyer's scheme (Higham,
+    Functions of Matrices, 2008, 4.2) takes it in six products: B^2, B^3,
+    B^4, every block C_j = sum_i B^i / (4j + i)! from `_TAYLOR_BLOCKS`
+    times the flattened B^0..B^3, and Horner's rule for sum_j C_j (B^4)^j.
     Entry (i, j) of exp(Z) is exp[z_i - t, ..., z_j - t], at most
     e^{max z - t} and positive for any node order, so the squarings involve
     no cancellation and every entry keeps full relative accuracy even for
     tightly clustered nodes, until it underflows below the normal range.
     """
-    one = z.ndim == 1
-    product = np.dot if one else np.matmul   # the same dgemm; np.dot costs ~60% per call
+    product = np.dot if z.ndim == 1 else np.matmul   # the same dgemm; np.dot costs ~60% per call
     *stack, m = z.shape
-    # Slots: the terms of even and of odd k on either side of the partial sum
-    # F, then B and room for |term|, |F|; no product is written onto a factor.
-    buf = np.zeros((6, *stack, m, m))
-    flat = buf.reshape(6, *stack, m * m)
-    np.subtract(z, t, out=flat[3, ..., ::m + 1])
-    flat[3, ..., 1::m + 1] = flat[1, ..., ::m + 1] = 1.0
-    if one:
-        norm = float(np.abs(buf[3]).sum(axis=0).max())   # the largest column sum of |Z|
-        s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-    F, B = buf[1], np.divide(buf[3], 2.0 ** s, out=buf[3])
-    c = 2.0 ** -s
-    # Entry (0, k) of term k is c^k / k! up to k roundings and max|F| <= e^0.25,
-    # so the stopping test cannot pass before step k_test: the first k with
-    # k = m or c^k / k! <= 1e-19.
-    k_test, ck = 1, c
-    while k_test < m and ck > 1e-19:
-        k_test += 1
-        ck *= c / k_test
-    # Step 1 adds I B / 1 = B exactly.  Its test cannot pass: B's largest
-    # column sum, over at most two entries, exceeds 1/8, or B = 0 (one node).
-    np.add(F, B, out=F)
-    # each term slot with F as one (term, F) view: one reduction takes both maxima
-    slots = [(buf[0], buf[0:2]), (buf[2], buf[2:0:-1])]
-    term, axes = B, (z.ndim, z.ndim + 1)   # the matrix axes of a (term, F) pair
-    for k in range(2, 64):
-        prev, (term, pair) = term, slots[k % 2]
-        product(prev, B, out=term)
-        np.divide(term, float(k), out=term)   # a float divisor: the same bits, half the cost
-        np.add(F, term, out=F)
-        if k >= k_test:
-            top = np.maximum.reduce(np.absolute(pair, out=buf[4:]), axis=axes)
-            passed = top[0] <= 1e-20 * top[1]
-            # a stack stops once every row passes; .all() costs ~3 us
-            if passed if one else np.logical_and.reduce(passed):
-                break
+    if s is None:
+        s = _squarings(z.tolist(), t)
+    # slots: B^0..B^4, C_0..C_3 and one for products, never written onto a factor
+    buf = np.zeros((10, *stack, m, m))
+    flat = buf.reshape(10, *stack, m * m)
+    flat[0, ..., ::m + 1], flat[1, ..., 1::m + 1] = 1.0, 2.0 ** -s
+    np.divide(z - t, 2.0 ** s, out=flat[1, ..., ::m + 1])
+    P, C, w = buf[:5], buf[5:9], buf[9]
+    product(P[1], P[1], out=P[2])
+    product(P[2], P[1], out=P[3])
+    product(P[2], P[2], out=P[4])
+    powers = buf.reshape(10, -1)
+    np.dot(_TAYLOR_BLOCKS, powers[:4], out=powers[5:9])
+    for j in (2, 1, 0):
+        np.add(product(C[j + 1], P[4], out=w), C[j], out=C[j])
+    F = C[0]
     for i in range(s):
-        F = product(F, F, out=buf[i % 2])
+        F = product(F, F, out=(w, C[1])[i % 2])
     return F[..., 0, :]
 
 
@@ -424,14 +423,11 @@ def _exp_dd_columns(c) -> np.ndarray:
         x = _exp_dd_recurrence_columns(c)
         if taylor.any():
             z = np.stack([col[taylor] for col in c], axis=1)
-            t = z[:, -1:]
-            # the largest column sum of |Z| in the kernel's bits, on sorted rows
-            norm = np.maximum(t[:, 0] - z[:, 0], 1.0 + (t[:, 0] - z[:, 1]))
-            s = np.ceil(np.log2(norm / 0.25)).astype(int)
+            s = np.array([_squarings(row, row[-1]) for row in z.tolist()])
             rows, top = np.empty(len(z)), c[-1][taylor]
             for sg in np.unique(s):   # each count's rows as one stack
                 g = s == sg
-                rows[g] = _bidiagonal_first_rows(z[g], t[g], sg)[:, -1]
+                rows[g] = _bidiagonal_first_rows(z[g], z[g, -1:], sg)[:, -1]
             for i in np.flatnonzero(rows < sys.float_info.min):   # high orders
                 top[i], row = _first_row(z[i], top[i])
                 rows[i] = row[-1]

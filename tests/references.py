@@ -41,35 +41,51 @@ def mp_exp_dd(nodes) -> mp.mpf:
                            for i, zi in enumerate(z))
 
 
-# Reference kernels: the matrix route's first row as one self-contained
-# Taylor loop, which the shared kernel reproduces bit for bit, the scaling
-# step every route ends in, and for `exp_dd_batch`, which works on node
-# columns, AUTO's rule and the recurrence on whole sorted rows.
+# Reference kernels: the matrix route's first row by the same
+# Paterson-Stockmeyer evaluation as the shared kernel, written as plain
+# allocating expressions with its own norm, which the kernel reproduces bit
+# for bit; the scaling step every route ends in; and for `exp_dd_batch`,
+# which works on node columns, AUTO's rule and the recurrence on whole
+# sorted rows.
+
+TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 
 
-def first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
-    """exp[z_0 - t, ..., z_j - t] for j = 0..m-1: the first row of exp(Z),
-    Z upper bidiagonal with z - t on its diagonal and ones above it, by
-    scaling and squaring of a truncated Taylor series tested at every step.
-    One node set (m,) with a float t computes its own squaring count s; a
-    stack (K, m) with t of shape (K, 1) shares s and stops once every row
-    passes the test."""
+def bidiagonal(z: np.ndarray, t) -> np.ndarray:
+    """Z, upper bidiagonal with z - t on its diagonal and ones above it, for
+    one node set (m,) or a stack (K, m) with t of shape (K, 1)."""
     *stack, m = z.shape
     Z = np.zeros((*stack, m, m))
     idx = np.arange(m)
     Z[..., idx, idx] = z - t
     Z[..., idx[:-1], idx[1:]] = 1.0
+    return Z
+
+
+def squarings(Z: np.ndarray) -> int:
+    """The least s >= 0 with the largest column sum of |Z| / 2^s <= 1/4."""
+    norm = float(np.abs(Z).sum(axis=0).max())
+    return max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+
+
+def first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
+    """exp[z_0 - t, ..., z_j - t] for j = 0..m-1: the first row of exp(Z)
+    for Z = `bidiagonal(z, t)`, by scaling and squaring of the degree-15
+    Taylor polynomial in B = Z / 2^s, sum_j C_j (B^4)^j with
+    C_j = sum_i B^i / (4j + i)!, by Horner's rule in B^4.  One node set
+    (m,) with a float t computes its own squaring count s; a stack (K, m)
+    with t of shape (K, 1) shares s."""
+    Z = bidiagonal(z, t)
     if s is None:
-        norm = float(np.abs(Z).sum(axis=0).max())
-        s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+        s = squarings(Z)
     B = Z / (2.0 ** s)
-    F = np.broadcast_to(np.eye(m), B.shape).copy()
-    term = F.copy()
-    for k in range(1, 64):
-        term = term @ B / k
-        F = F + term
-        if (np.abs(term).max(axis=(-2, -1)) <= 1e-20 * np.abs(F).max(axis=(-2, -1))).all():
-            break
+    B2 = B @ B
+    B4 = B2 @ B2
+    powers = np.stack([np.broadcast_to(np.eye(z.shape[-1]), B.shape), B, B2, B2 @ B])
+    C = (TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape(4, *B.shape)
+    F = C[3]
+    for j in (2, 1, 0):
+        F = F @ B4 + C[j]
     with np.errstate(over="ignore", invalid="ignore"):   # a centre below the largest node
         for _ in range(s):
             F = F @ F
@@ -143,10 +159,7 @@ def _matrix_rows(z: np.ndarray):
     nodes, and a row whose x is not a normal double takes
     `anchored_first_row`."""
     t = z[:, -1].copy()
-    Z = z[:, -1:] - z
-    # the largest column sum of |Z|: the superdiagonal ones keep it >= 1
-    norm = np.maximum(Z[:, 0], 1.0 + Z[:, 1:].max(axis=1))
-    s = np.ceil(np.log2(norm / 0.25)).astype(int)
+    s = np.array([squarings(bidiagonal(row, row[-1])) for row in z])
     x = np.empty(len(z))
     for sg in np.unique(s):
         rows = s == sg

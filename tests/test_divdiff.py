@@ -32,8 +32,8 @@ from gbmdd.divdiff import (
 )
 
 from conftest import load_dd_cases
-from references import (_row_exp_dd_batch, _taylor_rows, anchored_first_row, first_rows,
-                        mp_exp_dd, times_exp)
+from references import (_row_exp_dd_batch, _taylor_rows, anchored_first_row, bidiagonal,
+                        first_rows, mp_exp_dd, squarings, times_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,10 @@ def test_anchored_matrix_route_at_least_as_accurate_as_centred():
         assert anchored <= centred, (name, anchored, centred)
 
 
-def test_taylor_matrix_route_bit_identical_to_one_loop_reference():
+def test_taylor_matrix_route_bit_identical_to_plain_reference():
+    # forced onto the matrix route, every row gives the bits of the plain
+    # reference, and the rows without a tie are within 1e-14 of mpmath
+    # (worst 5.3e-15; the Taylor loop with a stopping test reached 2.2e-14)
     rng = np.random.default_rng(37)
     for n in range(1, 13):
         z = _node_rows(rng, n, 40)
@@ -306,6 +309,8 @@ def test_taylor_matrix_route_bit_identical_to_one_loop_reference():
             got = exp_dd(row, method=EvalMethod.TAYLOR_MATRIX)
             t, x = anchored_first_row(np.sort(row), row.max())
             assert got == times_exp(t, x[-1]), row.tolist()
+            if len(set(row.tolist())) == n + 1:
+                assert rel_err(got, mp_exp_dd(row.tolist())) <= 1e-14, row.tolist()
 
 
 def test_choose_method_clustered_four_nodes():
@@ -729,7 +734,7 @@ def test_exp_dd_batch_validation():
 # The scalar dispatch as it was before `exp_dd` validated, sorted and routed
 # its scaled nodes once, kept verbatim (with `_coerce_nodes`) but for the
 # anchoring: each route computes x = exp[z - z_n] on the sorted nodes, the
-# matrix route by the reference Taylor loop `first_rows`, and `times_exp`
+# matrix route by the plain reference `first_rows`, and `times_exp`
 # returns e^{z_n} x.  The single path reproduces it bit for bit.
 
 
@@ -864,66 +869,80 @@ def test_moment_table_bit_identical_to_reference_dispatch():
             assert got == want, (p, max_m)
 
 
-def _squarings(zs: np.ndarray) -> int:
-    """The squaring count s of `first_rows` anchored on the largest node."""
-    m = len(zs)
-    Z = np.diag(zs - zs.max()) + np.diag(np.ones(m - 1), 1)
-    norm = float(np.abs(Z).sum(axis=0).max())
-    return max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
-
-
-def _first_tested_step(s: int, m: int) -> int:
-    """The first Taylor step whose stopping test can pass: k = m, or
-    c^k / k! <= 1e-19 for c = 2^-s."""
-    k = 1
-    while k < m and 2.0 ** (-s * k) / math.factorial(k) > 1e-19:
-        k += 1
-    return k
-
-
-def test_first_row_trimmed_loop_bit_identical_at_skip_boundary():
-    # Node sets of 1..13 nodes scaled to every squaring count s from 0 to 16
-    # that the bidiagonal matrix allows (norm 0 for one node, else at least
-    # 1), at both ends of each count's norm range, each anchored on its
-    # largest node.  Then three nodes at s = 68, whose first tested step is
-    # 1, the order-10 moment nodes of a wide point, in moment order and
-    # sorted (there the low entries underflow to 0), and order-8 moment
-    # nodes whose entries 2 to 4 are subnormal.  The
-    # scalar loop skips its stopping test before `_first_tested_step`; the
-    # reference tests it at every step.  The kernel writes its products into
-    # buffers of its own, never into its input.
-    rng = np.random.default_rng(59)
-    seen = set()
+def _squaring_count_cases(rng) -> list[np.ndarray]:
+    """Node sets of 1..13 nodes in random order, scaled to every squaring
+    count s from 0 to 16 that the bidiagonal matrix allows (norm 0 for one
+    node, else at least 1) at both ends of each count's norm range, anchored
+    on their largest node: the norm is max(span, 1 + the second largest
+    node's distance)."""
     cases = []
     for m in range(1, 14):
         for s in range(0, 17):
-            # the norm is max(span, 1 + the second largest node's distance)
             spans = [0.0] if s <= 2 else [2.0 ** (s - 3) * (1 + 1e-9),
                                            (2.0 ** (s - 2) - 1.0) * (1 - 1e-9)]
             for span, center in ((d, c) for d in spans for c in (0.0, 2.5, -7.0)):
                 u = rng.uniform(-1.0, 1.0, m)
-                zs = center + span * (u - u.max()) / ((u.max() - u.min()) or 1.0)
-                seen.add((_squarings(zs), m))
-                cases.append(zs)
+                cases.append(center + span * (u - u.max()) / ((u.max() - u.min()) or 1.0))
+    return cases
+
+
+def test_squaring_count_matches_the_column_sum_norm():
+    # `_squarings` reads max(|z_0 - t|, 1 + max_{j >= 1} |z_j - t|) in
+    # Python floats, for nodes in any order (moment_table passes moment
+    # order) and anchors at or below the largest node; it gives the count
+    # numpy's largest column sum of |Z| gives
+    seen = set()
+    for zs in _squaring_count_cases(np.random.default_rng(59)):
+        seen.add((divdiff._squarings(zs.tolist(), zs.max()), len(zs)))
+        for row in (zs, np.sort(zs), zs[::-1]):
+            for t in (row.max(), row.max() - 700.0):
+                want = squarings(bidiagonal(row, t))
+                assert divdiff._squarings(row.tolist(), t) == want, (row.tolist(), t)
+    assert {(0, 1)} | {(s, m) for s in range(2, 17) for m in range(2, 14)} <= seen
+    assert divdiff._squarings([-4e19, 2e19, 2e19], 2e19) == 68
+
+
+def test_first_row_kernel_at_every_squaring_count():
+    # The cases of `_squaring_count_cases`, then three nodes at s = 68, the
+    # order-10 moment nodes of a wide point, in moment order and sorted
+    # (there the low entries underflow to 0), and order-8 moment nodes whose
+    # entries 2 to 4 are subnormal.  The kernel gives the plain reference's
+    # bits, writes its products into buffers of its own, never into its
+    # input, and a stack of the sets that share a squaring count gives the
+    # bits of each set alone.  Every entry that is a normal double is within
+    # 3e-13 max(1, spread / 250) of 60-digit mpmath, checked on the first of
+    # each case's three centres and on the four sets after them (worst
+    # 2.8e-13; the Taylor loop with a stopping test it replaced reached
+    # 4.7e-13 on these sets).
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
     wide = np.array(BNodes.from_params(p, 10).scaled(p.T))
     sub = np.array(BNodes.from_params(GbmParams(-70.0, math.sqrt(45.0), 1.0), 8).scaled(1.0))
-    cases += [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide), sub]
-    for zs in cases:
-        before = zs.tobytes()
-        got = divdiff._bidiagonal_first_rows(zs, zs.max())
+    cases = _squaring_count_cases(np.random.default_rng(59))
+    stacks = {}
+    for i, zs in enumerate(cases + [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide), sub]):
+        before, t = zs.tobytes(), zs.max()
+        got = divdiff._bidiagonal_first_rows(zs, t)
         assert zs.tobytes() == before, zs.tolist()
-        assert got.tobytes() == first_rows(zs, zs.max()).tobytes(), zs.tolist()
+        assert got.tobytes() == first_rows(zs, t).tobytes(), zs.tolist()
         assert ((0.0 <= got) & (got <= 1.0)).all(), zs.tolist()
-    want = {(0, 1)} | {(s, m) for s in range(2, 17) for m in range(2, 14)}
-    assert want <= seen
-    assert _squarings(cases[-4]) == 68
+        stacks.setdefault((divdiff._squarings(zs.tolist(), t), len(zs)), []).append((zs, got))
+        if i % 3 and i < len(cases):
+            continue
+        bound = 3e-13 * max(1.0, (t - zs.min()) / 250.0)
+        with mp.workdps(60):
+            for j, x in enumerate(got):
+                # a tie throughout has the exact e^{z - t} / j!
+                want = (mp.exp(zs[0] - t) / mp.factorial(j) if zs.min() == t
+                        else mp_exp_dd((zs[:j + 1] - t).tolist()))
+                if want >= sys.float_info.min:
+                    assert rel_err(x, want) <= bound, (zs.tolist(), j)
+    for (s, m), sets in stacks.items():
+        z = np.array([zs for zs, _ in sets])
+        got = divdiff._bidiagonal_first_rows(z, z.max(axis=1, keepdims=True), s)
+        assert got.tobytes() == np.array([row for _, row in sets]).tobytes(), (s, m)
     assert 0.0 in divdiff._bidiagonal_first_rows(np.sort(wide), wide.max())
     row = divdiff._bidiagonal_first_rows(sub, sub.max())
     assert ((0.0 < row[2:5]) & (row[2:5] < sys.float_info.min)).all()
-    # the skip ends below m for some pairs and reaches m for others
-    crossings = {_first_tested_step(s, m) < m for s, m in seen}
-    assert crossings == {True, False}
 
 
 @settings(max_examples=200, deadline=None)

@@ -686,8 +686,9 @@ def _moment_points(count):
 def test_moment_table_against_mpmath_bidiagonal_expm():
     # scaling and squaring amplifies rounding by about 2^s, which grows with
     # the spread of the table's nodes: the bound is 1e-12 up to a spread of
-    # 250 and grows in proportion beyond (worst seen: 0.64 of the bound; the
-    # flat 1e-12 failed at 1.1e-12, also for one exp_dd call per order)
+    # 250 and grows in proportion beyond (worst seen: 0.32 of the bound, 0.49
+    # with the Taylor loop that had a stopping test; the flat 1e-12 failed at
+    # 1.1e-12, also for one exp_dd call per order)
     for r, sigma, T in _moment_points(504):
         p = GbmParams(r=r, sigma=sigma, T=T)
         nodes = BNodes.from_params(p, 12).scaled(T)
@@ -708,6 +709,29 @@ def test_moment_table_against_mpmath_bidiagonal_expm():
                 assert table[m].method == divdiff.choose_method(nodes[:m + 1]).value
                 assert abs(table[m].value / ref[m] - 1.0) <= bound, (r, sigma, T, m)
             assert abs(moment_A(p, max_m) / ref[max_m] - 1.0) <= bound, (r, sigma, T)
+
+
+def test_moment_table_on_market_points_against_mpmath():
+    # moment_table(p, 8) on points like those of the market-quotes benchmark:
+    # r in [-0.02, 0.12], sigma in [0.05, 0.8], T in [0.1, 5], one point in
+    # eight at r = 0 and one in eight at sigma^2 T in [1e-8, 1e-3].  Pinned
+    # at the worst errors seen on each route, rounded up: 8.8e-14 on the
+    # recurrence, 6.2e-14 on the matrix route (8.8e-14 with the Taylor loop
+    # that had a stopping test)
+    rng = np.random.default_rng(71)
+    bound = {"recurrence": 9e-14, "taylor-matrix": 6.3e-14}
+    for j in range(256):
+        T, r, sigma = (float(x) for x in rng.uniform([0.1, -0.02, 0.05], [5.0, 0.12, 0.8]))
+        if j % 8 == 0:
+            r = 0.0
+        if j % 8 == 4:
+            sigma = math.sqrt(10.0 ** rng.uniform(-8.0, -3.0) / T)
+        p = GbmParams(r, sigma, T)
+        ref = mp_bidiagonal_row(BNodes.from_params(p, 8).scaled(T))
+        for m, entry in enumerate(moment_table(p, 8)[1:], 1):
+            with mp.workdps(40):
+                err = abs(entry.value / (math.factorial(m) * ref[m]) - 1)
+            assert err <= bound[entry.method], (p, m, float(err))
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
