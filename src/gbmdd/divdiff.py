@@ -11,15 +11,15 @@ node spans alone, module constants, so a shifted set keeps its route.  Two
 nodes always take the
 recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
 finite for any spread.  A scalar call validates, sorts and routes its
-scaled nodes once (`choose_method` is the same rule); `_exp_dd_sorted`, the
-only code that acts on a route, then evaluates them, also for `moment_table`,
-which sorts and routes its nested node sets itself.  Both routes compute
-x = exp[z - t] in (0, 1] for t the largest node (the matrix route anchors
-lower where x underflows at high orders), and one step, `_times_exp`, scales
-it by e^t, or raises where x is not a normal double.  The matrix method's one
-kernel, `_bidiagonal_first_rows`, takes a degree-15 Taylor polynomial by
-Paterson and Stockmeyer's scheme in six products into a per-call buffer and
-squares it `_squarings` times.
+scaled nodes once (`choose_method` is the same rule).  Every route ends in
+a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
+node (the matrix route anchors lower where x underflows at high orders).
+`_exp_dd_pair` and its column form `_exp_dd_column_pairs`, the only code
+that acts on a route, reject an x that is not a normal double; `_times_exp`
+only scales, and `moments` takes S and R from the pairs' logarithms.  The
+matrix method's one kernel, `_bidiagonal_first_rows`, takes a degree-15
+Taylor polynomial by Paterson and Stockmeyer's scheme in six products into
+a per-call buffer and squares it `_squarings` times.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -28,8 +28,8 @@ A sorting network orders every row on a copy, AUTO's rule runs elementwise
 with the same constants in three scratch columns, each recurrence tableau
 level overwrites the one before it, and the matrix method runs through the
 same kernel as the scalar route, one stack per squaring count, into the
-recurrence's x column, scaled once.  `grid_scan` hands its node columns to
-this kernel directly.
+recurrence's x column.  `grid_scan` hands its node columns to the pair
+kernel directly.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ __all__ = [
 # wide sets).  The matrix method takes five or more nodes, three of spread
 # below TAYLOR_MIN_SPREAD, and four where the recurrence amplifies rounding by
 # 1 / (s2 * spread) > TAYLOR_MAX_AMPLIFICATION (s2 the smallest nonzero span of
-# three consecutive nodes) or a gap below TAYLOR_MIN_GAP lies inside a cluster
-# (spread < 1): var A(T)'s [0, a, 2a, 2a + 1e-7] read 4.5e-13 on the
-# recurrence, 1.3e-15 here.  Exact ties stay: they are confluent-safe.
+# three consecutive nodes) or a gap below TAYLOR_MIN_GAP, an exact tie
+# included, lies inside a cluster (spread < 1): var A(T)'s
+# [0, a, 2a, 2a + 1e-7] read 4.5e-13 on the recurrence, 1.3e-15 here, and
+# [0, 0, 0.1, 0.2] 2.2e-14 against 4.4e-16.
 TAYLOR_MIN_ORDER = 4
 TAYLOR_MIN_SPREAD = 0.05
 TAYLOR_MAX_AMPLIFICATION = 100.0
@@ -181,7 +182,7 @@ def _route(zs: list[float]) -> EvalMethod:
     matrix = n >= TAYLOR_MIN_ORDER or n == 2 and spread < TAYLOR_MIN_SPREAD
     if n == 3 and not matrix:
         s2 = min((s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0), default=math.inf)
-        gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=math.inf)
+        gap = min(b - a for a, b in zip(zs, zs[1:]))
         matrix = (TAYLOR_MAX_AMPLIFICATION * s2 * spread < 1.0
                   or spread < 1.0 and gap < TAYLOR_MIN_GAP)
     return EvalMethod.TAYLOR_MATRIX if matrix else EvalMethod.RECURRENCE
@@ -205,12 +206,9 @@ def _exp_dd_recurrence(zs: list[float]) -> float:
 
 
 def _times_exp(t: float, x: float) -> float:
-    """e^t x for x = exp[z - t], the scaling step every route ends in: h x h
-    with h = e^{t / 2} where e^t overflows (t above 709.78).  OverflowError
-    where the value overflows, or where x is not a normal double: it
-    underflowed, or a forced route lost it, and its digits with it."""
-    if not x >= sys.float_info.min:
-        raise OverflowError("exp_dd: exp[z - max z] is not a normal double")
+    """e^t x, the scaling step every route ends in: h x h with h = e^{t / 2}
+    where e^t overflows (t above 709.78); OverflowError where the value
+    overflows."""
     try:
         value = math.exp(t) * x
     except OverflowError:
@@ -291,25 +289,32 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
 
     Repeated nodes are handled confluently (n+1 copies of x give e^x / n!).
     The result is positive for any real nodes.  AUTO reads node spans only:
-    clustered nodes take the matrix route, as do four with a near-tie in a
-    cluster such as [0, a, 2a, 2a + 1e-7]; exact ties stay.  A `method` other
-    than AUTO forces that route.  Raises ValueError for any other `method`
-    and unless every scaled node is finite; OverflowError where the value
-    overflows, or where x = exp[z - max z] is not a normal double, its
+    clustered nodes take the matrix route, as do four with a tie or a
+    near-tie inside a cluster such as [0, a, 2a, 2a + 1e-7].  A `method`
+    other than AUTO forces that route.  Raises ValueError for any other
+    `method` and unless every scaled node is finite; OverflowError where the
+    value overflows, or where x = exp[z - max z] is not a normal double, its
     digits lost to underflow or to a forced route.
     """
-    zs = sorted(_coerce_nodes(nodes, scale))
-    return _exp_dd_sorted(zs, _route(zs) if method is EvalMethod.AUTO else method)
+    return _times_exp(*_exp_dd_pair(sorted(_coerce_nodes(nodes, scale)), method))
 
 
-def _exp_dd_sorted(zs: list[float], method: EvalMethod) -> float:
-    """`exp_dd` on sorted, finite nodes by the route `method`, not AUTO."""
+def _exp_dd_pair(zs: list[float], method: EvalMethod) -> tuple[float, float]:
+    """(t, x) with exp[zs] = e^t x on sorted, finite nodes by the route
+    `method` (AUTO's rule for AUTO): x = exp[zs - t] for t the largest node,
+    or lower where the matrix route anchors lower.  OverflowError unless x
+    is a normal double."""
+    method = _route(zs) if method is EvalMethod.AUTO else method
     if method is EvalMethod.RECURRENCE:
-        return _times_exp(zs[-1], _exp_dd_recurrence(zs))
-    if method is EvalMethod.TAYLOR_MATRIX:
+        t, x = zs[-1], _exp_dd_recurrence(zs)
+    elif method is EvalMethod.TAYLOR_MATRIX:
         t, row = _first_row(np.array(zs), zs[-1])
-        return _times_exp(t, float(row[-1]))
-    raise ValueError(f"unknown evaluation method: {method!r}")
+        x = float(row[-1])
+    else:
+        raise ValueError(f"unknown evaluation method: {method!r}")
+    if not x >= sys.float_info.min:
+        raise OverflowError("exp_dd: exp[z - max z] is not a normal double")
+    return t, x
 
 
 def _sort_columns(c) -> list[np.ndarray]:
@@ -335,19 +340,20 @@ def _taylor_columns(c) -> np.ndarray:
     np.subtract(c[-1], c[0], out=spread)
     if n == 2:
         return spread < TAYLOR_MIN_SPREAD
-    s2 = np.multiply(TAYLOR_MAX_AMPLIFICATION, _min_positive_span(c, 2, span, t), out=span)
+    s2 = np.multiply(TAYLOR_MAX_AMPLIFICATION, _min_span(c, 2, span, t, positive=True), out=span)
     taylor = np.multiply(s2, spread, out=s2) < 1.0
-    taylor |= (spread < 1.0) & (_min_positive_span(c, 1, span, t) < TAYLOR_MIN_GAP)
+    taylor |= (spread < 1.0) & (_min_span(c, 1, span, t, positive=False) < TAYLOR_MIN_GAP)
     return taylor
 
 
-def _min_positive_span(c, k: int, out, t):
-    """Smallest positive c[i+k] - c[i] on every row into `out`, inf where
-    there is none; `t` is scratch."""
+def _min_span(c, k: int, out, t, positive: bool):
+    """Smallest c[i+k] - c[i] on every row into `out`, over the positive
+    spans only where `positive` (inf where there is none); `t` is scratch."""
     out[...] = np.inf
     for i in range(len(c) - k):
         span = np.subtract(c[i + k], c[i], out=t)
-        span[span <= 0.0] = np.inf
+        if positive:
+            span[span <= 0.0] = np.inf
         np.minimum(out, span, out=out)
     return out
 
@@ -380,9 +386,8 @@ def _exp_dd_recurrence_columns(c) -> np.ndarray:
 
 
 def _times_exp_columns(t, x) -> np.ndarray:
-    """`_times_exp` on columns, in place on x: inf or nan where it raises."""
+    """`_times_exp` on columns, in place on x; call it inside `np.errstate`."""
     e = np.exp(t)
-    e[~(x >= sys.float_info.min)] = np.nan
     big = np.isinf(e)
     if big.any():
         h = np.exp(t[big] / 2.0)
@@ -406,33 +411,37 @@ def exp_dd_batch(nodes) -> np.ndarray:
         raise ValueError("nodes must have shape (N, n+1) with n+1 >= 1")
     if not np.isfinite(z).all():
         raise ValueError("nodes must be finite")
-    out = _exp_dd_columns(z.T)
+    with np.errstate(all="ignore"):
+        out = _times_exp_columns(*_exp_dd_column_pairs(z.T))
     if not np.isfinite(out).all():
         raise OverflowError("exp_dd_batch: a value overflows or its x is not a normal double")
     return out
 
 
-def _exp_dd_columns(c) -> np.ndarray:
-    """`exp_dd_batch` on finite node columns `c`, read without writing to
-    them; a value where `exp_dd` raises comes back inf or nan."""
+def _exp_dd_column_pairs(c) -> tuple[np.ndarray, np.ndarray]:
+    """`_exp_dd_pair` by AUTO's rule on every row of finite node columns `c`,
+    read without writing to them: columns t and x, x nan where the scalar
+    form raises."""
     c = _sort_columns(c)
     with np.errstate(all="ignore"):
         taylor = _taylor_columns(c)
         # every row takes the recurrence, cheaper than masking the columns
         # when few rows take the matrix method, which overwrites its own rows
         x = _exp_dd_recurrence_columns(c)
+        t = c[-1].copy()   # not a view, which would keep the sort buffer alive
         if taylor.any():
             z = np.stack([col[taylor] for col in c], axis=1)
             s = np.array([_squarings(row, row[-1]) for row in z.tolist()])
-            rows, top = np.empty(len(z)), c[-1][taylor]
+            rows, top = np.empty(len(z)), t[taylor]
             for sg in np.unique(s):   # each count's rows as one stack
                 g = s == sg
                 rows[g] = _bidiagonal_first_rows(z[g], z[g, -1:], sg)[:, -1]
             for i in np.flatnonzero(rows < sys.float_info.min):   # high orders
                 top[i], row = _first_row(z[i], top[i])
                 rows[i] = row[-1]
-            x[taylor], c[-1][taylor] = rows, top
-        return _times_exp_columns(c[-1], x)
+            x[taylor], t[taylor] = rows, top
+        x[~(x >= sys.float_info.min)] = np.nan
+    return t, x
 
 
 def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:

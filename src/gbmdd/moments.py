@@ -23,8 +23,9 @@ from .divdiff import (
     TAYLOR_MIN_ORDER,
     EvalMethod,
     OracleEstimate,
-    _exp_dd_columns,
-    _exp_dd_sorted,
+    _coerce_nodes,
+    _exp_dd_column_pairs,
+    _exp_dd_pair,
     _first_row,
     _route,
     _times_exp,
@@ -126,10 +127,10 @@ class MomentReport:
 
 
 # A market quote (correlation, moment_table, both prices) asks for mean_A,
-# correlation and _var_A_dd at least twice at one point.  Each is memoised per
-# point and returns the object its first call computed, so no bit changes;
-# each holds the last _MEMO_SIZE points.  After rebinding `exp_dd` or changing
-# an AUTO constant, call `cache_clear()` on all three.
+# correlation and _var_A_pair at least twice at one point.  Each is memoised
+# per point and returns the object its first call computed, so no bit
+# changes; each holds the last _MEMO_SIZE points.  After rebinding `exp_dd`
+# or changing an AUTO constant, call `cache_clear()` on every memo here.
 _MEMO_SIZE = 32
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
@@ -205,56 +206,49 @@ def var_S(p: GbmParams) -> float:
     return p.sigma ** 2 * p.T * exp_dd([r2T, b])
 
 
+def _pair(nodes) -> tuple[float, float]:
+    """(t, x) of `exp_dd(nodes)`, whose value is e^t x."""
+    return _exp_dd_pair(sorted(_coerce_nodes(nodes)), EvalMethod.AUTO)
+
+
 @_memo
-def _var_A_dd(p: GbmParams) -> float:
-    """exp[0, rT, 2rT, (2r + sigma^2) T], shared by `var_A` and `correlation`."""
+def _var_A_pair(p: GbmParams) -> tuple[float, float]:
+    """(t, x) of exp[0, rT, 2rT, (2r + sigma^2) T], for `var_A` and `correlation`."""
     rT, r2T, b = _ddn(p)
-    return exp_dd([0.0, rT, r2T, b])
+    return _pair([0.0, rT, r2T, b])
 
 
 def var_A(p: GbmParams) -> float:
     """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]; OverflowError
     where that product leaves the double range."""
-    v = 2.0 * p.sigma ** 2 * p.T * _var_A_dd(p)
+    v = 2.0 * p.sigma ** 2 * p.T * _times_exp(*_var_A_pair(p))
     if v == math.inf:
         raise OverflowError("var A(T) is outside the double range")
     return v
 
 
-def _log_s(z: list[float]) -> float:
-    """log S on z = [a, 2r, r, 0], each exp[nodes] taken as e^t x with t its
-    largest node and x = exp[nodes - t] in (0, 1]; `exp_dd`'s OverflowError
-    where an x is 0."""
-    (tn, xn), (t1, x1), (t2, x2) = ((max(zs), exp_dd([x - max(zs) for x in zs]))
-                                    for zs in (z[:3], z[:2], z))
+def _log_s(num, d1, d2) -> float:
+    """log S = log(num^2 / (d1 d2)) from the (t, x) pairs of its three
+    divided differences, finite wherever each x is a normal double."""
+    (tn, xn), (t1, x1), (t2, x2) = num, d1, d2
     return 2.0 * tn - t1 - t2 + math.log(xn / x1 * (xn / x2))
 
 
 @_memo
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
-    divided differences, by `_log_s` outside the normal range (report fields
-    may then read 0); OverflowError where one overflows.  In [1/sqrt(2), 1]
-    for r >= 0, not for r < 0 at large sigma^2 T (`test_correlation_bound_*`)."""
+    divided differences, R = exp((log S - log 2) / 2) by `_log_s` (report
+    fields may read 0 where R does not); OverflowError where one of them
+    overflows.  In [1/sqrt(2), 1] for r >= 0, not for r < 0 at large
+    sigma^2 T (`test_correlation_bound_*`)."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
     rT, r2T, b = _ddn(p)
-    num = exp_dd([rT, r2T, b])
-    d1 = exp_dd([r2T, b])
-    d2 = _var_A_dd(p)
-    prod = 2.0 * d1 * d2
-    if num and sys.float_info.min <= prod < math.inf:
-        R = num / math.sqrt(prod)
-    else:
-        R = math.exp((_log_s([b, r2T, rT, 0.0]) - math.log(2.0)) / 2.0)
-    s2T = p.sigma ** 2 * p.T
-    return CorrelationReport(
-        R=R,
-        covariance=s2T * num,
-        var_S=s2T * d1,
-        var_A=2.0 * s2T * d2,
-        s_statistic=2.0 * R * R,
-    )
+    num, d1, d2 = _pair([rT, r2T, b]), _pair([r2T, b]), _var_A_pair(p)
+    log_s, s2T = _log_s(num, d1, d2), p.sigma ** 2 * p.T
+    return CorrelationReport(R=math.exp((log_s - math.log(2.0)) / 2.0),
+                             covariance=s2T * _times_exp(*num), var_S=s2T * _times_exp(*d1),
+                             var_A=2.0 * s2T * _times_exp(*d2), s_statistic=math.exp(log_s))
 
 
 def s_statistic(r: float, a: float) -> float:
@@ -262,18 +256,11 @@ def s_statistic(r: float, a: float) -> float:
 
     Pure function of the divided-difference expression; negative `a` is the
     formal continuation scanned by the correlation surface, not a model
-    state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).  Outside
-    the normal range S = exp(`_log_s`): it may read 0, or raise OverflowError.
+    state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).  S is
+    exp(`_log_s`) for every input: it may read 0, or raise OverflowError.
     """
     z = [a, 2.0 * r, r, 0.0]
-    try:
-        num, d1, d2 = exp_dd(z[:3]), exp_dd(z[:2]), exp_dd(z)
-        square, prod = num * num, d1 * d2
-        if sys.float_info.min <= min(square, prod) and max(square, prod) < math.inf:
-            return square / prod
-    except OverflowError:
-        pass
-    return math.exp(_log_s(z))
+    return math.exp(_log_s(*(_pair(zs) for zs in (z[:3], z[:2], z))))
 
 
 @dataclass(frozen=True)
@@ -437,24 +424,27 @@ class GridResult:
 
 
 def grid_scan(spec: GridSpec | None = None) -> GridResult:
-    """Evaluate S(r, a) on the grid: `s_statistic` for every cell, with each
-    of its three divided differences taken over all cells in one batch that
-    reads the node columns in place.  Cells outside `s_statistic`'s normal
-    range take its scalar call: finite, or its OverflowError."""
+    """Evaluate S(r, a) on the grid: `s_statistic`'s formula for every cell,
+    with the (t, x) pairs of each of its three divided differences taken
+    over all cells in one batch that reads the node columns in place.
+    OverflowError where a cell's S is not finite, as `s_statistic` raises."""
     spec = spec or GridSpec()
-    rv = spec.r_values()
-    av = spec.a_values()
+    rv, av = spec.r_values(), spec.a_values()
     r, a = (x.ravel() for x in np.meshgrid(rv, av, indexing="ij"))
     c = [a, 2.0 * r, r, np.zeros_like(r)]
-    tiny = sys.float_info.min
     with np.errstate(all="ignore"):
-        num, d1, d2 = (_exp_dd_columns(c[:k]) for k in (3, 2, 4))
-        square, prod = np.multiply(num, num, out=num), np.multiply(d1, d2, out=d1)
-        bad = np.flatnonzero(~((tiny <= square) & (square < math.inf)
-                               & (tiny <= prod) & (prod < math.inf)))
-        values = np.divide(square, prod, out=square).reshape(spec.nr, spec.na)
-    values.flat[bad] = [s_statistic(*x) for x in zip(r[bad].tolist(), a[bad].tolist())]
-    return GridResult(spec=spec, r_values=rv, a_values=av, values=values)
+        # log S = 2 t_n - t_1 - t_2 + log(x_n / x_1 * (x_n / x_2)), as in
+        # `_log_s`; the widest pair first, while the fewest columns are held
+        t2, x2 = _exp_dd_column_pairs(c)
+        log_s, xn = _exp_dd_column_pairs(c[:3])
+        np.divide(xn, x2, out=x2)
+        t1, x1 = _exp_dd_column_pairs(c[:2])
+        np.subtract(np.subtract(np.multiply(2.0, log_s, out=log_s), t1, out=log_s), t2, out=log_s)
+        q = np.multiply(np.divide(xn, x1, out=x1), x2, out=x1)
+        values = np.exp(np.add(log_s, np.log(q, out=q), out=log_s), out=log_s)
+    if not np.isfinite(values).all():
+        raise OverflowError("grid_scan: S is not finite at a cell of the window")
+    return GridResult(spec=spec, r_values=rv, a_values=av, values=values.reshape(spec.nr, spec.na))
 
 
 def power_expectation(p: GbmParams, t: float, k: int) -> float:
@@ -534,7 +524,7 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
         elif m == 1:
             value = mean_A(p)
         else:
-            value = math.factorial(m) * _exp_dd_sorted(sorted(nodes[:m + 1]), method)
+            value = math.factorial(m) * _times_exp(*_exp_dd_pair(sorted(nodes[:m + 1]), method))
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
         out.append(MomentReport(order=m, value=value, method=method.value))

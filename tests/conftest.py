@@ -27,15 +27,18 @@ def bench():
     return GbmParams(r=0.05, sigma=0.2, T=1.0)
 
 
-MEMOISED = (moments.correlation, moments.mean_A, moments._var_A_dd)
+# every cache in `moments`, found by its `cache_clear`, so a renamed memo
+# cannot go stale between tests; the per-point memos are those of one argument
+CACHES = [fn for fn in vars(moments).values() if callable(getattr(fn, "cache_clear", None))]
+MEMOISED = [fn for fn in CACHES if fn.__wrapped__.__code__.co_argcount == 1]
 
 
 @pytest.fixture(autouse=True)
 def _clear_moment_memo():
     """Empty the per-point memos around every test, so a test that rebinds
     `exp_dd` or an AUTO constant computes afresh and leaves nothing stale."""
-    for fn in MEMOISED:
+    for fn in CACHES:
         fn.cache_clear()
     yield
-    for fn in MEMOISED:
+    for fn in CACHES:
         fn.cache_clear()

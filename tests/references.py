@@ -1,5 +1,5 @@
 """Reference evaluations the tests share: an mpmath `exp_dd`, the matrix
-route's first row and scaling step, and the row kernels that
+route's first row and scaling step, and the row kernels whose (t, x) pairs
 `exp_dd_batch` and `grid_scan` reproduce bit for bit."""
 
 import math
@@ -20,25 +20,21 @@ from gbmdd.divdiff import (
 def mp_exp_dd(nodes) -> mp.mpf:
     """exp[x_0..x_n] at the working precision, and at least 50 digits.
 
-    Distinct nodes take the Newton sum sum_i e^{x_i} / prod_{j != i} (x_i - x_j),
-    with n digits more per decade of the smallest gap below 1 for its
-    cancellation; nodes with a tie take entry (0, n) of the exponential of
-    the upper bidiagonal matrix with the sorted nodes on its diagonal.
+    The Newton sum sum_i e^{x_i} / prod_{j != i} (x_i - x_j), with n digits
+    more per decade of the smallest gap below 1 for its cancellation.  The
+    k-th copy of a tied node moves up by k 1e-40, at enough digits to hold
+    it: d log exp[x] / dx_i lies in (0, 1), so that moves the value by under
+    n^2 1e-40 relative.
     """
     with mp.workdps(max(mp.mp.dps, 50)):
         z = sorted(mp.mpf(x) for x in nodes)
         n = len(z) - 1
-        gap = min((b - a for a, b in zip(z, z[1:])), default=mp.mpf(1))
-        if gap == 0:
-            M = mp.zeros(n + 1)
-            for i, x in enumerate(z):
-                M[i, i] = x
-                if i < n:
-                    M[i, i + 1] = 1
-            return mp.expm(M)[0, n]
-        with mp.extradps(n * max(0, int(-mp.log10(gap)) + 1)):
-            return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)
-                           for i, zi in enumerate(z))
+        with mp.extradps(40 + int(mp.log10(1 + max(abs(z[0]), abs(z[-1]))))):
+            z = sorted(x + z[:i].count(x) * mp.mpf(10) ** -40 for i, x in enumerate(z))
+            gap = min((b - a for a, b in zip(z, z[1:])), default=mp.mpf(1))
+            with mp.extradps(n * max(0, int(-mp.log10(gap)) + 1)):
+                return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)
+                                for i, zi in enumerate(z))
 
 
 # Reference kernels: the matrix route's first row by the same
@@ -118,8 +114,7 @@ def _taylor_rows(z: np.ndarray) -> np.ndarray:
         return spread < TAYLOR_MIN_SPREAD
     spans = z[:, 2:] - z[:, :-2]
     s2 = np.where(spans > 0.0, spans, np.inf).min(axis=1)
-    gaps = np.diff(z, axis=1)
-    min_gap = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
+    min_gap = np.diff(z, axis=1).min(axis=1)
     return (TAYLOR_MAX_AMPLIFICATION * s2 * spread < 1.0) | ((spread < 1.0) & (min_gap < TAYLOR_MIN_GAP))
 
 
@@ -170,11 +165,10 @@ def _matrix_rows(z: np.ndarray):
     return t, x
 
 
-def _row_exp_dd_batch(nodes):
-    """`exp_dd_batch` on sorted rows, through the reference row kernels: t
-    and x by each row's route, then e^t x, h x h with h = e^{t / 2} where
-    e^t overflows; inf where the value overflows, nan where x is not a
-    normal double."""
+def _row_exp_dd_pairs(nodes):
+    """(t, x) of every row of `nodes`, through the reference row kernels on
+    the sorted rows: x = exp[z - t] by each row's route, nan where it is not
+    a normal double."""
     z = np.sort(np.asarray(nodes, dtype=float), axis=1)
     x = np.empty(len(z))
     t = z[:, -1].copy()
@@ -183,6 +177,22 @@ def _row_exp_dd_batch(nodes):
         x[~taylor] = _recurrence_rows(z[~taylor])
         if taylor.any():
             t[taylor], x[taylor] = _matrix_rows(z[taylor])
+    return t, np.where(x >= sys.float_info.min, x, np.nan)
+
+
+def _row_exp_dd_batch(nodes):
+    """`exp_dd_batch` through the reference row kernels: e^t x of every
+    row's pair, h x h with h = e^{t / 2} where e^t overflows; inf where the
+    value overflows, nan where x is not a normal double."""
+    t, x = _row_exp_dd_pairs(nodes)
+    with np.errstate(all="ignore"):
         h = np.exp(t / 2.0)
-        value = np.where(np.isinf(np.exp(t)), h * x * h, np.exp(t) * x)
-    return np.where(x >= sys.float_info.min, value, np.nan)
+        return np.where(np.isinf(np.exp(t)), h * x * h, np.exp(t) * x)
+
+
+def _row_log_s(nodes):
+    """log S on rows [a, 2r, r, 0] from the reference pairs of their first
+    three, first two and four nodes: 2 t_n - t_1 - t_2 + log(x_n / x_1 * (x_n / x_2))."""
+    (tn, xn), (t1, x1), (t2, x2) = (_row_exp_dd_pairs(nodes[:, :k]) for k in (3, 2, 4))
+    with np.errstate(all="ignore"):
+        return 2.0 * tn - t1 - t2 + np.log(xn / x1 * (xn / x2))

@@ -32,8 +32,8 @@ from gbmdd.divdiff import (
 )
 
 from conftest import load_dd_cases
-from references import (_row_exp_dd_batch, _taylor_rows, anchored_first_row, bidiagonal,
-                        first_rows, mp_exp_dd, squarings, times_exp)
+from references import (_row_exp_dd_batch, _row_exp_dd_pairs, _taylor_rows, anchored_first_row,
+                        bidiagonal, first_rows, mp_exp_dd, squarings, times_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,29 @@ def test_anchored_matrix_route_at_least_as_accurate_as_centred():
         assert anchored <= centred, (name, anchored, centred)
 
 
+def test_mp_exp_dd_ties_match_bidiagonal_expm():
+    # the reference moves tied copies apart by 1e-40 for its Newton sum;
+    # entry (0, n) of the exponential of the upper bidiagonal matrix with the
+    # sorted nodes on its diagonal is the confluent value itself
+    rng = np.random.default_rng(71)
+    rows = [[0.0, 0.0, 0.1, 0.2], [1.5] * 3, [-30.0, -30.0, -29.9, 12.0, 12.0, 12.0, 25.0]]
+    rows += _node_rows(rng, 6, 9)[:3].tolist() + _node_rows(rng, 12, 9)[:3].tolist()
+    for row in rows:
+        assert len(set(row)) < len(row), row
+        with mp.workdps(60):
+            n = len(row) - 1
+            M = mp.zeros(n + 1)
+            for i, x in enumerate(sorted(row)):
+                M[i, i] = x
+                if i < n:
+                    M[i, i + 1] = 1
+            assert abs(mp_exp_dd(row) / mp.expm(M)[0, n] - 1) <= 1e-35, row
+
+
 def test_taylor_matrix_route_bit_identical_to_plain_reference():
     # forced onto the matrix route, every row gives the bits of the plain
-    # reference, and the rows without a tie are within 1e-14 of mpmath
-    # (worst 5.3e-15; the Taylor loop with a stopping test reached 2.2e-14)
+    # reference and is within 1e-14 of mpmath (worst 5.3e-15, 2.0e-15 on the
+    # rows with a tie; the Taylor loop with a stopping test reached 2.2e-14)
     rng = np.random.default_rng(37)
     for n in range(1, 13):
         z = _node_rows(rng, n, 40)
@@ -309,8 +328,7 @@ def test_taylor_matrix_route_bit_identical_to_plain_reference():
             got = exp_dd(row, method=EvalMethod.TAYLOR_MATRIX)
             t, x = anchored_first_row(np.sort(row), row.max())
             assert got == times_exp(t, x[-1]), row.tolist()
-            if len(set(row.tolist())) == n + 1:
-                assert rel_err(got, mp_exp_dd(row.tolist())) <= 1e-14, row.tolist()
+            assert rel_err(got, mp_exp_dd(row.tolist())) <= 1e-14, row.tolist()
 
 
 def test_choose_method_clustered_four_nodes():
@@ -321,8 +339,21 @@ def test_choose_method_clustered_four_nodes():
     assert choose_method(nodes) is EvalMethod.TAYLOR_MATRIX
     assert rel_err(exp_dd(nodes), mp_exp_dd(nodes)) <= 1e-14
     assert rel_err(exp_dd(nodes, method=EvalMethod.RECURRENCE), mp_exp_dd(nodes)) > 1e-11
-    # exact ties inside the cluster stay confluent-safe
+    # a spread of 1 or more keeps an exact tie on the recurrence
     assert choose_method([0.0, 1.0, 1.0, 1.0]) is EvalMethod.RECURRENCE
+    assert choose_method([0.0, 1.0, 1.0, 3.0]) is EvalMethod.RECURRENCE
+
+
+def test_exact_tie_inside_a_cluster_takes_the_matrix_route():
+    # a tie is a gap of 0, below TAYLOR_MIN_GAP: on the recurrence these sets
+    # were 2.2e-14, 1.5e-14 and 3.4e-14 off mpmath; the first two are the
+    # four-node sets of the published scan's cells (r, a) = (0.1, 0), (0.2, 0)
+    for nodes in ([0.0, 0.0, 0.1, 0.2], [0.0, 0.0, 0.2, 0.4], [0.5, 0.5, 0.6, 0.7]):
+        assert choose_method(nodes) is EvalMethod.TAYLOR_MATRIX, nodes
+        with mp.workdps(60):
+            want = mp_exp_dd(nodes)
+        assert rel_err(exp_dd(nodes), want) <= 1e-15, nodes
+        assert rel_err(exp_dd(nodes, method=EvalMethod.RECURRENCE), want) > 1e-14, nodes
 
 
 def test_near_tie_guard_keeps_var_A_nodes_accurate():
@@ -420,7 +451,7 @@ def test_underflowed_tableau_raises_for_any_top():
                 exp_dd(row, method=method)
         with pytest.raises(OverflowError):
             exp_dd_batch([row, [0.0, 1.0, 2.0, 3.0]])
-        assert np.isnan(divdiff._exp_dd_columns(np.array([row]).T)).all()
+        assert np.isnan(divdiff._exp_dd_column_pairs(np.array([row]).T)[1]).all()
 
 
 def test_x_outside_the_normal_range_raises():
@@ -436,7 +467,7 @@ def test_x_outside_the_normal_range_raises():
             exp_dd(row)
         with pytest.raises(OverflowError):
             exp_dd_batch([row, [0.0, 1.0, 2.0, 3.0, 4.0][:len(row)]])
-        assert np.isnan(divdiff._exp_dd_columns(np.array([row]).T)).all()
+        assert np.isnan(divdiff._exp_dd_column_pairs(np.array([row]).T)[1]).all()
     clustered = [0.34125003469931237, 0.34125076260196946, 0.34125086251458175,
                  0.3412519106533954, 0.34125196209372305]
     assert divdiff._exp_dd_recurrence(clustered) < 0.0
@@ -477,7 +508,7 @@ def test_recurrence_where_the_top_exponential_overflows():
     # the recurrence takes h x h with h = e^{z_n / 2}, and scalar and batch
     # raise OverflowError where the value overflows too
     p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
-    assert moments._var_A_dd(p) == 6.134249211933302e+307
+    assert divdiff._times_exp(*moments._var_A_pair(p)) == 6.134249211933302e+307
     shapes = ([], [0.5], [0.01], [0.99], [0.7, 0.3], [0.5, 0.01], [0.999, 0.5])
     rows = [[0.0, *moments._ddn(p)], [0.0, 800.0]]
     rows += [[top - g] + [top - f * g for f in shape] + [top] for shape in shapes
@@ -708,7 +739,10 @@ def test_exp_dd_batch_bit_identical_to_row_kernels():
         if 2 <= n <= 3:
             assert 0 < taylor.sum() < len(z), n   # both routes in one batch
         assert np.array_equal(np.stack(divdiff._sort_columns(z.T)), zs.T), n
-        got = divdiff._exp_dd_columns(z.T)
+        t, x = divdiff._exp_dd_column_pairs(z.T)
+        assert np.stack([t, x]).tobytes() == np.stack(_row_exp_dd_pairs(z)).tobytes(), n
+        with np.errstate(all="ignore"):
+            got = divdiff._times_exp_columns(t, x)
         assert got.tobytes() == _row_exp_dd_batch(z).tobytes(), n
         finite = np.isfinite(got)
         assert exp_dd_batch(z[finite]).tobytes() == got[finite].tobytes(), n
@@ -758,12 +792,12 @@ def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
     if n >= TAYLOR_MIN_ORDER or n == 2 and spread < TAYLOR_MIN_SPREAD:
         return EvalMethod.TAYLOR_MATRIX
     if n == 3:
-        # exact ties are confluent-safe on the recurrence; near-ties in a cluster are not
+        # a tie or a near-tie inside a cluster loses digits on the recurrence
         spans = [s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0]
         if spans and TAYLOR_MAX_AMPLIFICATION * min(spans) * spread < 1.0:
             return EvalMethod.TAYLOR_MATRIX
-        min_gap = min((b - a for a, b in zip(zs, zs[1:]) if b != a), default=0.0)
-        if spread < 1.0 and 0.0 < min_gap < TAYLOR_MIN_GAP:
+        min_gap = min(b - a for a, b in zip(zs, zs[1:]))
+        if spread < 1.0 and min_gap < TAYLOR_MIN_GAP:
             return EvalMethod.TAYLOR_MATRIX
     return EvalMethod.RECURRENCE
 

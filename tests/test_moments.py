@@ -41,7 +41,7 @@ from gbmdd.moments import (
 )
 
 from conftest import MEMOISED
-from references import _row_exp_dd_batch, _taylor_rows, mp_exp_dd
+from references import _row_exp_dd_pairs, _row_log_s, _taylor_rows, mp_exp_dd
 
 BENCH_R = 0.86638428741831168064  # 50-digit recurrence value at r=.05, s=.2, T=1
 
@@ -78,7 +78,7 @@ def test_params_store_plain_floats(args):
     rep = correlation.__wrapped__(p)
     assert all(type(x) is float for x in dataclasses.astuple(rep))
     assert _bits(rep) == _bits(correlation.__wrapped__(q))
-    for fn in (mean_A.__wrapped__, moments._var_A_dd.__wrapped__, second_moment_A):
+    for fn in (mean_A.__wrapped__, moments._var_A_pair.__wrapped__, second_moment_A):
         assert _bits(fn(p)) == _bits(fn(q))
 
 
@@ -165,7 +165,7 @@ def test_var_A_raises_where_it_overflows():
     # var_A returned inf where var_S and covariance_SA raise, so a quote
     # failed inside normal_cdf with "x must be finite"
     p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
-    assert math.isfinite(moments._var_A_dd(p))
+    assert math.isfinite(divdiff._times_exp(*moments._var_A_pair(p)))
     for fn in (var_A, var_S, covariance_SA, pricing.floating_strike_asian_approx,
                lambda p: pricing.fixed_strike_asian_approx(p, 1.0)):
         with pytest.raises(OverflowError):
@@ -431,17 +431,20 @@ def test_grid_scan_matrix_route_window():
     assert one.values[0, 0] == pytest.approx(s_statistic(10.0, 40.0), rel=1e-13)
 
 
+# exp[a, 2r, r]^2 overflows at (r, a) = (180, 361); exp[a, 2r] and
+# exp[a, 2r, r]^2 underflow to 0 at (-400, -800), where S read 0/0; at
+# (-360, -860) and (-360, -840) they are subnormal, and S read 1.0 and 0.5
+# for 0.9632 and 0.875; exp[a, 2r, r] itself overflows at (237, 711), where
+# S is 3/2 and the scan raised
+_UNREPRESENTABLE = (GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1),
+                    GridSpec(711.0, 711.0, 237.0, 237.0, 1, 1),
+                    GridSpec(-800.0, -800.0, -400.0, -400.0, 1, 1),
+                    GridSpec(-860.0, -840.0, -360.0, -350.0, 3, 2))
+
+
 def test_grid_scan_unrepresentable_window():
-    # exp[a, 2r, r]^2 overflows at (r, a) = (180, 361); exp[a, 2r] and
-    # exp[a, 2r, r]^2 underflow to 0 at (-400, -800), where S read 0/0; at
-    # (-360, -860) and (-360, -840) they are subnormal, and S read 1.0 and
-    # 0.5 for 0.9632 and 0.875; exp[a, 2r, r] itself overflows at (237, 711),
-    # where S is 3/2 and the scan raised.  Those cells take s_statistic's
-    # scaled form.
-    for spec in (GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1),
-                 GridSpec(711.0, 711.0, 237.0, 237.0, 1, 1),
-                 GridSpec(-800.0, -800.0, -400.0, -400.0, 1, 1),
-                 GridSpec(-860.0, -840.0, -360.0, -350.0, 3, 2)):
+    # every cell takes the scaled form, log S from the three (t, x) pairs
+    for spec in _UNREPRESENTABLE:
         res = grid_scan(spec)
         assert res.values.tolist() == _per_cell(res).tolist()
         for (i, r), (j, a) in itertools.product(enumerate(res.r_values.tolist()),
@@ -452,6 +455,25 @@ def test_grid_scan_unrepresentable_window():
                 assert abs(res.values[i, j] / S - 1) <= 1e-12, (r, a)
 
 
+def test_grid_scan_never_calls_s_statistic(monkeypatch):
+    # every cell, outside the normal range too, comes from the column pairs
+    # with the bits of the scalar call
+    want = [_per_cell(grid_scan(spec)) for spec in _UNREPRESENTABLE]
+
+    def refused(*args):
+        raise AssertionError("grid_scan called s_statistic")
+
+    monkeypatch.setattr(moments, "s_statistic", refused)
+    for spec, cells in zip(_UNREPRESENTABLE, want):
+        assert grid_scan(spec).values.tolist() == cells.tolist()
+    # where the x of exp[a, 2r, r] is subnormal both raise
+    with pytest.raises(OverflowError):
+        grid_scan(GridSpec(-1e300, -1e300, 1e10, 1e10, 1, 1))
+    monkeypatch.undo()
+    with pytest.raises(OverflowError):
+        s_statistic(1e10, -1e300)
+
+
 @pytest.mark.parametrize("spec", [GridSpec(), _scan_window(1),
                                   GridSpec(a_min=-0.5, a_max=0.5, r_min=-0.25, r_max=0.25)],
                          ids=["published", "shifted", "near-origin"])
@@ -459,8 +481,7 @@ def test_grid_scan_bit_identical_to_row_kernels(spec):
     res = grid_scan(spec)
     r, a = (x.ravel() for x in np.meshgrid(res.r_values, res.a_values, indexing="ij"))
     nodes = np.stack([a, 2.0 * r, r, np.zeros_like(r)], axis=1)
-    num, d1, d2 = (_row_exp_dd_batch(nodes[:, :k]) for k in (3, 2, 4))
-    assert res.values.ravel().tobytes() == (num * num / (d1 * d2)).tobytes()
+    assert res.values.ravel().tobytes() == np.exp(_row_log_s(nodes)).tobytes()
     if spec.r_min < 0.0:   # the near-origin window, with matrix rows
         assert _taylor_rows(np.sort(nodes, axis=1)).sum() > 500
 
@@ -866,22 +887,28 @@ def test_high_moment_orders_anchor_lower(bench):
         for row, value in zip(batch_rows, divdiff.exp_dd_batch(batch_rows)):
             bound = 1e-12 * max(1.0, (row.max() - row.min()) / 250.0)
             assert abs(value / mp_exp_dd(row) - 1) <= bound
-    assert divdiff._exp_dd_columns(batch_rows.T).tobytes() == _row_exp_dd_batch(batch_rows).tobytes()
+    pairs = np.stack(divdiff._exp_dd_column_pairs(batch_rows.T))
+    assert pairs.tobytes() == np.stack(_row_exp_dd_pairs(batch_rows)).tobytes()
     assert math.isfinite(moment_A(bench, 170))
 
 
-def test_scaled_form_serves_s_statistic_grid_scan_and_correlation(monkeypatch):
-    # where a divided difference or a product leaves the normal range all
-    # three still reach `_log_s`
+def test_scaled_form_serves_s_statistic_grid_scan_and_correlation(monkeypatch, bench):
+    # in the normal range and outside it, S and R come from `_log_s` on the
+    # three (t, x) pairs, each x a normal double; the scan takes the same
+    # formula on columns of pairs
     calls = []
     log_s = moments._log_s
-    monkeypatch.setattr(moments, "_log_s", lambda z: calls.append(z) or log_s(z))
-    assert s_statistic(180.0, 361.0) == pytest.approx(1.9912740744957953, rel=1e-12)
-    assert grid_scan(GridSpec(361.0, 361.0, 180.0, 180.0, 1, 1)).values[0, 0] == pytest.approx(
-        1.9912740744957953, rel=1e-12)
+    monkeypatch.setattr(moments, "_log_s", lambda *pairs: calls.append(pairs) or log_s(*pairs))
+    for r, a, want in ((180.0, 361.0, 1.9912740744957953), (0.05, 0.14, 1.501243466970671407)):
+        assert s_statistic(r, a) == pytest.approx(want, rel=1e-12)
+        assert grid_scan(GridSpec(a, a, r, r, 1, 1)).values[0, 0] == pytest.approx(want, rel=1e-12)
     R = correlation(GbmParams(-268.6425722144426, 7.886271062952987, 1.9296876647912937)).R
     assert R == pytest.approx(7.241482451818302e-27, rel=1e-12)
-    assert len(calls) == 3
+    assert correlation(bench).R == pytest.approx(BENCH_R, rel=1e-12)
+    assert len(calls) == 4
+    for pairs in calls:
+        assert [len(pair) for pair in pairs] == [2, 2, 2]
+        assert all(sys.float_info.min <= x <= 1.0 for _, x in pairs)
 
 
 # ---------------------------------------------------------------------------
