@@ -4,10 +4,13 @@ standard errors.
 
 Reproducibility contract: block b of BLOCK_PATHS paths draws its normals
 from its own PCG64DXSM stream, seeded by child b of the seed's SeedSequence,
-row-major, one row of `steps` normals per path (numpy's ziggurat
-`standard_normal`).  Per-block statistics are merged in block-index order,
-so an estimate depends only on (seed, paths, steps, averaging) and the fixed
-BLOCK_PATHS, never on the thread count or the order in which blocks finish.
+row-major, one row of `steps` normals (numpy's ziggurat `standard_normal`)
+per antithetic pair: row i of the block at path lo drives path lo + 2i with
++z and lo + 2i + 1 with -z.  Every mean is taken over pair means, an odd
+count's last path a unit of its own, so an estimate needs 3 paths.
+Per-block statistics are merged in block-index order, so an estimate depends
+only on (seed, paths, steps, averaging) and the fixed BLOCK_PATHS, never on
+the thread count or the order in which blocks finish.
 """
 
 from __future__ import annotations
@@ -38,16 +41,16 @@ __all__ = [
 
 BLOCK_PATHS = 4096   # fixed block size: part of the stream layout and the reduction tree
 CORR_BATCHES = 32    # batch-means batches for nonlinear statistics
-TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole paths at a time
+TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole rows at a time
 
 _AVERAGING = ("trapezoid", "left-riemann")
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation controls: path count, time steps, 64-bit seed, and the
-    path-averaging rule (trapezoid has O(1/steps^2) bias, left-riemann
-    O(1/steps))."""
+    """Simulation controls: path count (at least 3, two sampling units),
+    time steps, 64-bit seed, and the path-averaging rule (trapezoid has
+    O(1/steps^2) bias, left-riemann O(1/steps))."""
 
     paths: int
     steps: int
@@ -55,8 +58,8 @@ class McConfig:
     averaging: str = "trapezoid"
 
     def __post_init__(self):
-        if self.paths < 2:
-            raise ValueError("need at least 2 paths")
+        if self.paths < 3:
+            raise ValueError("need at least 3 paths")
         if self.steps < 1:
             raise ValueError("need at least 1 step")
         if self.averaging not in _AVERAGING:
@@ -109,39 +112,44 @@ def _block_generator(cfg: McConfig, lo: int) -> Generator:
 
 
 def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Standard normals of paths [lo, hi) of the block starting at `lo`, as
-    rows of cfg.steps draws, in the order the simulator draws them."""
-    return _block_generator(cfg, lo).standard_normal((hi - lo, cfg.steps))
+    """Standard normals of paths [lo, hi) of the block starting at `lo`, one
+    row of cfg.steps draws per pair, in the order the simulator draws them."""
+    return _block_generator(cfg, lo).standard_normal(((hi - lo + 1) // 2, cfg.steps))
 
 
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
 
-    The block's normals stream through one reused tile of about TILE_DRAWS
-    draws, whole paths at a time, filled in stream order; every step below
-    acts on each row alone, so the result does not depend on the tile size."""
+    Row i of the block's normals, with running sums C, drives path lo + 2i
+    by log S(t_k) = k drift + scale C_k and its mirror by k drift - scale C_k.
+    The rows stream through one reused tile of about TILE_DRAWS draws, whole
+    rows at a time, filled in stream order; every step below acts on each
+    row alone, so the result does not depend on the tile size."""
     steps = cfg.steps
     gen = _block_generator(cfg, lo)
     dt = p.T / steps
     scale = p.sigma * math.sqrt(dt)
-    drift = (p.r - 0.5 * p.sigma ** 2) * dt
-    s_T = np.empty(hi - lo)
-    a_hat = np.empty(hi - lo)
-    buf = np.empty((min(max(1, TILE_DRAWS // steps), hi - lo), steps))
-    for t0 in range(0, hi - lo, len(buf)):
-        t1 = min(t0 + len(buf), hi - lo)
-        # in place: normals, increments, log S, then S(t_1), ..., S(T); S(0) = 1
-        z = buf[:t1 - t0]
-        gen.standard_normal(out=z)
-        z *= scale
-        z += drift
-        s_grid = np.exp(np.cumsum(z, axis=1, out=z), out=z)
-        s_T[t0:t1] = s_grid[:, -1]
-        if cfg.averaging == "trapezoid":
-            a_hat[t0:t1] = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
-        else:
-            a_hat[t0:t1] = (1.0 + s_grid[:, :-1].sum(axis=1)) / steps
-    return s_T, a_hat
+    ramp = np.arange(1, steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt)
+    rows = (hi - lo + 1) // 2
+    # each row's +z path, then its mirror; an odd block drops the last mirror
+    s_T, a_hat = np.empty((rows, 2)), np.empty((rows, 2))
+    tile = min(max(1, TILE_DRAWS // steps), rows)
+    walk, work = np.empty((tile, steps)), np.empty((tile, steps))
+    for t0 in range(0, rows, tile):
+        t1 = min(t0 + tile, rows)
+        c, w = walk[:t1 - t0], work[:t1 - t0]
+        gen.standard_normal(out=c)
+        np.cumsum(c, axis=1, out=c)
+        c *= scale
+        for sign, step in enumerate((np.add, np.subtract)):
+            # log S, then S(t_1), ..., S(T) in place; S(0) = 1
+            s_grid = np.exp(step(ramp, c, out=w), out=w)
+            s_T[t0:t1, sign] = s_grid[:, -1]
+            if cfg.averaging == "trapezoid":
+                a_hat[t0:t1, sign] = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
+            else:
+                a_hat[t0:t1, sign] = (1.0 + s_grid[:, :-1].sum(axis=1)) / steps
+    return s_T.ravel()[:hi - lo], a_hat.ravel()[:hi - lo]
 
 
 def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
@@ -175,9 +183,11 @@ def simulate_terminal_and_average(p: GbmParams, cfg: McConfig,
 
 
 def _block_stats(x: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of one block, M2 the sum of squared deviations.
-    Centring on the block's first value first makes a constant block exact:
-    mean == x[0] and M2 == 0."""
+    """(count, mean, M2) over the sampling units of one block's per-path
+    values: the pair means, and the last path alone when the count is odd.
+    M2 is the sum of squared deviations; centring on the first unit makes a
+    constant block exact: mean == x[0] and M2 == 0."""
+    x = np.concatenate((0.5 * (x[:-1:2] + x[1::2]), x[len(x) - len(x) % 2:]))
     d = x - x[0]
     dm = d.mean()
     return len(x), float(x[0] + dm), float(((d - dm) ** 2).sum())
@@ -192,16 +202,16 @@ def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[in
     return n, ma + delta * nb / n, qa + qb + delta * delta * na * nb / n
 
 
-def _mean_stderr(block_stats: list[tuple[int, float, float]]) -> McEstimate:
+def _mean_stderr(block_stats: list[tuple[int, float, float]], paths: int) -> McEstimate:
     """Merge per-block (count, mean, M2) in block order."""
     n, mean, m2 = functools.reduce(_merge, block_stats)
-    return McEstimate(value=mean, stderr=math.sqrt(m2 / (n - 1) / n), paths_used=n)
+    return McEstimate(value=mean, stderr=math.sqrt(m2 / (n - 1) / n), paths_used=paths)
 
 
 def _path_mean(p: GbmParams, cfg: McConfig, f, threads: int) -> McEstimate:
     """Sample mean of f(S(T), A_hat) over all paths with standard error."""
     return _mean_stderr([_block_stats(f(s_T, a_hat)) for s_T, a_hat
-                         in iter_terminal_and_average(p, cfg, threads=threads)])
+                         in iter_terminal_and_average(p, cfg, threads=threads)], cfg.paths)
 
 
 def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> McEstimate:
@@ -242,33 +252,43 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
     (for sigma > 0) the correlation and, when `m` is given, E A^m under the
     key "moment_A_<m>", bit-identical to `estimate_moment_A`; used by the
     CLI cross-check.  The correlation pools per-batch sums [n, sum S, sum A,
-    sum S^2, sum A^2, sum SA], batches assigned by path index, so sigma > 0
-    needs at least 2 * CORR_BATCHES paths."""
+    sum S^2, sum A^2, sum SA] over paths; batch b holds the antithetic pairs
+    [ceil(b q), ceil((b + 1) q)), q = (paths // 2) / CORR_BATCHES, and the
+    last batch also an odd count's last path, so sigma > 0 needs at least
+    2 * CORR_BATCHES paths."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
     if m is not None and m < 0:
         raise ValueError("moment order must be nonnegative")
+    # the first path of each batch, and the path count
+    edges = np.append(2 * -(-np.arange(CORR_BATCHES) * (cfg.paths // 2) // CORR_BATCHES), cfg.paths)
     acc = np.zeros((CORR_BATCHES, 6))
     stats = {"mean_S": [], "mean_A": [], "second_moment_A": [], "cross_moment_SA": []}
     moment_stats = []
     lo = 0
     for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        n = len(s_T)
-        batch = (np.arange(lo, lo + n) * CORR_BATCHES) // cfg.paths
+        hi = lo + len(s_T)
         a2 = a_hat * a_hat
         sa = s_T * a_hat
-        np.add.at(acc, batch, np.stack([np.ones(n), s_T, a_hat, s_T * s_T, a2, sa], axis=1))
+        if p.sigma > 0:
+            # batches b0 .. b1 - 1 meet this block, each in one contiguous slice
+            b0, b1 = np.searchsorted(edges, lo, side="right") - 1, np.searchsorted(edges, hi)
+            cut = np.clip(edges[b0:b1 + 1], lo, hi) - lo
+            batches = acc[b0:b1]
+            batches[:, 0] += np.diff(cut)
+            for k, x in enumerate((s_T, a_hat, s_T * s_T, a2, sa), 1):
+                batches[:, k] += np.add.reduceat(x, cut[:-1])
         for block_stats, x in zip(stats.values(), (s_T, a_hat, a2, sa)):
             block_stats.append(_block_stats(x))
         if m is not None:
             moment_stats.append(_block_stats(a_hat ** m))
-        lo += n
-    out = {name: _mean_stderr(block_stats) for name, block_stats in stats.items()}
+        lo = hi
+    out = {name: _mean_stderr(block_stats, cfg.paths) for name, block_stats in stats.items()}
     if p.sigma > 0:
         batch_r = np.array([_pearson(row) for row in acc])
         out["correlation"] = McEstimate(_pearson(acc.sum(axis=0)),
                                         float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES),
                                         cfg.paths)
     if m is not None:
-        out[f"moment_A_{m}"] = _mean_stderr(moment_stats)
+        out[f"moment_A_{m}"] = _mean_stderr(moment_stats, cfg.paths)
     return out

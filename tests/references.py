@@ -22,15 +22,18 @@ def mp_exp_dd(nodes) -> mp.mpf:
 
     The Newton sum sum_i e^{x_i} / prod_{j != i} (x_i - x_j), with n digits
     more per decade of the smallest gap below 1 for its cancellation.  The
-    k-th copy of a tied node moves up by k 1e-40, at enough digits to hold
-    it: d log exp[x] / dx_i lies in (0, 1), so that moves the value by under
-    n^2 1e-40 relative.
+    k-th copy of a tied node moves up by k h, h the least of 1e-40 and 1e-10
+    of each distinct gap, so the copies stay below the next node, at enough
+    digits to hold h next to the largest node.  d log exp[x] / dx_i lies in
+    (0, 1), so that moves the value by under n^2 1e-40 relative.
     """
     with mp.workdps(max(mp.mp.dps, 50)):
         z = sorted(mp.mpf(x) for x in nodes)
         n = len(z) - 1
-        with mp.extradps(40 + int(mp.log10(1 + max(abs(z[0]), abs(z[-1]))))):
-            z = sorted(x + z[:i].count(x) * mp.mpf(10) ** -40 for i, x in enumerate(z))
+        h = min([mp.mpf(10) ** -40] + [(b - a) / 10 ** 10 for a, b in zip(z, z[1:]) if b != a])
+        top = max(abs(z[0]), abs(z[-1]))
+        with mp.extradps(int(-mp.log10(h)) + 1 + int(mp.log10(1 + top))):
+            z = sorted(x + z[:i].count(x) * h for i, x in enumerate(z))
             gap = min((b - a for a, b in zip(z, z[1:])), default=mp.mpf(1))
             with mp.extradps(n * max(0, int(-mp.log10(gap)) + 1)):
                 return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)

@@ -81,6 +81,8 @@ _FAILING_ARGV = [
     ["mc", "--m", "171"],
     ["mc", "--threads", "0"],
     ["mc", "--paths", "1"],
+    ["mc", "--paths", "2", "--sigma", "0"],
+    ["price", "--style", "floating", "--compare-mc", "--paths", "2"],
     ["corr", "--sigma", "0"],
     ["corr", "--r", "400", "--sigma", "1", "--T", "2"],
     ["corr", "--T", "inf"],
@@ -322,6 +324,21 @@ def test_mc_too_few_paths_for_batch_means_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "batch means" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--paths", "3", "--steps", "4", "--sigma", "0"],
+    ["mc", "--paths", "3", "--steps", "4", "--sigma", "0", "--m", "3"],
+    ["price", "--style", "floating", "--compare-mc", "--paths", "3", "--steps", "4"],
+    ["price", "--style", "fixed", "--K", "1", "--compare-mc", "--paths", "3", "--steps", "4"],
+], ids=" ".join)
+def test_smallest_path_count_gives_finite_estimates(capsys, argv):
+    # 3 paths are one antithetic pair and a lone path: two sampling units
+    code, out, err = run_cli(capsys, *argv, "--seed", "5")
+    assert code == 0 and err == ""
+    doc = strict_json(out)
+    for row in doc["estimates"].values() if "estimates" in doc else [doc["mc"]]:
+        assert row["paths"] == 3 and math.isfinite(row["stderr"]), row
 
 
 def test_mc_extra_moment_flag(capsys):

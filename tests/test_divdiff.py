@@ -313,6 +313,11 @@ def test_mp_exp_dd_ties_match_bidiagonal_expm():
                 if i < n:
                     M[i, i + 1] = 1
             assert abs(mp_exp_dd(row) / mp.expm(M)[0, n] - 1) <= 1e-35, row
+    # a 1e-40 move of the second 0 swamped the distinct gap 1.1e-308, which
+    # then read 0 and failed the reference; exp[0, 0, g, g] = 1/6 + O(g)
+    row = [0.0, 0.0, 1.1125369292536007e-308, 1.1125369292536007e-308]
+    assert rel_err(mp_exp_dd(row), mp.mpf(1) / 6) <= 1e-40
+    assert rel_err(exp_dd(row), mp.mpf(1) / 6) <= 1e-16
 
 
 def test_taylor_matrix_route_bit_identical_to_plain_reference():

@@ -31,8 +31,10 @@ BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(paths=1, steps=10, seed=0)
+    # an estimate needs two sampling units: one antithetic pair and a lone path
+    for paths in (1, 2):
+        with pytest.raises(ValueError, match="at least 3 paths"):
+            McConfig(paths=paths, steps=10, seed=0)
     with pytest.raises(ValueError):
         McConfig(paths=100, steps=0, seed=0)
     with pytest.raises(ValueError):
@@ -109,33 +111,40 @@ def test_pool_workers_capped_at_block_count(monkeypatch):
 
 def test_single_stream_layout():
     # block b draws its normals row-major from a PCG64DXSM stream seeded by
-    # child b of the seed's SeedSequence
+    # child b of the seed's SeedSequence, one row per pair of paths; the last
+    # block holds 1807 paths, so its last row drives one path
     from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-    cfg = McConfig(paths=10_000, steps=7, seed=2 ** 64 - 3)
+    cfg = McConfig(paths=10_001, steps=7, seed=2 ** 64 - 3)
     starts = range(0, cfg.paths, BLOCK_PATHS)
     children = SeedSequence(cfg.seed).spawn(len(starts))
     blocks = []
     for child, lo in zip(children, starts):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        want = Generator(PCG64DXSM(child)).standard_normal((hi - lo) * cfg.steps)
+        rows = (hi - lo + 1) // 2
+        want = Generator(PCG64DXSM(child)).standard_normal(rows * cfg.steps)
         blocks.append(_block_normals(cfg, lo, hi))
-        assert np.array_equal(blocks[-1], want.reshape(hi - lo, cfg.steps))
-    # the simulator builds its paths from exactly those rows
+        assert np.array_equal(blocks[-1], want.reshape(rows, cfg.steps))
+    # row i drives path 2i with +z and path 2i + 1 with -z
     s_T, _ = simulate_terminal_and_average(BENCH, cfg)
     dt = BENCH.T / cfg.steps
-    z = np.concatenate(blocks)
-    log_inc = (BENCH.r - 0.5 * BENCH.sigma ** 2) * dt + BENCH.sigma * math.sqrt(dt) * z
-    want = np.exp(log_inc.sum(axis=1))
-    assert np.allclose(s_T, want, rtol=1e-13, atol=0.0)
+    walk = BENCH.sigma * math.sqrt(dt) * np.concatenate(blocks).sum(axis=1)
+    drift_T = (BENCH.r - 0.5 * BENCH.sigma ** 2) * BENCH.T
+    assert len(s_T) == cfg.paths and len(walk) == (cfg.paths + 1) // 2
+    assert np.allclose(s_T[0::2], np.exp(drift_T + walk), rtol=1e-13, atol=0.0)
+    assert np.allclose(s_T[1::2], np.exp(drift_T - walk[:-1]), rtol=1e-13, atol=0.0)
+    # so the log terminal values of a pair sum to twice the drift
+    log_s = np.log(s_T[:-1])
+    assert np.allclose(log_s[0::2] + log_s[1::2], 2 * drift_T, rtol=0.0, atol=1e-14)
 
 
 def test_block_normals_against_mpmath_distribution():
-    # 2^22 draws from four blocks: chi-square over 100 bins equiprobable under
-    # mpmath's normal quantile, and the counts beyond |z| > 4 and > 5
+    # 2^22 draws from eight blocks of 2048 rows: chi-square over 100 bins
+    # equiprobable under mpmath's normal quantile, and the counts beyond
+    # |z| > 4 and > 5
     import mpmath
 
-    cfg = McConfig(paths=4 * BLOCK_PATHS, steps=256, seed=20_100_611)
+    cfg = McConfig(paths=8 * BLOCK_PATHS, steps=256, seed=20_100_611)
     z = np.concatenate([_block_normals(cfg, lo, lo + BLOCK_PATHS)
                         for lo in range(0, cfg.paths, BLOCK_PATHS)]).ravel()
     n = z.size
@@ -146,9 +155,7 @@ def test_block_normals_against_mpmath_distribution():
     counts = np.bincount(np.searchsorted(edges, z), minlength=bins)
     stat = float(((counts - n / bins) ** 2).sum() / (n / bins))
     # the chi-square(bins - 1) upper 1e-6 quantile, about 180.8
-    crit = mpmath.findroot(lambda x: mpmath.gammainc(mpmath.mpf(bins - 1) / 2, x / 2, mpmath.inf,
-                                                     regularized=True) - mpmath.mpf("1e-6"), 180)
-    assert stat < crit
+    assert stat < _chi2_quantile(bins - 1, 1e-6, upper=True)
     for x in (4, 5):
         tail = float(mpmath.erfc(x / mpmath.sqrt(2)))
         beyond = int((np.abs(z) > x).sum())
@@ -156,19 +163,25 @@ def test_block_normals_against_mpmath_distribution():
 
 
 def test_fewer_paths_give_a_prefix():
-    small = simulate_terminal_and_average(BENCH, McConfig(paths=4096, steps=16, seed=8))
-    first = next(iter_terminal_and_average(BENCH, McConfig(paths=10_000, steps=16, seed=8)))
-    assert np.array_equal(small[0], first[0]) and np.array_equal(small[1], first[1])
+    # odd counts end in a row that drives one path, in either block
+    big = simulate_terminal_and_average(BENCH, McConfig(paths=10_000, steps=16, seed=8))
+    for paths in (4096, 4095, 4097, 3):
+        small = simulate_terminal_and_average(BENCH, McConfig(paths=paths, steps=16, seed=8))
+        assert np.array_equal(small[0], big[0][:paths]), paths
+        assert np.array_equal(small[1], big[1][:paths]), paths
 
 
 def _one_shot_paths(p, cfg):
-    """(S(T), A_hat) built from each block's whole normal array at once."""
+    """(S(T), A_hat) built from each block's whole normal array at once: row i
+    of a block's normals, with running sums C, drives its path 2i by
+    log S(t_k) = k drift + scale C_k and path 2i + 1 by k drift - scale C_k."""
     dt = p.T / cfg.steps
+    ramp = np.arange(1, cfg.steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt)
     s_parts, a_parts = [], []
     for lo in range(0, cfg.paths, BLOCK_PATHS):
-        z = _block_normals(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
-        s = np.exp(np.cumsum(z * (p.sigma * math.sqrt(dt)) + (p.r - 0.5 * p.sigma ** 2) * dt,
-                             axis=1))
+        hi = min(lo + BLOCK_PATHS, cfg.paths)
+        c = np.cumsum(_block_normals(cfg, lo, hi), axis=1) * (p.sigma * math.sqrt(dt))
+        s = np.exp(np.stack([ramp + c, ramp - c], axis=1).reshape(-1, cfg.steps))[:hi - lo]
         head = s[:, :-1].sum(axis=1)
         if cfg.averaging == "trapezoid":
             a_parts.append((0.5 + head + 0.5 * s[:, -1]) / cfg.steps)
@@ -181,8 +194,9 @@ def _one_shot_paths(p, cfg):
 @pytest.mark.parametrize("paths, steps", [(9_000, 333), (4_100, 1), (4_097, 1000),
                                           (3, 70_000)])
 def test_tiled_simulation_equals_one_shot_reference(paths, steps):
-    # tiles of 2^16 // steps whole paths: 333 and 1000 do not divide 2^16,
-    # 70 000 steps exceed it (one path per tile); each case ends in a partial block
+    # tiles of 2^16 // steps whole rows: 333 and 1000 do not divide 2^16,
+    # 70 000 steps exceed it (one row per tile); each case ends in a partial
+    # block, 4 097 and 3 paths in a row that drives one path
     p = GbmParams(r=0.07, sigma=0.4, T=1.5)
     for averaging in ("trapezoid", "left-riemann"):
         cfg = McConfig(paths=paths, steps=steps, seed=41, averaging=averaging)
@@ -238,6 +252,37 @@ def test_fourth_moment_within_four_stderr():
     assert abs(est.value - moment_A(BENCH, 4)) <= 4.0 * est.stderr
 
 
+def _chi2_quantile(df: int, tail: float, upper: bool) -> float:
+    """The chi-square(df) quantile with probability `tail` above it (upper)
+    or below it, a root of the log of mpmath's regularized incomplete gamma
+    function over `tail`."""
+    import mpmath
+
+    a = mpmath.mpf(df) / 2
+    limits = (lambda x: (x / 2, mpmath.inf)) if upper else (lambda x: (0, x / 2))
+    return float(mpmath.findroot(
+        lambda x: mpmath.log(mpmath.gammainc(a, *limits(x), regularized=True) / tail),
+        df + (5 if upper else -4) * math.sqrt(2 * df)))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda cfg: estimate_payoff(BENCH, cfg, FloatingStrikeAsianCall()),
+    lambda cfg: estimate_moment_A(BENCH, cfg, 2),
+], ids=["payoff-floating", "moment-A-2"])
+def test_stderr_is_calibrated(estimate):
+    # over 512 seeds the estimates' sample variance over the mean reported
+    # variance is about chi-square(511) / 511 when the stderr is right.  A
+    # per-path stderr on antithetic pairs reads too large: about 1.3x for
+    # the floating strike, whose pair values correlate by about -0.5, which
+    # 64 seeds cannot tell from chance, and about 4x for E A^2
+    runs = [estimate(McConfig(paths=512, steps=8, seed=seed)) for seed in range(512)]
+    values = np.array([est.value for est in runs])
+    ratio = values.var(ddof=1) / np.mean([est.stderr ** 2 for est in runs])
+    df = len(runs) - 1
+    assert _chi2_quantile(df, 1e-6, upper=False) / df < ratio
+    assert ratio < _chi2_quantile(df, 1e-6, upper=True) / df
+
+
 def test_correlation_stderr_shrinks_on_doubling():
     # one seed's ratio has SD ~0.23 (batch-means stderr over 32 batches);
     # the mean over eight seeds has SD ~0.08
@@ -254,7 +299,7 @@ def test_trapezoid_bias_shrinks_quadratically():
     p = GbmParams(r=0.4, sigma=0.0, T=1.0)
     errs = []
     for steps in (8, 16, 32):
-        est = estimate_moment_A(p, McConfig(paths=2, steps=steps, seed=0), 1)
+        est = estimate_moment_A(p, McConfig(paths=3, steps=steps, seed=0), 1)
         errs.append(abs(est.value - mean_A(p)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -264,7 +309,7 @@ def test_left_riemann_bias_is_first_order():
     p = GbmParams(r=0.4, sigma=0.0, T=1.0)
     errs = []
     for steps in (8, 16, 32):
-        cfg = McConfig(paths=2, steps=steps, seed=0, averaging="left-riemann")
+        cfg = McConfig(paths=3, steps=steps, seed=0, averaging="left-riemann")
         errs.append(abs(estimate_moment_A(p, cfg, 1).value - mean_A(p)))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
@@ -295,8 +340,8 @@ def test_estimate_correlation():
 
 
 def test_ordered_product_mc_cross_check():
-    # E S(t1) S(t2) S(t3) against the analytic formula, using paths rebuilt
-    # from the simulator's own normals
+    # E S(t1) S(t2) S(t3) against the analytic formula, using path pairs
+    # rebuilt from the simulator's own normals; the pair means are i.i.d.
     p = BENCH
     cfg = McConfig(paths=60_000, steps=64, seed=17)
     times = (0.25, 0.5, 1.0)
@@ -305,10 +350,12 @@ def test_ordered_product_mc_cross_check():
     prods = []
     for lo in range(0, cfg.paths, BLOCK_PATHS):
         z = _block_normals(cfg, lo, min(lo + BLOCK_PATHS, cfg.paths))
-        log_s = np.cumsum((p.r - 0.5 * p.sigma ** 2) * dt + p.sigma * math.sqrt(dt) * z,
-                          axis=1)
-        s = np.exp(log_s)
-        prods.append(s[:, idx[0]] * s[:, idx[1]] * s[:, idx[2]])
+        pair = []
+        for sign in (1.0, -1.0):
+            s = np.exp(np.cumsum((p.r - 0.5 * p.sigma ** 2) * dt
+                                 + sign * p.sigma * math.sqrt(dt) * z, axis=1))
+            pair.append(s[:, idx[0]] * s[:, idx[1]] * s[:, idx[2]])
+        prods.append(0.5 * (pair[0] + pair[1]))
     prods = np.concatenate(prods)
     want = ordered_product_expectation(p, times)
     stderr = prods.std(ddof=1) / math.sqrt(len(prods))
@@ -323,8 +370,8 @@ def test_estimate_payoff_degenerate_cases():
     assert est.value == pytest.approx(math.exp(-0.05) * avg.value, rel=1e-13)
     # sigma = 0 floating strike is exact
     p0 = GbmParams(r=0.05, sigma=0.0, T=1.0)
-    est0 = estimate_payoff(p0, McConfig(paths=2, steps=256, seed=0), FloatingStrikeAsianCall())
-    _, a_det = simulate_terminal_and_average(p0, McConfig(paths=2, steps=256, seed=0))
+    est0 = estimate_payoff(p0, McConfig(paths=3, steps=256, seed=0), FloatingStrikeAsianCall())
+    _, a_det = simulate_terminal_and_average(p0, McConfig(paths=3, steps=256, seed=0))
     want = math.exp(-0.05) * max(math.exp(0.05) - a_det[0], 0.0)
     assert est0.value == pytest.approx(want, rel=1e-14)
     assert est0.stderr == 0.0
