@@ -10,13 +10,16 @@ per antithetic pair: row i of the block at path lo drives path lo + 2i with
 count's last path a unit of its own, so an estimate needs 3 paths.
 Per-block statistics are merged in block-index order, so an estimate depends
 only on (seed, paths, steps, averaging) and the fixed BLOCK_PATHS, never on
-the thread count or the order in which blocks finish.
+the thread count or the order in which blocks finish.  Each call gives each
+worker thread one (walk, work) tile pair of about 2 x TILE_DRAWS doubles for
+all its blocks; nothing is kept after the call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -117,14 +120,22 @@ def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
     return _block_generator(cfg, lo).standard_normal(((hi - lo + 1) // 2, cfg.steps))
 
 
-def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(cfg: McConfig) -> np.ndarray:
+    """One call's (walk, work) tile pair for one worker: whole rows of about
+    TILE_DRAWS draws each, no more rows than the call's first block has."""
+    tile = min(max(1, TILE_DRAWS // cfg.steps), (min(cfg.paths, BLOCK_PATHS) + 1) // 2)
+    return np.empty((2, tile, cfg.steps))
+
+
+def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int,
+                    buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
 
     Row i of the block's normals, with running sums C, drives path lo + 2i
     by log S(t_k) = k drift + scale C_k and its mirror by k drift - scale C_k.
-    The rows stream through one reused tile of about TILE_DRAWS draws, whole
-    rows at a time, filled in stream order; every step below acts on each
-    row alone, so the result does not depend on the tile size."""
+    The rows stream through `buf`, the worker's `_workspace`, whole rows at a
+    time, filled in stream order; every step below acts on each row alone, so
+    the result depends on neither the tile size nor the tiles' old contents."""
     steps = cfg.steps
     gen = _block_generator(cfg, lo)
     dt = p.T / steps
@@ -133,8 +144,8 @@ def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int) -> tuple[np.n
     rows = (hi - lo + 1) // 2
     # each row's +z path, then its mirror; an odd block drops the last mirror
     s_T, a_hat = np.empty((rows, 2)), np.empty((rows, 2))
-    tile = min(max(1, TILE_DRAWS // steps), rows)
-    walk, work = np.empty((tile, steps)), np.empty((tile, steps))
+    walk, work = buf
+    tile = len(walk)
     for t0 in range(0, rows, tile):
         t1 = min(t0 + tile, rows)
         c, w = walk[:t1 - t0], work[:t1 - t0]
@@ -162,14 +173,18 @@ def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
     ranges = _block_ranges(cfg.paths)
     workers = min(threads, len(ranges))
     if workers == 1:
-        return (_simulate_block(p, cfg, lo, hi) for lo, hi in ranges)
+        buf = _workspace(cfg)
+        return (_simulate_block(p, cfg, lo, hi, buf) for lo, hi in ranges)
     return _pooled_blocks(p, cfg, ranges, workers)
 
 
 def _pooled_blocks(p: GbmParams, cfg: McConfig, ranges: list[tuple[int, int]],
                    workers: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # each worker thread's tile pair, made on its first block, dropped with the call
+    tiles = functools.cache(lambda thread: _workspace(cfg))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda r: _simulate_block(p, cfg, *r), ranges)
+        yield from pool.map(lambda r: _simulate_block(p, cfg, *r, tiles(threading.get_ident())),
+                            ranges)
 
 
 def simulate_terminal_and_average(p: GbmParams, cfg: McConfig,

@@ -355,9 +355,9 @@ def _count_blocks(monkeypatch) -> list:
     calls = []
     simulate = montecarlo._simulate_block
 
-    def counted(p, cfg, lo, hi):
+    def counted(p, cfg, lo, hi, buf):
         calls.append((lo, hi))
-        return simulate(p, cfg, lo, hi)
+        return simulate(p, cfg, lo, hi, buf)
 
     monkeypatch.setattr(montecarlo, "_simulate_block", counted)
     return calls

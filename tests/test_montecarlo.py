@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +205,53 @@ def test_tiled_simulation_equals_one_shot_reference(paths, steps):
         for threads in (1, 2):
             got = simulate_terminal_and_average(p, cfg, threads=threads)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_one_workspace_per_worker_and_call(monkeypatch):
+    # the blocks of a call stream through one tile pair per worker thread,
+    # each of at most 2 x TILE_DRAWS doubles here; holding every pair seen
+    # keeps a freed one's address from coming back
+    seen = []
+    simulate = montecarlo._simulate_block
+
+    def recorded(p, cfg, lo, hi, buf):
+        seen.append(buf)
+        return simulate(p, cfg, lo, hi, buf)
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", recorded)
+    cfg = McConfig(paths=4 * BLOCK_PATHS + 1, steps=300, seed=3)
+    for threads, most in ((1, 1), (2, 2)):
+        seen.clear()
+        assert len(list(iter_terminal_and_average(BENCH, cfg, threads=threads))) == 5
+        assert len(seen) == 5 and 1 <= len({buf.ctypes.data for buf in seen}) <= most, threads
+        assert all(buf.size <= 2 * montecarlo.TILE_DRAWS for buf in seen)
+
+
+def test_workers_never_share_tiles():
+    # more workers than cores and a short switch interval interleave the
+    # workers' numpy steps, so tiles shared between workers would mix rows
+    cfg = McConfig(paths=16 * BLOCK_PATHS, steps=24, seed=13)
+    want = list(iter_terminal_and_average(BENCH, cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(iter_terminal_and_average(BENCH, cfg, threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    for (s_T, a_hat), (s_want, a_want) in zip(got, want, strict=True):
+        assert s_T.tobytes() == s_want.tobytes() and a_hat.tobytes() == a_want.tobytes()
+
+
+def test_interleaved_calls_give_the_blocks_of_each_call_alone():
+    # two streams of different tile shapes, advanced alternately in one
+    # thread, each keep their own tiles
+    one = (GbmParams(r=0.07, sigma=0.4, T=1.5), McConfig(paths=3 * BLOCK_PATHS, steps=333, seed=41))
+    two = (BENCH, McConfig(paths=3 * BLOCK_PATHS - 5, steps=52, seed=7, averaging="left-riemann"))
+    alone = [list(iter_terminal_and_average(p, cfg)) for p, cfg in (one, two)]
+    mixed = zip(iter_terminal_and_average(*one), iter_terminal_and_average(*two), strict=True)
+    for got, want_one, want_two in zip(mixed, *alone, strict=True):
+        for (s_T, a_hat), (s_want, a_want) in zip(got, (want_one, want_two)):
+            assert s_T.tobytes() == s_want.tobytes() and a_hat.tobytes() == a_want.tobytes()
 
 
 def test_sigma_zero_suite_stderr_is_exact_zero():
