@@ -4,15 +4,18 @@ standard errors.
 
 Reproducibility contract: block b of BLOCK_PATHS paths draws its normals
 from its own PCG64DXSM stream, seeded by child b of the seed's SeedSequence,
-row-major, one row of `steps` normals (numpy's ziggurat `standard_normal`)
-per antithetic pair: row i of the block at path lo drives path lo + 2i with
-+z and lo + 2i + 1 with -z.  Every mean is taken over pair means, an odd
-count's last path a unit of its own, so an estimate needs 3 paths.
-Per-block statistics are merged in block-index order, so an estimate depends
-only on (seed, paths, steps, averaging) and the fixed BLOCK_PATHS, never on
-the thread count or the order in which blocks finish.  Each call gives each
-worker thread one (walk, work) tile pair of about 2 x TILE_DRAWS doubles for
-all its blocks; nothing is kept after the call.
+with numpy's ziggurat `standard_normal`, step-major: the block's antithetic
+pairs are one panel, and each step draws one row of PANEL normals, whose
+column i drives path lo + 2i with +z and lo + 2i + 1 with -z.  A partial
+block, only ever a call's last, draws full rows and uses their first
+columns, so a call draws fewer than PANEL x steps normals it does not use.
+Every mean is taken over pair means, an odd count's last path a unit of its
+own, so an estimate needs 3 paths.  Per-block statistics are merged in
+block-index order, so an estimate depends only on (seed, paths, steps,
+averaging) and the fixed BLOCK_PATHS, never on the thread count or the
+order in which blocks finish.  Each call gives each worker thread one
+(walk, work) tile pair of at most 2 x TILE_DRAWS doubles for all its
+blocks; nothing is kept after the call.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 4096   # fixed block size: part of the stream layout and the reduction tree
-CORR_BATCHES = 32    # batch-means batches for nonlinear statistics
-TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole rows at a time
+CORR_BATCHES = 32    # jackknife batches for the correlation
+PANEL = BLOCK_PATHS // 2  # pairs per step-major panel: a full block's pairs
+TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole panel rows at a time
 
 _AVERAGING = ("trapezoid", "left-riemann")
 
@@ -115,52 +119,69 @@ def _block_generator(cfg: McConfig, lo: int) -> Generator:
 
 
 def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Standard normals of paths [lo, hi) of the block starting at `lo`, one
-    row of cfg.steps draws per pair, in the order the simulator draws them."""
-    return _block_generator(cfg, lo).standard_normal(((hi - lo + 1) // 2, cfg.steps))
+    """Standard normals of paths [lo, hi) of the block starting at `lo`, as
+    the simulator draws them: row k holds step k + 1's normals of the
+    block's pairs, taken from full PANEL-wide rows, one row at a time."""
+    gen, pairs = _block_generator(cfg, lo), (hi - lo + 1) // 2
+    return np.stack([gen.standard_normal(PANEL)[:pairs] for _ in range(cfg.steps)])
 
 
 def _workspace(cfg: McConfig) -> np.ndarray:
-    """One call's (walk, work) tile pair for one worker: whole rows of about
-    TILE_DRAWS draws each, no more rows than the call's first block has."""
-    tile = min(max(1, TILE_DRAWS // cfg.steps), (min(cfg.paths, BLOCK_PATHS) + 1) // 2)
-    return np.empty((2, tile, cfg.steps))
+    """One call's (walk, work) tile pair for one worker: up to
+    TILE_DRAWS // PANEL steps of a panel each, no more steps than a path has."""
+    return np.empty((2, min(TILE_DRAWS // PANEL, cfg.steps), PANEL))
 
 
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int,
                     buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
 
-    Row i of the block's normals, with running sums C, drives path lo + 2i
-    by log S(t_k) = k drift + scale C_k and its mirror by k drift - scale C_k.
-    The rows stream through `buf`, the worker's `_workspace`, whole rows at a
-    time, filled in stream order; every step below acts on each row alone, so
-    the result depends on neither the tile size nor the tiles' old contents."""
+    The block's pairs are one panel, drawn step-major: with W_k = scale
+    (z_1 + ... + z_k) the running sum of column i's scaled normals, pair i
+    drives path lo + 2i by log S(t_k) = k drift + W_k and its mirror by
+    k drift - W_k.  The steps stream through `buf`, the worker's
+    `_workspace`, a tile of whole PANEL-wide rows at a time, filled in
+    stream order; the running sum takes one add per step, carried from tile
+    to tile.  Every step below acts on each column alone and in step order,
+    on all PANEL columns however few the block uses, so the result depends
+    on neither the tile size, nor the tiles' old contents, nor the block's
+    path count."""
     steps = cfg.steps
     gen = _block_generator(cfg, lo)
     dt = p.T / steps
     scale = p.sigma * math.sqrt(dt)
-    ramp = np.arange(1, steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt)
-    rows = (hi - lo + 1) // 2
-    # each row's +z path, then its mirror; an odd block drops the last mirror
-    s_T, a_hat = np.empty((rows, 2)), np.empty((rows, 2))
+    ramp = (np.arange(1, steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt))[:, None]
+    # the +z paths, then their mirrors.  a_hat holds the running sums of
+    # S(0) / 2 (trapezoid) or S(0), and the S(t_k) before the last step;
+    # S(0) = 1
+    s_T, a_hat = np.empty((2, PANEL)), np.empty((2, PANEL))
+    a_hat.fill(0.5 if cfg.averaging == "trapezoid" else 1.0)
+    carry = np.zeros(PANEL)
     walk, work = buf
     tile = len(walk)
-    for t0 in range(0, rows, tile):
-        t1 = min(t0 + tile, rows)
-        c, w = walk[:t1 - t0], work[:t1 - t0]
-        gen.standard_normal(out=c)
-        np.cumsum(c, axis=1, out=c)
-        c *= scale
+    for s0 in range(0, steps, tile):
+        k = min(tile, steps - s0)
+        z, w = walk[:k], work[:k]
+        gen.standard_normal(out=z)
+        z *= scale
+        np.add(carry, z[0], out=z[0])
+        for i in range(1, k):
+            np.add(z[i - 1], z[i], out=z[i])
+        carry[:] = z[-1]
+        last = s0 + k == steps
+        head = k - 1 if last else k
         for sign, step in enumerate((np.add, np.subtract)):
-            # log S, then S(t_1), ..., S(T) in place; S(0) = 1
-            s_grid = np.exp(step(ramp, c, out=w), out=w)
-            s_T[t0:t1, sign] = s_grid[:, -1]
-            if cfg.averaging == "trapezoid":
-                a_hat[t0:t1, sign] = (0.5 + s_grid[:, :-1].sum(axis=1) + 0.5 * s_grid[:, -1]) / steps
-            else:
-                a_hat[t0:t1, sign] = (1.0 + s_grid[:, :-1].sum(axis=1)) / steps
-    return s_T.ravel()[:hi - lo], a_hat.ravel()[:hi - lo]
+            np.exp(step(ramp[s0:s0 + k], z, out=w), out=w)
+            if head:
+                w[0] += a_hat[sign]
+                np.sum(w[:head], axis=0, out=a_hat[sign])
+            if last:
+                s_T[sign] = w[-1]
+    if cfg.averaging == "trapezoid":
+        a_hat += 0.5 * s_T
+    a_hat /= steps
+    # path lo + 2i is pair i's +z path, lo + 2i + 1 its mirror
+    return s_T.T.ravel()[:hi - lo], a_hat.T.ravel()[:hi - lo]
 
 
 def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
@@ -254,8 +275,8 @@ def _pearson(row: np.ndarray) -> float:
 
 
 def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEstimate:
-    """Sample Pearson correlation of (S(T), A_hat); the standard error comes
-    from batch means over CORR_BATCHES path batches."""
+    """Sample Pearson correlation of (S(T), A_hat); the standard error is
+    the delete-one-batch jackknife over CORR_BATCHES path batches."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
     return estimate_suite(p, cfg, threads)["correlation"]
@@ -270,7 +291,9 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
     sum S^2, sum A^2, sum SA] over paths; batch b holds the antithetic pairs
     [ceil(b q), ceil((b + 1) q)), q = (paths // 2) / CORR_BATCHES, and the
     last batch also an odd count's last path, so sigma > 0 needs at least
-    2 * CORR_BATCHES paths."""
+    2 * CORR_BATCHES paths.  Its stderr is the delete-one-batch jackknife:
+    sqrt((B - 1) / B sum_b (r_b - mean r)^2), r_b the correlation of every
+    batch but b."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
     if m is not None and m < 0:
@@ -300,10 +323,10 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
         lo = hi
     out = {name: _mean_stderr(block_stats, cfg.paths) for name, block_stats in stats.items()}
     if p.sigma > 0:
-        batch_r = np.array([_pearson(row) for row in acc])
-        out["correlation"] = McEstimate(_pearson(acc.sum(axis=0)),
-                                        float(batch_r.std(ddof=1)) / math.sqrt(CORR_BATCHES),
-                                        cfg.paths)
+        total = acc.sum(axis=0)
+        loo = np.array([_pearson(total - row) for row in acc])
+        stderr = math.sqrt((CORR_BATCHES - 1) / CORR_BATCHES * ((loo - loo.mean()) ** 2).sum())
+        out["correlation"] = McEstimate(_pearson(total), stderr, cfg.paths)
     if m is not None:
         out[f"moment_A_{m}"] = _mean_stderr(moment_stats, cfg.paths)
     return out

@@ -23,15 +23,19 @@ def mp_exp_dd(nodes) -> mp.mpf:
     The Newton sum sum_i e^{x_i} / prod_{j != i} (x_i - x_j), with n digits
     more per decade of the smallest gap below 1 for its cancellation.  The
     k-th copy of a tied node moves up by k h, h the least of 1e-40 and 1e-10
-    of each distinct gap, so the copies stay below the next node, at enough
-    digits to hold h next to the largest node.  d log exp[x] / dx_i lies in
-    (0, 1), so that moves the value by under n^2 1e-40 relative.
+    of each distinct gap, so the copies stay below the next node; where a
+    copy moves, at enough digits to hold h next to the largest node.
+    d log exp[x] / dx_i lies in (0, 1), so that moves the value by under
+    n^2 1e-40 relative.  Without a tie the exponentials of wide nodes keep
+    the working precision: mp.exp(-1e300) is about 900x slower at 360
+    digits than at 101.
     """
     with mp.workdps(max(mp.mp.dps, 50)):
         z = sorted(mp.mpf(x) for x in nodes)
         n = len(z) - 1
         h = min([mp.mpf(10) ** -40] + [(b - a) / 10 ** 10 for a, b in zip(z, z[1:]) if b != a])
-        top = max(abs(z[0]), abs(z[-1]))
+        tied = any(a == b for a, b in zip(z, z[1:]))
+        top = max(abs(z[0]), abs(z[-1])) if tied else 0
         with mp.extradps(int(-mp.log10(h)) + 1 + int(mp.log10(1 + top))):
             z = sorted(x + z[:i].count(x) * h for i, x in enumerate(z))
             gap = min((b - a for a, b in zip(z, z[1:])), default=mp.mpf(1))

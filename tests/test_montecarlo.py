@@ -16,6 +16,7 @@ from gbmdd.moments import (
 )
 from gbmdd.montecarlo import (
     BLOCK_PATHS,
+    PANEL,
     FixedStrikeAsianCall,
     FloatingStrikeAsianCall,
     McConfig,
@@ -111,9 +112,10 @@ def test_pool_workers_capped_at_block_count(monkeypatch):
 
 
 def test_single_stream_layout():
-    # block b draws its normals row-major from a PCG64DXSM stream seeded by
-    # child b of the seed's SeedSequence, one row per pair of paths; the last
-    # block holds 1807 paths, so its last row drives one path
+    # block b draws its normals step-major from a PCG64DXSM stream seeded by
+    # child b of the seed's SeedSequence, one row of PANEL draws per step; the
+    # last block holds 1809 paths, so it uses the first 905 columns of each
+    # row and its last column drives one path
     from numpy.random import PCG64DXSM, Generator, SeedSequence
 
     cfg = McConfig(paths=10_001, steps=7, seed=2 ** 64 - 3)
@@ -122,14 +124,13 @@ def test_single_stream_layout():
     blocks = []
     for child, lo in zip(children, starts):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        rows = (hi - lo + 1) // 2
-        want = Generator(PCG64DXSM(child)).standard_normal(rows * cfg.steps)
+        want = Generator(PCG64DXSM(child)).standard_normal(cfg.steps * PANEL)
         blocks.append(_block_normals(cfg, lo, hi))
-        assert np.array_equal(blocks[-1], want.reshape(rows, cfg.steps))
-    # row i drives path 2i with +z and path 2i + 1 with -z
+        assert np.array_equal(blocks[-1], want.reshape(cfg.steps, PANEL)[:, :(hi - lo + 1) // 2])
+    # column i drives path 2i with +z and path 2i + 1 with -z
     s_T, _ = simulate_terminal_and_average(BENCH, cfg)
     dt = BENCH.T / cfg.steps
-    walk = BENCH.sigma * math.sqrt(dt) * np.concatenate(blocks).sum(axis=1)
+    walk = BENCH.sigma * math.sqrt(dt) * np.concatenate(blocks, axis=1).sum(axis=0)
     drift_T = (BENCH.r - 0.5 * BENCH.sigma ** 2) * BENCH.T
     assert len(s_T) == cfg.paths and len(walk) == (cfg.paths + 1) // 2
     assert np.allclose(s_T[0::2], np.exp(drift_T + walk), rtol=1e-13, atol=0.0)
@@ -140,14 +141,14 @@ def test_single_stream_layout():
 
 
 def test_block_normals_against_mpmath_distribution():
-    # 2^22 draws from eight blocks of 2048 rows: chi-square over 100 bins
-    # equiprobable under mpmath's normal quantile, and the counts beyond
-    # |z| > 4 and > 5
+    # 2^22 draws from eight blocks of 256 steps of PANEL = 2048 draws:
+    # chi-square over 100 bins equiprobable under mpmath's normal quantile,
+    # and the counts beyond |z| > 4 and > 5
     import mpmath
 
     cfg = McConfig(paths=8 * BLOCK_PATHS, steps=256, seed=20_100_611)
-    z = np.concatenate([_block_normals(cfg, lo, lo + BLOCK_PATHS)
-                        for lo in range(0, cfg.paths, BLOCK_PATHS)]).ravel()
+    z = np.concatenate([_block_normals(cfg, lo, lo + BLOCK_PATHS).ravel()
+                        for lo in range(0, cfg.paths, BLOCK_PATHS)])
     n = z.size
     assert n == 2 ** 22
     bins = 100
@@ -172,36 +173,46 @@ def test_fewer_paths_give_a_prefix():
         assert np.array_equal(small[1], big[1][:paths]), paths
 
 
-def _one_shot_paths(p, cfg):
-    """(S(T), A_hat) built from each block's whole normal array at once: row i
-    of a block's normals, with running sums C, drives its path 2i by
-    log S(t_k) = k drift + scale C_k and path 2i + 1 by k drift - scale C_k."""
+def _one_shot_paths(p, cfg, normals):
+    """(S(T), A_hat) built one step at a time from each block's panel,
+    `normals` the `_block_normals` of cfg's blocks, with sequential sums:
+    column i, scaled and summed in step order to W, drives its path 2i by
+    log S(t_k) = k drift + W_k and path 2i + 1 by k drift - W_k; A_hat sums
+    S(0) / 2 (trapezoid) or S(0), then S(t_1), ..., S(t_{n-1}) in order,
+    then the trapezoid's S(T) / 2, over steps."""
     dt = p.T / cfg.steps
-    ramp = np.arange(1, cfg.steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt)
+    drift = (p.r - 0.5 * p.sigma ** 2) * dt
+    scale = p.sigma * math.sqrt(dt)
+    trapezoid = cfg.averaging == "trapezoid"
     s_parts, a_parts = [], []
-    for lo in range(0, cfg.paths, BLOCK_PATHS):
+    for lo, z in zip(range(0, cfg.paths, BLOCK_PATHS), normals):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        c = np.cumsum(_block_normals(cfg, lo, hi), axis=1) * (p.sigma * math.sqrt(dt))
-        s = np.exp(np.stack([ramp + c, ramp - c], axis=1).reshape(-1, cfg.steps))[:hi - lo]
-        head = s[:, :-1].sum(axis=1)
-        if cfg.averaging == "trapezoid":
-            a_parts.append((0.5 + head + 0.5 * s[:, -1]) / cfg.steps)
-        else:
-            a_parts.append((1.0 + head) / cfg.steps)
-        s_parts.append(s[:, -1])
+        walk = np.zeros(z.shape[1])
+        head = np.full((z.shape[1], 2), 0.5 if trapezoid else 1.0)
+        for k, zk in enumerate(z * scale, 1):
+            walk = walk + zk
+            s = np.exp(np.stack([k * drift + walk, k * drift - walk], axis=1))
+            if k < cfg.steps:
+                head = head + s
+        a = head + 0.5 * s if trapezoid else head
+        s_parts.append(s.ravel()[:hi - lo])
+        a_parts.append((a / cfg.steps).ravel()[:hi - lo])
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
 @pytest.mark.parametrize("paths, steps", [(9_000, 333), (4_100, 1), (4_097, 1000),
                                           (3, 70_000)])
 def test_tiled_simulation_equals_one_shot_reference(paths, steps):
-    # tiles of 2^16 // steps whole rows: 333 and 1000 do not divide 2^16,
-    # 70 000 steps exceed it (one row per tile); each case ends in a partial
-    # block, 4 097 and 3 paths in a row that drives one path
+    # tiles of 2^16 // PANEL = 32 steps: 333 and 1000 end in a partial tile,
+    # 1 step is a tile of one; each case ends in a partial block, 4 097 and 3
+    # paths in a column that drives one path
     p = GbmParams(r=0.07, sigma=0.4, T=1.5)
+    cfg = McConfig(paths=paths, steps=steps, seed=41)
+    normals = [_block_normals(cfg, lo, min(lo + BLOCK_PATHS, paths))
+               for lo in range(0, paths, BLOCK_PATHS)]
     for averaging in ("trapezoid", "left-riemann"):
         cfg = McConfig(paths=paths, steps=steps, seed=41, averaging=averaging)
-        want = _one_shot_paths(p, cfg)
+        want = _one_shot_paths(p, cfg, normals)
         for threads in (1, 2):
             got = simulate_terminal_and_average(p, cfg, threads=threads)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -316,13 +327,16 @@ def _chi2_quantile(df: int, tail: float, upper: bool) -> float:
 @pytest.mark.parametrize("estimate", [
     lambda cfg: estimate_payoff(BENCH, cfg, FloatingStrikeAsianCall()),
     lambda cfg: estimate_moment_A(BENCH, cfg, 2),
-], ids=["payoff-floating", "moment-A-2"])
+    lambda cfg: estimate_correlation(BENCH, cfg),
+], ids=["payoff-floating", "moment-A-2", "correlation"])
 def test_stderr_is_calibrated(estimate):
     # over 512 seeds the estimates' sample variance over the mean reported
     # variance is about chi-square(511) / 511 when the stderr is right.  A
     # per-path stderr on antithetic pairs reads too large: about 1.3x for
     # the floating strike, whose pair values correlate by about -0.5, which
-    # 64 seeds cannot tell from chance, and about 4x for E A^2
+    # 64 seeds cannot tell from chance, and about 4x for E A^2.  The
+    # correlation's batch-means stderr over its 32 batches of 8 pairs reads
+    # about 1.3x too large (the ratio about 0.59)
     runs = [estimate(McConfig(paths=512, steps=8, seed=seed)) for seed in range(512)]
     values = np.array([est.value for est in runs])
     ratio = values.var(ddof=1) / np.mean([est.stderr ** 2 for est in runs])
@@ -332,8 +346,8 @@ def test_stderr_is_calibrated(estimate):
 
 
 def test_correlation_stderr_shrinks_on_doubling():
-    # one seed's ratio has SD ~0.23 (batch-means stderr over 32 batches);
-    # the mean over eight seeds has SD ~0.08
+    # one seed's ratio has SD ~0.21 (jackknife stderr over 32 batches);
+    # the mean over eight seeds has SD ~0.075
     ratios = []
     for seed in range(31, 39):
         a = estimate_correlation(BENCH, McConfig(paths=20_000, steps=50, seed=seed))
@@ -393,7 +407,7 @@ def test_ordered_product_mc_cross_check():
     p = BENCH
     cfg = McConfig(paths=60_000, steps=64, seed=17)
     times = (0.25, 0.5, 1.0)
-    idx = [int(t * cfg.steps) - 1 for t in times]  # column i holds S((i+1) dt)
+    idx = [int(t * cfg.steps) - 1 for t in times]  # row k holds S((k+1) dt)
     dt = p.T / cfg.steps
     prods = []
     for lo in range(0, cfg.paths, BLOCK_PATHS):
@@ -401,8 +415,8 @@ def test_ordered_product_mc_cross_check():
         pair = []
         for sign in (1.0, -1.0):
             s = np.exp(np.cumsum((p.r - 0.5 * p.sigma ** 2) * dt
-                                 + sign * p.sigma * math.sqrt(dt) * z, axis=1))
-            pair.append(s[:, idx[0]] * s[:, idx[1]] * s[:, idx[2]])
+                                 + sign * p.sigma * math.sqrt(dt) * z, axis=0))
+            pair.append(s[idx[0]] * s[idx[1]] * s[idx[2]])
         prods.append(0.5 * (pair[0] + pair[1]))
     prods = np.concatenate(prods)
     want = ordered_product_expectation(p, times)
