@@ -2,9 +2,9 @@
 verification and pricing as subcommands with machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-domain error or failed
-allocation, 3 oracle suite failure.  Reports go to stdout, diagnostics to
-stderr.  The default Monte Carlo seed can be overridden with the GBMDD_SEED
-environment variable.
+allocation, 3 oracle suite failure, 141 stdout closed before the report was
+written.  Reports go to stdout, diagnostics to stderr.  The default Monte
+Carlo seed can be overridden with the GBMDD_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_ORACLE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports when a closed pipe ends a command
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,8 +203,8 @@ def _cmd_mc(args) -> int:
     rows = {}
     for name, est in suite.items():
         truth = analytic[name]
-        if est.stderr > 0:
-            z = (est.value - truth) / est.stderr
+        if est.stderr > 0:  # floored at the rounding of the mean and of the analytic value
+            z = (est.value - truth) / max(est.stderr, 4 * math.ulp(truth))
         else:  # an exact estimate off the analytic value (discretisation bias) has no z
             z = 0.0 if est.value == truth else None
         rows[name] = {**est.to_dict(cfg), "analytic": truth, "z": z}
@@ -339,7 +340,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere, so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"gbmdd: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,18 +9,21 @@ pairs are one panel, and each step draws one row of PANEL normals, whose
 column i drives path lo + 2i with +z and lo + 2i + 1 with -z.  A partial
 block, only ever a call's last, draws full rows and uses their first
 columns, so a call draws fewer than PANEL x steps normals it does not use.
-Every mean is taken over pair means, an odd count's last path a unit of its
-own, so an estimate needs 3 paths.  Per-block statistics are merged in
-block-index order, so an estimate depends only on (seed, paths, steps,
-averaging) and the fixed BLOCK_PATHS, never on the thread count or the
-order in which blocks finish.  Each call gives each worker thread one
-(walk, work) tile pair of at most 2 x TILE_DRAWS doubles for all its
-blocks; nothing is kept after the call.
+Every estimate comes from one reduction: per block, a record (count,
+means, centred co-moment matrix) of stacked statistics, merged in block
+order (Chan, Golub and LeVeque).  Means are over pair means, an odd
+count's last path a unit of its own, so an estimate needs 3 paths; the
+correlation is over the paths of its jackknife batches.  An estimate
+depends only on (seed, paths, steps, averaging) and the fixed BLOCK_PATHS,
+never on the thread count or the order in which blocks finish.  Each call
+gives each worker thread one (walk, work) tile pair of at most 2 x
+TILE_DRAWS doubles for all its blocks; nothing is kept after the call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -211,43 +214,53 @@ def _pooled_blocks(p: GbmParams, cfg: McConfig, ranges: list[tuple[int, int]],
 def simulate_terminal_and_average(p: GbmParams, cfg: McConfig,
                                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All (S(T), A_hat) pairs as two arrays of length cfg.paths."""
-    s_parts, a_parts = [], []
-    for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        s_parts.append(s_T)
-        a_parts.append(a_hat)
+    s_parts, a_parts = zip(*iter_terminal_and_average(p, cfg, threads=threads))
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
-def _block_stats(x: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) over the sampling units of one block's per-path
-    values: the pair means, and the last path alone when the count is odd.
-    M2 is the sum of squared deviations; centring on the first unit makes a
-    constant block exact: mean == x[0] and M2 == 0."""
-    x = np.concatenate((0.5 * (x[:-1:2] + x[1::2]), x[len(x) - len(x) % 2:]))
-    d = x - x[0]
-    dm = d.mean()
-    return len(x), float(x[0] + dm), float(((d - dm) ** 2).sum())
+def _record(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, means, centred co-moments C[i, j] = sum_u (x[i, u] - mean_i)
+    (x[j, u] - mean_j)) of stacked statistic rows over sampling units, the
+    columns of `x`.  Centring on the first unit keeps a constant row exact;
+    each entry is one row's pairwise sum, whatever rows share the record."""
+    d = x - x[:, :1]
+    dm = d.mean(axis=1)
+    e = d - dm[:, None]
+    return x.shape[1], x[:, 0] + dm, (e[:, None] * e).sum(axis=-1)
 
 
-def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Pairwise update of (count, mean, M2) (Chan, Golub and LeVeque)."""
-    na, ma, qa = a
-    nb, mb, qb = b
-    n = na + nb
-    delta = mb - ma
-    return n, ma + delta * nb / n, qa + qb + delta * delta * na * nb / n
+def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """Pairwise update of two records (Chan, Golub and LeVeque)."""
+    (na, ma, ca), (nb, mb, cb) = a, b
+    n, delta = na + nb, mb - ma
+    return n, ma + delta * nb / n, ca + cb + np.outer(delta, delta) * na * nb / n
 
 
-def _mean_stderr(block_stats: list[tuple[int, float, float]], paths: int) -> McEstimate:
-    """Merge per-block (count, mean, M2) in block order."""
-    n, mean, m2 = functools.reduce(_merge, block_stats)
-    return McEstimate(value=mean, stderr=math.sqrt(m2 / (n - 1) / n), paths_used=paths)
-
-
-def _path_mean(p: GbmParams, cfg: McConfig, f, threads: int) -> McEstimate:
-    """Sample mean of f(S(T), A_hat) over all paths with standard error."""
-    return _mean_stderr([_block_stats(f(s_T, a_hat)) for s_T, a_hat
-                         in iter_terminal_and_average(p, cfg, threads=threads)], cfg.paths)
+def _block_pass(p: GbmParams, cfg: McConfig, rows, threads: int,
+                batches: bool = False) -> tuple[list[McEstimate], list[tuple]]:
+    """One pass over the blocks, records merged in block order: the mean
+    estimates of the stacked statistics `rows(s_T, a_hat)` over pair units
+    and, if `batches`, each correlation batch's record over its paths of
+    (S(T), A_hat) less the call's first path, whose means then keep digits
+    below an ulp of S.  Batch b holds the pairs [ceil(b q), ceil((b + 1) q)),
+    q = (paths // 2) / CORR_BATCHES, and the last an odd count's last path."""
+    edges = [2 * -(-b * (cfg.paths // 2) // CORR_BATCHES) for b in range(CORR_BATCHES)]
+    edges.append(cfg.paths)
+    units, parts, lo = [], [[] for _ in range(CORR_BATCHES)], 0
+    for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
+        x, n = np.stack(rows(s_T, a_hat)), len(s_T)
+        origin = origin if lo else np.stack((s_T[:1], a_hat[:1]))
+        units.append(_record(np.concatenate((0.5 * (x[:, :-1:2] + x[:, 1::2]),
+                                             x[:, n - n % 2:]), axis=1)))
+        for b in range(CORR_BATCHES) if batches else ():
+            i, j = max(edges[b] - lo, 0), min(edges[b + 1] - lo, n)
+            if i < j:
+                parts[b].append(_record(np.stack((s_T[i:j], a_hat[i:j])) - origin))
+        lo += n
+    n, mean, c = functools.reduce(_merge, units)
+    means = [McEstimate(float(mean[i]), math.sqrt(c[i, i] / (n - 1) / n), cfg.paths)
+             for i in range(len(mean))]
+    return means, [functools.reduce(_merge, part) for part in parts if part]
 
 
 def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> McEstimate:
@@ -255,7 +268,8 @@ def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> 
     discretization bias of the averaging rule, O(1/steps^2) for trapezoid."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    return _path_mean(p, cfg, lambda s_T, a_hat: a_hat ** m, threads)
+    means, _ = _block_pass(p, cfg, lambda s_T, a_hat: [a_hat ** m], threads)
+    return means[0]
 
 
 def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> McEstimate:
@@ -263,15 +277,17 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
     if not isinstance(payoff, (FloatingStrikeAsianCall, FixedStrikeAsianCall)):
         raise ValueError(f"unknown payoff: {payoff!r}")
     disc = math.exp(-p.r * p.T)
-    return _path_mean(p, cfg, lambda s_T, a_hat: disc * payoff.values(s_T, a_hat), threads)
+    means, _ = _block_pass(p, cfg, lambda s_T, a_hat: [disc * payoff.values(s_T, a_hat)], threads)
+    return means[0]
 
 
-def _pearson(row: np.ndarray) -> float:
-    n, ss, sa, sss, saa, ssa = row
-    cov = ssa / n - (ss / n) * (sa / n)
-    vs = sss / n - (ss / n) ** 2
-    va = saa / n - (sa / n) ** 2
-    return cov / math.sqrt(vs * va)
+def _pearson(record: tuple) -> float:
+    """The correlation of an (S(T), A_hat) record, clipped to [-1, 1]."""
+    _, _, c = record
+    if not (c[0, 0] > 0 and c[1, 1] > 0):
+        raise ValueError("correlation undefined: S(T) or A_hat takes one float64 value "
+                         "on every path; sigma is below the resolution of S")
+    return float(np.clip(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]), -1.0, 1.0))
 
 
 def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEstimate:
@@ -286,47 +302,30 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
                    m: int | None = None) -> dict[str, McEstimate]:
     """One simulation pass estimating mean S(T), mean A, E A^2, E S A,
     (for sigma > 0) the correlation and, when `m` is given, E A^m under the
-    key "moment_A_<m>", bit-identical to `estimate_moment_A`; used by the
-    CLI cross-check.  The correlation pools per-batch sums [n, sum S, sum A,
-    sum S^2, sum A^2, sum SA] over paths; batch b holds the antithetic pairs
-    [ceil(b q), ceil((b + 1) q)), q = (paths // 2) / CORR_BATCHES, and the
-    last batch also an odd count's last path, so sigma > 0 needs at least
-    2 * CORR_BATCHES paths.  Its stderr is the delete-one-batch jackknife:
-    sqrt((B - 1) / B sum_b (r_b - mean r)^2), r_b the correlation of every
-    batch but b."""
+    key "moment_A_<m>", last and bit-identical to `estimate_moment_A`; used
+    by the CLI cross-check.  The correlation is Pearson's over all paths,
+    from the merged records of the CORR_BATCHES batches, so sigma > 0 needs
+    2 * CORR_BATCHES paths.  Its stderr is the delete-one-batch jackknife
+    sqrt((B - 1) / B sum_b (r_b - mean r)^2), r_b the correlation of the
+    record before batch b merged with the record after it."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
-        raise ValueError(f"need at least {2 * CORR_BATCHES} paths for batch means")
+        raise ValueError(f"need at least {2 * CORR_BATCHES} paths for the correlation's "
+                         f"{CORR_BATCHES} jackknife batches")
     if m is not None and m < 0:
         raise ValueError("moment order must be nonnegative")
-    # the first path of each batch, and the path count
-    edges = np.append(2 * -(-np.arange(CORR_BATCHES) * (cfg.paths // 2) // CORR_BATCHES), cfg.paths)
-    acc = np.zeros((CORR_BATCHES, 6))
-    stats = {"mean_S": [], "mean_A": [], "second_moment_A": [], "cross_moment_SA": []}
-    moment_stats = []
-    lo = 0
-    for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        hi = lo + len(s_T)
-        a2 = a_hat * a_hat
-        sa = s_T * a_hat
-        if p.sigma > 0:
-            # batches b0 .. b1 - 1 meet this block, each in one contiguous slice
-            b0, b1 = np.searchsorted(edges, lo, side="right") - 1, np.searchsorted(edges, hi)
-            cut = np.clip(edges[b0:b1 + 1], lo, hi) - lo
-            batches = acc[b0:b1]
-            batches[:, 0] += np.diff(cut)
-            for k, x in enumerate((s_T, a_hat, s_T * s_T, a2, sa), 1):
-                batches[:, k] += np.add.reduceat(x, cut[:-1])
-        for block_stats, x in zip(stats.values(), (s_T, a_hat, a2, sa)):
-            block_stats.append(_block_stats(x))
-        if m is not None:
-            moment_stats.append(_block_stats(a_hat ** m))
-        lo = hi
-    out = {name: _mean_stderr(block_stats, cfg.paths) for name, block_stats in stats.items()}
+    names = ["mean_S", "mean_A", "second_moment_A", "cross_moment_SA"]
+    names += [] if m is None else [f"moment_A_{m}"]
+
+    def rows(s_T, a_hat):
+        return [s_T, a_hat, a_hat * a_hat, s_T * a_hat] + ([] if m is None else [a_hat ** m])
+
+    means, batch = _block_pass(p, cfg, rows, threads, batches=p.sigma > 0)
+    out = dict(zip(names, means))
     if p.sigma > 0:
-        total = acc.sum(axis=0)
-        loo = np.array([_pearson(total - row) for row in acc])
+        pre = list(itertools.accumulate(batch, _merge))
+        suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge(b, a)))[::-1]
+        loo = np.array([_pearson(r) for r in [suf[1], *map(_merge, pre[:-2], suf[2:]), pre[-2]]])
         stderr = math.sqrt((CORR_BATCHES - 1) / CORR_BATCHES * ((loo - loo.mean()) ** 2).sum())
-        out["correlation"] = McEstimate(_pearson(total), stderr, cfg.paths)
-    if m is not None:
-        out[f"moment_A_{m}"] = _mean_stderr(moment_stats, cfg.paths)
+        out["correlation"] = McEstimate(_pearson(pre[-1]), stderr, cfg.paths)
+        out.update({name: out.pop(name) for name in names[4:]})  # moment_A_<m> last
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -319,11 +320,32 @@ def test_mc_zero_stderr_z_scores(capsys):
         assert row["value"] == row["analytic"] and row["z"] == 0.0, name
 
 
-def test_mc_too_few_paths_for_batch_means_exits_2(capsys):
+def test_mc_too_few_paths_for_jackknife_batches_exits_2(capsys):
     code, out, err = run_cli(capsys, "mc", "--paths", "16", "--steps", "4")
     assert code == 2
     assert out == ""
-    assert "batch means" in err
+    assert "need at least 64 paths for the correlation's 32 jackknife batches" in err
+
+
+def test_mc_below_the_resolution_of_S_exits_2(capsys):
+    # every S(T) is one double at sigma = 1e-300; raw power sums printed
+    # R = 0.589 with stderr 0
+    code, out, err = run_cli(capsys, "mc", "--sigma", "1e-300", "--paths", "4096", "--steps", "4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("gbmdd: correlation undefined: ")
+
+
+def test_mc_z_is_floored_at_four_ulps_of_the_analytic_value(capsys):
+    # at sigma = 1e-8 the stderr of mean_S is 2.2e-18 and the estimate 1 ulp
+    # of 1.05 off the analytic value: an unfloored z read -102
+    code, out, _ = run_cli(capsys, "mc", "--r", "0.05", "--T", "1", "--sigma", "1e-8",
+                           "--paths", "8192", "--steps", "16", "--seed", "1")
+    assert code == 0
+    row = json.loads(out)["estimates"]["mean_S"]
+    floor = 4 * math.ulp(row["analytic"])
+    assert 0 < row["stderr"] < floor
+    assert row["z"] == (row["value"] - row["analytic"]) / floor
+    assert abs(row["z"]) <= 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -517,6 +539,22 @@ assert out[1] == 0.5 and abs(out[0] + out[2] - 1.0) < 1e-15
 assert "scipy.special" in sys.modules
 print("ok")
 """
+
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops after 100 bytes of the published scan's 693 KB CSV
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-m", "gbmdd.cli", "scan"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE
+    assert len(head) == 100
+    assert b"Traceback" not in err and err == b"", err
 
 
 def test_import_and_subcommands_leave_scipy_unloaded():

@@ -335,8 +335,9 @@ def test_stderr_is_calibrated(estimate):
     # per-path stderr on antithetic pairs reads too large: about 1.3x for
     # the floating strike, whose pair values correlate by about -0.5, which
     # 64 seeds cannot tell from chance, and about 4x for E A^2.  The
-    # correlation's batch-means stderr over its 32 batches of 8 pairs reads
-    # about 1.3x too large (the ratio about 0.59)
+    # correlation's stderr, the delete-one-batch jackknife over its 32
+    # batches of 8 pairs, reads a ratio of about 0.98; batch means over the
+    # same batches read about 1.3x too large (the ratio about 0.59)
     runs = [estimate(McConfig(paths=512, steps=8, seed=seed)) for seed in range(512)]
     values = np.array([est.value for est in runs])
     ratio = values.var(ddof=1) / np.mean([est.stderr ** 2 for est in runs])
@@ -399,6 +400,47 @@ def test_estimate_correlation():
         estimate_correlation(GbmParams(r=0.05, sigma=0.0, T=1.0), cfg)
     with pytest.raises(ValueError, match="batch"):
         estimate_correlation(BENCH, McConfig(paths=32, steps=4, seed=0))
+
+
+def test_correlation_at_small_sigma_within_its_z_bound():
+    # each batch record is centred; raw power sums read 1.55 +- 0.77 at
+    # sigma = 1e-12 here.  Below about 1e-14 float64 cannot resolve S(T)
+    from gbmdd.moments import correlation
+    cfg = McConfig(paths=8192, steps=16, seed=1)
+    for sigma in (1e-4, 1e-8, 1e-12, 1e-13):
+        p = GbmParams(r=0.05, sigma=sigma, T=1.0)
+        est = estimate_correlation(p, cfg)
+        assert -1.0 <= est.value <= 1.0 and 0.0 < est.stderr < math.inf, sigma
+        assert abs(est.value - correlation(p).R) <= 4.0 * est.stderr, sigma
+
+
+@pytest.mark.parametrize("sigma, paths, steps", [(1e-8, 256, 2), (1e-13, 8192, 16)])
+def test_correlation_equals_two_pass_pearson_of_the_same_paths(sigma, paths, steps):
+    # raw power sums read 1.069 with stderr 0 at 256 x 2; records of
+    # absolute values read 8e-9 off at 1e-13, where S(T) takes 2094 values
+    p = GbmParams(r=0.05, sigma=sigma, T=1.0)
+    cfg = McConfig(paths=paths, steps=steps, seed=1)
+    est = estimate_correlation(p, cfg)
+    s_T, a_hat = simulate_terminal_and_average(p, cfg)
+    assert est.value == pytest.approx(np.corrcoef(s_T - s_T[0], a_hat - a_hat[0])[0, 1], rel=1e-14)
+    assert est.stderr > 0
+
+
+def test_correlation_at_one_step_stays_in_range():
+    # one step makes A_hat = (1 + S(T)) / 2, so R is 1 up to rounding; raw
+    # power sums read up to 1 + 6.4e-8 here, or a negative variance
+    for sigma in (0.2, 1e-4, 1e-8):
+        for seed in range(1, 6):
+            est = estimate_correlation(GbmParams(r=0.05, sigma=sigma, T=1.0),
+                                       McConfig(paths=256, steps=1, seed=seed))
+            assert 1.0 - 1e-14 <= est.value <= 1.0, (sigma, seed)
+
+
+def test_correlation_below_the_resolution_of_S_raises():
+    # sigma = 1e-300 leaves every S(T) on one double: no correlation to estimate
+    p = GbmParams(r=0.05, sigma=1e-300, T=1.0)
+    with pytest.raises(ValueError, match=r"correlation undefined: S\(T\) or A_hat takes one"):
+        estimate_correlation(p, McConfig(paths=4096, steps=4, seed=1))
 
 
 def test_ordered_product_mc_cross_check():
