@@ -6,18 +6,16 @@ Reproducibility contract: block b of BLOCK_PATHS paths draws its normals
 from its own PCG64DXSM stream, seeded by child b of the seed's SeedSequence,
 with numpy's ziggurat `standard_normal`, step-major: the block's antithetic
 pairs are one panel, and each step draws one row of PANEL normals, whose
-column i drives path lo + 2i with +z and lo + 2i + 1 with -z.  A partial
-block, only ever a call's last, draws full rows and uses their first
-columns, so a call draws fewer than PANEL x steps normals it does not use.
-Every estimate comes from one reduction: per block, a record (count,
-means, centred co-moment matrix) of stacked statistics, merged in block
-order (Chan, Golub and LeVeque).  Means are over pair means, an odd
-count's last path a unit of its own, so an estimate needs 3 paths; the
-correlation is over the paths of its jackknife batches.  An estimate
-depends only on (seed, paths, steps, averaging) and the fixed BLOCK_PATHS,
-never on the thread count or the order in which blocks finish.  Each call
-gives each worker thread one (walk, work) tile pair of at most 2 x
-TILE_DRAWS doubles for all its blocks; nothing is kept after the call.
+column i drives path lo + 2i with +z and lo + 2i + 1 with -z; a call's last
+block may use only the first columns.  Every estimate comes from one
+reduction: per block, a record (count, means, centred co-moment matrix) of
+stacked statistics, merged in block order (Chan, Golub and LeVeque).  Means
+are over pair means, an odd count's last path a unit of its own, so an
+estimate needs 3 paths; the correlation is over the paths of its jackknife
+batches.  An estimate depends only on (seed, paths, steps, averaging) and
+the fixed BLOCK_PATHS, never on the thread count or the order in which
+blocks finish.  Each call gives each worker thread one (walk, work) tile
+pair of at most 2 x TILE_DRAWS doubles; nothing is kept after the call.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ PANEL = BLOCK_PATHS // 2  # pairs per step-major panel: a full block's pairs
 TILE_DRAWS = 2 ** 16  # normals per simulation tile (512 KiB of float64), whole panel rows at a time
 
 _AVERAGING = ("trapezoid", "left-riemann")
+_OVERFLOW = "Monte Carlo paths, statistics or their co-moments outside float64 range"
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,6 @@ class FixedStrikeAsianCall:
         return np.maximum(a_hat - self.strike, 0.0)
 
 
-def _block_ranges(paths: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + BLOCK_PATHS, paths)) for lo in range(0, paths, BLOCK_PATHS)]
-
-
 def _block_generator(cfg: McConfig, lo: int) -> Generator:
     """The stream of the block starting at path `lo` (a multiple of
     BLOCK_PATHS): PCG64DXSM seeded by child b = lo // BLOCK_PATHS of
@@ -130,60 +125,55 @@ def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _workspace(cfg: McConfig) -> np.ndarray:
-    """One call's (walk, work) tile pair for one worker: up to
-    TILE_DRAWS // PANEL steps of a panel each, no more steps than a path has."""
-    return np.empty((2, min(TILE_DRAWS // PANEL, cfg.steps), PANEL))
+    """One call's (walk, work) tile pair for one worker: a carried row, then steps."""
+    return np.empty((2, min(TILE_DRAWS // PANEL, cfg.steps + 1), PANEL))
 
 
+@np.errstate(all="ignore")  # values outside the double range show in the estimates
 def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int,
                     buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-increment simulation of paths [lo, hi): returns (S(T), A_hat).
 
-    The block's pairs are one panel, drawn step-major: with W_k = scale
-    (z_1 + ... + z_k) the running sum of column i's scaled normals, pair i
-    drives path lo + 2i by log S(t_k) = k drift + W_k and its mirror by
-    k drift - W_k.  The steps stream through `buf`, the worker's
-    `_workspace`, a tile of whole PANEL-wide rows at a time, filled in
-    stream order; the running sum takes one add per step, carried from tile
-    to tile.  Every step below acts on each column alone and in step order,
-    on all PANEL columns however few the block uses, so the result depends
-    on neither the tile size, nor the tiles' old contents, nor the block's
-    path count."""
-    steps = cfg.steps
-    gen = _block_generator(cfg, lo)
+    With W_k = sigma sqrt(dt) (z_1 + ... + z_k) the running sum of panel
+    column i's scaled normals and g_k = e^{k drift}, pair i drives path lo + 2i by
+    S(t_k) = g_k e^{W_k} and its mirror by g_k / e^{W_k}: one exp and one
+    reciprocal per pair-step, e^{k drift +- W_k} to 2 (|k drift| + |W_k| +
+    steps) ulps while both factors are normal doubles (|k drift|, |W_k| < 708).
+    A_hat = (c_0 + sum_k c_k g_k e^{+-W_k}) / steps, c_k = 1 but c_0 = c_n =
+    1/2 (trapezoid) or c_n = 0.  The steps stream through `buf`, the worker's
+    `_workspace`, a tile of PANEL-wide rows at a time: row 0 of the walk tile
+    carries W, row 0 of the work tile the weighted sum, which one einsum
+    (never BLAS) per tile and sign extends in step order.  Each column is
+    built alone, all PANEL of them however few the block uses, so the result
+    depends on neither the tile size, its old contents nor the path count."""
+    steps, gen = cfg.steps, _block_generator(cfg, lo)
     dt = p.T / steps
-    scale = p.sigma * math.sqrt(dt)
-    ramp = (np.arange(1, steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt))[:, None]
-    # the +z paths, then their mirrors.  a_hat holds the running sums of
-    # S(0) / 2 (trapezoid) or S(0), and the S(t_k) before the last step;
-    # S(0) = 1
-    s_T, a_hat = np.empty((2, PANEL)), np.empty((2, PANEL))
-    a_hat.fill(0.5 if cfg.averaging == "trapezoid" else 1.0)
-    carry = np.zeros(PANEL)
+    g = np.exp(np.arange(steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt))
+    trapezoid = cfg.averaging == "trapezoid"
+    weight = np.append(g[1:-1], 0.5 * g[-1] if trapezoid else 0.0)  # c_k g_k, k = 1..n
+    a_hat = np.full((2, PANEL), 0.5 if trapezoid else 1.0)  # +z paths, then mirrors
     walk, work = buf
-    tile = len(walk)
+    walk[0] = 0.0
+    tile = len(walk) - 1
     for s0 in range(0, steps, tile):
         k = min(tile, steps - s0)
-        z, w = walk[:k], work[:k]
-        gen.standard_normal(out=z)
-        z *= scale
-        np.add(carry, z[0], out=z[0])
-        for i in range(1, k):
+        z, w = walk[:k + 1], work[:k + 1]
+        gen.standard_normal(out=z[1:])
+        z[1:] *= p.sigma * math.sqrt(dt)
+        for i in range(1, k + 1):
             np.add(z[i - 1], z[i], out=z[i])
-        carry[:] = z[-1]
-        last = s0 + k == steps
-        head = k - 1 if last else k
-        for sign, step in enumerate((np.add, np.subtract)):
-            np.exp(step(ramp[s0:s0 + k], z, out=w), out=w)
-            if head:
-                w[0] += a_hat[sign]
-                np.sum(w[:head], axis=0, out=a_hat[sign])
-            if last:
-                s_T[sign] = w[-1]
-    if cfg.averaging == "trapezoid":
-        a_hat += 0.5 * s_T
+        np.exp(z[1:], out=w[1:])
+        z[0] = z[k]
+        wts = np.concatenate(([1.0], weight[s0:s0 + k]))
+        for sign in (0, 1):
+            if sign:
+                np.reciprocal(w[1:], out=w[1:])
+            w[0] = a_hat[sign]
+            np.einsum("k,kp->p", wts, w, out=a_hat[sign])
+    s_T = work[:2]  # S(T) = g_n e^{+-W_n} in free rows; the ravel below copies it out
+    np.reciprocal(np.exp(walk[0], out=s_T[0]), out=s_T[1])
+    s_T *= g[-1]
     a_hat /= steps
-    # path lo + 2i is pair i's +z path, lo + 2i + 1 its mirror
     return s_T.T.ravel()[:hi - lo], a_hat.T.ravel()[:hi - lo]
 
 
@@ -194,7 +184,7 @@ def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
     thread per block; raises ValueError unless `threads` >= 1."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    ranges = _block_ranges(cfg.paths)
+    ranges = [(lo, min(lo + BLOCK_PATHS, cfg.paths)) for lo in range(0, cfg.paths, BLOCK_PATHS)]
     workers = min(threads, len(ranges))
     if workers == 1:
         buf = _workspace(cfg)
@@ -229,13 +219,15 @@ def _record(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return x.shape[1], x[:, 0] + dm, (e[:, None] * e).sum(axis=-1)
 
 
-def _merge(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    """Pairwise update of two records (Chan, Golub and LeVeque)."""
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Pairwise update of two records (Chan, Golub and LeVeque), or of each
+    pair of records in two stacks of them along a last axis."""
     (na, ma, ca), (nb, mb, cb) = a, b
     n, delta = na + nb, mb - ma
-    return n, ma + delta * nb / n, ca + cb + np.outer(delta, delta) * na * nb / n
+    return n, ma + delta * nb / n, ca + cb + delta[:, None] * delta[None, :] * na * nb / n
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite record, checked below
 def _block_pass(p: GbmParams, cfg: McConfig, rows, threads: int,
                 batches: bool = False) -> tuple[list[McEstimate], list[tuple]]:
     """One pass over the blocks, records merged in block order: the mean
@@ -243,23 +235,32 @@ def _block_pass(p: GbmParams, cfg: McConfig, rows, threads: int,
     and, if `batches`, each correlation batch's record over its paths of
     (S(T), A_hat) less the call's first path, whose means then keep digits
     below an ulp of S.  Batch b holds the pairs [ceil(b q), ceil((b + 1) q)),
-    q = (paths // 2) / CORR_BATCHES, and the last an odd count's last path."""
+    q = (paths // 2) / CORR_BATCHES, and the last an odd count's last path.
+    Rows are scaled by 2^-e, 2^e above their first block's magnitudes: every
+    in-range bit is kept, co-moments stay finite, or else OverflowError."""
     edges = [2 * -(-b * (cfg.paths // 2) // CORR_BATCHES) for b in range(CORR_BATCHES)]
     edges.append(cfg.paths)
     units, parts, lo = [], [[] for _ in range(CORR_BATCHES)], 0
     for s_T, a_hat in iter_terminal_and_average(p, cfg, threads=threads):
-        x, n = np.stack(rows(s_T, a_hat)), len(s_T)
-        origin = origin if lo else np.stack((s_T[:1], a_hat[:1]))
-        units.append(_record(np.concatenate((0.5 * (x[:, :-1:2] + x[:, 1::2]),
-                                             x[:, n - n % 2:]), axis=1)))
-        for b in range(CORR_BATCHES) if batches else ():
-            i, j = max(edges[b] - lo, 0), min(edges[b + 1] - lo, n)
-            if i < j:
-                parts[b].append(_record(np.stack((s_T[i:j], a_hat[i:j])) - origin))
+        u, n = np.stack(rows(s_T, a_hat)), len(s_T)
+        u = np.concatenate((0.5 * (u[:, :-1:2] + u[:, 1::2]), u[:, n - n % 2:]), axis=1)
+        if not lo:  # S(T), A_hat >= 0
+            e, origin = np.frexp(abs(u).max(axis=1))[1], np.stack((s_T[:1], a_hat[:1]))
+            e_sa = np.frexp([[s_T.max()], [a_hat.max()]])[1]
+        units.append(_record(np.ldexp(u, -e[:, None], out=u)))
+        if batches:  # one scaled (S(T), A_hat) stack per block, made in place
+            sa = np.stack((s_T, a_hat))
+            np.ldexp(np.subtract(sa, origin, out=sa), -e_sa, out=sa)
+            for b in range(CORR_BATCHES):
+                i, j = max(edges[b] - lo, 0), min(edges[b + 1] - lo, n)
+                if i < j:
+                    parts[b].append(_record(sa[:, i:j]))
         lo += n
     n, mean, c = functools.reduce(_merge, units)
-    means = [McEstimate(float(mean[i]), math.sqrt(c[i, i] / (n - 1) / n), cfg.paths)
-             for i in range(len(mean))]
+    if not np.isfinite(c).all():  # so are the means
+        raise OverflowError(_OVERFLOW)
+    means = [McEstimate(math.ldexp(m, k), math.ldexp(math.sqrt(v / (n - 1) / n), k), cfg.paths)
+             for m, v, k in zip(mean, c.diagonal(), e.tolist())]
     return means, [functools.reduce(_merge, part) for part in parts if part]
 
 
@@ -279,15 +280,6 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
     disc = math.exp(-p.r * p.T)
     means, _ = _block_pass(p, cfg, lambda s_T, a_hat: [disc * payoff.values(s_T, a_hat)], threads)
     return means[0]
-
-
-def _pearson(record: tuple) -> float:
-    """The correlation of an (S(T), A_hat) record, clipped to [-1, 1]."""
-    _, _, c = record
-    if not (c[0, 0] > 0 and c[1, 1] > 0):
-        raise ValueError("correlation undefined: S(T) or A_hat takes one float64 value "
-                         "on every path; sigma is below the resolution of S")
-    return float(np.clip(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]), -1.0, 1.0))
 
 
 def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEstimate:
@@ -324,8 +316,16 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
     if p.sigma > 0:
         pre = list(itertools.accumulate(batch, _merge))
         suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge(b, a)))[::-1]
-        loo = np.array([_pearson(r) for r in [suf[1], *map(_merge, pre[:-2], suf[2:]), pre[-2]]])
-        stderr = math.sqrt((CORR_BATCHES - 1) / CORR_BATCHES * ((loo - loo.mean()) ** 2).sum())
-        out["correlation"] = McEstimate(_pearson(pre[-1]), stderr, cfg.paths)
+        # the middle leave-one-out records as one merge of two stacks
+        stacks = (tuple(np.stack(f, axis=-1) for f in zip(*recs)) for recs in (pre[:-2], suf[2:]))
+        c = np.dstack((suf[1][2], _merge(*stacks)[2], pre[-2][2], pre[-1][2]))
+        if not np.isfinite(c).all():
+            raise OverflowError(_OVERFLOW)
+        if not ((c[0, 0] > 0) & (c[1, 1] > 0)).all():
+            raise ValueError("correlation undefined: S(T) or A_hat takes one float64 value "
+                             "on every path; sigma is below the resolution of S")
+        *loo, r = np.clip(c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1]), -1.0, 1.0)
+        stderr = math.sqrt((CORR_BATCHES - 1) / CORR_BATCHES * ((loo - np.mean(loo)) ** 2).sum())
+        out["correlation"] = McEstimate(float(r), stderr, cfg.paths)
         out.update({name: out.pop(name) for name in names[4:]})  # moment_A_<m> last
     return out

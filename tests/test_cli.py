@@ -335,6 +335,16 @@ def test_mc_below_the_resolution_of_S_exits_2(capsys):
     assert err.count("\n") == 1 and err.startswith("gbmdd: correlation undefined: ")
 
 
+def test_mc_where_squares_of_S_overflow_exits_0_quietly(capsys):
+    # S(T) ~ 2^508: unscaled co-moments overflowed, and the run exited 2 after
+    # eight lines of numpy RuntimeWarnings and a JSON "inf" error
+    code, out, err = run_cli(capsys, "mc", "--r", "44", "--sigma", "0.2", "--T", "8",
+                             "--paths", "4096", "--steps", "16", "--seed", "1")
+    assert code == 0 and err == ""
+    for name, row in strict_json(out)["estimates"].items():
+        assert 0.0 < row["stderr"] < math.inf, name
+
+
 def test_mc_z_is_floored_at_four_ulps_of_the_analytic_value(capsys):
     # at sigma = 1e-8 the stderr of mean_S is 2.2e-18 and the estimate 1 ulp
     # of 1.05 off the analytic value: an unfloored z read -102

@@ -177,35 +177,34 @@ def _one_shot_paths(p, cfg, normals):
     """(S(T), A_hat) built one step at a time from each block's panel,
     `normals` the `_block_normals` of cfg's blocks, with sequential sums:
     column i, scaled and summed in step order to W, drives its path 2i by
-    log S(t_k) = k drift + W_k and path 2i + 1 by k drift - W_k; A_hat sums
-    S(0) / 2 (trapezoid) or S(0), then S(t_1), ..., S(t_{n-1}) in order,
-    then the trapezoid's S(T) / 2, over steps."""
+    S(t_k) = g_k e^{W_k} and path 2i + 1 by g_k / e^{W_k}, g_k = e^{k drift};
+    A_hat starts at S(0) / 2 (trapezoid) or S(0) and adds g_k e^{+-W_k},
+    then the trapezoid's g_n e^{+-W_n} / 2, by one einsum per step over the
+    stack [sum; e^{+-W_k}], over steps."""
     dt = p.T / cfg.steps
-    drift = (p.r - 0.5 * p.sigma ** 2) * dt
+    g = np.exp(np.arange(cfg.steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt))
     scale = p.sigma * math.sqrt(dt)
     trapezoid = cfg.averaging == "trapezoid"
+    weight = np.append(g[1:-1], 0.5 * g[-1] if trapezoid else 0.0)
     s_parts, a_parts = [], []
     for lo, z in zip(range(0, cfg.paths, BLOCK_PATHS), normals):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        walk = np.zeros(z.shape[1])
-        head = np.full((z.shape[1], 2), 0.5 if trapezoid else 1.0)
-        for k, zk in enumerate(z * scale, 1):
-            walk = walk + zk
-            s = np.exp(np.stack([k * drift + walk, k * drift - walk], axis=1))
-            if k < cfg.steps:
-                head = head + s
-        a = head + 0.5 * s if trapezoid else head
-        s_parts.append(s.ravel()[:hi - lo])
-        a_parts.append((a / cfg.steps).ravel()[:hi - lo])
+        e = np.exp(np.cumsum(z * scale, axis=0))  # add.accumulate sums in step order
+        paths = np.stack((e, np.reciprocal(e)), axis=1)  # (step, sign, column)
+        a = np.full(paths.shape[1:], 0.5 if trapezoid else 1.0)
+        for wk, sk in zip(weight, paths):
+            a = np.einsum("k,ksp->sp", [1.0, wk], np.stack((a, sk)))
+        s_parts.append((g[-1] * paths[-1]).T.ravel()[:hi - lo])
+        a_parts.append((a / cfg.steps).T.ravel()[:hi - lo])
     return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
 @pytest.mark.parametrize("paths, steps", [(9_000, 333), (4_100, 1), (4_097, 1000),
                                           (3, 70_000)])
 def test_tiled_simulation_equals_one_shot_reference(paths, steps):
-    # tiles of 2^16 // PANEL = 32 steps: 333 and 1000 end in a partial tile,
-    # 1 step is a tile of one; each case ends in a partial block, 4 097 and 3
-    # paths in a column that drives one path
+    # tiles of 2^16 // PANEL = 32 rows, a carried row and 31 steps: 333 and
+    # 1000 end in a partial tile, 1 step is a tile of one; each case ends in
+    # a partial block, 4 097 and 3 paths in a column that drives one path
     p = GbmParams(r=0.07, sigma=0.4, T=1.5)
     cfg = McConfig(paths=paths, steps=steps, seed=41)
     normals = [_block_normals(cfg, lo, min(lo + BLOCK_PATHS, paths))
@@ -216,6 +215,48 @@ def test_tiled_simulation_equals_one_shot_reference(paths, steps):
         for threads in (1, 2):
             got = simulate_terminal_and_average(p, cfg, threads=threads)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("steps", [1, 52, 1000])
+@pytest.mark.parametrize("r, sigma, T", [(0.05, 1e-13, 1.0), (0.05, 5.0, 1.0), (0.05, 20.0, 1.0),
+                                         (-88.0, 0.2, 8.0), (44.0, 0.2, 8.0)])
+def test_paths_against_mpmath_from_the_same_normals(r, sigma, T, steps):
+    # three pairs rebuilt at 50 digits from the engine's own normals: W_k the
+    # exact sum of sigma sqrt(dt) z, S(t_k) = exp(k drift +- W_k) and both
+    # averaging rules.  Here g_k = e^{k drift} and e^{W_k} are normal doubles
+    # (|k drift| and |W_k| below 708), and S(T) is within 2 ulp (|n drift| +
+    # |W_n| + steps), A_hat within 2 ulp (max_k (|k drift| + |W_k|) + steps);
+    # the largest error measured is 0.46 of that.  r = -88 at T = 8 puts some
+    # S(T) below the normal range, where the bound adds the smallest subnormal
+    import mpmath
+
+    ulp, tiny = 2.0 ** -52, mpmath.mpf(2.0 ** -1074)
+    p = GbmParams(r=r, sigma=sigma, T=T)
+    runs = [simulate_terminal_and_average(p, McConfig(paths=6, steps=steps, seed=2024,
+                                                       averaging=averaging))
+            for averaging in ("trapezoid", "left-riemann")]
+    z = _block_normals(McConfig(paths=6, steps=steps, seed=2024), 0, 6)
+    with mpmath.workdps(50):
+        dt = mpmath.mpf(T) / steps
+        drift = (mpmath.mpf(r) - mpmath.mpf(sigma) ** 2 / 2) * dt
+        scale = sigma * mpmath.sqrt(dt)
+        for i in range(z.shape[1]):
+            w, head, big = mpmath.mpf(0), [mpmath.mpf(0)] * 2, 0.0
+            for k in range(1, steps + 1):
+                w += scale * mpmath.mpf(z[k - 1, i])
+                s = [mpmath.exp(k * drift + w), mpmath.exp(k * drift - w)]
+                big = max(big, float(abs(k * drift) + abs(w)))
+                if k < steps:
+                    head = [h + x for h, x in zip(head, s)]
+            assert big < 708
+            end = float(abs(steps * drift) + abs(w))
+            for sign in (0, 1):
+                a_want = [(head[sign] + (1 + s[sign]) / 2) / steps, (1 + head[sign]) / steps]
+                for (s_T, a_hat), want in zip(runs, a_want):
+                    err = abs(mpmath.mpf(s_T[2 * i + sign]) - s[sign])
+                    assert err <= 2 * ulp * (end + steps) * s[sign] + tiny, (i, sign)
+                    err = abs(mpmath.mpf(a_hat[2 * i + sign]) - want)
+                    assert err <= 2 * ulp * (big + steps) * want, (i, sign)
 
 
 def test_one_workspace_per_worker_and_call(monkeypatch):
@@ -441,6 +482,58 @@ def test_correlation_below_the_resolution_of_S_raises():
     p = GbmParams(r=0.05, sigma=1e-300, T=1.0)
     with pytest.raises(ValueError, match=r"correlation undefined: S\(T\) or A_hat takes one"):
         estimate_correlation(p, McConfig(paths=4096, steps=4, seed=1))
+
+
+FAR = GbmParams(r=44.0, sigma=0.2, T=8.0)  # S(T) near 2^508: its square near 2^1016
+
+
+def test_correlation_where_squares_of_S_overflow():
+    # co-moments of S(T) ~ 2^508 overflow float64 unscaled: the correlation
+    # read 0.0 +- 0.0.  At 16 steps A_hat is S(T) / 32 to 1e-9, so R ~ 1
+    cfg = McConfig(paths=4096, steps=16, seed=1)
+    est = estimate_correlation(FAR, cfg)
+    s_T, a_hat = simulate_terminal_and_average(FAR, cfg)
+    s, a = (np.ldexp(x - x[0], -508) for x in (s_T, a_hat))
+    assert est.value == pytest.approx(np.corrcoef(s, a)[0, 1], rel=1e-14)
+    assert 0.0 < est.stderr < 1e-12
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimates_where_squares_of_statistics_overflow_keep_finite_stderrs(threads):
+    # unscaled records read stderr inf for E A^2 and E S A here, and for
+    # E A at r = 80, where A_hat ~ 2^918
+    cfg = McConfig(paths=8192, steps=16, seed=1)
+    suite = estimate_suite(FAR, cfg, threads=threads)
+    far = estimate_moment_A(GbmParams(r=80.0, sigma=0.2, T=8.0), cfg, 1, threads=threads)
+    for name, est in [*suite.items(), ("mean_A at r = 80", far)]:
+        assert math.isfinite(est.value) and 0.0 < est.stderr < math.inf, name
+        assert est.stderr < 0.05 * abs(est.value), name
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_statistics_outside_double_range_raise_overflow(threads):
+    # at r = 80 A_hat^2 overflows on every path (the suite read nan); at
+    # sigma = 150, T = 8 the drift factor underflows where e^{W_k} overflows,
+    # and A_hat read 0.03125 +- 0 from all-zero paths
+    cfg = McConfig(paths=8192, steps=16, seed=3)
+    with pytest.raises(OverflowError, match="outside float64 range"):
+        estimate_suite(GbmParams(r=80.0, sigma=0.2, T=8.0), cfg, threads=threads)
+    with pytest.raises(OverflowError, match="outside float64 range"):
+        estimate_moment_A(GbmParams(r=0.05, sigma=150.0, T=8.0), cfg, 1, threads=threads)
+
+
+def test_merge_of_record_stacks_equals_each_pair_merged():
+    # the jackknife merges its middle leave-one-out records as two stacks
+    # along a last axis, each pair bit for bit its own merge
+    rng = np.random.default_rng(3)
+    recs = [montecarlo._record(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9))
+            for n in rng.integers(2, 50, 12)]
+    stacks = [tuple(np.stack(f, axis=-1) for f in zip(*half)) for half in (recs[:6], recs[6:])]
+    n, mean, c = montecarlo._merge(*stacks)
+    for j, (a, b) in enumerate(zip(recs[:6], recs[6:])):
+        nj, mj, cj = montecarlo._merge(a, b)
+        assert n[j] == nj and mean[:, j].tobytes() == mj.tobytes(), j
+        assert c[:, :, j].tobytes() == cj.tobytes(), j
 
 
 def test_ordered_product_mc_cross_check():
