@@ -1,26 +1,9 @@
 """Stable exponential divided differences with exact moment, correlation and
 approximate option-price analytics for geometric Brownian motion and its
-time average, plus an independent Monte Carlo verification harness."""
+time average, plus an independent Monte Carlo verification harness and the
+paper's identities as oracles."""
 
-from .divdiff import (
-    DDTable,
-    EvalMethod,
-    NodeList,
-    OracleEstimate,
-    SimplexSpec,
-    choose_method,
-    equispaced_dd,
-    exp_dd,
-    exp_dd_batch,
-    hermite_genocchi_oracle,
-    iterated_ordered_exp_integral,
-    leibniz_dd,
-    newton_table,
-    ordered_exp_simplex_quad,
-    simplex_exp_integral,
-    square_nodes_dd,
-    symmetric_equispaced_dd,
-)
+from .divdiff import EvalMethod, choose_method, exp_dd, exp_dd_batch
 from .moments import (
     BNodes,
     CorrelationReport,
@@ -32,17 +15,10 @@ from .moments import (
     covariance_SA,
     cross_moment_SA,
     grid_scan,
-    hull_second_moment,
     mean_A,
     mean_S,
     moment_A,
-    moment_bruteforce,
-    moment_ode_residual,
     moment_table,
-    oshanin_yor_moment,
-    ordered_product_expectation,
-    pairwise_expectation,
-    power_expectation,
     s_statistic,
     second_moment_A,
     var_A,
@@ -60,6 +36,28 @@ from .montecarlo import (
     iter_terminal_and_average,
     simulate_terminal_and_average,
 )
+from .oracles import (
+    DDTable,
+    NodeList,
+    OracleEstimate,
+    SimplexSpec,
+    equispaced_dd,
+    hermite_genocchi_oracle,
+    hull_second_moment,
+    iterated_ordered_exp_integral,
+    leibniz_dd,
+    moment_bruteforce,
+    moment_ode_residual,
+    newton_table,
+    ordered_exp_simplex_quad,
+    ordered_product_expectation,
+    oshanin_yor_moment,
+    pairwise_expectation,
+    power_expectation,
+    simplex_exp_integral,
+    square_nodes_dd,
+    symmetric_equispaced_dd,
+)
 from .pricing import (
     LognormalFit,
     PriceQuote,
@@ -68,7 +66,6 @@ from .pricing import (
     lognormal_match,
     margrabe_price,
     normal_cdf,
-    normal_inv_cdf,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Command-line front end: analytics, surface scans, Monte Carlo
-verification and pricing as subcommands with machine-readable output.
+verification and pricing as subcommands with machine-readable output, and
+`oracle`, which prints the cross-checks of `oracles.run_oracle_suite`.
 
 Exit codes: 0 success, 1 usage error, 2 numerical-domain error or failed
 allocation, 3 oracle suite failure, 141 stdout closed before the report was
@@ -18,9 +19,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import divdiff, moments, montecarlo, pricing
+from . import moments, montecarlo, oracles, pricing
 from .moments import GbmParams, GridSpec
 
 DEFAULT_SEED = 20240613
@@ -232,93 +231,8 @@ def _cmd_price(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# oracle suite
-
-
-def _check_method_agreement() -> tuple[str, bool, str]:
-    """`exp_dd`'s recurrence against its matrix route, and the matrix route on
-    equispaced nodes against e^{x_0} (expm1(h)/h)^n / n!, h = (x_n - x_0)/n."""
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    # conditioning-safe (order, spread) pairs for the recurrence route
-    for n, spread in [(1, 0.01), (2, 0.01), (2, 0.1), (3, 0.05), (3, 1.0),
-                      (4, 0.5), (5, 1.0), (6, 3.0), (8, 10.0)]:
-        for _ in range(5):
-            base = rng.uniform(-1.5, 1.5)
-            inner = np.sort(rng.uniform(0.05, 0.95, max(n - 1, 0))) * spread
-            nodes = np.concatenate([[0.0], inner, [spread]]) + base
-            rec = divdiff.exp_dd(nodes, method=divdiff.EvalMethod.RECURRENCE)
-            tay = divdiff.exp_dd(nodes, method=divdiff.EvalMethod.TAYLOR_MATRIX)
-            worst = max(worst, abs(rec - tay) / abs(tay))
-        eq_nodes = (base + np.linspace(0.0, spread, n + 1)).tolist()
-        h = (eq_nodes[-1] - eq_nodes[0]) / n
-        eq = math.exp(eq_nodes[0]) * (math.expm1(h) / h) ** n / math.factorial(n)
-        tay = divdiff.exp_dd(eq_nodes, method=divdiff.EvalMethod.TAYLOR_MATRIX)
-        worst = max(worst, abs(eq - tay) / abs(tay))
-    return "dd method agreement", worst <= 1e-9, f"max rel diff {worst:.2e}"
-
-
-def _check_hermite_genocchi() -> tuple[str, bool, str]:
-    rng = np.random.default_rng(11)
-    ok = True
-    detail = []
-    for n in range(1, 6):
-        nodes = np.sort(rng.uniform(-1.0, 1.5, n + 1))
-        direct = divdiff.exp_dd(nodes)
-        est = divdiff.hermite_genocchi_oracle(np.exp, nodes, budget=100_000,
-                                              method="sampling", seed=123 + n)
-        z = abs(est.value - direct) / est.error
-        ok &= z <= 4.0
-        detail.append(f"n={n} z={z:.2f}")
-        if n <= 4:
-            q = divdiff.hermite_genocchi_oracle(np.exp, nodes, budget=24, method="quadrature")
-            ok &= abs(q.value - direct) <= max(q.error * 4.0, 1e-10)
-    return "Hermite-Genocchi oracle", bool(ok), "; ".join(detail)
-
-
-def _check_oshanin_yor() -> tuple[str, bool, str]:
-    worst = 0.0
-    for rT in (0.5, 1.0, 2.0):
-        for m in range(1, 9):
-            binom = moments.oshanin_yor_moment(m, rT)
-            nodes = [k * k * rT for k in range(m + 1)]
-            dd_form = math.factorial(m) * divdiff.exp_dd(nodes)
-            worst = max(worst, abs(binom - dd_form) / abs(dd_form))
-            # symmetric-node route: exp[0, rT, .., m^2 rT] = (rT)^-m H[-m..m],
-            # H(x) = exp(rT x^2), by the squared-node and scaling identities
-            ints = list(range(-m, m + 1))
-            h_vals = [math.exp(rT * x * x) for x in ints]
-            sym = math.factorial(m) * rT ** (-m) * divdiff.newton_table(h_vals, ints).top
-            worst = max(worst, abs(sym - dd_form) / abs(dd_form))
-    return "Oshanin-Yor equivalence", worst <= 1e-8, f"max rel diff {worst:.2e}"
-
-
-def _check_ode_residual() -> tuple[str, bool, str]:
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        c = np.cumsum(rng.uniform(0.05, 0.5, n))
-        t = float(rng.uniform(0.1, 5.0))
-        worst = max(worst, moments.moment_ode_residual(n, t, c))
-    p = GbmParams(r=0.05, sigma=0.2, T=1.0)
-    b = moments.BNodes.from_params(p, 3).values[1:]
-    worst = max(worst, moments.moment_ode_residual(3, 1.0, b))
-    return "moment ODE residual", worst <= 1e-6, f"max residual {worst:.2e}"
-
-
-def run_oracle_suite() -> list[tuple[str, bool, str]]:
-    return [
-        _check_method_agreement(),
-        _check_hermite_genocchi(),
-        _check_oshanin_yor(),
-        _check_ode_residual(),
-    ]
-
-
 def _cmd_oracle(_args) -> int:
-    results = run_oracle_suite()
+    results = oracles.run_oracle_suite()
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_ORACLE

@@ -1,6 +1,7 @@
-"""Divided differences: generic Newton tableau, stable evaluation for the
-exponential function, and independent quadrature/sampling oracles built on
-the simplex integral representation.
+"""Divided differences of the exponential: the scalar and batched `exp_dd`
+kernels that every analytic result runs on.  The Newton tableau, the
+quadrature and sampling oracles and the paper's identities live in
+`oracles`.
 
 The exponential evaluator `exp_dd` is the workhorse.  Its two routes: the
 plain recurrence is fast and accurate for a handful of well-separated nodes
@@ -37,29 +38,14 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "EvalMethod",
-    "NodeList",
-    "DDTable",
-    "OracleEstimate",
-    "SimplexSpec",
-    "newton_table",
     "exp_dd",
     "exp_dd_batch",
     "choose_method",
-    "equispaced_dd",
-    "symmetric_equispaced_dd",
-    "leibniz_dd",
-    "square_nodes_dd",
-    "hermite_genocchi_oracle",
-    "simplex_exp_integral",
-    "iterated_ordered_exp_integral",
-    "ordered_exp_simplex_quad",
 ]
 
 # AUTO reads node spans only (anchored, the recurrence's error does not grow
@@ -98,76 +84,6 @@ def _coerce_nodes(nodes, scale: float = 1.0) -> list[float]:
     if not all(map(math.isfinite, zs)):
         raise ValueError("nodes must be finite")
     return zs
-
-
-@dataclass(frozen=True)
-class NodeList:
-    """Ordered interpolation abscissae; repeats allowed."""
-
-    nodes: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(_coerce_nodes(self.nodes)))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __getitem__(self, i):
-        return self.nodes[i]
-
-    def distinct(self) -> tuple[tuple[float, int], ...]:
-        """Distinct node values in ascending order with multiplicities."""
-        groups: dict[float, int] = {}
-        for x in self.nodes:
-            groups[x] = groups.get(x, 0) + 1
-        return tuple(sorted(groups.items()))
-
-    @property
-    def spread(self) -> float:
-        return max(self.nodes) - min(self.nodes)
-
-
-@dataclass(frozen=True)
-class DDTable:
-    """Triangular Newton tableau: entry (i, j) holds f[x_i, ..., x_j]."""
-
-    nodes: NodeList
-    levels: tuple[tuple[float, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def top(self) -> float:
-        """f[x_0, ..., x_n]."""
-        return self.levels[-1][0]
-
-    def entry(self, i: int, j: int) -> float:
-        if not 0 <= i <= j <= self.order:
-            raise IndexError(f"tableau entry ({i}, {j}) out of range")
-        return self.levels[j - i][i]
-
-
-def newton_table(values: Sequence[float], nodes) -> DDTable:
-    """Full divided-difference tableau from function values at distinct nodes."""
-    xs = _coerce_nodes(nodes)
-    fv = tuple(float(v) for v in values)
-    if len(fv) != len(xs):
-        raise ValueError(f"{len(fv)} values for {len(xs)} nodes")
-    if len(set(xs)) != len(xs):
-        raise ValueError("coincident nodes require derivative data")
-    levels = [fv]
-    for k in range(1, len(xs)):
-        prev = levels[-1]
-        levels.append(tuple(
-            (prev[i + 1] - prev[i]) / (xs[i + k] - xs[i])
-            for i in range(len(xs) - k)
-        ))
-    return DDTable(nodes=NodeList(xs), levels=tuple(levels))
 
 
 def choose_method(nodes, scale: float = 1.0) -> EvalMethod:
@@ -442,212 +358,3 @@ def _exp_dd_column_pairs(c) -> tuple[np.ndarray, np.ndarray]:
             x[taylor], t[taylor] = rows, top
         x[~(x >= sys.float_info.min)] = np.nan
     return t, x
-
-
-def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:
-    """Divided difference over x, x+h, ..., x+nh from sampled values, by the
-    binomial expansion of the n-th forward difference."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    fv = [float(v) for v in fvals]
-    if n is None:
-        n = len(fv) - 1
-    if len(fv) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} values, got {len(fv)}")
-    if n == 0:
-        return fv[0]
-    total = math.fsum(
-        math.comb(n, k) * (fv[k] if (n - k) % 2 == 0 else -fv[k])
-        for k in range(n + 1)
-    )
-    return total / (math.factorial(n) * h ** n)
-
-
-def symmetric_equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:
-    """Divided difference over -nh, ..., -h, 0, h, ..., nh from sampled values:
-    `equispaced_dd` over the same 2n + 1 values."""
-    fv = [float(v) for v in fvals]
-    if n is None:
-        if len(fv) % 2 == 0:
-            raise ValueError("need an odd number of values (2n+1)")
-        n = (len(fv) - 1) // 2
-    if len(fv) != 2 * n + 1:
-        raise ValueError(f"need 2n+1 = {2 * n + 1} values, got {len(fv)}")
-    return equispaced_dd(fv, h, 2 * n)
-
-
-def leibniz_dd(vtable: DDTable, wtable: DDTable) -> float:
-    """(v*w)[z_0..z_n] = sum_k v[z_0..z_k] w[z_k..z_n] from the two tableaux."""
-    if vtable.nodes.nodes != wtable.nodes.nodes:
-        raise ValueError("tables are over different nodes")
-    n = vtable.order
-    return math.fsum(vtable.entry(0, k) * wtable.entry(k, n) for k in range(n + 1))
-
-
-def square_nodes_dd(f: Callable[[float], float], a: Sequence[float]) -> tuple[float, float]:
-    """Evaluate both sides of f[0, a_1^2, .., a_n^2] = g[-a_n, .., 0, .., a_n]
-    with g(z) = f(z*z); returns (lhs, rhs), equal up to roundoff."""
-    av = [float(x) for x in a]
-    if any(x == 0.0 for x in av):
-        raise ValueError("a_i must be nonzero")
-    if len({abs(x) for x in av}) != len(av):
-        raise ValueError("a_i must be distinct in magnitude")
-    sq = [0.0] + [x * x for x in av]
-    lhs = newton_table([f(x) for x in sq], sq).top
-    sym = sorted([-abs(x) for x in av] + [0.0] + [abs(x) for x in av])
-    rhs = newton_table([f(z * z) for z in sym], sym).top
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    value: float
-    error: float
-    method: str
-
-
-def _eval_maybe_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(float(v)) for v in x], dtype=float)
-
-
-def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _simplex_quadrature(g: Callable, nodes: np.ndarray, order: int) -> float:
-    """Integral of g(t_0 a_0 + ... + t_n a_n) over the standard simplex
-    {t_k >= 0, sum t_k <= 1}, by nested Gauss-Legendre rules."""
-    u, w = _gauss_legendre_01(order)
-    n = len(nodes) - 1
-    arg = np.array([nodes[0]])
-    rem = np.array([1.0])
-    wt = np.array([1.0])
-    for d in range(1, n + 1):
-        t = np.outer(rem, u).ravel()
-        wt = np.outer(wt * rem, w).ravel()
-        arg = (np.repeat(arg, order) + t * (nodes[d] - nodes[0]))
-        rem = np.repeat(rem, order) - t
-    return float(np.sum(wt * _eval_maybe_vectorized(g, arg)))
-
-
-def hermite_genocchi_oracle(
-    deriv_n: Callable[[float], float],
-    nodes,
-    budget: int = 100_000,
-    method: str = "sampling",
-    seed: int = 0,
-) -> OracleEstimate:
-    """Independent estimate of f[a_0..a_n] as the integral of the n-th
-    derivative over the standard simplex.
-
-    method="sampling": uniform simplex points from sorted uniform spacings,
-    `budget` samples, reported error is one standard error.
-    method="quadrature": deterministic nested Gauss-Legendre (n <= 4),
-    `budget` is the points-per-dimension order; error is a two-order
-    comparison estimate.
-    """
-    xs = np.asarray(_coerce_nodes(nodes), dtype=float)
-    n = len(xs) - 1
-    if n < 1:
-        raise ValueError("the simplex representation needs n >= 1")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    volume = 1.0 / math.factorial(n)
-    if method == "sampling":
-        rng = np.random.default_rng(seed)
-        u = np.sort(rng.random((budget, n)), axis=1)
-        t = np.diff(u, axis=1, prepend=0.0, append=1.0)  # uniform barycentric
-        vals = _eval_maybe_vectorized(deriv_n, t @ xs)
-        est = volume * float(vals.mean())
-        err = volume * float(vals.std(ddof=1)) / math.sqrt(budget)
-        return OracleEstimate(est, err, "sampling")
-    if method == "quadrature":
-        if n > 4:
-            raise ValueError("nested quadrature supported for n <= 4 only")
-        order = max(4, int(budget))
-        hi = _simplex_quadrature(deriv_n, xs, order)
-        lo = _simplex_quadrature(deriv_n, xs, max(4, order - 6))
-        err = abs(hi - lo) + 1e-15 * abs(hi)
-        return OracleEstimate(hi, err, "quadrature")
-    raise ValueError(f"unknown oracle method: {method!r}")
-
-
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Simplex conv{0, v_1, .., v_n} from the columns of a nonsingular V,
-    with the linear form coefficients a."""
-
-    V: np.ndarray
-    a: np.ndarray
-    det_rtol: float = 1e-12
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("V must be a square matrix")
-        if a.shape != (V.shape[0],):
-            raise ValueError("a must be a vector matching V")
-        if not (np.isfinite(V).all() and np.isfinite(a).all()):
-            raise ValueError("V and a must be finite")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "a", a)
-        scale = float(np.prod(np.linalg.norm(V, axis=0)))
-        if abs(self.det) < self.det_rtol * max(scale, np.finfo(float).tiny):
-            raise ValueError("V is singular to working precision")
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.V))
-
-
-def simplex_exp_integral(spec: SimplexSpec) -> float:
-    """Integral of e^{a.y} over the simplex K(V), as |det V| times an
-    exponential divided difference."""
-    nodes = [0.0] + list(spec.V.T @ spec.a)
-    return abs(spec.det) * exp_dd(nodes)
-
-
-def iterated_ordered_exp_integral(a: Sequence[float]) -> float:
-    """Ordered iterated integral of exp(sum a_k x_k) over
-    0 <= x_1 <= ... <= x_n <= 1, evaluated as an exponential divided
-    difference over the suffix sums of a."""
-    av = [float(x) for x in a]
-    if len(av) < 1:
-        raise ValueError("need at least one coefficient")
-    nodes = [0.0]
-    acc = 0.0
-    for x in reversed(av):
-        acc += x
-        nodes.append(acc)
-    return exp_dd(nodes)
-
-
-def ordered_exp_simplex_quad(alpha: Sequence[float], order: int = 20) -> float:
-    """Nested Gauss-Legendre evaluation of the ordered iterated integral of
-    exp(sum alpha_k x_k) over 0 <= x_1 <= ... <= x_n <= 1.
-
-    Quadrature oracle for `iterated_ordered_exp_integral` and for the moment
-    brute-force check; independent of `exp_dd`.
-    """
-    al = [float(x) for x in alpha]
-    n = len(al)
-    if n < 1:
-        raise ValueError("need at least one coefficient")
-    u, w = _gauss_legendre_01(order)
-    upper = np.array([1.0])
-    phase = np.array([0.0])
-    wt = np.array([1.0])
-    for d in range(n, 0, -1):
-        x = np.outer(upper, u).ravel()
-        wt = np.outer(wt * upper, w).ravel()
-        phase = np.repeat(phase, order) + al[d - 1] * x
-        upper = x
-    return float(np.sum(wt * np.exp(phase)))

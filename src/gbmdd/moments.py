@@ -1,7 +1,9 @@
 """Closed-form analytics for exponential Brownian motion S(t) and its time
 average A(T): means, variances, covariance, correlation, all moments of
-A(T), the driftless-case binomial formula, the S(r, a) correlation surface,
-and a residual checker for the moment recurrence ODE.
+A(T) and the S(r, a) correlation surface with its CSV writer.  The
+independent identities that check them (the textbook E A(T)^2, the
+driftless-case binomial formula, moments by quadrature and the moment ODE)
+live in `oracles`.
 
 Everything routes through exponential divided differences, which stay finite
 and accurate through the r = 0 and sigma = 0 degeneracies where the textbook
@@ -15,14 +17,12 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .divdiff import (
     TAYLOR_MIN_ORDER,
     EvalMethod,
-    OracleEstimate,
     _coerce_nodes,
     _exp_dd_column_pairs,
     _exp_dd_pair,
@@ -30,7 +30,6 @@ from .divdiff import (
     _route,
     _times_exp,
     exp_dd,
-    ordered_exp_simplex_quad,
 )
 
 __all__ = [
@@ -42,23 +41,16 @@ __all__ = [
     "GridResult",
     "mean_S",
     "mean_A",
-    "pairwise_expectation",
     "cross_moment_SA",
     "second_moment_A",
-    "hull_second_moment",
     "covariance_SA",
     "var_S",
     "var_A",
     "correlation",
     "s_statistic",
     "grid_scan",
-    "power_expectation",
-    "ordered_product_expectation",
     "moment_A",
     "moment_table",
-    "moment_bruteforce",
-    "oshanin_yor_moment",
-    "moment_ode_residual",
 ]
 
 
@@ -152,13 +144,6 @@ def mean_A(p: GbmParams) -> float:
     return exp_dd([0.0, p.r * p.T])
 
 
-def pairwise_expectation(p: GbmParams, a: float, b: float) -> float:
-    """E S(a) S(b) = exp(a (r + sigma^2) + b r) for 0 <= a <= b."""
-    if not (0 <= a <= b):
-        raise ValueError("times must satisfy 0 <= a <= b")
-    return math.exp(a * (p.r + p.sigma ** 2) + b * p.r)
-
-
 def cross_moment_SA(p: GbmParams) -> float:
     """E S(T) A(T) = exp[rT, (2r + sigma^2) T]."""
     rT, _, b = _ddn(p)
@@ -169,29 +154,6 @@ def second_moment_A(p: GbmParams) -> float:
     """E A(T)^2 = 2 exp[0, rT, (2r + sigma^2) T]."""
     rT, _, b = _ddn(p)
     return 2.0 * exp_dd([0.0, rT, b])
-
-
-def hull_second_moment(p: GbmParams) -> float:
-    """E A(T)^2 by the textbook two-term expression; singular at r = 0,
-    r + sigma^2 = 0 and 2r + sigma^2 = 0, where `second_moment_A` stays
-    finite and should be used instead.
-
-    The two terms cancel almost completely as rT -> 0 (about
-    -log10(rT (r+sigma^2) T) digits), so the expression is evaluated in
-    compensated double-word arithmetic to keep the cross-check against the
-    divided-difference form meaningful on small-rate boxes.
-    """
-    r, s2, T = p.r, p.sigma ** 2, p.T
-    for name, d in (("r", r), ("r + sigma^2", r + s2), ("2r + sigma^2", 2 * r + s2)):
-        if d == 0:
-            raise ValueError(f"{name} = 0: expression singular, use second_moment_A")
-    from .ddarith import DD, dd_exp
-    rd, s2d, Td = DD(r), DD(s2), DD(T)
-    rs = rd + s2d
-    rrs = rd * 2.0 + s2d
-    term1 = 2.0 * dd_exp(rrs * Td) / (rs * rrs * Td * Td)
-    term2 = (2.0 / (rd * Td * Td)) * (1.0 / rrs - dd_exp(rd * Td) / rs)
-    return (term1 + term2).to_float()
 
 
 def covariance_SA(p: GbmParams) -> float:
@@ -447,29 +409,6 @@ def grid_scan(spec: GridSpec | None = None) -> GridResult:
     return GridResult(spec=spec, r_values=rv, a_values=av, values=values.reshape(spec.nr, spec.na))
 
 
-def power_expectation(p: GbmParams, t: float, k: int) -> float:
-    """E S(t)^k = exp(k r t + sigma^2 t k (k-1) / 2) = exp(b_k t)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return math.exp(k * p.r * t + p.sigma ** 2 * t * k * (k - 1) / 2.0)
-
-
-def ordered_product_expectation(p: GbmParams, times: Sequence[float]) -> float:
-    """E S(t_1) ... S(t_m) = exp(sum_k (r + (m-k) sigma^2) t_k) for
-    nondecreasing nonnegative times."""
-    ts = [float(t) for t in times]
-    if len(ts) < 1:
-        raise ValueError("need at least one time")
-    if ts[0] < 0 or any(ts[i] > ts[i + 1] for i in range(len(ts) - 1)):
-        raise ValueError("times must be nonnegative and nondecreasing")
-    m = len(ts)
-    return math.exp(math.fsum(
-        (p.r + (m - k) * p.sigma ** 2) * ts[k - 1] for k in range(1, m + 1)
-    ))
-
-
 # the largest m with m! below the double range: E A(T)^m = m! exp[...] overflows above it
 _MAX_ORDER = max(m for m in range(200) if math.factorial(m) < sys.float_info.max)
 
@@ -529,73 +468,3 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
         out.append(MomentReport(order=m, value=value, method=method.value))
     return out
-
-
-def moment_bruteforce(p: GbmParams, m: int, order: int = 24) -> OracleEstimate:
-    """E A(T)^m by deterministic nested quadrature of the ordered iterated
-    integral with coefficients alpha_k = (r + (m-k) sigma^2) T; test oracle
-    for `moment_A`, limited to m <= 4 as a cost guard."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if m > 4:
-        raise ValueError("brute-force moment limited to m <= 4")
-    if m == 0:
-        return OracleEstimate(1.0, 0.0, "quadrature")
-    alpha = [(p.r + (m - k) * p.sigma ** 2) * p.T for k in range(1, m + 1)]
-    fact = math.factorial(m)
-    hi = fact * ordered_exp_simplex_quad(alpha, order=order)
-    lo = fact * ordered_exp_simplex_quad(alpha, order=max(4, order - 8))
-    return OracleEstimate(hi, abs(hi - lo) + 1e-15 * abs(hi), "quadrature")
-
-
-def oshanin_yor_moment(m: int, rT: float) -> float:
-    """Driftless-case (sigma^2 = 2r) moment of the time average by the
-    binomial-sum formula
-
-        (Gamma(m)/Gamma(2m)) (rT)^{-m} [ -1/2 (-1)^m C(2m, m)
-            + sum_{l=0}^{m} C(2m, l) (-1)^l e^{rT (m-l)^2} ],
-
-    evaluated with compensated summation.  Equals m! exp[0, rT, 4rT, ...,
-    m^2 rT].  The alternating sum loses roughly m^2 rT log10(e) digits of
-    headroom as rT shrinks; in double precision trust it for rT >= 0.5 and
-    prefer the divided-difference form in production.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if rT <= 0:
-        raise ValueError("rT must be positive")
-    terms = [-0.5 * (-1) ** m * math.comb(2 * m, m)]
-    terms += [
-        math.comb(2 * m, l) * (-1) ** l * math.exp(rT * (m - l) ** 2)
-        for l in range(m + 1)
-    ]
-    prefactor = math.factorial(m - 1) / math.factorial(2 * m - 1)
-    return prefactor * rT ** (-m) * math.fsum(terms)
-
-
-def moment_ode_residual(n: int, t: float, c: Sequence[float]) -> float:
-    """Residual |t e_n'(t) - e_n(t)(c_n t - n) - e_{n-1}(t)| of the moment
-    recurrence ODE, with e_n(t) = exp[0, c_1 t, ..., c_n t] and e_n' from
-    Richardson-extrapolated central differences.
-
-    A small residual certifies the identity; c must be strictly increasing
-    and positive.
-    """
-    if n < 1:
-        raise ValueError("order n must be at least 1")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    cs = [float(x) for x in c][:n]
-    if len(cs) < n:
-        raise ValueError(f"need at least {n} coefficients")
-    if cs[0] <= 0 or any(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)):
-        raise ValueError("c must be strictly increasing and positive")
-
-    def e(k: int, tau: float) -> float:
-        return exp_dd([0.0] + [ci * tau for ci in cs[:k]])
-
-    h = 1e-6 * max(1.0, t)
-    d_h = (e(n, t + h) - e(n, t - h)) / (2.0 * h)
-    d_h2 = (e(n, t + h / 2) - e(n, t - h / 2)) / h
-    deriv = (4.0 * d_h2 - d_h) / 3.0
-    return abs(t * deriv - e(n, t) * (cs[-1] * t - n) - e(n - 1, t))

@@ -116,14 +116,6 @@ def _block_generator(cfg: McConfig, lo: int) -> Generator:
     return Generator(PCG64DXSM(SeedSequence(cfg.seed, spawn_key=(lo // BLOCK_PATHS,))))
 
 
-def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Standard normals of paths [lo, hi) of the block starting at `lo`, as
-    the simulator draws them: row k holds step k + 1's normals of the
-    block's pairs, taken from full PANEL-wide rows, one row at a time."""
-    gen, pairs = _block_generator(cfg, lo), (hi - lo + 1) // 2
-    return np.stack([gen.standard_normal(PANEL)[:pairs] for _ in range(cfg.steps)])
-
-
 def _workspace(cfg: McConfig) -> np.ndarray:
     """One call's (walk, work) tile pair for one worker: a carried row, then steps."""
     return np.empty((2, min(TILE_DRAWS // PANEL, cfg.steps + 1), PANEL))

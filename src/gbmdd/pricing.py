@@ -23,7 +23,6 @@ __all__ = [
     "LognormalFit",
     "PriceQuote",
     "normal_cdf",
-    "normal_inv_cdf",
     "lognormal_match",
     "margrabe_price",
     "floating_strike_asian_approx",
@@ -47,21 +46,6 @@ def normal_cdf(x):
         from scipy.special import erfc
         return 0.5 * erfc(x / -_SQRT2)
     raise ValueError("x must be finite")
-
-
-def normal_inv_cdf(u, out=None):
-    """Inverse of `normal_cdf` on (0, 1) by `scipy.special.ndtri`, within a
-    few ulp of the exact quantile from 2^-55 to 1 - 2^-53 (worst relative
-    error about 5e-16 against mpmath over that range, tails included).
-    Accepts scalars or arrays; an array result goes to `out` when given.
-    Raises ValueError when any entry lies outside (0, 1) or is nan.
-    scipy is imported on the first call, not with the package."""
-    uu = np.asarray(u, dtype=float)
-    if not ((0.0 < uu) & (uu < 1.0)).all():
-        raise ValueError("u must lie strictly between 0 and 1")
-    from scipy.special import ndtri
-    x = ndtri(uu, out=out)
-    return float(x) if np.ndim(u) == 0 else x
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from gbmdd import cli
-from gbmdd.ddarith import exp_dd_reference
-from gbmdd.divdiff import EvalMethod, exp_dd, hermite_genocchi_oracle, newton_table
-from gbmdd.moments import (
-    BNodes,
-    GbmParams,
-    correlation,
+from gbmdd.divdiff import EvalMethod, exp_dd
+from gbmdd.moments import BNodes, GbmParams, correlation, moment_A, s_statistic
+from gbmdd.oracles import (
+    exp_dd_reference,
+    hermite_genocchi_oracle,
     hull_second_moment,
-    moment_A,
     moment_bruteforce,
     moment_ode_residual,
+    newton_table,
     oshanin_yor_moment,
-    s_statistic,
 )
 from gbmdd.montecarlo import (
     FloatingStrikeAsianCall,

@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from gbmdd.ddarith import DD, dd_exp, dd_fsum, exp_dd_reference, two_prod, two_sum
+from gbmdd.oracles import DD, dd_exp, dd_fsum, exp_dd_reference, two_prod, two_sum
 
 # keep magnitudes away from the subnormal range so error terms stay representable
 signed = st.floats(min_value=1e-4, max_value=1e8).flatmap(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmdd import divdiff, moments
-from gbmdd.ddarith import exp_dd_reference
 from gbmdd.moments import BNodes, GbmParams, moment_table
 from gbmdd.divdiff import (
     TAYLOR_MAX_AMPLIFICATION,
@@ -15,12 +14,15 @@ from gbmdd.divdiff import (
     TAYLOR_MIN_ORDER,
     TAYLOR_MIN_SPREAD,
     EvalMethod,
-    NodeList,
-    SimplexSpec,
     choose_method,
-    equispaced_dd,
     exp_dd,
     exp_dd_batch,
+)
+from gbmdd.oracles import (
+    NodeList,
+    SimplexSpec,
+    equispaced_dd,
+    exp_dd_reference,
     hermite_genocchi_oracle,
     iterated_ordered_exp_integral,
     leibniz_dd,

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from gbmdd import divdiff, moments, pricing
-from gbmdd.ddarith import DD, dd_exp, exp_dd_reference
-from gbmdd.divdiff import exp_dd, newton_table
+from gbmdd.divdiff import exp_dd
 from gbmdd.moments import (
     BNodes,
     GbmParams,
@@ -23,21 +22,27 @@ from gbmdd.moments import (
     covariance_SA,
     cross_moment_SA,
     grid_scan,
-    hull_second_moment,
     mean_A,
     mean_S,
     moment_A,
-    moment_bruteforce,
-    moment_ode_residual,
     moment_table,
-    ordered_product_expectation,
-    oshanin_yor_moment,
-    pairwise_expectation,
-    power_expectation,
     s_statistic,
     second_moment_A,
     var_A,
     var_S,
+)
+from gbmdd.oracles import (
+    DD,
+    dd_exp,
+    exp_dd_reference,
+    hull_second_moment,
+    moment_bruteforce,
+    moment_ode_residual,
+    newton_table,
+    ordered_product_expectation,
+    oshanin_yor_moment,
+    pairwise_expectation,
+    power_expectation,
 )
 
 from conftest import MEMOISED

@@ -6,21 +6,15 @@ import numpy as np
 import pytest
 
 from gbmdd import montecarlo
-from gbmdd.moments import (
-    GbmParams,
-    cross_moment_SA,
-    mean_A,
-    mean_S,
-    ordered_product_expectation,
-    second_moment_A,
-)
+from gbmdd.moments import GbmParams, cross_moment_SA, mean_A, mean_S, second_moment_A
+from gbmdd.oracles import ordered_product_expectation
 from gbmdd.montecarlo import (
     BLOCK_PATHS,
     PANEL,
     FixedStrikeAsianCall,
     FloatingStrikeAsianCall,
     McConfig,
-    _block_normals,
+    _block_generator,
     estimate_correlation,
     estimate_moment_A,
     estimate_payoff,
@@ -30,6 +24,21 @@ from gbmdd.montecarlo import (
 )
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
+_TILE_ROWS = 32  # PANEL-wide rows per draw of `_block_normals`
+
+
+def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Standard normals of paths [lo, hi) of the block starting at `lo`, as
+    the simulator draws them: row k holds step k + 1's normals of the
+    block's pairs, taken from full PANEL-wide rows drawn a tile of rows at a
+    time into one buffer."""
+    gen, pairs = _block_generator(cfg, lo), (hi - lo + 1) // 2
+    buf, out = np.empty((_TILE_ROWS, PANEL)), np.empty((cfg.steps, pairs))
+    for s0 in range(0, cfg.steps, _TILE_ROWS):
+        k = min(_TILE_ROWS, cfg.steps - s0)
+        gen.standard_normal(out=buf[:k])
+        out[s0:s0 + k] = buf[:k, :pairs]
+    return out
 
 
 def test_config_validation():

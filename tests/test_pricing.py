@@ -13,7 +13,6 @@ from gbmdd.pricing import (
     lognormal_match,
     margrabe_price,
     normal_cdf,
-    normal_inv_cdf,
 )
 
 from references import mp_exp_dd
@@ -78,40 +77,6 @@ def test_normal_cdf_scalar_fast_path(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError):
         normal_cdf(np.array(math.inf))
-
-
-def test_normal_inv_cdf_round_trip():
-    for u in (1e-12, 1e-6, 0.025, 0.5, 0.975, 1.0 - 1e-10):
-        x = normal_inv_cdf(u)
-        assert normal_cdf(x) == pytest.approx(u, rel=1e-12)
-    with pytest.raises(ValueError):
-        normal_inv_cdf(0.0)
-    with pytest.raises(ValueError):
-        normal_inv_cdf(1.0)
-    arr = normal_inv_cdf(np.array([0.25, 0.75]))
-    assert arr[0] == -arr[1]
-
-
-def test_normal_inv_cdf_array_rejects_entries_outside_unit_interval():
-    for bad in (0.0, 1.0, math.nan, -0.5, 1.5, math.inf):
-        with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            normal_inv_cdf(np.array([0.25, bad, 0.75]))
-        with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            normal_inv_cdf(bad)
-    out = np.empty(2)
-    assert normal_inv_cdf(np.array([0.25, 0.75]), out=out) is out
-
-
-def test_normal_inv_cdf_against_mpmath():
-    # the Monte Carlo clip range [2^-55, 1 - 2^-53], both tails and the middle
-    us = np.concatenate([np.geomspace(2.0 ** -55, 0.5, 60),
-                         1.0 - np.geomspace(2.0 ** -53, 0.5, 60),
-                         np.random.default_rng(3).random(60)])
-    xs = normal_inv_cdf(us)
-    with mp.workdps(40):
-        for u, x in zip(us, xs):
-            want = mp.findroot(lambda t: mp.ncdf(t) - mp.mpf(float(u)), mp.mpf(float(x)))
-            assert abs(x - want) <= 2e-15 * abs(want), u
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,23 @@ import math
 import numpy as np
 import pytest
 
-from gbmdd.divdiff import (
+from gbmdd.moments import GbmParams
+from gbmdd.montecarlo import McConfig, estimate_moment_A
+from gbmdd.oracles import (
     SimplexSpec,
+    equispaced_dd,
     hermite_genocchi_oracle,
     iterated_ordered_exp_integral,
-    ordered_exp_simplex_quad,
-    symmetric_equispaced_dd,
-)
-from gbmdd.moments import (
-    GbmParams,
     moment_bruteforce,
     moment_ode_residual,
+    newton_table,
+    ordered_exp_simplex_quad,
     ordered_product_expectation,
+    oshanin_yor_moment,
+    pairwise_expectation,
     power_expectation,
+    symmetric_equispaced_dd,
 )
-from gbmdd.montecarlo import McConfig, estimate_moment_A
 from gbmdd.pricing import margrabe_price
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
@@ -32,8 +34,22 @@ _CASES = [
                  r"need 2n\+1 = 5 values, got 3", id="symmetric_equispaced_dd-wrong-length"),
     pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], budget=0),
                  "budget must be positive", id="hermite_genocchi_oracle-budget"),
+    pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], budget=1),
+                 "budget of at least 2 samples", id="hermite_genocchi_oracle-one-sample"),
     pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], method="simpson"),
                  "unknown oracle method", id="hermite_genocchi_oracle-method"),
+    pytest.param(lambda: equispaced_dd([1.0, 2.0, 3.0], math.nan),
+                 "step h must be positive and finite", id="equispaced_dd-nan-step"),
+    pytest.param(lambda: equispaced_dd([1.0, 2.0, 3.0], math.inf),
+                 "step h must be positive and finite", id="equispaced_dd-infinite-step"),
+    pytest.param(lambda: symmetric_equispaced_dd([1.0, math.nan, 2.0], 0.1),
+                 "function values must be finite", id="symmetric_equispaced_dd-nan-value"),
+    pytest.param(lambda: newton_table([math.nan, 1.0], [0.0, 1.0]),
+                 "function values must be finite", id="newton_table-nan-value"),
+    pytest.param(lambda: oshanin_yor_moment(2, math.nan), "rT must be positive and finite",
+                 id="oshanin_yor_moment-nan-rT"),
+    pytest.param(lambda: oshanin_yor_moment(2, math.inf), "rT must be positive and finite",
+                 id="oshanin_yor_moment-infinite-rT"),
     pytest.param(lambda: SimplexSpec(V=np.ones((2, 3)), a=np.ones(2)),
                  "V must be a square matrix", id="SimplexSpec-non-square"),
     pytest.param(lambda: SimplexSpec(V=np.array([[1.0, math.inf], [0.0, 1.0]]), a=np.ones(2)),
@@ -44,10 +60,16 @@ _CASES = [
                  id="iterated_ordered_exp_integral-empty"),
     pytest.param(lambda: ordered_exp_simplex_quad([]), "need at least one coefficient",
                  id="ordered_exp_simplex_quad-empty"),
+    pytest.param(lambda: pairwise_expectation(BENCH, 0.0, math.inf),
+                 "times must be finite", id="pairwise_expectation-infinite-time"),
     pytest.param(lambda: power_expectation(BENCH, -0.5, 2), "t must be nonnegative",
                  id="power_expectation-negative-t"),
+    pytest.param(lambda: power_expectation(BENCH, math.nan, 2), "t must be finite",
+                 id="power_expectation-nan-t"),
     pytest.param(lambda: ordered_product_expectation(BENCH, []), "need at least one time",
                  id="ordered_product_expectation-empty"),
+    pytest.param(lambda: ordered_product_expectation(BENCH, [math.nan]),
+                 "times must be finite", id="ordered_product_expectation-nan-time"),
     pytest.param(lambda: moment_bruteforce(BENCH, -1), "moment order must be nonnegative",
                  id="moment_bruteforce-negative-m"),
     pytest.param(lambda: moment_ode_residual(0, 1.0, [1.0]), "order n must be at least 1",
