@@ -29,12 +29,10 @@ from .montecarlo import (
     FloatingStrikeAsianCall,
     McConfig,
     McEstimate,
-    estimate_correlation,
     estimate_moment_A,
     estimate_payoff,
     estimate_suite,
     iter_terminal_and_average,
-    simulate_terminal_and_average,
 )
 from .oracles import (
     DDTable,
@@ -63,7 +61,6 @@ from .pricing import (
     PriceQuote,
     fixed_strike_asian_approx,
     floating_strike_asian_approx,
-    lognormal_match,
     margrabe_price,
     normal_cdf,
 )

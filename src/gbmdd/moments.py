@@ -13,7 +13,6 @@ closed forms blow up.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -378,11 +377,6 @@ class GridResult:
             line[:, :, wr + wa:-1] = s_field
             line[:, :, -1] = ord("\n")
             out.write(line[line != 0].tobytes().decode("ascii"))
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def grid_scan(spec: GridSpec | None = None) -> GridResult:

@@ -38,10 +38,8 @@ __all__ = [
     "McEstimate",
     "FloatingStrikeAsianCall",
     "FixedStrikeAsianCall",
-    "simulate_terminal_and_average",
     "iter_terminal_and_average",
     "estimate_moment_A",
-    "estimate_correlation",
     "estimate_payoff",
     "estimate_suite",
 ]
@@ -193,13 +191,6 @@ def _pooled_blocks(p: GbmParams, cfg: McConfig, ranges: list[tuple[int, int]],
                             ranges)
 
 
-def simulate_terminal_and_average(p: GbmParams, cfg: McConfig,
-                                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """All (S(T), A_hat) pairs as two arrays of length cfg.paths."""
-    s_parts, a_parts = zip(*iter_terminal_and_average(p, cfg, threads=threads))
-    return np.concatenate(s_parts), np.concatenate(a_parts)
-
-
 def _record(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, means, centred co-moments C[i, j] = sum_u (x[i, u] - mean_i)
     (x[j, u] - mean_j)) of stacked statistic rows over sampling units, the
@@ -274,24 +265,16 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
     return means[0]
 
 
-def estimate_correlation(p: GbmParams, cfg: McConfig, threads: int = 1) -> McEstimate:
-    """Sample Pearson correlation of (S(T), A_hat); the standard error is
-    the delete-one-batch jackknife over CORR_BATCHES path batches."""
-    if p.sigma == 0:
-        raise ValueError("correlation undefined for deterministic paths")
-    return estimate_suite(p, cfg, threads)["correlation"]
-
-
 def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
                    m: int | None = None) -> dict[str, McEstimate]:
     """One simulation pass estimating mean S(T), mean A, E A^2, E S A,
     (for sigma > 0) the correlation and, when `m` is given, E A^m under the
-    key "moment_A_<m>", last and bit-identical to `estimate_moment_A`; used
-    by the CLI cross-check.  The correlation is Pearson's over all paths,
-    from the merged records of the CORR_BATCHES batches, so sigma > 0 needs
-    2 * CORR_BATCHES paths.  Its stderr is the delete-one-batch jackknife
-    sqrt((B - 1) / B sum_b (r_b - mean r)^2), r_b the correlation of the
-    record before batch b merged with the record after it."""
+    key "moment_A_<m>", last and bit-identical to `estimate_moment_A`.  The
+    correlation is Pearson's over all paths, from the merged records of the
+    CORR_BATCHES batches, so sigma > 0 needs 2 * CORR_BATCHES paths.  Its
+    stderr is the delete-one-batch jackknife sqrt((B - 1) / B sum_b (r_b -
+    mean r)^2), r_b the correlation of the record before batch b merged with
+    the record after it."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for the correlation's "
                          f"{CORR_BATCHES} jackknife batches")

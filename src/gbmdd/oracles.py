@@ -5,8 +5,7 @@ integrals on one nested Gauss-Legendre rule and by sampling, the ordered
 iterated integral, the moment identities of exponential Brownian motion
 (the textbook E A(T)^2, moments by quadrature, the driftless binomial sum,
 the moment ODE) and `run_oracle_suite`, the checks of `gbmdd oracle`.
-Nothing in `divdiff`, `moments`, `pricing` or `montecarlo` imports it.
-"""
+No fast-path module imports it, but for the CLI's `oracle` subcommand."""
 
 from __future__ import annotations
 
@@ -357,6 +356,15 @@ class OracleEstimate:
     method: str
 
 
+def _finite(x: float, what: str) -> float:
+    """x, if finite; OverflowError if infinite, ValueError if nan."""
+    if math.isnan(x):
+        raise ValueError(f"{what} is nan")
+    if math.isinf(x):
+        raise OverflowError(f"{what} outside the double range")
+    return x
+
+
 def _eval_maybe_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(f(x), dtype=float)
@@ -372,6 +380,7 @@ def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@np.errstate(all="ignore")  # np.exp overflows to inf where math.exp raises
 def _simplex_quadrature(g: Callable, nodes, order: int) -> float:
     """Integral of g(t_0 a_0 + ... + t_n a_n) over the standard simplex
     {t_k >= 0, sum t_k <= 1}, by nested Gauss-Legendre rules."""
@@ -385,9 +394,10 @@ def _simplex_quadrature(g: Callable, nodes, order: int) -> float:
         wt = np.outer(wt * rem, w).ravel()
         arg = (np.repeat(arg, order) + t * (nodes[d] - nodes[0]))
         rem = np.repeat(rem, order) - t
-    return float(np.sum(wt * _eval_maybe_vectorized(g, arg)))
+    return _finite(float(np.sum(wt * _eval_maybe_vectorized(g, arg))), "simplex quadrature")
 
 
+@np.errstate(all="ignore")  # a non-finite estimate raises in _finite
 def hermite_genocchi_oracle(
     deriv_n: Callable[[float], float],
     nodes,
@@ -418,8 +428,10 @@ def hermite_genocchi_oracle(
         u = np.sort(rng.random((budget, n)), axis=1)
         t = np.diff(u, axis=1, prepend=0.0, append=1.0)  # uniform barycentric
         vals = _eval_maybe_vectorized(deriv_n, t @ xs)
-        est = volume * float(vals.mean())
-        err = volume * float(vals.std(ddof=1)) / math.sqrt(budget)
+        k = math.frexp(float(np.abs(vals).max()))[1]
+        vals = np.ldexp(vals, -k)  # exact: the sums below keep every bit and stay finite
+        est = math.ldexp(volume * _finite(float(vals.mean()), "sampled integral"), k)
+        err = math.ldexp(volume * float(vals.std(ddof=1)) / math.sqrt(budget), k)
         return OracleEstimate(est, err, "sampling")
     if method == "quadrature":
         if n > 4:

@@ -504,6 +504,13 @@ def test_grid_scan_traced_peak():
     assert peak <= 18 * 12_100 * 8
 
 
+def _csv(res):
+    """What `res.to_csv` writes, as one string."""
+    buf = io.StringIO()
+    res.to_csv(buf)
+    return buf.getvalue()
+
+
 def test_grid_csv_matches_per_cell_writer():
     for spec in (GridSpec(a_min=-3.3, a_max=7.1, r_min=0.1, r_max=2.9, na=13, nr=9),
                  _scan_window(None), _scan_window(1)):
@@ -512,7 +519,7 @@ def test_grid_csv_matches_per_cell_writer():
         old.write("r,a,S\n")
         for r, a, s in res.iter_rows():
             old.write(f"{r:.17g},{a:.17g},{s:.17g}\n")
-        assert res.to_csv_string() == old.getvalue(), spec
+        assert _csv(res) == old.getvalue(), spec
 
 
 def test_grid_csv_fields_match_percent_format_on_adversarial_values():
@@ -531,7 +538,7 @@ def test_grid_csv_fields_match_percent_format_on_adversarial_values():
     r_values = np.linspace(-1.0, 3.0, len(values))
     a_values = np.linspace(-20.0, 40.0, na)
     res = GridResult(spec=GridSpec(), r_values=r_values, a_values=a_values, values=values)
-    lines = res.to_csv_string().split("\n")
+    lines = _csv(res).split("\n")
     assert lines[0] == "r,a,S" and lines[-1] == ""
     want = [("%.17g" % r, "%.17g" % a, "%.17g" % s)
             for r, row in zip(r_values.tolist(), values.tolist())
@@ -557,7 +564,7 @@ def test_grid_spec_validation():
 def test_grid_csv_round_trip():
     spec = GridSpec(a_min=-1.0, a_max=1.0, r_min=0.5, r_max=2.0, na=3, nr=2)
     res = grid_scan(spec)
-    text = res.to_csv_string()
+    text = _csv(res)
     lines = text.strip().splitlines()
     assert lines[0] == "r,a,S"
     assert len(lines) == 1 + 2 * 3
@@ -566,9 +573,6 @@ def test_grid_csv_round_trip():
     expect = list(res.iter_rows())
     for got, want in zip(rows, expect):
         assert got == want
-    buf = io.StringIO()
-    res.to_csv(buf)
-    assert buf.getvalue() == text
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,10 @@ from gbmdd.montecarlo import (
     FloatingStrikeAsianCall,
     McConfig,
     _block_generator,
-    estimate_correlation,
     estimate_moment_A,
     estimate_payoff,
     estimate_suite,
     iter_terminal_and_average,
-    simulate_terminal_and_average,
 )
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
@@ -39,6 +37,12 @@ def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
         gen.standard_normal(out=buf[:k])
         out[s0:s0 + k] = buf[:k, :pairs]
     return out
+
+
+def _paths(p, cfg, threads=1):
+    """All (S(T), A_hat) of a call: its blocks' arrays joined in block order."""
+    s_parts, a_parts = zip(*iter_terminal_and_average(p, cfg, threads=threads))
+    return np.concatenate(s_parts), np.concatenate(a_parts)
 
 
 def test_config_validation():
@@ -62,7 +66,7 @@ def test_payoff_validation():
 def test_sigma_zero_deterministic_paths():
     p = GbmParams(r=0.05, sigma=0.0, T=1.0)
     cfg = McConfig(paths=16, steps=64, seed=1)
-    s_T, a_hat = simulate_terminal_and_average(p, cfg)
+    s_T, a_hat = _paths(p, cfg)
     assert np.all(s_T == s_T[0])
     assert s_T[0] == pytest.approx(math.exp(0.05), rel=1e-14)
     # trapezoid value of the deterministic exponential
@@ -73,15 +77,15 @@ def test_sigma_zero_deterministic_paths():
 
 def test_seed_determinism_and_block_streaming():
     cfg = McConfig(paths=10_000, steps=16, seed=99)
-    s1, a1 = simulate_terminal_and_average(BENCH, cfg)
-    s2, a2 = simulate_terminal_and_average(BENCH, cfg)
+    s1, a1 = _paths(BENCH, cfg)
+    s2, a2 = _paths(BENCH, cfg)
     assert np.array_equal(s1, s2) and np.array_equal(a1, a2)
     # streaming yields the same paths in fixed 4096-path blocks
     blocks = list(iter_terminal_and_average(BENCH, cfg))
     assert [len(b[0]) for b in blocks] == [4096, 4096, 1808]
     assert np.array_equal(np.concatenate([b[0] for b in blocks]), s1)
     # a different seed changes the draw
-    s3, _ = simulate_terminal_and_average(BENCH, McConfig(paths=10_000, steps=16, seed=100))
+    s3, _ = _paths(BENCH, McConfig(paths=10_000, steps=16, seed=100))
     assert not np.array_equal(s1, s3)
 
 
@@ -137,7 +141,7 @@ def test_single_stream_layout():
         blocks.append(_block_normals(cfg, lo, hi))
         assert np.array_equal(blocks[-1], want.reshape(cfg.steps, PANEL)[:, :(hi - lo + 1) // 2])
     # column i drives path 2i with +z and path 2i + 1 with -z
-    s_T, _ = simulate_terminal_and_average(BENCH, cfg)
+    s_T, _ = _paths(BENCH, cfg)
     dt = BENCH.T / cfg.steps
     walk = BENCH.sigma * math.sqrt(dt) * np.concatenate(blocks, axis=1).sum(axis=0)
     drift_T = (BENCH.r - 0.5 * BENCH.sigma ** 2) * BENCH.T
@@ -175,9 +179,9 @@ def test_block_normals_against_mpmath_distribution():
 
 def test_fewer_paths_give_a_prefix():
     # odd counts end in a row that drives one path, in either block
-    big = simulate_terminal_and_average(BENCH, McConfig(paths=10_000, steps=16, seed=8))
+    big = _paths(BENCH, McConfig(paths=10_000, steps=16, seed=8))
     for paths in (4096, 4095, 4097, 3):
-        small = simulate_terminal_and_average(BENCH, McConfig(paths=paths, steps=16, seed=8))
+        small = _paths(BENCH, McConfig(paths=paths, steps=16, seed=8))
         assert np.array_equal(small[0], big[0][:paths]), paths
         assert np.array_equal(small[1], big[1][:paths]), paths
 
@@ -222,7 +226,7 @@ def test_tiled_simulation_equals_one_shot_reference(paths, steps):
         cfg = McConfig(paths=paths, steps=steps, seed=41, averaging=averaging)
         want = _one_shot_paths(p, cfg, normals)
         for threads in (1, 2):
-            got = simulate_terminal_and_average(p, cfg, threads=threads)
+            got = _paths(p, cfg, threads=threads)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -241,8 +245,7 @@ def test_paths_against_mpmath_from_the_same_normals(r, sigma, T, steps):
 
     ulp, tiny = 2.0 ** -52, mpmath.mpf(2.0 ** -1074)
     p = GbmParams(r=r, sigma=sigma, T=T)
-    runs = [simulate_terminal_and_average(p, McConfig(paths=6, steps=steps, seed=2024,
-                                                       averaging=averaging))
+    runs = [_paths(p, McConfig(paths=6, steps=steps, seed=2024, averaging=averaging))
             for averaging in ("trapezoid", "left-riemann")]
     z = _block_normals(McConfig(paths=6, steps=steps, seed=2024), 0, 6)
     with mpmath.workdps(50):
@@ -377,7 +380,7 @@ def _chi2_quantile(df: int, tail: float, upper: bool) -> float:
 @pytest.mark.parametrize("estimate", [
     lambda cfg: estimate_payoff(BENCH, cfg, FloatingStrikeAsianCall()),
     lambda cfg: estimate_moment_A(BENCH, cfg, 2),
-    lambda cfg: estimate_correlation(BENCH, cfg),
+    lambda cfg: estimate_suite(BENCH, cfg)["correlation"],
 ], ids=["payoff-floating", "moment-A-2", "correlation"])
 def test_stderr_is_calibrated(estimate):
     # over 512 seeds the estimates' sample variance over the mean reported
@@ -401,8 +404,8 @@ def test_correlation_stderr_shrinks_on_doubling():
     # the mean over eight seeds has SD ~0.075
     ratios = []
     for seed in range(31, 39):
-        a = estimate_correlation(BENCH, McConfig(paths=20_000, steps=50, seed=seed))
-        b = estimate_correlation(BENCH, McConfig(paths=40_000, steps=50, seed=seed))
+        a = estimate_suite(BENCH, McConfig(paths=20_000, steps=50, seed=seed))["correlation"]
+        b = estimate_suite(BENCH, McConfig(paths=40_000, steps=50, seed=seed))["correlation"]
         ratios.append(a.stderr / b.stderr)
     assert np.mean(ratios) == pytest.approx(math.sqrt(2.0), rel=0.25)
 
@@ -443,13 +446,14 @@ def test_suite_moment_order_matches_estimate_moment_A():
 def test_estimate_correlation():
     cfg = McConfig(paths=40_000, steps=100, seed=13)
     from gbmdd.moments import correlation
-    est = estimate_correlation(BENCH, cfg)
+    est = estimate_suite(BENCH, cfg)["correlation"]
     assert abs(est.value - correlation(BENCH).R) <= 3.0 * est.stderr
     assert est.stderr > 0
-    with pytest.raises(ValueError, match="deterministic"):
-        estimate_correlation(GbmParams(r=0.05, sigma=0.0, T=1.0), cfg)
+    # deterministic paths have no correlation to estimate
+    assert "correlation" not in estimate_suite(GbmParams(r=0.05, sigma=0.0, T=1.0),
+                                               McConfig(paths=64, steps=4, seed=0))
     with pytest.raises(ValueError, match="batch"):
-        estimate_correlation(BENCH, McConfig(paths=32, steps=4, seed=0))
+        estimate_suite(BENCH, McConfig(paths=32, steps=4, seed=0))
 
 
 def test_correlation_at_small_sigma_within_its_z_bound():
@@ -459,7 +463,7 @@ def test_correlation_at_small_sigma_within_its_z_bound():
     cfg = McConfig(paths=8192, steps=16, seed=1)
     for sigma in (1e-4, 1e-8, 1e-12, 1e-13):
         p = GbmParams(r=0.05, sigma=sigma, T=1.0)
-        est = estimate_correlation(p, cfg)
+        est = estimate_suite(p, cfg)["correlation"]
         assert -1.0 <= est.value <= 1.0 and 0.0 < est.stderr < math.inf, sigma
         assert abs(est.value - correlation(p).R) <= 4.0 * est.stderr, sigma
 
@@ -470,8 +474,8 @@ def test_correlation_equals_two_pass_pearson_of_the_same_paths(sigma, paths, ste
     # absolute values read 8e-9 off at 1e-13, where S(T) takes 2094 values
     p = GbmParams(r=0.05, sigma=sigma, T=1.0)
     cfg = McConfig(paths=paths, steps=steps, seed=1)
-    est = estimate_correlation(p, cfg)
-    s_T, a_hat = simulate_terminal_and_average(p, cfg)
+    est = estimate_suite(p, cfg)["correlation"]
+    s_T, a_hat = _paths(p, cfg)
     assert est.value == pytest.approx(np.corrcoef(s_T - s_T[0], a_hat - a_hat[0])[0, 1], rel=1e-14)
     assert est.stderr > 0
 
@@ -481,8 +485,8 @@ def test_correlation_at_one_step_stays_in_range():
     # power sums read up to 1 + 6.4e-8 here, or a negative variance
     for sigma in (0.2, 1e-4, 1e-8):
         for seed in range(1, 6):
-            est = estimate_correlation(GbmParams(r=0.05, sigma=sigma, T=1.0),
-                                       McConfig(paths=256, steps=1, seed=seed))
+            est = estimate_suite(GbmParams(r=0.05, sigma=sigma, T=1.0),
+                                 McConfig(paths=256, steps=1, seed=seed))["correlation"]
             assert 1.0 - 1e-14 <= est.value <= 1.0, (sigma, seed)
 
 
@@ -490,7 +494,7 @@ def test_correlation_below_the_resolution_of_S_raises():
     # sigma = 1e-300 leaves every S(T) on one double: no correlation to estimate
     p = GbmParams(r=0.05, sigma=1e-300, T=1.0)
     with pytest.raises(ValueError, match=r"correlation undefined: S\(T\) or A_hat takes one"):
-        estimate_correlation(p, McConfig(paths=4096, steps=4, seed=1))
+        estimate_suite(p, McConfig(paths=4096, steps=4, seed=1))
 
 
 FAR = GbmParams(r=44.0, sigma=0.2, T=8.0)  # S(T) near 2^508: its square near 2^1016
@@ -500,8 +504,8 @@ def test_correlation_where_squares_of_S_overflow():
     # co-moments of S(T) ~ 2^508 overflow float64 unscaled: the correlation
     # read 0.0 +- 0.0.  At 16 steps A_hat is S(T) / 32 to 1e-9, so R ~ 1
     cfg = McConfig(paths=4096, steps=16, seed=1)
-    est = estimate_correlation(FAR, cfg)
-    s_T, a_hat = simulate_terminal_and_average(FAR, cfg)
+    est = estimate_suite(FAR, cfg)["correlation"]
+    s_T, a_hat = _paths(FAR, cfg)
     s, a = (np.ldexp(x - x[0], -508) for x in (s_T, a_hat))
     assert est.value == pytest.approx(np.corrcoef(s, a)[0, 1], rel=1e-14)
     assert 0.0 < est.stderr < 1e-12
@@ -577,7 +581,7 @@ def test_estimate_payoff_degenerate_cases():
     # sigma = 0 floating strike is exact
     p0 = GbmParams(r=0.05, sigma=0.0, T=1.0)
     est0 = estimate_payoff(p0, McConfig(paths=3, steps=256, seed=0), FloatingStrikeAsianCall())
-    _, a_det = simulate_terminal_and_average(p0, McConfig(paths=3, steps=256, seed=0))
+    _, a_det = _paths(p0, McConfig(paths=3, steps=256, seed=0))
     want = math.exp(-0.05) * max(math.exp(0.05) - a_det[0], 0.0)
     assert est0.value == pytest.approx(want, rel=1e-14)
     assert est0.stderr == 0.0

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from gbmdd.cli import main
 from gbmdd.moments import GbmParams, mean_A, second_moment_A, var_A
 from gbmdd.pricing import (
+    _variance_fit,
     fixed_strike_asian_approx,
     floating_strike_asian_approx,
-    lognormal_match,
     margrabe_price,
     normal_cdf,
 )
@@ -57,6 +57,17 @@ def test_normal_cdf_array_rejects_non_finite_entries(bad):
         normal_cdf([[0.0, 1.0], [2.0, bad]])
 
 
+def test_normal_cdf_array_entries_match_the_scalar_bit_for_bit():
+    # an array erfc need not agree: scipy's differed from the scalar on 7964 of these
+    x = np.concatenate(([0.0, -0.0, 38.0, -38.0],
+                        np.random.default_rng(2029).standard_normal(20_000) * 4.0))
+    got = normal_cdf(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert [v.hex() for v in got.tolist()] == [normal_cdf(v).hex() for v in x.tolist()]
+    grid = normal_cdf(x[:12].reshape(3, 4))
+    assert grid.shape == (3, 4) and np.array_equal(grid.ravel(), got[:12])
+
+
 def test_normal_cdf_scalar_fast_path(monkeypatch):
     values = [0.0, -0.0, 0.3, -1.7, 8.5, -40.0, 3, -2, True, np.float64(0.3), np.float64(-6.25)]
     want = [(0.5 * math.erfc(-float(x) / math.sqrt(2.0))).hex() for x in values]
@@ -80,45 +91,38 @@ def test_normal_cdf_scalar_fast_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lognormal matching
+# lognormal matching: `_variance_fit`, which the quotes fit A(T) with
 
 
 def test_lognormal_match_forced_values():
-    fit = lognormal_match(1.0, math.e)
+    fit = _variance_fit(1.0, math.e - 1.0)
     assert fit.mu == pytest.approx(-0.5, abs=1e-15)
     assert fit.s2 == pytest.approx(1.0, abs=1e-15)
-    degenerate = lognormal_match(2.0, 4.0)
+    degenerate = _variance_fit(2.0, 0.0)
     assert degenerate.s2 == 0.0
-    assert degenerate.mean == pytest.approx(2.0, rel=1e-15)
+    assert math.exp(degenerate.mu) == pytest.approx(2.0, rel=1e-15)
+
+
+def _fit_moments(mu, s2):
+    """Mean and second moment of lognormal(mu, s2)."""
+    return math.exp(mu + s2 / 2.0), math.exp(2.0 * mu + 2.0 * s2)
 
 
 def test_lognormal_match_round_trip_benchmark(bench):
-    fit = lognormal_match(mean_A(bench), second_moment_A(bench))
-    assert fit.mean == pytest.approx(mean_A(bench), rel=1e-12)
-    assert fit.second_moment == pytest.approx(second_moment_A(bench), rel=1e-12)
+    # both quotes fit A(T) to its mean and second moment
+    for quote in (floating_strike_asian_approx(bench), fixed_strike_asian_approx(bench, 1.0)):
+        mean, second = _fit_moments(quote.inputs["fit_mu"], quote.inputs["fit_s2"])
+        assert mean == pytest.approx(mean_A(bench), rel=1e-12)
+        assert second == pytest.approx(second_moment_A(bench), rel=1e-12)
 
 
 @settings(max_examples=200)
 @given(st.floats(min_value=0.01, max_value=100.0), st.floats(min_value=0.0, max_value=2.0))
 def test_lognormal_match_round_trip_property(mean, s2):
     second = mean * mean * math.exp(s2)
-    fit = lognormal_match(mean, second)
-    assert fit.mean == pytest.approx(mean, rel=1e-12)
-    assert fit.second_moment == pytest.approx(second, rel=1e-12)
-
-
-def test_lognormal_match_jensen_violation():
-    with pytest.raises(ValueError, match="Jensen"):
-        lognormal_match(2.0, 3.9)
-    with pytest.raises(ValueError):
-        lognormal_match(-1.0, 2.0)
-
-
-def test_lognormal_match_rejects_non_finite_moments():
-    for mean, second in ((math.nan, 2.0), (1.0, math.nan), (1.0, math.inf),
-                         (math.inf, 2.0), (math.inf, math.inf), (-math.inf, 2.0)):
-        with pytest.raises(ValueError, match="finite"):
-            lognormal_match(mean, second)
+    fit = _variance_fit(mean, mean * mean * math.expm1(s2))
+    assert _fit_moments(fit.mu, fit.s2) == (pytest.approx(mean, rel=1e-12),
+                                            pytest.approx(second, rel=1e-12))
 
 
 # ---------------------------------------------------------------------------

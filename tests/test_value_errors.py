@@ -1,5 +1,6 @@
 """The ValueError contract: a public function given input outside its domain
-raises ValueError with a message that names the problem."""
+raises ValueError with a message that names the problem; an oracle whose
+result lies outside the double range raises OverflowError."""
 
 import math
 
@@ -91,3 +92,39 @@ _CASES = [
 def test_out_of_domain_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Outside the double range an oracle raises OverflowError, as `math.exp` does,
+# and on a nan integrand ValueError; with `np.exp` the first read inf, with an
+# error of nan.
+
+
+def test_ordered_exp_simplex_quad_outside_the_double_range_raises_overflow():
+    with pytest.raises(OverflowError):
+        ordered_exp_simplex_quad([800.0])
+
+
+def test_moment_bruteforce_outside_the_double_range_raises_overflow():
+    with pytest.raises(OverflowError):
+        moment_bruteforce(GbmParams(r=800.0, sigma=0.2, T=1.0), 2)
+
+
+@pytest.mark.parametrize("method", ["sampling", "quadrature"])
+def test_hermite_genocchi_oracle_outside_the_double_range_raises_overflow(method):
+    with pytest.raises(OverflowError):
+        hermite_genocchi_oracle(np.exp, [0.0, 800.0], budget=24, method=method)
+
+
+@pytest.mark.parametrize("method", ["sampling", "quadrature"])
+def test_hermite_genocchi_oracle_of_a_nan_integrand_raises_value_error(method):
+    with pytest.raises(ValueError, match="is nan"):
+        hermite_genocchi_oracle(lambda x: np.full_like(x, np.nan), [0.0, 1.0], budget=24,
+                                method=method)
+
+
+def test_hermite_genocchi_oracle_samples_an_integral_near_the_top_of_the_range():
+    # e^x reaches 3e307 on [0, 708]: summed unscaled, the samples overflow, yet
+    # the integral expm1(708) / 708 = 4.27e304 is a normal double
+    est = hermite_genocchi_oracle(np.exp, [0.0, 708.0], budget=20_000)
+    assert 0 < est.error < 0.2 * est.value
+    assert est.value == pytest.approx(math.expm1(708.0) / 708.0, abs=4 * est.error)
