@@ -34,28 +34,6 @@ from .montecarlo import (
     estimate_suite,
     iter_terminal_and_average,
 )
-from .oracles import (
-    DDTable,
-    NodeList,
-    OracleEstimate,
-    SimplexSpec,
-    equispaced_dd,
-    hermite_genocchi_oracle,
-    hull_second_moment,
-    iterated_ordered_exp_integral,
-    leibniz_dd,
-    moment_bruteforce,
-    moment_ode_residual,
-    newton_table,
-    ordered_exp_simplex_quad,
-    ordered_product_expectation,
-    oshanin_yor_moment,
-    pairwise_expectation,
-    power_expectation,
-    simplex_exp_integral,
-    square_nodes_dd,
-    symmetric_equispaced_dd,
-)
 from .pricing import (
     LognormalFit,
     PriceQuote,
@@ -66,3 +44,21 @@ from .pricing import (
 )
 
 __version__ = "0.1.0"
+
+# `oracles` loads on first use of one of these names (PEP 562), not with the
+# package: the fast path and the CLI run without it.
+_ORACLE_NAMES = frozenset({
+    "DDTable", "NodeList", "OracleEstimate", "SimplexSpec", "equispaced_dd",
+    "hermite_genocchi_oracle", "hull_second_moment", "iterated_ordered_exp_integral",
+    "leibniz_dd", "moment_bruteforce", "moment_ode_residual", "newton_table",
+    "ordered_exp_simplex_quad", "ordered_product_expectation", "oshanin_yor_moment",
+    "pairwise_expectation", "power_expectation", "simplex_exp_integral",
+    "square_nodes_dd", "symmetric_equispaced_dd",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

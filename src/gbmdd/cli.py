@@ -2,10 +2,11 @@
 verification and pricing as subcommands with machine-readable output, and
 `oracle`, which prints the cross-checks of `oracles.run_oracle_suite`.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-domain error or failed
-allocation, 3 oracle suite failure, 141 stdout closed before the report was
-written.  Reports go to stdout, diagnostics to stderr.  The default Monte
-Carlo seed can be overridden with the GBMDD_SEED environment variable.
+Exit codes: 0 success, 1 usage error, 2 numerical-domain error, failed
+allocation or a report that cannot be written, 3 oracle suite failure, 141
+stdout closed before the report was written.  Reports go to stdout,
+diagnostics to stderr.  The default Monte Carlo seed can be overridden with
+the GBMDD_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    except OSError as exc:
+        print(f"gbmdd: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except UsageError as exc:
         print(f"gbmdd: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,8 @@ finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule).  Every route ends in
 a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
 node (the matrix route anchors lower where x underflows at high orders).
-`_exp_dd_pair` and its column form `_exp_dd_column_pairs`, the only code
+`_exp_dd_pair`, its column form `_exp_dd_column_pairs` and its prefix form
+`_exp_dd_prefix_pairs` (`moment_table`'s nested node sets), the only code
 that acts on a route, reject an x that is not a normal double; `_times_exp`
 only scales, and `moments` takes S and R from the pairs' logarithms.  The
 matrix method's one kernel, `_bidiagonal_first_rows`, takes a degree-15
@@ -212,14 +213,15 @@ def exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> f
     value overflows, or where x = exp[z - max z] is not a normal double, its
     digits lost to underflow or to a forced route.
     """
-    return _times_exp(*_exp_dd_pair(sorted(_coerce_nodes(nodes, scale)), method))
+    return _times_exp(*_exp_dd_pair(nodes, scale, method))
 
 
-def _exp_dd_pair(zs: list[float], method: EvalMethod) -> tuple[float, float]:
-    """(t, x) with exp[zs] = e^t x on sorted, finite nodes by the route
-    `method` (AUTO's rule for AUTO): x = exp[zs - t] for t the largest node,
-    or lower where the matrix route anchors lower.  OverflowError unless x
-    is a normal double."""
+def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float]:
+    """(t, x) with exp[s*x_0, ..., s*x_n] = e^t x by the route `method`
+    (AUTO's rule for AUTO): x = exp[z - t] for t the largest scaled node z,
+    or lower where the matrix route anchors lower.  ValueError as `exp_dd`
+    raises it; OverflowError unless x is a normal double."""
+    zs = sorted(_coerce_nodes(nodes, scale))
     method = _route(zs) if method is EvalMethod.AUTO else method
     if method is EvalMethod.RECURRENCE:
         t, x = zs[-1], _exp_dd_recurrence(zs)
@@ -231,6 +233,28 @@ def _exp_dd_pair(zs: list[float], method: EvalMethod) -> tuple[float, float]:
     if not x >= sys.float_info.min:
         raise OverflowError("exp_dd: exp[z - max z] is not a normal double")
     return t, x
+
+
+def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
+    """(route, t, x) with exp[z_0, ..., z_m] = e^t x for m = 1..n, on finite
+    nodes `z` in their given order.  Each prefix takes the route AUTO gives
+    it alone, and the nested matrix-route prefixes share one `_first_row` on
+    the longest; an entry of it that is not a normal double, and every
+    recurrence prefix, takes `_exp_dd_pair` by that route."""
+    routes = [_route(sorted(z[:m + 1])) if m < TAYLOR_MIN_ORDER else EvalMethod.TAYLOR_MATRIX
+              for m in range(1, len(z))]
+    top = max((m for m, route in enumerate(routes, 1)
+               if route is EvalMethod.TAYLOR_MATRIX), default=0)
+    if top:   # otherwise no prefix reads the row
+        t, row = _first_row(np.array(z[:top + 1]), max(z[:top + 1]))
+        row = row.tolist()
+    pairs = []
+    for m, route in enumerate(routes, 1):
+        if route is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
+            pairs.append((route, t, row[m]))
+        else:
+            pairs.append((route, *_exp_dd_pair(z[:m + 1], method=route)))
+    return pairs
 
 
 def _sort_columns(c) -> list[np.ndarray]:

@@ -19,17 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import (
-    TAYLOR_MIN_ORDER,
-    EvalMethod,
-    _coerce_nodes,
-    _exp_dd_column_pairs,
-    _exp_dd_pair,
-    _first_row,
-    _route,
-    _times_exp,
-    exp_dd,
-)
+from .divdiff import _exp_dd_column_pairs, _exp_dd_pair, _exp_dd_prefix_pairs, _times_exp, exp_dd
 
 __all__ = [
     "GbmParams",
@@ -167,16 +157,11 @@ def var_S(p: GbmParams) -> float:
     return p.sigma ** 2 * p.T * exp_dd([r2T, b])
 
 
-def _pair(nodes) -> tuple[float, float]:
-    """(t, x) of `exp_dd(nodes)`, whose value is e^t x."""
-    return _exp_dd_pair(sorted(_coerce_nodes(nodes)), EvalMethod.AUTO)
-
-
 @_memo
 def _var_A_pair(p: GbmParams) -> tuple[float, float]:
     """(t, x) of exp[0, rT, 2rT, (2r + sigma^2) T], for `var_A` and `correlation`."""
     rT, r2T, b = _ddn(p)
-    return _pair([0.0, rT, r2T, b])
+    return _exp_dd_pair([0.0, rT, r2T, b])
 
 
 def var_A(p: GbmParams) -> float:
@@ -205,7 +190,7 @@ def correlation(p: GbmParams) -> CorrelationReport:
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
     rT, r2T, b = _ddn(p)
-    num, d1, d2 = _pair([rT, r2T, b]), _pair([r2T, b]), _var_A_pair(p)
+    num, d1, d2 = _exp_dd_pair([rT, r2T, b]), _exp_dd_pair([r2T, b]), _var_A_pair(p)
     log_s, s2T = _log_s(num, d1, d2), p.sigma ** 2 * p.T
     return CorrelationReport(R=math.exp((log_s - math.log(2.0)) / 2.0),
                              covariance=s2T * _times_exp(*num), var_S=s2T * _times_exp(*d1),
@@ -221,7 +206,7 @@ def s_statistic(r: float, a: float) -> float:
     exp(`_log_s`) for every input: it may read 0, or raise OverflowError.
     """
     z = [a, 2.0 * r, r, 0.0]
-    return math.exp(_log_s(*(_pair(zs) for zs in (z[:3], z[:2], z))))
+    return math.exp(_log_s(*(_exp_dd_pair(zs) for zs in (z[:3], z[:2], z))))
 
 
 @dataclass(frozen=True)
@@ -420,45 +405,26 @@ def moment_A(p: GbmParams, m: int) -> float:
 def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     """Moments of orders 0..max_m with the evaluation method recorded.
 
-    Each order keeps the route AUTO picks for its own nodes.  The node sets
-    are nested, so one first row of the bidiagonal exponential on the nodes
-    of the highest matrix-route order M, anchored as `exp_dd`'s matrix route
-    anchors, gives x = exp[nodes - t] for every matrix-route order up to M,
-    scaled by e^t; an order whose x is not a normal double is evaluated on
-    its own instead, by `exp_dd`'s dispatch on the sorted nodes and the route
-    computed here.  Order 1 evaluated on its own is the memoised `mean_A`,
-    and order 2 has the bits of `second_moment_A`: the same nodes.  The Taylor
-    terms of high offsets underflow: at r = 0.05, sigma = 0.2, T = 1, orders
-    150, 160 and 170 (the last below 171!) are 8.7e-14, 1.8e-13 and 1.8e-7 off.
+    The node sets are nested: order m's are the first m + 1 of
+    `BNodes.from_params(p, max_m).scaled(p.T)`.  So every order is m! e^t x
+    for the (route, t, x) that `divdiff._exp_dd_prefix_pairs` gives its
+    prefix, which keeps the route AUTO picks for that order alone and takes
+    every matrix-route order from one shared first row.  Order 1 has the
+    bits of `mean_A` and order 2 those of `second_moment_A`: the same nodes.
+    The Taylor terms of high offsets underflow: at r = 0.05, sigma = 0.2,
+    T = 1, orders 150, 160 and 170 (the last below 171!) are 8.7e-14,
+    1.8e-13 and 1.8e-7 off.
     """
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
-    if max_m < 0:
-        raise ValueError("moment order must be nonnegative")
-    nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(max_m + 1)]
+    nodes = BNodes.from_params(p, max_m).scaled(p.T)
     if not all(map(math.isfinite, nodes)):
         raise ValueError("nodes must be finite")
-    # AUTO's rule on each order's sorted nodes; from TAYLOR_MIN_ORDER on it
-    # is the matrix method whatever the nodes
-    low = min(max_m, TAYLOR_MIN_ORDER - 1)
-    methods = ([_route(sorted(nodes[:m + 1])) for m in range(1, low + 1)]
-               + [EvalMethod.TAYLOR_MATRIX] * (max_m - low))
-    top = max((m for m, method in enumerate(methods, 1)
-               if method is EvalMethod.TAYLOR_MATRIX), default=0)
-    row = []
-    if top:
-        t, row = _first_row(np.array(nodes[:top + 1]), max(nodes[:top + 1]))
-        row = row.tolist()
     out = [MomentReport(order=0, value=1.0, method="exact")]
-    for m, method in enumerate(methods, 1):
+    for m, (route, t, x) in enumerate(_exp_dd_prefix_pairs(nodes), 1):
         # where e^t x overflows, m! times the order's own value does too
-        if method is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
-            value = math.factorial(m) * _times_exp(t, row[m])
-        elif m == 1:
-            value = mean_A(p)
-        else:
-            value = math.factorial(m) * _times_exp(*_exp_dd_pair(sorted(nodes[:m + 1]), method))
+        value = math.factorial(m) * _times_exp(t, x)
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
-        out.append(MomentReport(order=m, value=value, method=method.value))
+        out.append(MomentReport(order=m, value=value, method=route.value))
     return out

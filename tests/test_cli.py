@@ -117,6 +117,17 @@ def test_failures_exit_1_or_2_at_once_and_quietly(capsys, monkeypatch, tmp_path,
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("argv", [["corr", "-o", "missing/report.json"],
+                                  ["scan", "--na", "3", "--nr", "2", "-o", "."]], ids=" ".join)
+def test_unwritable_report_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # a missing directory, and a directory as the path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("gbmdd: cannot write the report: ") and err.count("\n") == 1
+
+
 _WIDE_NEGATIVE_RATE = ["--r", "-268.6425722144426", "--sigma", "7.886271062952987",
                        "--T", "1.9296876647912937"]
 

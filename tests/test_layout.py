@@ -1,15 +1,19 @@
 """The fast path stays apart from the oracles: no module that results run on
 imports `gbmdd.oracles`, at module level or inside a function, or defines
 one of its names.  The one exception is the CLI's `oracle` subcommand, which
-imports them inside its own function."""
+imports them inside its own function; the package loads them only when one
+of their names is asked for.  Only `divdiff` knows how a divided difference
+is routed."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import gbmdd
-from gbmdd import oracles
+from gbmdd import divdiff, oracles
 
 PACKAGE = Path(gbmdd.__file__).resolve().parent
 
@@ -73,3 +77,60 @@ def test_import_scan_sees_nested_and_relative_imports():
                      "from .oracles import DD\n"
                      "from .divdiff import exp_dd\n")
     assert len(_oracle_imports(tree)) == 3
+
+
+# divdiff's route rule and its matrix route's kernel, anchoring and squarings
+ROUTE_NAMES = {"_route", "_first_row", "_bidiagonal_first_rows", "_squarings", "_LOW_ANCHOR",
+               *(name for name in vars(divdiff) if name.startswith("TAYLOR_"))}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier `tree` reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "divdiff.py"}),
+                         ids=lambda path: path.stem)
+def test_only_divdiff_acts_on_a_route(path):
+    assert ROUTE_NAMES >= {"TAYLOR_MIN_ORDER", "TAYLOR_MIN_SPREAD"}
+    assert not _names(ast.parse(path.read_text())) & ROUTE_NAMES
+
+
+_LAZY_ORACLES_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import gbmdd
+assert "gbmdd.oracles" not in sys.modules, "import gbmdd"
+import gbmdd.cli
+assert "gbmdd.oracles" not in sys.modules, "import gbmdd.cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gbmdd.cli.main(["corr"]) == 0
+assert "gbmdd.oracles" not in sys.modules, "gbmdd corr"
+assert gbmdd.newton_table is gbmdd.oracles.newton_table
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gbmdd.cli.main(["oracle"]) == 0
+print("ok")
+"""
+
+
+def test_oracles_load_only_when_asked():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLES_SCRIPT, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_package_keeps_every_oracle_name():
+    assert len(gbmdd._ORACLE_NAMES) == 20
+    for name in gbmdd._ORACLE_NAMES:
+        assert getattr(gbmdd, name) is getattr(oracles, name), name
+    with pytest.raises(AttributeError):
+        gbmdd.run_oracle_suite

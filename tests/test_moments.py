@@ -772,13 +772,18 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
     scalar = [math.factorial(m) * exp_dd(nodes[:m + 1]) for m in range(11)]
     first_row = divdiff._first_row
 
+    shared = []
+
     def damaged(zs, t):
         t, row = first_row(zs, t)
-        row[[4, 6, 9]] = [0.0, 5e-324, math.inf]
+        if len(zs) == len(nodes):   # the shared row; each fallback's prefix is shorter
+            row[[4, 6, 9]] = [0.0, 5e-324, math.inf]
+            shared.append(t)
         return t, row
 
-    monkeypatch.setattr("gbmdd.moments._first_row", damaged)
+    monkeypatch.setattr(divdiff, "_first_row", damaged)
     table = moment_table(p, 10)
+    assert len(shared) == 1
     for m in (4, 6, 9):
         assert table[m].value == scalar[m], m
     assert [t.method for t in table[1:]] == [
@@ -786,12 +791,11 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
 
 
 def test_moment_table_evaluates_without_exp_dd(monkeypatch, bench):
-    # the table sorts and routes each order's nodes once and hands them to the
-    # dispatch itself: with order 1 memoised, `exp_dd` is never called
+    # the table takes every order, order 1 included, from the divided
+    # differences of its node prefixes: `exp_dd` is never called
     nodes = BNodes.from_params(bench, 8).scaled(bench.T)
     assert divdiff.choose_method(nodes[:4]) is divdiff.EvalMethod.RECURRENCE
     assert divdiff.choose_method(nodes[:5]) is divdiff.EvalMethod.TAYLOR_MATRIX
-    mean_A(bench)           # order 1 comes from the memo
     want = moment_table(bench, 8)
 
     def refused(*args, **kwargs):
