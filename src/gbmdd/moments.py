@@ -406,18 +406,22 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     """Moments of orders 0..max_m with the evaluation method recorded.
 
     The node sets are nested: order m's are the first m + 1 of
-    `BNodes.from_params(p, max_m).scaled(p.T)`.  So every order is m! e^t x
-    for the (route, t, x) that `divdiff._exp_dd_prefix_pairs` gives its
-    prefix, which keeps the route AUTO picks for that order alone and takes
-    every matrix-route order from one shared first row.  Order 1 has the
+    `BNodes.from_params(p, max_m).scaled(p.T)`, built inline.  So every
+    order is m! e^t x for the (route, t, x) that
+    `divdiff._exp_dd_prefix_pairs` gives its prefix, which keeps the route
+    AUTO picks for that order alone and takes every matrix-route order from
+    one shared first row.  Order 1 has the
     bits of `mean_A` and order 2 those of `second_moment_A`: the same nodes.
     The Taylor terms of high offsets underflow: at r = 0.05, sigma = 0.2,
     T = 1, orders 150, 160 and 170 (the last below 171!) are 8.7e-14,
     1.8e-13 and 1.8e-7 off.
     """
+    if max_m < 0:
+        raise ValueError("moment order must be nonnegative")
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
-    nodes = BNodes.from_params(p, max_m).scaled(p.T)
+    # BNodes' values times T, built inline: half the cost of the dataclass
+    nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(max_m + 1)]
     if not all(map(math.isfinite, nodes)):
         raise ValueError("nodes must be finite")
     out = [MomentReport(order=0, value=1.0, method="exact")]

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,20 +25,21 @@ from gbmdd.montecarlo import (
 )
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
-_TILE_ROWS = 32  # PANEL-wide rows per draw of `_block_normals`
 
 
 def _block_normals(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
     """Standard normals of paths [lo, hi) of the block starting at `lo`, as
     the simulator draws them: row k holds step k + 1's normals of the
-    block's pairs, taken from full PANEL-wide rows drawn a tile of rows at a
-    time into one buffer."""
+    block's pairs, taken from full PANEL-wide rows that the engine's
+    `_fill_normals` makes a tile of min(31, steps) rows at a time in the
+    engine's own workspace."""
     gen, pairs = _block_generator(cfg, lo), (hi - lo + 1) // 2
-    buf, out = np.empty((_TILE_ROWS, PANEL)), np.empty((cfg.steps, pairs))
-    for s0 in range(0, cfg.steps, _TILE_ROWS):
-        k = min(_TILE_ROWS, cfg.steps - s0)
-        gen.standard_normal(out=buf[:k])
-        out[s0:s0 + k] = buf[:k, :pairs]
+    walk, work = montecarlo._workspace(cfg)
+    tile, out = len(walk) - 1, np.empty((cfg.steps, pairs))
+    for s0 in range(0, cfg.steps, tile):
+        k = min(tile, cfg.steps - s0)
+        montecarlo._fill_normals(gen, walk[1:k + 1], work[1:k + 1])
+        out[s0:s0 + k] = walk[1:k + 1, :pairs]
     return out
 
 
@@ -98,6 +102,41 @@ def test_thread_count_invariance():
     assert results[1] == results[2] == results[8]
 
 
+_DISPATCH_SCRIPT = """
+import json
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__[f]]))
+"""
+
+
+def test_estimates_agree_across_simd_dispatch():
+    # numpy dispatches exp, log and tan on the CPU features it finds, and
+    # their last bits differ between dispatch levels; the same command with
+    # every found feature disabled (NPY_DISABLE_CPU_FEATURES) must agree to
+    # 1e-12 relative in every value and stderr (bit-equal values and 2e-14
+    # stderrs measured with AVX-512 off)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    found = json.loads(subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+    if not found:
+        pytest.skip("numpy finds no SIMD extension above its baseline")
+    argv = [sys.executable, "-m", "gbmdd.cli", "mc", "--paths", "8192", "--steps", "64",
+            "--seed", "5"]
+    runs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+        proc = subprocess.run(argv, env={**env, **disabled}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout)["estimates"])
+    assert list(runs[0]) == list(runs[1])
+    for name, est in runs[0].items():
+        for key in ("value", "stderr"):
+            assert est[key] == pytest.approx(runs[1][name][key], rel=1e-12, abs=0.0), (name, key)
+
+
 def test_thread_counts_below_one_rejected():
     cfg = McConfig(paths=100, steps=4, seed=5)
     for threads in (0, -1):
@@ -125,21 +164,33 @@ def test_pool_workers_capped_at_block_count(monkeypatch):
 
 
 def test_single_stream_layout():
-    # block b draws its normals step-major from a PCG64DXSM stream seeded by
-    # child b of the seed's SeedSequence, one row of PANEL draws per step; the
-    # last block holds 1809 paths, so it uses the first 905 columns of each
-    # row and its last column drives one path
+    # block b draws its uniforms step-major from a PCG64DXSM stream seeded by
+    # child b of the seed's SeedSequence, one row of PANEL per step; 7 steps
+    # are one tile, whose first half of uniforms gives the radii and second
+    # half the angles, so the normal at flat index j < 7 PANEL / 2 is
+    # r cos theta and the one at j + 7 PANEL / 2 is r sin theta of uniforms j
+    # and j + 7 PANEL / 2.  Rebuilt with scalar math.log and math.tan, every
+    # normal is within eight ulps of the largest |z|, 8.57 (1.3e-15 measured).
+    # The last block holds 1809 paths, so it uses the first 905 columns of
+    # each row and its last column drives one path
     from numpy.random import PCG64DXSM, Generator, SeedSequence
 
     cfg = McConfig(paths=10_001, steps=7, seed=2 ** 64 - 3)
     starts = range(0, cfg.paths, BLOCK_PATHS)
     children = SeedSequence(cfg.seed).spawn(len(starts))
+    half = cfg.steps * PANEL // 2
     blocks = []
     for child, lo in zip(children, starts):
         hi = min(lo + BLOCK_PATHS, cfg.paths)
-        want = Generator(PCG64DXSM(child)).standard_normal(cfg.steps * PANEL)
+        uniforms = Generator(PCG64DXSM(child)).random(cfg.steps * PANEL).tolist()
+        rebuilt = []
+        for u, v in zip(uniforms[:half], uniforms[half:]):
+            r, t = math.sqrt(-2.0 * math.log(1.0 - u)), math.tan(math.pi * (v - 0.5))
+            d = 2.0 * r / (1.0 + t * t)
+            rebuilt.append((d - r, t * d))
+        want = np.array(rebuilt).T.reshape(cfg.steps, PANEL)[:, :(hi - lo + 1) // 2]
         blocks.append(_block_normals(cfg, lo, hi))
-        assert np.array_equal(blocks[-1], want.reshape(cfg.steps, PANEL)[:, :(hi - lo + 1) // 2])
+        assert np.abs(blocks[-1] - want).max() <= 8 * math.ulp(8.0)
     # column i drives path 2i with +z and path 2i + 1 with -z
     s_T, _ = _paths(BENCH, cfg)
     dt = BENCH.T / cfg.steps
@@ -175,6 +226,42 @@ def test_block_normals_against_mpmath_distribution():
         tail = float(mpmath.erfc(x / mpmath.sqrt(2)))
         beyond = int((np.abs(z) > x).sum())
         assert abs(beyond - n * tail) <= 5.0 * math.sqrt(n * tail * (1.0 - tail)), x
+
+
+class _FixedUniforms:
+    """A stand-in generator whose `random` fills its tile with given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, out):
+        out[...] = self.uniforms.reshape(out.shape)
+
+
+def test_normal_transform_edges_against_mpmath():
+    # u = 0 gives r = 0 and u = 1 - 2^-53 the largest radius, sqrt(106 ln 2);
+    # v = 0 gives t = tan(-pi/2 rounded) = -1.6e16 and normals near (-r, 0),
+    # v = 1/4, 1/2, 3/4 the axes.  Each output is finite and within 4 ulps
+    # of r, 4 * 2^-52 r, of r cos theta and r sin theta, theta = 2 pi (v - 1/2),
+    # at 40 digits (1.41 * 2^-52 r measured)
+    import mpmath
+
+    edge = 1.0 - 2.0 ** -53
+    cases = [(u, v) for u in (0.0, edge) for v in (0.0, 0.25, 0.5, 0.75, edge)]
+    z, scratch = np.empty((2, len(cases))), np.empty(len(cases))
+    montecarlo._fill_normals(_FixedUniforms([u for u, _ in cases] + [v for _, v in cases]),
+                             z, scratch)
+    assert np.isfinite(z).all()
+    with mpmath.workdps(40):
+        r_max = mpmath.sqrt(106 * mpmath.log(2))
+        assert abs(r_max - 8.5717) < 1e-4
+        assert mpmath.erfc(r_max / mpmath.sqrt(2)) == pytest.approx(1.0e-17, rel=0.02)
+        for j, (u, v) in enumerate(cases):
+            r = mpmath.sqrt(-2 * mpmath.log(1 - mpmath.mpf(u)))
+            theta = 2 * mpmath.pi * (mpmath.mpf(v) - mpmath.mpf(0.5))
+            assert r == (0 if u == 0.0 else r_max)
+            for got, want in zip(z[:, j], (r * mpmath.cos(theta), r * mpmath.sin(theta))):
+                assert abs(got - want) <= 4 * 2.0 ** -52 * r, (u, v)
 
 
 def test_fewer_paths_give_a_prefix():
@@ -389,7 +476,7 @@ def test_stderr_is_calibrated(estimate):
     # the floating strike, whose pair values correlate by about -0.5, which
     # 64 seeds cannot tell from chance, and about 4x for E A^2.  The
     # correlation's stderr, the delete-one-batch jackknife over its 32
-    # batches of 8 pairs, reads a ratio of about 0.98; batch means over the
+    # batches of 8 pairs, reads a ratio of about 1.0; batch means over the
     # same batches read about 1.3x too large (the ratio about 0.59)
     runs = [estimate(McConfig(paths=512, steps=8, seed=seed)) for seed in range(512)]
     values = np.array([est.value for est in runs])
