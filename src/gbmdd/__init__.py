@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 # package: the fast path and the CLI run without it.
 _ORACLE_NAMES = frozenset({
     "DDTable", "NodeList", "OracleEstimate", "SimplexSpec", "equispaced_dd",
-    "hermite_genocchi_oracle", "hull_second_moment", "iterated_ordered_exp_integral",
+    "hermite_genocchi_oracle", "iterated_ordered_exp_integral",
     "leibniz_dd", "moment_bruteforce", "moment_ode_residual", "newton_table",
     "ordered_exp_simplex_quad", "ordered_product_expectation", "oshanin_yor_moment",
     "pairwise_expectation", "power_expectation", "simplex_exp_integral",

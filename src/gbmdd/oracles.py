@@ -1,15 +1,15 @@
 """Oracles and the paper's identities, apart from the code results run on:
-double-word arithmetic and the recurrence evaluated in it, the Newton
-tableau and the finite-difference identities, the Hermite-Genocchi simplex
-integrals on one nested Gauss-Legendre rule and by sampling, the ordered
-iterated integral, the moment identities of exponential Brownian motion
-(the textbook E A(T)^2, moments by quadrature, the driftless binomial sum,
-the moment ODE) and `run_oracle_suite`, the checks of `gbmdd oracle`.
+the Newton tableau and the finite-difference identities, the
+Hermite-Genocchi simplex integrals on one nested Gauss-Legendre rule and by
+sampling, the ordered iterated integral, the moment identities of
+exponential Brownian motion (moments by quadrature, the driftless binomial
+sum, the moment ODE) and `run_oracle_suite`, the checks of `gbmdd oracle`.
 No fast-path module imports it, but for the CLI's `oracle` subcommand."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,197 +19,14 @@ from .divdiff import EvalMethod, _coerce_nodes, exp_dd
 from .moments import BNodes, GbmParams
 
 __all__ = [
-    "two_sum", "quick_two_sum", "two_prod", "DD", "dd_exp", "dd_fsum", "exp_dd_reference",
     "NodeList", "DDTable", "newton_table", "equispaced_dd", "symmetric_equispaced_dd",
     "leibniz_dd", "square_nodes_dd",
     "OracleEstimate", "hermite_genocchi_oracle", "SimplexSpec", "simplex_exp_integral",
     "iterated_ordered_exp_integral", "ordered_exp_simplex_quad",
-    "pairwise_expectation", "hull_second_moment", "power_expectation",
+    "pairwise_expectation", "power_expectation",
     "ordered_product_expectation", "moment_bruteforce", "oshanin_yor_moment",
     "moment_ode_residual", "run_oracle_suite",
 ]
-
-
-# ---------------------------------------------------------------------------
-# double-double arithmetic
-
-_SPLITTER = 134217729.0  # 2**27 + 1, exact in double
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Return (s, err) with s + err == a + b exactly."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
-
-
-def quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    """two_sum assuming |a| >= |b|."""
-    s = a + b
-    err = b - (s - a)
-    return s, err
-
-
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLITTER * a
-    abig = c - a
-    ahi = c - abig
-    return ahi, a - ahi
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Return (p, err) with p + err == a * b exactly (Dekker splitting)."""
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-@dataclass(frozen=True)
-class DD:
-    """Unevaluated sum hi + lo with |lo| <= 0.5 ulp(hi)."""
-
-    hi: float
-    lo: float = 0.0
-
-    @staticmethod
-    def of(x) -> "DD":
-        if isinstance(x, DD):
-            return x
-        return DD(float(x), 0.0)
-
-    def to_float(self) -> float:
-        return self.hi + self.lo
-
-    def __float__(self) -> float:
-        return self.hi + self.lo
-
-    def __neg__(self) -> "DD":
-        return DD(-self.hi, -self.lo)
-
-    def __abs__(self) -> "DD":
-        return -self if self.hi < 0 else self
-
-    def __add__(self, other) -> "DD":
-        o = DD.of(other)
-        s, e = two_sum(self.hi, o.hi)
-        t, f = two_sum(self.lo, o.lo)
-        e += t
-        s, e = quick_two_sum(s, e)
-        e += f
-        hi, lo = quick_two_sum(s, e)
-        return DD(hi, lo)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "DD":
-        return self + (-DD.of(other))
-
-    def __rsub__(self, other) -> "DD":
-        return DD.of(other) + (-self)
-
-    def __mul__(self, other) -> "DD":
-        o = DD.of(other)
-        p, e = two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi
-        hi, lo = quick_two_sum(p, e)
-        return DD(hi, lo)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "DD":
-        o = DD.of(other)
-        q1 = self.hi / o.hi
-        r = self - o * DD(q1)
-        q2 = r.hi / o.hi
-        r = r - o * DD(q2)
-        q3 = r.hi / o.hi
-        s, e = two_sum(q1, q2)
-        hi, lo = quick_two_sum(s, e + q3)
-        return DD(hi, lo)
-
-    def __rtruediv__(self, other) -> "DD":
-        return DD.of(other) / self
-
-    def __lt__(self, other) -> bool:
-        o = DD.of(other)
-        return self.hi < o.hi or (self.hi == o.hi and self.lo < o.lo)
-
-    def __eq__(self, other) -> bool:
-        o = DD.of(other)
-        return self.hi == o.hi and self.lo == o.lo
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-
-    def ldexp(self, k: int) -> "DD":
-        return DD(math.ldexp(self.hi, k), math.ldexp(self.lo, k))
-
-    def sqrt(self) -> "DD":
-        if self.hi < 0:
-            raise ValueError("sqrt of negative double-double")
-        if self.hi == 0:
-            return DD(0.0)
-        s = math.sqrt(self.hi)
-        # one Newton step: s + (x - s^2) / (2 s)
-        t = DD(s)
-        return t + (self - t * t) / (2.0 * s)
-
-
-DD_LN2 = DD(0.6931471805599453, 2.3190468138462996e-17)
-
-
-def dd_exp(x: DD | float) -> DD:
-    """exp(x) to double-double accuracy via ln2 reduction and Taylor series."""
-    x = DD.of(x)
-    if x.hi == 0.0 and x.lo == 0.0:
-        return DD(1.0)
-    k = int(round(x.hi / DD_LN2.hi))
-    r = x - DD_LN2 * float(k)
-    total = DD(1.0) + r
-    term = DD.of(r)
-    for j in range(2, 40):
-        term = term * r / float(j)
-        total = total + term
-        if abs(term.hi) <= 1e-35 * abs(total.hi):
-            break
-    return total.ldexp(k)
-
-
-def dd_fsum(terms) -> DD:
-    """Sum of DD (or float) terms in double-double arithmetic."""
-    total = DD(0.0)
-    for t in terms:
-        total = total + DD.of(t)
-    return total
-
-
-def exp_dd_reference(nodes, scale: float = 1.0) -> float:
-    """Divided difference of exp over the scaled nodes by the recurrence in
-    double-double arithmetic; repeated nodes handled confluently.
-
-    For tightly clustered distinct nodes the recurrence cancels roughly
-    log10(1/spread) digits per order, so keep n * log10(1/spread)
-    comfortably below ~30.
-    """
-    zs = sorted(DD(n) * scale for n in nodes)
-    n = len(zs)
-    if n == 0:
-        raise ValueError("need at least one node")
-    lev = [dd_exp(z) for z in zs]
-    fact = 1.0
-    for k in range(1, n):
-        fact *= k
-        nxt = []
-        for i in range(n - k):
-            if zs[i + k] == zs[i]:
-                nxt.append(dd_exp(zs[i]) / fact)
-            else:
-                nxt.append((lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]))
-        lev = nxt
-    return lev[0].to_float()
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +281,42 @@ class SimplexSpec:
             raise ValueError("V and a must be finite")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "a", a)
-        scale = float(np.prod(np.linalg.norm(V, axis=0)))
-        if abs(self.det) < self.det_rtol * max(scale, np.finfo(float).tiny):
+        # det V = d 2^e from the columns scaled by powers of two to a largest
+        # entry in [1/2, 1): d neither overflows nor underflows, and |d|
+        # against the column norms is a scale-free test of singularity
+        _, e = np.frexp(np.abs(V).max(axis=0, initial=0.0))
+        W = np.ldexp(V, -e)
+        d = float(np.linalg.det(W))
+        if abs(d) <= self.det_rtol * float(np.prod(np.linalg.norm(W, axis=0))):
             raise ValueError("V is singular to working precision")
+        object.__setattr__(self, "_det_parts", (d, int(e.sum())))
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.V))
+        """det V; OverflowError where it is not a normal double."""
+        return _times_pow2(*self._det_parts, "det V")
+
+
+def _times_pow2(x: float, e: int, what: str) -> float:
+    """x 2^e; OverflowError where it is not a normal double (above the
+    range, from `math.ldexp`)."""
+    value = math.ldexp(x, e)
+    if abs(value) < sys.float_info.min:
+        raise OverflowError(f"{what} below the normal range")
+    return value
 
 
 def simplex_exp_integral(spec: SimplexSpec) -> float:
-    """Integral of e^{a.y} over the simplex K(V), as |det V| times an
-    exponential divided difference."""
-    nodes = [0.0] + list(spec.V.T @ spec.a)
-    return abs(spec.det) * exp_dd(nodes)
+    """Integral of e^{a.y} over the simplex K(V), |det V| times an
+    exponential divided difference, each taken as a mantissa and a power of
+    two: OverflowError only where the integral is not a normal double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = spec.V.T @ spec.a
+    if not np.isfinite(nodes).all():
+        raise OverflowError("a node a.v_j outside the double range")
+    d, e = spec._det_parts
+    x, k = math.frexp(exp_dd([0.0, *nodes]))
+    return _times_pow2(abs(d) * x, e + k, "simplex integral")
 
 
 def _suffix_nodes(a: Sequence[float]) -> list[float]:
@@ -519,28 +358,6 @@ def pairwise_expectation(p: GbmParams, a: float, b: float) -> float:
     if not (0 <= a <= b < math.inf):
         raise ValueError("times must be finite and satisfy 0 <= a <= b")
     return math.exp(a * (p.r + p.sigma ** 2) + b * p.r)
-
-
-def hull_second_moment(p: GbmParams) -> float:
-    """E A(T)^2 by the textbook two-term expression; singular at r = 0,
-    r + sigma^2 = 0 and 2r + sigma^2 = 0, where `second_moment_A` stays
-    finite and should be used instead.
-
-    The two terms cancel almost completely as rT -> 0 (about
-    -log10(rT (r+sigma^2) T) digits), so the expression is evaluated in
-    compensated double-word arithmetic to keep the cross-check against the
-    divided-difference form meaningful on small-rate boxes.
-    """
-    r, s2, T = p.r, p.sigma ** 2, p.T
-    for name, d in (("r", r), ("r + sigma^2", r + s2), ("2r + sigma^2", 2 * r + s2)):
-        if d == 0:
-            raise ValueError(f"{name} = 0: expression singular, use second_moment_A")
-    rd, s2d, Td = DD(r), DD(s2), DD(T)
-    rs = rd + s2d
-    rrs = rd * 2.0 + s2d
-    term1 = 2.0 * dd_exp(rrs * Td) / (rs * rrs * Td * Td)
-    term2 = (2.0 / (rd * Td * Td)) * (1.0 / rrs - dd_exp(rd * Td) / rs)
-    return (term1 + term2).to_float()
 
 
 def power_expectation(p: GbmParams, t: float, k: int) -> float:

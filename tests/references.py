@@ -1,6 +1,7 @@
-"""Reference evaluations the tests share: an mpmath `exp_dd`, the matrix
-route's first row and scaling step, and the row kernels whose (t, x) pairs
-`exp_dd_batch` and `grid_scan` reproduce bit for bit."""
+"""Reference evaluations the tests share: an mpmath `exp_dd`, the textbook
+E A(T)^2 on mpmath, the matrix route's first row and scaling step, and the
+row kernels whose (t, x) pairs `exp_dd_batch` and `grid_scan` reproduce bit
+for bit."""
 
 import math
 import sys
@@ -42,6 +43,21 @@ def mp_exp_dd(nodes) -> mp.mpf:
             with mp.extradps(n * max(0, int(-mp.log10(gap)) + 1)):
                 return mp.fsum(mp.exp(zi) / mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)
                                 for i, zi in enumerate(z))
+
+
+def mp_hull_second_moment(p) -> mp.mpf:
+    """E A(T)^2 at 50 digits by the textbook two-term expression
+
+        2 e^{(2r + s) T} / ((r + s)(2r + s) T^2)
+            + 2 / (r T^2) (1 / (2r + s) - e^{rT} / (r + s)),   s = sigma^2,
+
+    singular at r = 0, r + s = 0 and 2r + s = 0.  Its terms cancel about
+    -log10(rT (r + s) T) digits as rT -> 0."""
+    with mp.workdps(50):
+        r, s, T = mp.mpf(p.r), mp.mpf(p.sigma) ** 2, mp.mpf(p.T)
+        term1 = 2 * mp.exp((2 * r + s) * T) / ((r + s) * (2 * r + s) * T * T)
+        term2 = 2 / (r * T * T) * (1 / (2 * r + s) - mp.exp(r * T) / (r + s))
+        return term1 + term2
 
 
 # Reference kernels: the matrix route's first row by the same

@@ -13,9 +13,7 @@ from gbmdd import cli
 from gbmdd.divdiff import EvalMethod, exp_dd
 from gbmdd.moments import BNodes, GbmParams, correlation, moment_A, s_statistic
 from gbmdd.oracles import (
-    exp_dd_reference,
     hermite_genocchi_oracle,
-    hull_second_moment,
     moment_bruteforce,
     moment_ode_residual,
     newton_table,
@@ -30,7 +28,7 @@ from gbmdd.montecarlo import (
 from gbmdd.moments import cross_moment_SA, mean_A, mean_S, second_moment_A
 from gbmdd.pricing import floating_strike_asian_approx, margrabe_price
 
-from references import mp_exp_dd
+from references import mp_exp_dd, mp_hull_second_moment
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 
@@ -151,14 +149,14 @@ def test_criterion_2_figure_grid(capsys):
 
 
 def test_criterion_3_stated_range():
-    """R(0.05, 0.04) at T = 1 sits in the 0.8-0.9 range and matches the
-    extended-precision recurrence to 1e-10."""
+    """R(0.05, 0.04) at T = 1 sits in the 0.8-0.9 range and matches 50-digit
+    mpmath to 1e-10."""
     R = correlation(BENCH).R
     assert 0.80 <= R <= 0.90
-    num = exp_dd_reference([0.05, 0.10, 0.14])
-    den = math.sqrt(2.0 * exp_dd_reference([0.10, 0.14])
-                    * exp_dd_reference([0.0, 0.05, 0.10, 0.14]))
-    R_ref = num / den
+    with mp.workdps(50):
+        num = mp_exp_dd([0.05, 0.10, 0.14])
+        den = mp.sqrt(2 * mp_exp_dd([0.10, 0.14]) * mp_exp_dd([0.0, 0.05, 0.10, 0.14]))
+        R_ref = float(num / den)
     rel = abs(R - R_ref) / R_ref
     assert rel <= 1e-10
     assert R == pytest.approx(0.8663842874183117, abs=5e-5)  # the ~0.8663 claim
@@ -175,7 +173,7 @@ def test_criterion_4_moment_formula_vs_bruteforce():
         diff = abs(moment_A(BENCH, m) - moment_bruteforce(BENCH, m).value)
         worst = max(worst, diff)
         assert diff <= 1e-8
-    hull_rel = abs(moment_A(BENCH, 2) - hull_second_moment(BENCH)) / moment_A(BENCH, 2)
+    hull_rel = abs(moment_A(BENCH, 2) - float(mp_hull_second_moment(BENCH))) / moment_A(BENCH, 2)
     assert hull_rel <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -204,7 +202,7 @@ def test_criterion_5_oshanin_yor_equivalence():
 
 def test_criterion_6_divided_difference_engine():
     """Permutation invariance, shift identity, confluent exactness, matrix
-    method versus the double-word recurrence, and the sampling oracle."""
+    method versus mpmath, and the sampling oracle."""
     rng = np.random.default_rng(2024)
     # permutation invariance: 1000 random node sets, n <= 8; nodes drawn from
     # a coarse jittered lattice so the unsorted tableau stays well conditioned
@@ -241,18 +239,16 @@ def test_criterion_6_divided_difference_engine():
             worst_conf = max(worst_conf, abs(got - want) / want)
     assert worst_conf <= 1e-14
 
-    # matrix method vs the double-word recurrence oracle; the oracle loses
-    # about n log10(n/spread) of its ~31 digits, so the order is capped to
-    # keep it trustworthy at the 1e-10 comparison level
+    # matrix method vs mpmath on equispaced nodes, at the orders n up to
+    # n log10(n/spread) <= 18 for each spread
     worst_tm = 0.0
-    for spread in (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        nmax = max(n for n in range(1, 9)
-                   if n * math.log10(n / spread) <= 18.0)
+    for spread, nmax in [(1.0, 8), (1e-1, 8), (1e-2, 6), (1e-3, 4), (1e-4, 3), (1e-5, 3),
+                         (1e-6, 2)]:
         for n in range(1, nmax + 1):
             base = float(rng.uniform(-2.0, 2.0))
             nodes = base + np.linspace(0.0, spread, n + 1)
             tm = exp_dd(nodes, method=EvalMethod.TAYLOR_MATRIX)
-            ref = exp_dd_reference(nodes)
+            ref = float(mp_exp_dd(nodes))
             worst_tm = max(worst_tm, abs(tm - ref) / abs(ref))
     assert worst_tm <= 1e-10
 
@@ -267,7 +263,7 @@ def test_criterion_6_divided_difference_engine():
 
     print(f"\nPASS criterion 6: permutation {worst_perm:.2e} <= 1e-12, "
           f"shift {worst_shift:.2e} <= 1e-12, confluent {worst_conf:.2e} <= 1e-14, "
-          f"matrix vs double-word {worst_tm:.2e} <= 1e-10, sampling |z| {worst_z:.2f} <= 4")
+          f"matrix vs mpmath {worst_tm:.2e} <= 1e-10, sampling |z| {worst_z:.2f} <= 4")
 
 
 def test_criterion_7_ode_recurrence():

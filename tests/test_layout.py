@@ -3,7 +3,8 @@ imports `gbmdd.oracles`, at module level or inside a function, or defines
 one of its names.  The one exception is the CLI's `oracle` subcommand, which
 imports them inside its own function; the package loads them only when one
 of their names is asked for.  Only `divdiff` knows how a divided difference
-is routed."""
+is routed.  The package imports nothing but the standard library and numpy,
+so mpmath stays in the tests and `gbmdd oracle` runs on numpy alone."""
 
 import ast
 import subprocess
@@ -63,7 +64,7 @@ def test_cli_oracle_command_imports_the_oracles_itself():
 
 @pytest.mark.parametrize("module, hits", [("divdiff", 5), ("cli", 4)])
 def test_exemption_covers_only_the_cli_oracle_command(module, hits):
-    tree = ast.parse("from .oracles import DD\n"
+    tree = ast.parse("from .oracles import newton_table\n"
                      "import gbmdd.oracles\n"
                      "if True:\n    from . import oracles\n"
                      "def _cmd_oracle(args):\n    from . import oracles\n"
@@ -74,9 +75,35 @@ def test_exemption_covers_only_the_cli_oracle_command(module, hits):
 def test_import_scan_sees_nested_and_relative_imports():
     tree = ast.parse("def f():\n    from . import oracles\n"
                      "def g():\n    import gbmdd.oracles as o\n"
-                     "from .oracles import DD\n"
+                     "from .oracles import newton_table\n"
                      "from .divdiff import exp_dd\n")
     assert len(_oracle_imports(tree)) == 3
+
+
+def _third_party_imports(tree: ast.AST) -> set[str]:
+    """The top-level modules that absolute imports anywhere in `tree` name,
+    other than the standard library's and numpy."""
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops - set(sys.stdlib_module_names) - {"numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_package_imports_only_the_stdlib_and_numpy(path):
+    assert not _third_party_imports(ast.parse(path.read_text())), path.stem
+
+
+def test_third_party_scan_sees_nested_imports():
+    tree = ast.parse("import math, numpy.linalg\n"
+                     "from __future__ import annotations\n"
+                     "from .divdiff import exp_dd\n"
+                     "def f():\n    import mpmath as mp\n"
+                     "class C:\n    from scipy.special import erfc\n")
+    assert _third_party_imports(tree) == {"mpmath", "scipy"}
 
 
 # divdiff's route rule and its matrix route's kernel, anchoring and squarings
@@ -129,7 +156,7 @@ def test_oracles_load_only_when_asked():
 
 
 def test_package_keeps_every_oracle_name():
-    assert len(gbmdd._ORACLE_NAMES) == 20
+    assert gbmdd._ORACLE_NAMES == set(oracles.__all__) - {"run_oracle_suite"}
     for name in gbmdd._ORACLE_NAMES:
         assert getattr(gbmdd, name) is getattr(oracles, name), name
     with pytest.raises(AttributeError):

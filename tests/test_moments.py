@@ -32,10 +32,6 @@ from gbmdd.moments import (
     var_S,
 )
 from gbmdd.oracles import (
-    DD,
-    dd_exp,
-    exp_dd_reference,
-    hull_second_moment,
     moment_bruteforce,
     moment_ode_residual,
     newton_table,
@@ -46,7 +42,8 @@ from gbmdd.oracles import (
 )
 
 from conftest import MEMOISED
-from references import _row_exp_dd_pairs, _row_log_s, _taylor_rows, mp_exp_dd
+from references import (_row_exp_dd_pairs, _row_log_s, _taylor_rows, mp_exp_dd,
+                        mp_hull_second_moment)
 
 BENCH_R = 0.86638428741831168064  # 50-digit recurrence value at r=.05, s=.2, T=1
 
@@ -133,23 +130,25 @@ def test_cross_moment(bench):
 
 def test_second_moment_and_hull(bench):
     assert second_moment_A(bench) == pytest.approx(1.065830000692056662, rel=1e-13)
-    assert hull_second_moment(bench) == pytest.approx(second_moment_A(bench), rel=1e-12)
+    assert float(mp_hull_second_moment(bench)) == pytest.approx(second_moment_A(bench), rel=1e-12)
     # r = sigma = 0 limit: the average is identically 1
     assert second_moment_A(GbmParams(r=0.0, sigma=0.0, T=5.0)) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError, match="singular"):
-        hull_second_moment(GbmParams(r=0.0, sigma=0.2, T=1.0))
-    with pytest.raises(ValueError, match="singular"):
-        hull_second_moment(GbmParams(r=-0.125, sigma=0.5, T=1.0))  # 2r + sigma^2 = 0
+    # where the textbook form is singular (r = 0, 2r + sigma^2 = 0), the
+    # divided-difference form 2 exp[0, rT, (2r + sigma^2) T] is not
+    for p in (GbmParams(r=0.0, sigma=0.2, T=1.0), GbmParams(r=-0.125, sigma=0.5, T=1.0)):
+        b = (2 * p.r + p.sigma ** 2) * p.T
+        assert second_moment_A(p) == pytest.approx(float(2 * mp_exp_dd([0.0, p.r * p.T, b])),
+                                                    rel=1e-13)
 
 
 def test_hull_agreement_sweep():
-    # conditioning of the two-term form is handled by compensated evaluation,
-    # so the stated tolerance holds over the whole box
+    # the textbook form cancels about -log10(rT (r + sigma^2) T) digits; at 50
+    # digits the stated tolerance holds over the whole box
     for r in np.geomspace(0.01, 1.0, 8):
         for s2 in np.geomspace(0.01, 1.0, 8):
             for T in np.geomspace(0.1, 10.0, 8):
                 p = GbmParams(r=float(r), sigma=float(math.sqrt(s2)), T=float(T))
-                assert hull_second_moment(p) == pytest.approx(
+                assert float(mp_hull_second_moment(p)) == pytest.approx(
                     second_moment_A(p), rel=1e-12)
 
 
@@ -977,23 +976,20 @@ def test_moment_at_two_r_equals_oy(bench):
 
 
 def test_oshanin_yor_small_rT_extended_precision():
-    # below the double-precision validity domain the check runs on the
-    # double-double path: the binomial sum keeps ~32 digits of headroom
+    # below the double-precision validity domain the binomial sum runs on
+    # 50-digit mpmath, where its cancellation costs a few of the digits; it
+    # matches m! exp[0, rT, .., m^2 rT], and so does moment_A at sigma^2 = 2r
     rT = 0.125
-    for m in (2, 3, 4):
-        terms = [DD(-0.5 * (-1) ** m * math.comb(2 * m, m))]
-        for l in range(m + 1):
-            sign = 1.0 if l % 2 == 0 else -1.0
-            terms.append(sign * math.comb(2 * m, l) * dd_exp(DD(rT * (m - l) ** 2)))
-        total = DD(0.0)
-        for t in terms:
-            total = total + t
-        pref = DD(math.factorial(m - 1)) / DD(math.factorial(2 * m - 1))
-        val = pref * total
-        for _ in range(m):
-            val = val / rT
-        dd_form = math.factorial(m) * exp_dd_reference([k * k * rT for k in range(m + 1)])
-        assert val.to_float() == pytest.approx(dd_form, rel=1e-10)
+    p = GbmParams(r=rT, sigma=math.sqrt(2.0 * rT), T=1.0)
+    with mp.workdps(50):
+        for m in (2, 3, 4):
+            total = -mp.mpf(0.5) * (-1) ** m * math.comb(2 * m, m) + mp.fsum(
+                math.comb(2 * m, l) * (-1) ** l * mp.exp(mp.mpf(rT) * (m - l) ** 2)
+                for l in range(m + 1))
+            binom = mp.factorial(m - 1) / mp.factorial(2 * m - 1) * mp.mpf(rT) ** -m * total
+            dd_form = mp.factorial(m) * mp_exp_dd([k * k * rT for k in range(m + 1)])
+            assert float(binom) == pytest.approx(float(dd_form), rel=1e-10)
+            assert moment_A(p, m) == pytest.approx(float(binom), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

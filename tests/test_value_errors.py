@@ -4,6 +4,7 @@ result lies outside the double range raises OverflowError."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -22,9 +23,12 @@ from gbmdd.oracles import (
     oshanin_yor_moment,
     pairwise_expectation,
     power_expectation,
+    simplex_exp_integral,
     symmetric_equispaced_dd,
 )
 from gbmdd.pricing import margrabe_price
+
+from references import mp_exp_dd
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 
@@ -57,6 +61,10 @@ _CASES = [
                  "V and a must be finite", id="SimplexSpec-non-finite-V"),
     pytest.param(lambda: SimplexSpec(V=np.eye(2), a=np.array([1.0, math.nan])),
                  "V and a must be finite", id="SimplexSpec-non-finite-a"),
+    *(pytest.param(lambda scale=scale: SimplexSpec(V=scale * np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                                   a=np.ones(2)),
+                   "singular", id=f"SimplexSpec-singular-{scale:g}")
+      for scale in (1e-200, 1.0, 1e200)),
     pytest.param(lambda: iterated_ordered_exp_integral([]), "need at least one coefficient",
                  id="iterated_ordered_exp_integral-empty"),
     pytest.param(lambda: ordered_exp_simplex_quad([]), "need at least one coefficient",
@@ -128,3 +136,29 @@ def test_hermite_genocchi_oracle_samples_an_integral_near_the_top_of_the_range()
     est = hermite_genocchi_oracle(np.exp, [0.0, 708.0], budget=20_000)
     assert 0 < est.error < 0.2 * est.value
     assert est.value == pytest.approx(math.expm1(708.0) / 708.0, abs=4 * est.error)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_simplex_spec_det_outside_the_double_range_raises_overflow(scale):
+    # a scaled identity is no nearer singular than the identity; its det
+    # 1e-400 or 1e400, and so the integral of e^0, is not a double
+    spec = SimplexSpec(V=np.diag([scale, scale]), a=np.zeros(2))
+    with pytest.raises(OverflowError):
+        spec.det
+    with pytest.raises(OverflowError):
+        simplex_exp_integral(spec)
+
+
+def test_simplex_exp_integral_in_range_where_det_is_not():
+    # det V = 1e-400 and exp[0, 700, 700] = 1.4e301 lie outside the double
+    # range, their product 1.4e-99 does not
+    spec = SimplexSpec(V=np.diag([1e-200, 1e-200]), a=np.full(2, 7e202))
+    node = 1e-200 * 7e202
+    want = mp.mpf(1e-200) ** 2 * mp_exp_dd([0.0, node, node])
+    assert simplex_exp_integral(spec) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_simplex_exp_integral_of_a_node_outside_the_double_range_raises_overflow():
+    spec = SimplexSpec(V=np.diag([1e200, 1e200]), a=np.array([1e200, 0.0]))
+    with pytest.raises(OverflowError, match="node"):
+        simplex_exp_integral(spec)
