@@ -15,10 +15,13 @@ finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule).  Every route ends in
 a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
 node (the matrix route anchors lower where x underflows at high orders).
-`_exp_dd_pair`, its column form `_exp_dd_column_pairs` and its prefix form
-`_exp_dd_prefix_pairs` (`moment_table`'s nested node sets), the only code
-that acts on a route, reject an x that is not a normal double; `_times_exp`
-only scales, and `moments` takes S and R from the pairs' logarithms.  The
+`_exp_dd_pair`, its column form `_exp_dd_column_pairs`, its window form
+`_exp_dd_window_pairs` (index windows of one sorted node list, read from
+one recurrence tableau: `correlation`'s three divided differences and
+`moment_table`'s orders 1-3) and its prefix form `_exp_dd_prefix_pairs`,
+the only code that acts on a route, reject an x that is not a normal
+double; `_times_exp` only scales, and `moments` takes S and R from the
+pairs' logarithms.  The
 matrix method's one kernel, `_bidiagonal_first_rows`, takes a degree-15
 Taylor polynomial by Paterson and Stockmeyer's scheme in six products into
 a per-call buffer and squares it `_squarings` times.
@@ -98,28 +101,32 @@ def _route(zs: list[float]) -> EvalMethod:
     n, spread = len(zs) - 1, zs[-1] - zs[0]
     matrix = n >= TAYLOR_MIN_ORDER or n == 2 and spread < TAYLOR_MIN_SPREAD
     if n == 3 and not matrix:
-        s2 = min((s for s in (zs[2] - zs[0], zs[3] - zs[1]) if s != 0.0), default=math.inf)
-        gap = min(b - a for a, b in zip(zs, zs[1:]))
+        a, b = zs[2] - zs[0], zs[3] - zs[1]
+        s2 = min(a, b) if a and b else a or b or math.inf   # the smallest nonzero span
+        gap = min(zs[1] - zs[0], zs[2] - zs[1], zs[3] - zs[2])
         matrix = (TAYLOR_MAX_AMPLIFICATION * s2 * spread < 1.0
                   or spread < 1.0 and gap < TAYLOR_MIN_GAP)
     return EvalMethod.TAYLOR_MATRIX if matrix else EvalMethod.RECURRENCE
 
 
-def _exp_dd_recurrence(zs: list[float]) -> float:
+def _recurrence_tableau(zs: list[float]) -> list[list[float]]:
     """Confluent recurrence on sorted nodes; adequate for a few well-spread
-    nodes: x = exp[z - z_n], the divided-difference tableau of exp(z - z_n),
-    every entry in (0, 1].  First-order entries use exp[z, z+g] =
-    e^{z+g} (-expm1(-g))/g, which removes the dominant cancellation when a
-    node pair sits much closer than the spread."""
+    nodes: level k - 1 holds x = exp[z_i - z_n, ..., z_{i+k} - z_n] for
+    i = 0..n-k, the divided-difference tableau of exp(z - z_n) for orders
+    k = 1..n, every entry in (0, 1].  First-order entries use
+    exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which removes the dominant
+    cancellation when a node pair sits much closer than the spread."""
     n, top = len(zs), zs[-1]
     lev = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
            for a, b in zip(zs, zs[1:])]
+    levels = [lev]
     fact = 1.0
     for k in range(2, n):
         fact *= k
         lev = [math.exp(zs[i] - top) / fact if zs[i + k] == zs[i]
                else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
-    return lev[0] if lev else 1.0
+        levels.append(lev)
+    return levels
 
 
 def _times_exp(t: float, x: float) -> float:
@@ -224,7 +231,7 @@ def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float
     zs = sorted(_coerce_nodes(nodes, scale))
     method = _route(zs) if method is EvalMethod.AUTO else method
     if method is EvalMethod.RECURRENCE:
-        t, x = zs[-1], _exp_dd_recurrence(zs)
+        t, x = zs[-1], _recurrence_tableau(zs)[-1][0] if len(zs) > 1 else 1.0
     elif method is EvalMethod.TAYLOR_MATRIX:
         t, row = _first_row(np.array(zs), zs[-1])
         x = float(row[-1])
@@ -235,12 +242,37 @@ def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float
     return t, x
 
 
+def _exp_dd_window_pairs(z: list[float], windows,
+                         routes=None) -> list[tuple[EvalMethod, float, float]]:
+    """(route, t, x) with exp[z_i, ..., z_j] = e^t x for each index window
+    (i, j), i < j, of `windows`, on finite nodes `z` that the caller gives
+    in non-decreasing order.  Each window takes its entry of `routes`, by
+    default the route AUTO gives it alone.  Where `z` is in order, every
+    recurrence window is an entry of one tableau on `z` anchored on
+    t = z[-1] (de Boor, "Divided differences", 2005), so a window that ends
+    at the top has the bits of its own recurrence.  A window whose x is not
+    a normal double, a matrix-route window and every window of a `z` out of
+    order take `_exp_dd_pair`'s route alone."""
+    ordered = z == sorted(z)
+    if routes is None:
+        routes = [_route(z[i:j + 1] if ordered else sorted(z[i:j + 1])) for i, j in windows]
+    levels = _recurrence_tableau(z) if ordered and EvalMethod.RECURRENCE in routes else []
+    pairs = []
+    for (i, j), route in zip(windows, routes):
+        x = levels[j - i - 1][i] if levels and route is EvalMethod.RECURRENCE else 0.0
+        pairs.append((route, z[-1], x) if x >= sys.float_info.min
+                     else (route, *_exp_dd_pair(z[i:j + 1], method=route)))
+    return pairs
+
+
 def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
     """(route, t, x) with exp[z_0, ..., z_m] = e^t x for m = 1..n, on finite
     nodes `z` in their given order.  Each prefix takes the route AUTO gives
-    it alone, and the nested matrix-route prefixes share one `_first_row` on
-    the longest; an entry of it that is not a normal double, and every
-    recurrence prefix, takes `_exp_dd_pair` by that route."""
+    it alone.  The nested matrix-route prefixes share one `_first_row` on
+    the longest; the recurrence prefixes, orders below TAYLOR_MIN_ORDER, are
+    windows (0, m) of `_exp_dd_window_pairs` on the first four nodes.  An
+    entry of the row that is not a normal double takes `_exp_dd_pair` by
+    its route."""
     routes = [_route(sorted(z[:m + 1])) if m < TAYLOR_MIN_ORDER else EvalMethod.TAYLOR_MATRIX
               for m in range(1, len(z))]
     top = max((m for m, route in enumerate(routes, 1)
@@ -248,9 +280,14 @@ def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
     if top:   # otherwise no prefix reads the row
         t, row = _first_row(np.array(z[:top + 1]), max(z[:top + 1]))
         row = row.tolist()
+    low = [(0, m) for m, route in enumerate(routes, 1) if route is EvalMethod.RECURRENCE]
+    low = iter(_exp_dd_window_pairs(z[:TAYLOR_MIN_ORDER], low,
+                                    [EvalMethod.RECURRENCE] * len(low)))
     pairs = []
     for m, route in enumerate(routes, 1):
-        if route is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
+        if route is EvalMethod.RECURRENCE:
+            pairs.append(next(low))
+        elif sys.float_info.min <= row[m] < math.inf:
             pairs.append((route, t, row[m]))
         else:
             pairs.append((route, *_exp_dd_pair(z[:m + 1], method=route)))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import _exp_dd_column_pairs, _exp_dd_pair, _exp_dd_prefix_pairs, _times_exp, exp_dd
+from .divdiff import (_exp_dd_column_pairs, _exp_dd_pair, _exp_dd_prefix_pairs,
+                      _exp_dd_window_pairs, _times_exp, exp_dd)
 
 __all__ = [
     "GbmParams",
@@ -107,11 +108,11 @@ class MomentReport:
     method: str
 
 
-# A market quote (correlation, moment_table, both prices) asks for mean_A,
-# correlation and _var_A_pair at least twice at one point.  Each is memoised
-# per point and returns the object its first call computed, so no bit
-# changes; each holds the last _MEMO_SIZE points.  After rebinding `exp_dd`
-# or changing an AUTO constant, call `cache_clear()` on every memo here.
+# A market quote (correlation, moment_table, both prices) asks for mean_A
+# and _correlation_pairs at least twice at one point.  Each is memoised per
+# point and returns the object its first call computed, so no bit changes;
+# each holds the last _MEMO_SIZE points.  After rebinding `exp_dd` or
+# changing an AUTO constant, call `cache_clear()` on every memo here.
 _MEMO_SIZE = 32
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
@@ -145,32 +146,50 @@ def second_moment_A(p: GbmParams) -> float:
     return 2.0 * exp_dd([0.0, rT, b])
 
 
-def covariance_SA(p: GbmParams) -> float:
-    """cov(S(T), A(T)) = sigma^2 T exp[rT, 2rT, (2r + sigma^2) T]."""
-    rT, r2T, b = _ddn(p)
-    return p.sigma ** 2 * p.T * exp_dd([rT, r2T, b])
-
-
-def var_S(p: GbmParams) -> float:
-    """var S(T) = sigma^2 T exp[2rT, (2r + sigma^2) T]."""
-    _, r2T, b = _ddn(p)
-    return p.sigma ** 2 * p.T * exp_dd([r2T, b])
+# index windows of [0, rT, 2rT, b]: the nodes of the covariance, var S and var A
+_CORRELATION_WINDOWS = ((1, 3), (2, 3), (0, 3))
 
 
 @_memo
-def _var_A_pair(p: GbmParams) -> tuple[float, float]:
-    """(t, x) of exp[0, rT, 2rT, (2r + sigma^2) T], for `var_A` and `correlation`."""
+def _correlation_pairs(p: GbmParams) -> tuple[tuple[float, float], ...]:
+    """(t, x) of exp[rT, 2rT, b], exp[2rT, b] and exp[0, rT, 2rT, b] for
+    b = (2r + sigma^2) T, each with the bits of its own evaluation: for
+    r >= 0 the nodes are in order and every window ends at b, so the
+    recurrence windows come from one tableau; for r < 0 each set is
+    evaluated alone."""
+    z = [0.0, *_ddn(p)]
+    if not all(map(math.isfinite, z)):
+        raise ValueError("nodes must be finite")
+    return tuple((t, x) for _, t, x in _exp_dd_window_pairs(z, _CORRELATION_WINDOWS))
+
+
+def _finite(v: float, name: str) -> float:
+    """v, or OverflowError where a product of divided differences and
+    sigma^2 T has left the double range."""
+    if v == math.inf:
+        raise OverflowError(f"{name} is outside the double range")
+    return v
+
+
+def covariance_SA(p: GbmParams) -> float:
+    """cov(S(T), A(T)) = sigma^2 T exp[rT, 2rT, (2r + sigma^2) T];
+    OverflowError where that product leaves the double range."""
     rT, r2T, b = _ddn(p)
-    return _exp_dd_pair([0.0, rT, r2T, b])
+    return _finite(p.sigma ** 2 * p.T * exp_dd([rT, r2T, b]), "cov(S(T), A(T))")
+
+
+def var_S(p: GbmParams) -> float:
+    """var S(T) = sigma^2 T exp[2rT, (2r + sigma^2) T]; OverflowError where
+    that product leaves the double range."""
+    _, r2T, b = _ddn(p)
+    return _finite(p.sigma ** 2 * p.T * exp_dd([r2T, b]), "var S(T)")
 
 
 def var_A(p: GbmParams) -> float:
     """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]; OverflowError
     where that product leaves the double range."""
-    v = 2.0 * p.sigma ** 2 * p.T * _times_exp(*_var_A_pair(p))
-    if v == math.inf:
-        raise OverflowError("var A(T) is outside the double range")
-    return v
+    v = 2.0 * p.sigma ** 2 * p.T * _times_exp(*_correlation_pairs(p)[2])
+    return _finite(v, "var A(T)")
 
 
 def _log_s(num, d1, d2) -> float:
@@ -180,21 +199,28 @@ def _log_s(num, d1, d2) -> float:
     return 2.0 * tn - t1 - t2 + math.log(xn / x1 * (xn / x2))
 
 
-@_memo
+def _correlation_R(p: GbmParams) -> float:
+    """`correlation(p).R` from the pairs alone: finite where a field of the
+    report overflows, so the floating-strike quote still reads R there."""
+    return math.exp((_log_s(*_correlation_pairs(p)) - math.log(2.0)) / 2.0)
+
+
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
     divided differences, R = exp((log S - log 2) / 2) by `_log_s` (report
     fields may read 0 where R does not); OverflowError where one of them
-    overflows.  In [1/sqrt(2), 1] for r >= 0, not for r < 0 at large
-    sigma^2 T (`test_correlation_bound_*`)."""
+    overflows, or where the covariance or a variance does.  In
+    [1/sqrt(2), 1] for r >= 0, not for r < 0 at large sigma^2 T
+    (`test_correlation_bound_*`)."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
-    rT, r2T, b = _ddn(p)
-    num, d1, d2 = _exp_dd_pair([rT, r2T, b]), _exp_dd_pair([r2T, b]), _var_A_pair(p)
+    num, d1, d2 = _correlation_pairs(p)
     log_s, s2T = _log_s(num, d1, d2), p.sigma ** 2 * p.T
     return CorrelationReport(R=math.exp((log_s - math.log(2.0)) / 2.0),
-                             covariance=s2T * _times_exp(*num), var_S=s2T * _times_exp(*d1),
-                             var_A=2.0 * s2T * _times_exp(*d2), s_statistic=math.exp(log_s))
+                             covariance=_finite(s2T * _times_exp(*num), "cov(S(T), A(T))"),
+                             var_S=_finite(s2T * _times_exp(*d1), "var S(T)"),
+                             var_A=_finite(2.0 * s2T * _times_exp(*d2), "var A(T)"),
+                             s_statistic=math.exp(log_s))
 
 
 def s_statistic(r: float, a: float) -> float:
@@ -409,9 +435,11 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     `BNodes.from_params(p, max_m).scaled(p.T)`, built inline.  So every
     order is m! e^t x for the (route, t, x) that
     `divdiff._exp_dd_prefix_pairs` gives its prefix, which keeps the route
-    AUTO picks for that order alone and takes every matrix-route order from
-    one shared first row.  Order 1 has the
-    bits of `mean_A` and order 2 those of `second_moment_A`: the same nodes.
+    AUTO picks for that order alone, takes every matrix-route order from
+    one shared first row and, where the first four nodes are in order
+    (r >= 0), every recurrence order from one tableau anchored on the
+    fourth.  So orders 1 and 2 may differ from `mean_A` and
+    `second_moment_A`, on the same nodes, by a few ulps.
     The Taylor terms of high offsets underflow: at r = 0.05, sigma = 0.2,
     T = 1, orders 150, 160 and 170 (the last below 171!) are 8.7e-14,
     1.8e-13 and 1.8e-7 off.

@@ -59,8 +59,11 @@ class LognormalFit:
 def _variance_fit(mean: float, variance: float) -> LognormalFit:
     """The lognormal with this mean and variance; a variance computed on its
     own keeps the digits that second_moment - mean^2 cancels.  Dividing by
-    the mean twice stays finite where mean^2 overflows."""
+    the mean twice stays finite where mean^2 overflows; OverflowError where
+    the quotient itself does."""
     s2 = math.log1p(variance / mean / mean)
+    if s2 == math.inf:
+        raise OverflowError("the lognormal fit of A(T) is outside the double range")
     return LognormalFit(mu=math.log(mean) - s2 / 2.0, s2=s2)
 
 
@@ -111,7 +114,7 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     rT = p.r * p.T
     mA = moments.mean_A(p)
     fit = _variance_fit(mA, moments.var_A(p))
-    rho = moments.correlation(p).R
+    rho = moments._correlation_R(p)   # finite where a field of `correlation` is not
     quote = margrabe_price(
         F1=math.exp(rT), F2=mA,
         s1=p.sigma * math.sqrt(p.T), s2=math.sqrt(fit.s2),

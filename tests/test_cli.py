@@ -52,6 +52,24 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", [
+    ("-0.010761781657632731", "8.529198241897886", "9.80709124445808"),   # var_S overflows
+    ("0.07441287097530817", "8.556922838521935", "9.83486049567827"),    # the covariance
+])
+def test_corr_exits_2_where_a_report_field_overflows(capsys, point):
+    # the report held var_S = inf at the first point, and the JSON encoder
+    # refused it; now `correlation` raises OverflowError, and the
+    # floating-strike quote, which reads only R, still prices
+    args = [x for name, v in zip(("--r", "--sigma", "--T"), point) for x in (name, v)]
+    code, out, err = run_cli(capsys, "corr", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gbmdd: result outside double range:") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "price", "--style", "floating", *args)
+    assert code == 0
+    assert strict_json(out)["value"] == 1.0
+
+
 def test_overflow_exits_2_without_traceback(capsys):
     for argv in (("corr", "--r", "400", "--sigma", "1", "--T", "2"),
                  ("moments", "--max-m", "30", "--sigma", "1", "--T", "5")):

@@ -77,10 +77,12 @@ def test_params_store_plain_floats(args):
     q = GbmParams(*map(float, args))
     assert [type(x) for x in (p.r, p.sigma, p.T)] == [float] * 3
     assert p == q and hash(p) == hash(q)
-    rep = correlation.__wrapped__(p)
+    rep = correlation(p)
+    moments._correlation_pairs.cache_clear()
     assert all(type(x) is float for x in dataclasses.astuple(rep))
-    assert _bits(rep) == _bits(correlation.__wrapped__(q))
-    for fn in (mean_A.__wrapped__, moments._var_A_pair.__wrapped__, second_moment_A):
+    assert _bits(rep) == _bits(correlation(q))
+    for fn in (mean_A.__wrapped__, moments._correlation_pairs.__wrapped__,
+               second_moment_A):
         assert _bits(fn(p)) == _bits(fn(q))
 
 
@@ -169,11 +171,38 @@ def test_var_A_raises_where_it_overflows():
     # var_A returned inf where var_S and covariance_SA raise, so a quote
     # failed inside normal_cdf with "x must be finite"
     p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
-    assert math.isfinite(divdiff._times_exp(*moments._var_A_pair(p)))
+    assert math.isfinite(divdiff._times_exp(*moments._correlation_pairs(p)[2]))
     for fn in (var_A, var_S, covariance_SA, pricing.floating_strike_asian_approx,
                lambda p: pricing.fixed_strike_asian_approx(p, 1.0)):
         with pytest.raises(OverflowError):
             fn(p)
+
+
+# sigma^2 T times a finite divided difference overflows: var_S at the first
+# point, covariance_SA at the second; both returned inf, and `correlation`
+# reported var_S = inf at the first
+VAR_S_OVERFLOWS = GbmParams(-0.010761781657632731, 8.529198241897886, 9.80709124445808)
+COVARIANCE_OVERFLOWS = GbmParams(0.07441287097530817, 8.556922838521935, 9.83486049567827)
+
+
+def test_var_S_and_covariance_raise_where_they_overflow():
+    pairs = moments._correlation_pairs(VAR_S_OVERFLOWS)
+    assert math.isfinite(divdiff._times_exp(*pairs[1]))
+    with pytest.raises(OverflowError, match="var S"):
+        var_S(VAR_S_OVERFLOWS)
+    pairs = moments._correlation_pairs(COVARIANCE_OVERFLOWS)
+    assert math.isfinite(divdiff._times_exp(*pairs[0]))
+    with pytest.raises(OverflowError, match="cov"):
+        covariance_SA(COVARIANCE_OVERFLOWS)
+    for p in (VAR_S_OVERFLOWS, COVARIANCE_OVERFLOWS):
+        with pytest.raises(OverflowError):
+            correlation(p)
+        # R itself is finite: the floating-strike quote still prices, and
+        # the fixed-strike one never reads the correlation
+        assert pricing.floating_strike_asian_approx(p).value == 1.0
+        assert math.isfinite(pricing.fixed_strike_asian_approx(p, 1.0).value)
+    assert math.isfinite(covariance_SA(VAR_S_OVERFLOWS))
+    assert math.isfinite(var_A(VAR_S_OVERFLOWS)) and math.isfinite(var_A(COVARIANCE_OVERFLOWS))
 
 
 def test_dd_consistency_invariants(bench):
@@ -186,7 +215,7 @@ def test_dd_consistency_invariants(bench):
 
 
 # ---------------------------------------------------------------------------
-# per-point memo of correlation, mean_A and var_A's divided difference
+# per-point memo of mean_A and of the correlation's three divided differences
 
 
 def _quote_points():
@@ -208,30 +237,32 @@ def _quote_sequence(points):
             for p, K in points]
 
 
-def _count_exp_dd(monkeypatch) -> list:
+def _count_calls(monkeypatch, module, *names) -> list:
+    """The arguments of every call of these attributes of `module`."""
     calls = []
-    exp_dd = moments.exp_dd
+    for name in names:
+        def counted(*args, fn=getattr(module, name), **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return exp_dd(*args, **kwargs)
-
-    monkeypatch.setattr(moments, "exp_dd", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_memo_saves_divided_differences_and_keeps_bits(monkeypatch):
     points = _quote_points()
-    calls = _count_exp_dd(monkeypatch)
+    calls = _count_calls(monkeypatch, moments, "exp_dd", "_exp_dd_window_pairs")
     cached = _quote_sequence(points)
     n_cached = len(calls)
-    # a quote asks for each of the three at least twice and computes it once
-    # per distinct point; the r = -0.0 point equals the r = 0.0 one
+    # a quote asks for each memo at least twice and computes it once per
+    # distinct point; the r = -0.0 point equals the r = 0.0 one
     for fn in MEMOISED:
         info = fn.cache_info()
         assert info.misses == len(points) - 1, fn
         assert info.hits >= len(points) + 1, fn
-    assert correlation.cache_info().hits == len(points) + 1
+    # the pairs: computed for `correlation`, read again by var_A and R in the
+    # floating-strike quote and by var_A in the fixed-strike one
+    assert moments._correlation_pairs.cache_info().hits == 3 * len(points) + 1
     calls.clear()
     for fn in MEMOISED:
         monkeypatch.setattr(moments, fn.__name__, fn.__wrapped__)
@@ -761,6 +792,83 @@ def test_moment_table_on_market_points_against_mpmath():
             with mp.workdps(40):
                 err = abs(entry.value / (math.factorial(m) * ref[m]) - 1)
             assert err <= bound[entry.method], (p, m, float(err))
+
+
+def _window_point_groups():
+    """Points for the shared tableaus, by group: a pool like the market-quotes
+    benchmark's (r in [-0.02, 0.12], sigma in [0.05, 0.8], T in [0.1, 5], one
+    point in eight at r = 0 and one in eight at sigma^2 T in [1e-8, 1e-3]);
+    a wide box (r in [-2, 2], sigma in 10^[-4, 0.2], T in [0.01, 5]); r = 0
+    and r = -0.0, whose nodes tie; and sigma^2 T in [1e-10, 1e-3]."""
+    rng = np.random.default_rng(83)
+    pool = []
+    for j in range(192):
+        T, r, sigma = (float(x) for x in rng.uniform([0.1, -0.02, 0.05], [5.0, 0.12, 0.8]))
+        if j % 8 == 0:
+            r = 0.0
+        if j % 8 == 4:
+            sigma = math.sqrt(10.0 ** rng.uniform(-8.0, -3.0) / T)
+        pool.append(GbmParams(r, sigma, T))
+    wide = [GbmParams(*map(float, (r, 10.0 ** u, T))) for r, u, T in
+            zip(rng.uniform(-2, 2, 128), rng.uniform(-4, 0.2, 128), rng.uniform(0.01, 5, 128))]
+    zero = [GbmParams(r, float(sigma), float(T)) for sigma, T in
+            zip(rng.uniform(0.05, 0.8, 16), rng.uniform(0.1, 5, 16)) for r in (0.0, -0.0)]
+    small = [GbmParams(float(r), math.sqrt(10.0 ** u / T), float(T)) for r, u, T in
+             zip(rng.uniform(-0.5, 0.5, 32), rng.uniform(-10, -3, 32), rng.uniform(0.1, 5, 32))]
+    return {"pool": pool, "wide": wide, "zero": zero, "small": small}
+
+
+@pytest.mark.parametrize("group", ["pool", "wide", "zero", "small"])
+def test_correlation_pairs_and_low_orders_against_mpmath(group):
+    # the correlation's three divided differences are windows (1, 3), (2, 3)
+    # and (0, 3) of [0, rT, 2rT, b], moment orders 1-3 windows (0, m) of the
+    # table's first four nodes.  Each keeps its route and today's bound: the
+    # market pool's per route (test_moment_table_on_market_points_against_mpmath),
+    # elsewhere 1e-12 up to a spread of 250 (worst seen: 8.9e-14 for the
+    # pairs, 8.4e-14 for orders 1-3)
+    market = {"recurrence": 9e-14, "taylor-matrix": 6.3e-14}
+    for p in _window_point_groups()[group]:
+        z = [0.0, *moments._ddn(p)]
+        own = [divdiff._exp_dd_pair(z[i:j + 1]) for i, j in moments._CORRELATION_WINDOWS]
+        # every pair has the bits of its own evaluation, so R does too
+        assert moments._correlation_pairs(p) == tuple(own), p
+        assert correlation(p).R == math.exp((moments._log_s(*own) - math.log(2.0)) / 2.0), p
+        nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(9)]
+        table = moment_table(p, 8)
+        with mp.workdps(50):
+            for (i, j), pair in zip(moments._CORRELATION_WINDOWS, own):
+                bound = 1e-12 * max(1.0, (z[j] - min(z[i:j + 1])) / 250.0)
+                err = abs(divdiff._times_exp(*pair) / mp_exp_dd(z[i:j + 1]) - 1)
+                assert err <= bound, (p, i, float(err))
+            for m in (1, 2, 3):
+                method = divdiff.choose_method(nodes[:m + 1]).value
+                assert table[m].method == method
+                spread = max(nodes) - min(nodes)
+                bound = market[method] if group == "pool" else 1e-12 * max(1.0, spread / 250.0)
+                err = abs(table[m].value / (math.factorial(m) * mp_exp_dd(nodes[:m + 1])) - 1)
+                assert err <= bound, (p, m, float(err))
+
+
+def test_recurrence_quote_builds_one_tableau_per_node_list(monkeypatch):
+    # at r > 0 with every set on the recurrence, the correlation's three
+    # divided differences come from one tableau on [0, rT, 2rT, b], and
+    # orders 1-3 from one on the table's first four nodes; the quote's one
+    # other tableau is mean_A's
+    p = GbmParams(0.05, 0.2, 1.0)
+    z = [0.0, *moments._ddn(p)]
+    nodes = BNodes.from_params(p, 3).scaled(p.T)
+    assert all(divdiff.choose_method(z[i:j + 1]) is divdiff.EvalMethod.RECURRENCE
+               for i, j in moments._CORRELATION_WINDOWS)
+    assert all(divdiff.choose_method(nodes[:m + 1]) is divdiff.EvalMethod.RECURRENCE
+               for m in (1, 2, 3))
+    tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_tableau")
+    correlation(p)
+    assert [len(zs) for zs, in tableaus] == [4]
+    moment_table(p, 8)
+    assert [len(zs) for zs, in tableaus] == [4, 4]
+    pricing.floating_strike_asian_approx(p)
+    pricing.fixed_strike_asian_approx(p, 1.0)
+    assert [len(zs) for zs, in tableaus] == [4, 4, 2]
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):

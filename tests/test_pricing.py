@@ -317,3 +317,18 @@ def test_fit_s2_and_var_A_where_the_mean_centred_matrix_route_overflows():
     want = _mp_fit_s2(p)
     assert float(abs((quote.inputs["fit_s2"] - want) / want)) <= 1e-12
     assert math.isfinite(quote.value) and quote.value > 0.0
+
+
+def test_fit_raises_where_var_A_over_mean_squared_overflows(capsys):
+    # var A = 1.06e307 and E A = 0.068: var A / (E A)^2 overflows, and s2
+    # read inf.  The fixed-strike quote raised ValueError("x must be finite")
+    # inside normal_cdf, the floating-strike one, which reads R alone, "s2
+    # must be finite"; both now raise OverflowError, and the CLI exits 2
+    p = GbmParams(-1.2191642359484631, 7.90553674484721, 11.978709266210858)
+    assert math.isfinite(var_A(p)) and math.isinf(var_A(p) / mean_A(p) / mean_A(p))
+    for quote in (floating_strike_asian_approx, lambda p: fixed_strike_asian_approx(p, 1.0)):
+        with pytest.raises(OverflowError, match="lognormal fit"):
+            quote(p)
+    assert main(["price", "--style", "floating", "--r", repr(p.r), "--sigma", repr(p.sigma),
+                 "--T", repr(p.T)]) == 2
+    assert capsys.readouterr().err.startswith("gbmdd: result outside double range:")
