@@ -15,16 +15,16 @@ finite for any spread.  A scalar call validates, sorts and routes its
 scaled nodes once (`choose_method` is the same rule).  Every route ends in
 a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
 node (the matrix route anchors lower where x underflows at high orders).
-`_exp_dd_pair`, its column form `_exp_dd_column_pairs`, its window form
-`_exp_dd_window_pairs` (index windows of one sorted node list, read from
-one recurrence tableau: `correlation`'s three divided differences and
-`moment_table`'s orders 1-3) and its prefix form `_exp_dd_prefix_pairs`,
-the only code that acts on a route, reject an x that is not a normal
-double; `_times_exp` only scales, and `moments` takes S and R from the
-pairs' logarithms.  The
-matrix method's one kernel, `_bidiagonal_first_rows`, takes a degree-15
-Taylor polynomial by Paterson and Stockmeyer's scheme in six products into
-a per-call buffer and squares it `_squarings` times.
+`_exp_dd_pair`, its column form `_exp_dd_column_pairs`, its suffix form
+`_exp_dd_suffix_pairs` (the sets z_i..z_n of one sorted node list, read
+from one recurrence tableau: `correlation`'s three divided differences)
+and its prefix form `_exp_dd_prefix_pairs` (`moment_table`'s nested node
+sets), the only code that acts on a route, reject an x that is not a
+normal double; `_times_exp` only scales, and `moments` takes S and R from
+the pairs' logarithms.  The matrix method's one kernel,
+`_bidiagonal_first_rows`, takes a degree-15 Taylor polynomial by Paterson
+and Stockmeyer's scheme in six products into a per-call buffer and squares
+it `_squarings` times.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -183,17 +183,17 @@ def _bidiagonal_first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
     flat = buf.reshape(10, *stack, m * m)
     flat[0, ..., ::m + 1], flat[1, ..., 1::m + 1] = 1.0, 2.0 ** -s
     np.divide(z - t, 2.0 ** s, out=flat[1, ..., ::m + 1])
-    P, C, w = buf[:5], buf[5:9], buf[9]
-    product(P[1], P[1], out=P[2])
-    product(P[2], P[1], out=P[3])
-    product(P[2], P[2], out=P[4])
+    _, B, B2, B3, B4, C0, C1, C2, C3, w = buf   # views taken once
+    product(B, B, out=B2)
+    product(B2, B, out=B3)
+    product(B2, B2, out=B4)
     powers = buf.reshape(10, -1)
     np.dot(_TAYLOR_BLOCKS, powers[:4], out=powers[5:9])
-    for j in (2, 1, 0):
-        np.add(product(C[j + 1], P[4], out=w), C[j], out=C[j])
-    F = C[0]
+    for high, low in ((C3, C2), (C2, C1), (C1, C0)):
+        np.add(product(high, B4, out=w), low, out=low)
+    F, targets = C0, (w, C1)
     for i in range(s):
-        F = product(F, F, out=(w, C[1])[i % 2])
+        F = product(F, F, out=targets[i % 2])
     return F[..., 0, :]
 
 
@@ -229,7 +229,11 @@ def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float
     or lower where the matrix route anchors lower.  ValueError as `exp_dd`
     raises it; OverflowError unless x is a normal double."""
     zs = sorted(_coerce_nodes(nodes, scale))
-    method = _route(zs) if method is EvalMethod.AUTO else method
+    return _sorted_pair(zs, _route(zs) if method is EvalMethod.AUTO else method)
+
+
+def _sorted_pair(zs: list[float], method: EvalMethod) -> tuple[float, float]:
+    """`_exp_dd_pair` on sorted, finite nodes by a route already chosen."""
     if method is EvalMethod.RECURRENCE:
         t, x = zs[-1], _recurrence_tableau(zs)[-1][0] if len(zs) > 1 else 1.0
     elif method is EvalMethod.TAYLOR_MATRIX:
@@ -242,37 +246,31 @@ def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float
     return t, x
 
 
-def _exp_dd_window_pairs(z: list[float], windows,
-                         routes=None) -> list[tuple[EvalMethod, float, float]]:
-    """(route, t, x) with exp[z_i, ..., z_j] = e^t x for each index window
-    (i, j), i < j, of `windows`, on finite nodes `z` that the caller gives
-    in non-decreasing order.  Each window takes its entry of `routes`, by
-    default the route AUTO gives it alone.  Where `z` is in order, every
-    recurrence window is an entry of one tableau on `z` anchored on
-    t = z[-1] (de Boor, "Divided differences", 2005), so a window that ends
-    at the top has the bits of its own recurrence.  A window whose x is not
-    a normal double, a matrix-route window and every window of a `z` out of
-    order take `_exp_dd_pair`'s route alone."""
-    ordered = z == sorted(z)
-    if routes is None:
-        routes = [_route(z[i:j + 1] if ordered else sorted(z[i:j + 1])) for i, j in windows]
-    levels = _recurrence_tableau(z) if ordered and EvalMethod.RECURRENCE in routes else []
+def _exp_dd_suffix_pairs(z: list[float], starts) -> list[tuple[float, float]]:
+    """(t, x) with exp[z_i, ..., z_n] = e^t x for each index i < n of
+    `starts`, on finite nodes `z`, with the bits of `_exp_dd_pair(z[i:])`.
+    Where `z` is non-decreasing, every suffix AUTO sends to the recurrence
+    is an entry of one tableau on `z` (de Boor, "Divided differences",
+    2005), anchored on the top node as its own recurrence is.  A matrix-route
+    suffix, one whose x is not a normal double and every suffix of a `z` out
+    of order take `_exp_dd_pair`'s own evaluation."""
+    if z != sorted(z):
+        return [_exp_dd_pair(z[i:]) for i in starts]
+    routes = [_route(z[i:]) for i in starts]
+    levels = _recurrence_tableau(z) if EvalMethod.RECURRENCE in routes else []
     pairs = []
-    for (i, j), route in zip(windows, routes):
-        x = levels[j - i - 1][i] if levels and route is EvalMethod.RECURRENCE else 0.0
-        pairs.append((route, z[-1], x) if x >= sys.float_info.min
-                     else (route, *_exp_dd_pair(z[i:j + 1], method=route)))
+    for i, route in zip(starts, routes):
+        x = levels[len(z) - i - 2][i] if route is EvalMethod.RECURRENCE else 0.0
+        pairs.append((z[-1], x) if x >= sys.float_info.min else _sorted_pair(z[i:], route))
     return pairs
 
 
 def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
     """(route, t, x) with exp[z_0, ..., z_m] = e^t x for m = 1..n, on finite
     nodes `z` in their given order.  Each prefix takes the route AUTO gives
-    it alone.  The nested matrix-route prefixes share one `_first_row` on
-    the longest; the recurrence prefixes, orders below TAYLOR_MIN_ORDER, are
-    windows (0, m) of `_exp_dd_window_pairs` on the first four nodes.  An
-    entry of the row that is not a normal double takes `_exp_dd_pair` by
-    its route."""
+    it alone, and the nested matrix-route prefixes share one `_first_row` on
+    the longest; an entry of it that is not a normal double, and every
+    recurrence prefix, takes `_exp_dd_pair`'s evaluation by that route."""
     routes = [_route(sorted(z[:m + 1])) if m < TAYLOR_MIN_ORDER else EvalMethod.TAYLOR_MATRIX
               for m in range(1, len(z))]
     top = max((m for m, route in enumerate(routes, 1)
@@ -280,17 +278,12 @@ def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
     if top:   # otherwise no prefix reads the row
         t, row = _first_row(np.array(z[:top + 1]), max(z[:top + 1]))
         row = row.tolist()
-    low = [(0, m) for m, route in enumerate(routes, 1) if route is EvalMethod.RECURRENCE]
-    low = iter(_exp_dd_window_pairs(z[:TAYLOR_MIN_ORDER], low,
-                                    [EvalMethod.RECURRENCE] * len(low)))
     pairs = []
     for m, route in enumerate(routes, 1):
-        if route is EvalMethod.RECURRENCE:
-            pairs.append(next(low))
-        elif sys.float_info.min <= row[m] < math.inf:
+        if route is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
             pairs.append((route, t, row[m]))
         else:
-            pairs.append((route, *_exp_dd_pair(z[:m + 1], method=route)))
+            pairs.append((route, *_sorted_pair(sorted(z[:m + 1]), route)))
     return pairs
 
 
@@ -336,7 +329,7 @@ def _min_span(c, k: int, out, t, positive: bool):
 
 
 def _exp_dd_recurrence_columns(c) -> np.ndarray:
-    """`_exp_dd_recurrence` on every row of sorted node columns `c` at once,
+    """The recurrence's x on every row of sorted node columns `c` at once,
     each tableau level written over the one before it: m - 1 columns and a
     scratch column.  A tie takes e^{c_i - c_n} / k! on its rows."""
     m, top = len(c), c[-1]

@@ -509,52 +509,38 @@ def test_matrix_route_where_the_top_exponential_overflows():
     assert seen == {True, False}
 
 
-def test_window_pairs_against_their_own_evaluation():
-    # every window (i, j) of sorted sets of 2 to 5 nodes, a third with a tie
-    # and a third with a near-tie, takes the route AUTO gives it alone.  A
-    # window that ends at the top or takes the matrix route has the bits of
-    # its own `_exp_dd_pair`; one below the top is an entry of the tableau
-    # anchored on the top node, within 1e-12 of mpmath
+def test_suffix_pairs_against_their_own_evaluation():
+    # every suffix z_i..z_n of sorted sets of 2 to 5 nodes, a third with a
+    # tie and a third with a near-tie, has the bits of its own `_exp_dd_pair`
     rng = np.random.default_rng(29)
-    below = 0
+    shared = 0
     for n in range(1, 5):
-        windows = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
         for row in _node_rows(rng, n, 60).tolist():
-            pairs = divdiff._exp_dd_window_pairs(row, windows)
-            for (i, j), (route, t, x) in zip(windows, pairs):
-                nodes = row[i:j + 1]
-                assert route is choose_method(nodes), (row, i, j)
-                if j == n or route is EvalMethod.TAYLOR_MATRIX:
-                    assert (t, x) == divdiff._exp_dd_pair(nodes), (row, i, j)
-                    continue
-                below += 1
-                assert t == row[-1]
-                with mp.workdps(60):
-                    assert rel_err(divdiff._times_exp(t, x), mp_exp_dd(nodes)) <= 1e-12, (row, i, j)
-    assert below > 400
+            pairs = divdiff._exp_dd_suffix_pairs(row, range(n))
+            assert pairs == [divdiff._exp_dd_pair(row[i:]) for i in range(n)], row
+            shared += sum(choose_method(row[i:]) is EvalMethod.RECURRENCE for i in range(n))
+    assert shared > 200
 
 
-def test_window_pairs_out_of_order_or_not_normal_take_their_own_route():
-    # [0, rT, 2rT, b] at r < 0 is out of order: every window is evaluated
-    # alone, bit for bit
-    windows = [(1, 3), (2, 3), (0, 3)]
+def test_suffix_pairs_out_of_order_or_on_the_matrix_route_take_their_own(monkeypatch):
+    # [0, rT, 2rT, b] at r < 0 is out of order: every suffix is evaluated
+    # alone, bit for bit, each recurrence-route one on its own tableau
+    tableaus = []
+    tableau = divdiff._recurrence_tableau
+    monkeypatch.setattr(divdiff, "_recurrence_tableau",
+                        lambda zs: tableaus.append(len(zs)) or tableau(zs))
     for row in ([0.0, -0.02, -0.04, 0.3], [0.0, -0.5, -1.0, -0.7], [0.0, 0.5, 1.0, 0.7]):
-        want = [(choose_method(row[i:j + 1]), *divdiff._exp_dd_pair(row[i:j + 1]))
-                for i, j in windows]
-        assert divdiff._exp_dd_window_pairs(row, windows) == want
-    # anchored on the top, a window 790 below it reads a subnormal x; it
-    # takes its own anchor instead
-    row = [-800.0, -790.0, -1.0, 0.0]
-    pairs = divdiff._exp_dd_window_pairs(row, [(0, 1), (1, 3)])
-    assert pairs[0] == (EvalMethod.RECURRENCE, *divdiff._exp_dd_pair(row[:2]))
-    assert pairs[0][1] == -790.0
-    assert pairs[1] == (EvalMethod.RECURRENCE, *divdiff._exp_dd_pair(row[1:]))
-    # given routes are taken as they are
-    [(route, t, x)] = divdiff._exp_dd_window_pairs([0.0, 1e-3, 2e-3], [(0, 2)],
-                                                   [EvalMethod.RECURRENCE])
-    assert choose_method([0.0, 1e-3, 2e-3]) is EvalMethod.TAYLOR_MATRIX
-    assert route is EvalMethod.RECURRENCE
-    assert (t, x) == divdiff._exp_dd_pair([0.0, 1e-3, 2e-3], method=EvalMethod.RECURRENCE)
+        want = [divdiff._exp_dd_pair(row[i:]) for i in (1, 2, 0)]
+        tableaus.clear()
+        assert divdiff._exp_dd_suffix_pairs(row, (1, 2, 0)) == want
+        assert len(tableaus) == sum(choose_method(row[i:]) is EvalMethod.RECURRENCE
+                                    for i in (1, 2, 0)) > 1
+    # a matrix-route suffix of an ordered list takes `_exp_dd_pair`
+    row = [0.0, 0.0, 1e-3, 2e-3]
+    assert choose_method(row[1:]) is EvalMethod.TAYLOR_MATRIX
+    tableaus.clear()
+    assert divdiff._exp_dd_suffix_pairs(row, [1]) == [divdiff._exp_dd_pair(row[1:])]
+    assert tableaus == []
 
 
 def test_recurrence_where_the_top_exponential_overflows():
@@ -856,11 +842,11 @@ def _choose_method(nodes, scale: float = 1.0) -> EvalMethod:
     return EvalMethod.RECURRENCE
 
 
-def _exp_dd_recurrence(zs: list[float], top: float | None = None) -> float:
-    """x = exp[z - top], the Newton tableau of exp(z - top) on the sorted
-    nodes, top = z_n unless given, whose first level is
-    e^{z_{i+1} - top} (-expm1(-g)) / g and whose ties take e^{z_i - top} / k!."""
-    n, top = len(zs), zs[-1] if top is None else top
+def _exp_dd_recurrence(zs: list[float]) -> float:
+    """x = exp[z - z_n], the Newton tableau of exp(z - z_n) on the sorted
+    nodes, whose first level is e^{z_{i+1} - z_n} (-expm1(-g)) / g and whose
+    ties take e^{z_i - z_n} / k!."""
+    n, top = len(zs), zs[-1]
     if n == 1:
         return 1.0
     e = [math.exp(z - top) for z in zs]
@@ -889,29 +875,20 @@ def _exp_dd(nodes, scale: float = 1.0, method: EvalMethod = EvalMethod.AUTO) -> 
 def _moment_table(p, max_m: int) -> list[tuple[int, float, str]]:
     """`moment_table` on the dispatch above, as (order, value, method): one
     first row on the nodes of the highest matrix-route order, anchored as
-    the matrix route anchors; where the first four nodes are in order, each
-    recurrence order's x is its recurrence anchored on the fourth (or last)
-    node; an order whose x is not a normal double, or whose e^t x
-    overflows, is evaluated on its own."""
+    the matrix route anchors; an order whose x is not a normal double, or
+    whose e^t x overflows, is evaluated on its own."""
     nodes = BNodes.from_params(p, max_m).scaled(p.T)
     methods = [_choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
     t, row = anchored_first_row(np.array(nodes[:top + 1]), max(nodes[:top + 1]))
     row = row.tolist()
-    four = list(nodes[:4])
     out = [(0, 1.0, "exact")]
     for m, method in enumerate(methods, 1):
         try:
-            if method is EvalMethod.RECURRENCE and four == sorted(four):
-                x = _exp_dd_recurrence(nodes[:m + 1], four[-1])
-                if not x >= sys.float_info.min:
-                    raise OverflowError
-                dd = times_exp(four[-1], x)
-            elif method is not EvalMethod.TAYLOR_MATRIX or not sys.float_info.min <= row[m] < math.inf:
+            if method is not EvalMethod.TAYLOR_MATRIX or not sys.float_info.min <= row[m] < math.inf:
                 raise OverflowError
-            else:
-                dd = times_exp(t, row[m])
+            dd = times_exp(t, row[m])
         except OverflowError:
             dd = _exp_dd(nodes[:m + 1])
         value = math.factorial(m) * dd

@@ -251,7 +251,7 @@ def _count_calls(monkeypatch, module, *names) -> list:
 
 def test_memo_saves_divided_differences_and_keeps_bits(monkeypatch):
     points = _quote_points()
-    calls = _count_calls(monkeypatch, moments, "exp_dd", "_exp_dd_window_pairs")
+    calls = _count_calls(monkeypatch, moments, "exp_dd", "_exp_dd_suffix_pairs")
     cached = _quote_sequence(points)
     n_cached = len(calls)
     # a quote asks for each memo at least twice and computes it once per
@@ -794,12 +794,13 @@ def test_moment_table_on_market_points_against_mpmath():
             assert err <= bound[entry.method], (p, m, float(err))
 
 
-def _window_point_groups():
-    """Points for the shared tableaus, by group: a pool like the market-quotes
-    benchmark's (r in [-0.02, 0.12], sigma in [0.05, 0.8], T in [0.1, 5], one
-    point in eight at r = 0 and one in eight at sigma^2 T in [1e-8, 1e-3]);
-    a wide box (r in [-2, 2], sigma in 10^[-4, 0.2], T in [0.01, 5]); r = 0
-    and r = -0.0, whose nodes tie; and sigma^2 T in [1e-10, 1e-3]."""
+def _correlation_point_groups():
+    """Points for the correlation's shared tableau, by group: a pool like the
+    market-quotes benchmark's (r in [-0.02, 0.12], sigma in [0.05, 0.8],
+    T in [0.1, 5], one point in eight at r = 0 and one in eight at
+    sigma^2 T in [1e-8, 1e-3]); a wide box (r in [-2, 2], sigma in
+    10^[-4, 0.2], T in [0.01, 5]); r = 0 and r = -0.0, whose nodes tie; and
+    sigma^2 T in [1e-10, 1e-3]."""
     rng = np.random.default_rng(83)
     pool = []
     for j in range(192):
@@ -820,25 +821,28 @@ def _window_point_groups():
 
 @pytest.mark.parametrize("group", ["pool", "wide", "zero", "small"])
 def test_correlation_pairs_and_low_orders_against_mpmath(group):
-    # the correlation's three divided differences are windows (1, 3), (2, 3)
-    # and (0, 3) of [0, rT, 2rT, b], moment orders 1-3 windows (0, m) of the
-    # table's first four nodes.  Each keeps its route and today's bound: the
-    # market pool's per route (test_moment_table_on_market_points_against_mpmath),
+    # the correlation's three divided differences are the suffixes from 1, 2
+    # and 0 of [0, rT, 2rT, b], read from one tableau where the nodes are in
+    # order; each has the bits of its own evaluation, so R does too.  They
+    # and moment orders 1-3 keep their route and today's bound: the market
+    # pool's per route (test_moment_table_on_market_points_against_mpmath),
     # elsewhere 1e-12 up to a spread of 250 (worst seen: 8.9e-14 for the
     # pairs, 8.4e-14 for orders 1-3)
     market = {"recurrence": 9e-14, "taylor-matrix": 6.3e-14}
-    for p in _window_point_groups()[group]:
+    for p in _correlation_point_groups()[group]:
         z = [0.0, *moments._ddn(p)]
-        own = [divdiff._exp_dd_pair(z[i:j + 1]) for i, j in moments._CORRELATION_WINDOWS]
-        # every pair has the bits of its own evaluation, so R does too
+        own = [divdiff._exp_dd_pair(z[i:]) for i in moments._CORRELATION_STARTS]
         assert moments._correlation_pairs(p) == tuple(own), p
         assert correlation(p).R == math.exp((moments._log_s(*own) - math.log(2.0)) / 2.0), p
         nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(9)]
         table = moment_table(p, 8)
+        # recurrence-route orders are their own evaluations
+        assert table[1].value == mean_A(p), p
+        assert table[2].method == "taylor-matrix" or table[2].value == second_moment_A(p), p
         with mp.workdps(50):
-            for (i, j), pair in zip(moments._CORRELATION_WINDOWS, own):
-                bound = 1e-12 * max(1.0, (z[j] - min(z[i:j + 1])) / 250.0)
-                err = abs(divdiff._times_exp(*pair) / mp_exp_dd(z[i:j + 1]) - 1)
+            for i, pair in zip(moments._CORRELATION_STARTS, own):
+                bound = 1e-12 * max(1.0, (z[-1] - min(z[i:])) / 250.0)
+                err = abs(divdiff._times_exp(*pair) / mp_exp_dd(z[i:]) - 1)
                 assert err <= bound, (p, i, float(err))
             for m in (1, 2, 3):
                 method = divdiff.choose_method(nodes[:m + 1]).value
@@ -849,26 +853,21 @@ def test_correlation_pairs_and_low_orders_against_mpmath(group):
                 assert err <= bound, (p, m, float(err))
 
 
-def test_recurrence_quote_builds_one_tableau_per_node_list(monkeypatch):
+def test_recurrence_quote_builds_one_tableau_for_the_correlation(monkeypatch):
     # at r > 0 with every set on the recurrence, the correlation's three
-    # divided differences come from one tableau on [0, rT, 2rT, b], and
-    # orders 1-3 from one on the table's first four nodes; the quote's one
-    # other tableau is mean_A's
+    # divided differences come from one tableau on [0, rT, 2rT, b]; the
+    # table's orders 1-3 each take their own, and mean_A one more
     p = GbmParams(0.05, 0.2, 1.0)
     z = [0.0, *moments._ddn(p)]
-    nodes = BNodes.from_params(p, 3).scaled(p.T)
-    assert all(divdiff.choose_method(z[i:j + 1]) is divdiff.EvalMethod.RECURRENCE
-               for i, j in moments._CORRELATION_WINDOWS)
-    assert all(divdiff.choose_method(nodes[:m + 1]) is divdiff.EvalMethod.RECURRENCE
-               for m in (1, 2, 3))
+    assert all(divdiff.choose_method(z[i:]) is divdiff.EvalMethod.RECURRENCE
+               for i in moments._CORRELATION_STARTS)
     tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_tableau")
     correlation(p)
     assert [len(zs) for zs, in tableaus] == [4]
     moment_table(p, 8)
-    assert [len(zs) for zs, in tableaus] == [4, 4]
     pricing.floating_strike_asian_approx(p)
     pricing.fixed_strike_asian_approx(p, 1.0)
-    assert [len(zs) for zs, in tableaus] == [4, 4, 2]
+    assert [len(zs) for zs, in tableaus] == [4, 2, 3, 4, 2]
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
