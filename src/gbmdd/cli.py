@@ -5,8 +5,7 @@ verification and pricing as subcommands with machine-readable output, and
 Exit codes: 0 success, 1 usage error, 2 numerical-domain error, failed
 allocation or a report that cannot be written, 3 oracle suite failure, 141
 stdout closed before the report was written.  Reports go to stdout,
-diagnostics to stderr.  The default Monte Carlo seed can be overridden with
-the GBMDD_SEED environment variable.
+diagnostics to stderr.  A negative value may take exponent form: `--r -1e-3`.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import moments, montecarlo, pricing
@@ -34,22 +34,18 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports when a closed pipe ends a
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this CLI reserves 2 for
-    numerical-domain errors and uses 1 for usage."""
+    numerical-domain errors, 1 for usage; its subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -inf are values too: argparse's own pattern reads them as options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("GBMDD_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"GBMDD_SEED must be an integer, got {env!r}")
 
 
 class UsageError(Exception):
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gbm_flags(p_mc)
     p_mc.add_argument("--paths", type=int, default=100_000)
     p_mc.add_argument("--steps", type=int, default=1000)
-    p_mc.add_argument("--seed", type=int, default=None, help="default: GBMDD_SEED or built-in")
+    p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     p_mc.add_argument("--m", type=int, default=None, help="also estimate E A^m")
     p_mc.add_argument("--averaging", choices=["trapezoid", "left-riemann"], default="trapezoid")
     p_mc.add_argument("--threads", type=int, default=1)
@@ -104,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append a Monte Carlo estimate of the same payoff")
     p_price.add_argument("--paths", type=int, default=100_000)
     p_price.add_argument("--steps", type=int, default=256)
-    p_price.add_argument("--seed", type=int, default=None)
+    p_price.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     _add_output_flags(p_price)
 
     subs.add_parser("oracle", help="run the numerical cross-check suite")
@@ -186,8 +182,7 @@ def _cmd_mc(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     p = GbmParams(r=args.r, sigma=args.sigma, T=args.T)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=seed,
+    cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                               averaging=args.averaging)
     analytic = {
         "mean_S": moments.mean_S(p),
@@ -222,8 +217,7 @@ def _cmd_price(args) -> int:
         payoff = montecarlo.FixedStrikeAsianCall(strike=args.K)
     doc = {"value": quote.value, "method": quote.method, "inputs": quote.inputs}
     if args.compare_mc:
-        seed = args.seed if args.seed is not None else _default_seed()
-        cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=seed)
+        cfg = montecarlo.McConfig(paths=args.paths, steps=args.steps, seed=args.seed)
         est = montecarlo.estimate_payoff(p, cfg, payoff)
         doc["mc"] = est.to_dict(cfg)
         # undefined against an MC estimate of 0: null, like an undefined "z"

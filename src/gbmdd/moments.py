@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import (_exp_dd_column_pairs, _exp_dd_pair, _exp_dd_prefix_pairs,
-                      _exp_dd_suffix_pairs, _times_exp, exp_dd)
+from .divdiff import (_exp_dd_column_pairs, _exp_dd_prefix_pairs, _exp_dd_suffix_pairs,
+                      _times_exp, exp_dd)
 
 __all__ = [
     "GbmParams",
@@ -146,20 +146,24 @@ def second_moment_A(p: GbmParams) -> float:
     return 2.0 * exp_dd([0.0, rT, b])
 
 
-# where the node sets of the covariance, var S and var A start in [0, rT, 2rT, b]
-_CORRELATION_STARTS = (1, 2, 0)
+def _s_pairs(r: float, a: float) -> tuple[tuple[float, float], ...]:
+    """(t, x) of exp[r, 2r, a], exp[2r, a] and exp[0, r, 2r, a], the
+    numerator and denominators of S(r, a), each with the bits of its own
+    evaluation: all three are suffixes of [0, r, 2r, a], and for r >= 0,
+    where those nodes are in order, the recurrence-route ones come from one
+    tableau.  ValueError unless every node is finite."""
+    z = [0.0, float(r), float(2.0 * r), float(a)]
+    if not all(map(math.isfinite, z)):
+        raise ValueError("nodes must be finite")
+    return tuple(_exp_dd_suffix_pairs(z, (1, 2, 0)))
 
 
 @_memo
 def _correlation_pairs(p: GbmParams) -> tuple[tuple[float, float], ...]:
-    """(t, x) of exp[rT, 2rT, b], exp[2rT, b] and exp[0, rT, 2rT, b] for
-    b = (2r + sigma^2) T, each with the bits of its own evaluation: all
-    three end at b, and for r >= 0, where the nodes are in order, the
-    recurrence-route ones come from one tableau."""
-    z = [0.0, *_ddn(p)]
-    if not all(map(math.isfinite, z)):
-        raise ValueError("nodes must be finite")
-    return tuple(_exp_dd_suffix_pairs(z, _CORRELATION_STARTS))
+    """`_s_pairs` at (rT, (2r + sigma^2) T): the (t, x) of the covariance's,
+    var S's and var A's divided differences."""
+    rT, _, b = _ddn(p)
+    return _s_pairs(rT, b)
 
 
 def _finite(v: float, name: str) -> float:
@@ -235,8 +239,7 @@ def s_statistic(r: float, a: float) -> float:
     state.  R(rT, sigma^2 T) = sqrt(S(rT, (2r + sigma^2) T) / 2).  S is
     exp(`_log_s`) for every input: it may read 0, or raise OverflowError.
     """
-    z = [a, 2.0 * r, r, 0.0]
-    return math.exp(_log_s(*(_exp_dd_pair(zs) for zs in (z[:3], z[:2], z))))
+    return math.exp(_log_s(*_s_pairs(r, a)))
 
 
 @dataclass(frozen=True)

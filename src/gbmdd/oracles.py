@@ -51,17 +51,6 @@ class NodeList:
     def __getitem__(self, i):
         return self.nodes[i]
 
-    def distinct(self) -> tuple[tuple[float, int], ...]:
-        """Distinct node values in ascending order with multiplicities."""
-        groups: dict[float, int] = {}
-        for x in self.nodes:
-            groups[x] = groups.get(x, 0) + 1
-        return tuple(sorted(groups.items()))
-
-    @property
-    def spread(self) -> float:
-        return max(self.nodes) - min(self.nodes)
-
 
 @dataclass(frozen=True)
 class DDTable:
@@ -105,18 +94,17 @@ def newton_table(values: Sequence[float], nodes) -> DDTable:
     return DDTable(nodes=NodeList(xs), levels=tuple(levels))
 
 
-def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:
-    """Divided difference over x, x+h, ..., x+nh from sampled values, by the
-    binomial expansion of the n-th forward difference."""
+def equispaced_dd(fvals: Sequence[float], h: float) -> float:
+    """Divided difference over x, x+h, ..., x+nh from its n + 1 sampled
+    values, by the binomial expansion of the n-th forward difference."""
     if not 0 < h < math.inf:
         raise ValueError("step h must be positive and finite")
     fv = [float(v) for v in fvals]
-    if n is None:
-        n = len(fv) - 1
-    if len(fv) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} values, got {len(fv)}")
+    if not fv:
+        raise ValueError("need at least one value")
     if not all(map(math.isfinite, fv)):
         raise ValueError("function values must be finite")
+    n = len(fv) - 1
     if n == 0:
         return fv[0]
     total = math.fsum(
@@ -126,17 +114,13 @@ def equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> flo
     return total / (math.factorial(n) * h ** n)
 
 
-def symmetric_equispaced_dd(fvals: Sequence[float], h: float, n: int | None = None) -> float:
-    """Divided difference over -nh, ..., -h, 0, h, ..., nh from sampled values:
-    `equispaced_dd` over the same 2n + 1 values."""
+def symmetric_equispaced_dd(fvals: Sequence[float], h: float) -> float:
+    """Divided difference over -nh, ..., -h, 0, h, ..., nh from its 2n + 1
+    sampled values: `equispaced_dd` over the same values."""
     fv = [float(v) for v in fvals]
-    if n is None:
-        if len(fv) % 2 == 0:
-            raise ValueError("need an odd number of values (2n+1)")
-        n = (len(fv) - 1) // 2
-    if len(fv) != 2 * n + 1:
-        raise ValueError(f"need 2n+1 = {2 * n + 1} values, got {len(fv)}")
-    return equispaced_dd(fv, h, 2 * n)
+    if len(fv) % 2 == 0:
+        raise ValueError("need an odd number of values (2n+1)")
+    return equispaced_dd(fv, h)
 
 
 def leibniz_dd(vtable: DDTable, wtable: DDTable) -> float:
@@ -182,16 +166,6 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _eval_maybe_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(float(v)) for v in x], dtype=float)
-
-
 def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
@@ -211,7 +185,7 @@ def _simplex_quadrature(g: Callable, nodes, order: int) -> float:
         wt = np.outer(wt * rem, w).ravel()
         arg = (np.repeat(arg, order) + t * (nodes[d] - nodes[0]))
         rem = np.repeat(rem, order) - t
-    return _finite(float(np.sum(wt * _eval_maybe_vectorized(g, arg))), "simplex quadrature")
+    return _finite(float(np.sum(wt * g(arg))), "simplex quadrature")
 
 
 @np.errstate(all="ignore")  # a non-finite estimate raises in _finite
@@ -223,7 +197,8 @@ def hermite_genocchi_oracle(
     seed: int = 0,
 ) -> OracleEstimate:
     """Independent estimate of f[a_0..a_n] as the integral of the n-th
-    derivative over the standard simplex.
+    derivative over the standard simplex; `deriv_n` takes an array of
+    points, as `np.exp` does.
 
     method="sampling": uniform simplex points from sorted uniform spacings,
     `budget` samples (at least 2), reported error is one standard error.
@@ -244,7 +219,7 @@ def hermite_genocchi_oracle(
         rng = np.random.default_rng(seed)
         u = np.sort(rng.random((budget, n)), axis=1)
         t = np.diff(u, axis=1, prepend=0.0, append=1.0)  # uniform barycentric
-        vals = _eval_maybe_vectorized(deriv_n, t @ xs)
+        vals = np.asarray(deriv_n(t @ xs), dtype=float)
         k = math.frexp(float(np.abs(vals).max()))[1]
         vals = np.ldexp(vals, -k)  # exact: the sums below keep every bit and stay finite
         est = math.ldexp(volume * _finite(float(vals.mean()), "sampled integral"), k)
@@ -261,6 +236,9 @@ def hermite_genocchi_oracle(
     raise ValueError(f"unknown oracle method: {method!r}")
 
 
+_DET_RTOL = 1e-12   # |det V| against the product of its column norms below this: singular
+
+
 @dataclass(frozen=True)
 class SimplexSpec:
     """Simplex conv{0, v_1, .., v_n} from the columns of a nonsingular V,
@@ -268,7 +246,6 @@ class SimplexSpec:
 
     V: np.ndarray
     a: np.ndarray
-    det_rtol: float = 1e-12
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -287,7 +264,7 @@ class SimplexSpec:
         _, e = np.frexp(np.abs(V).max(axis=0, initial=0.0))
         W = np.ldexp(V, -e)
         d = float(np.linalg.det(W))
-        if abs(d) <= self.det_rtol * float(np.prod(np.linalg.norm(W, axis=0))):
+        if abs(d) <= _DET_RTOL * float(np.prod(np.linalg.norm(W, axis=0))):
             raise ValueError("V is singular to working precision")
         object.__setattr__(self, "_det_parts", (d, int(e.sum())))
 

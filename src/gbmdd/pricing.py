@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from . import moments
 from .moments import GbmParams
 
@@ -31,20 +29,14 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def normal_cdf(x):
-    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2 by `math.erfc`;
-    absolute error below 1e-10 and Phi(-x) = 1 - Phi(x) at the ulp level.
-    Accepts scalars or arrays, whose entries get the scalar's bits at the
-    cost of one Python `math.erfc` call each (~0.1 us).  Raises ValueError
-    unless every entry is finite."""
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:   # np.ndim costs ~1 us
-        x = float(x)
-        if math.isfinite(x):
-            return 0.5 * math.erfc(-x / _SQRT2)
-    elif np.isfinite(x := np.asarray(x, dtype=float)).all():
-        erfc = map(math.erfc, (x / -_SQRT2).ravel().tolist())   # x / -c is -x / c exactly
-        return 0.5 * np.fromiter(erfc, float, x.size).reshape(x.shape)
-    raise ValueError("x must be finite")
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2 by `math.erfc`
+    for a scalar x; absolute error below 1e-10 and Phi(-x) = 1 - Phi(x) at
+    the ulp level.  Raises ValueError unless x is finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,24 @@ def margrabe_price(F1: float, F2: float, s1: float, s2: float,
     if discount <= 0:
         raise ValueError("discount must be positive")
     inputs = {"F1": F1, "F2": F2, "s1": s1, "s2": s2, "rho": rho, "discount": discount}
-    shat2 = s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2
-    if shat2 < 0:
-        # roundoff only: mathematically >= (s1 - s2)^2 >= 0 on the domain
-        shat2 = 0.0
-    if shat2 == 0.0:
-        return PriceQuote(discount * max(F1 - F2, 0.0), "margrabe", inputs)
-    shat = math.sqrt(shat2)
-    d1 = (math.log(F1 / F2) + shat2 / 2.0) / shat
-    d2 = d1 - shat
-    value = discount * (F1 * normal_cdf(d1) - F2 * normal_cdf(d2))
-    return PriceQuote(max(value, 0.0), "margrabe", inputs)
+    # below 0 by roundoff only: mathematically >= (s1 - s2)^2 >= 0 on the domain
+    shat2 = max(s1 * s1 + s2 * s2 - 2.0 * rho * s1 * s2, 0.0)
+    return PriceQuote(_lognormal_call(F1, F2, shat2, discount), "margrabe", inputs)
+
+
+def _lognormal_call(F1: float, F2: float, v: float, discount: float) -> float:
+    """discount * (F1 Phi(d1) - F2 Phi(d1 - sqrt(v))), d1 = (log(F1 / F2) +
+    v / 2) / sqrt(v), floored at 0; discount * max(F1 - F2, 0) at v = 0.
+    Black's (1976) call is Margrabe's (1978) exchange with a deterministic
+    second leg, so both quotes price here."""
+    if v == 0.0:
+        return discount * max(F1 - F2, 0.0)
+    sd = math.sqrt(v)
+    ratio = F1 / F2
+    # an F2 below about F1 / 1.8e308 overflows the quotient, not its log
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(F1) - math.log(F2)
+    d1 = (log_ratio + v / 2.0) / sd
+    return max(discount * (F1 * normal_cdf(d1) - F2 * normal_cdf(d1 - sd)), 0.0)
 
 
 def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
@@ -115,14 +114,10 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     mA = moments.mean_A(p)
     fit = _variance_fit(mA, moments.var_A(p))
     rho = moments._correlation_R(p)   # finite where a field of `correlation` is not
-    quote = margrabe_price(
-        F1=math.exp(rT), F2=mA,
-        s1=p.sigma * math.sqrt(p.T), s2=math.sqrt(fit.s2),
-        rho=rho, discount=math.exp(-rT),
-    )
-    inputs = dict(quote.inputs)
-    inputs.update({"r": p.r, "sigma": p.sigma, "T": p.T,
-                   "fit_mu": fit.mu, "fit_s2": fit.s2})
+    quote = margrabe_price(F1=math.exp(rT), F2=mA, s1=p.sigma * math.sqrt(p.T),
+                           s2=math.sqrt(fit.s2), rho=rho, discount=math.exp(-rT))
+    inputs = {**quote.inputs, "r": p.r, "sigma": p.sigma, "T": p.T,
+              "fit_mu": fit.mu, "fit_s2": fit.s2}
     return PriceQuote(quote.value, "margrabe-approx", inputs)
 
 
@@ -133,20 +128,11 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
         raise ValueError("approximation undefined for deterministic paths")
     if not (math.isfinite(K) and K >= 0):
         raise ValueError("strike must be finite and nonnegative")
-    rT = p.r * p.T
     mA = moments.mean_A(p)
     fit = _variance_fit(mA, moments.var_A(p))
-    discount = math.exp(-rT)
+    discount = math.exp(-p.r * p.T)
     inputs = {"r": p.r, "sigma": p.sigma, "T": p.T, "K": K,
               "fit_mu": fit.mu, "fit_s2": fit.s2, "discount": discount}
     if K == 0.0:
         return PriceQuote(discount * mA, "black-approx", inputs)
-    if fit.s2 == 0.0:
-        return PriceQuote(discount * max(mA - K, 0.0), "black-approx", inputs)
-    sh = math.sqrt(fit.s2)
-    ratio = mA / K
-    # a strike below about mA / 1.8e308 overflows the quotient, not its log
-    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(mA) - math.log(K)
-    d1 = (log_ratio + fit.s2 / 2.0) / sh
-    value = discount * (mA * normal_cdf(d1) - K * normal_cdf(d1 - sh))
-    return PriceQuote(max(value, 0.0), "black-approx", inputs)
+    return PriceQuote(_lognormal_call(mA, K, fit.s2, discount), "black-approx", inputs)

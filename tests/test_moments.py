@@ -319,6 +319,29 @@ def test_s_statistic_relation(bench):
     assert S == pytest.approx(1.501243466970671407, rel=1e-12)
 
 
+# where exp[r, 2r, a], exp[2r, a] and exp[0, r, 2r, a], the numerator and
+# the denominators of S(r, a), start in the node list [0, r, 2r, a]
+_S_STARTS = (1, 2, 0)
+
+
+def test_s_statistic_is_the_correlations_and_its_own_formula():
+    # one evaluator: S(rT, b) has the bits of correlation(p).s_statistic,
+    # and every S(r, a), nodes in order or not, those of its three divided
+    # differences each evaluated on its own.  The pool: r < 0, r = +-0 and
+    # r > 0, with a > 2r (b of a model point) and a < 2r
+    rng = np.random.default_rng(341)
+    rates = [0.0, -0.0, *rng.uniform(-2.0, 0.0, 40).tolist(), *rng.uniform(0.0, 2.0, 40).tolist()]
+    for j, r in enumerate(rates):
+        sigma, T = 10.0 ** rng.uniform(-4.0, 0.2), rng.uniform(0.01, 5.0)
+        p = GbmParams(r, sigma, T)
+        rT, _, b = moments._ddn(p)
+        assert s_statistic(rT, b).hex() == correlation(p).s_statistic.hex(), p
+        for a in (b, 2.0 * rT - 10.0 ** rng.uniform(-6.0, 1.5), rng.uniform(-30.0, 30.0)):
+            z = [0.0, rT, 2.0 * rT, a]
+            own = math.exp(moments._log_s(*(divdiff._exp_dd_pair(z[i:]) for i in _S_STARTS)))
+            assert s_statistic(rT, a).hex() == own.hex(), (rT, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-3, max_value=1), st.floats(min_value=-3, max_value=1))
 def test_s_statistic_relation_property(log_rT, log_s2T):
@@ -831,7 +854,7 @@ def test_correlation_pairs_and_low_orders_against_mpmath(group):
     market = {"recurrence": 9e-14, "taylor-matrix": 6.3e-14}
     for p in _correlation_point_groups()[group]:
         z = [0.0, *moments._ddn(p)]
-        own = [divdiff._exp_dd_pair(z[i:]) for i in moments._CORRELATION_STARTS]
+        own = [divdiff._exp_dd_pair(z[i:]) for i in _S_STARTS]
         assert moments._correlation_pairs(p) == tuple(own), p
         assert correlation(p).R == math.exp((moments._log_s(*own) - math.log(2.0)) / 2.0), p
         nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(9)]
@@ -840,7 +863,7 @@ def test_correlation_pairs_and_low_orders_against_mpmath(group):
         assert table[1].value == mean_A(p), p
         assert table[2].method == "taylor-matrix" or table[2].value == second_moment_A(p), p
         with mp.workdps(50):
-            for i, pair in zip(moments._CORRELATION_STARTS, own):
+            for i, pair in zip(_S_STARTS, own):
                 bound = 1e-12 * max(1.0, (z[-1] - min(z[i:])) / 250.0)
                 err = abs(divdiff._times_exp(*pair) / mp_exp_dd(z[i:]) - 1)
                 assert err <= bound, (p, i, float(err))
@@ -860,7 +883,7 @@ def test_recurrence_quote_builds_one_tableau_for_the_correlation(monkeypatch):
     p = GbmParams(0.05, 0.2, 1.0)
     z = [0.0, *moments._ddn(p)]
     assert all(divdiff.choose_method(z[i:]) is divdiff.EvalMethod.RECURRENCE
-               for i in moments._CORRELATION_STARTS)
+               for i in _S_STARTS)
     tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_tableau")
     correlation(p)
     assert [len(zs) for zs, in tableaus] == [4]

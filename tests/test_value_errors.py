@@ -35,14 +35,14 @@ BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
 _CASES = [
     pytest.param(lambda: symmetric_equispaced_dd([1.0, 2.0], 0.1), "odd number of values",
                  id="symmetric_equispaced_dd-even-count"),
-    pytest.param(lambda: symmetric_equispaced_dd([1.0, 2.0, 3.0], 0.1, n=2),
-                 r"need 2n\+1 = 5 values, got 3", id="symmetric_equispaced_dd-wrong-length"),
     pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], budget=0),
                  "budget must be positive", id="hermite_genocchi_oracle-budget"),
     pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], budget=1),
                  "budget of at least 2 samples", id="hermite_genocchi_oracle-one-sample"),
     pytest.param(lambda: hermite_genocchi_oracle(math.exp, [0.0, 1.0], method="simpson"),
                  "unknown oracle method", id="hermite_genocchi_oracle-method"),
+    pytest.param(lambda: equispaced_dd([], 0.1), "need at least one value",
+                 id="equispaced_dd-no-values"),
     pytest.param(lambda: equispaced_dd([1.0, 2.0, 3.0], math.nan),
                  "step h must be positive and finite", id="equispaced_dd-nan-step"),
     pytest.param(lambda: equispaced_dd([1.0, 2.0, 3.0], math.inf),
