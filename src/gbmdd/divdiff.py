@@ -16,15 +16,17 @@ scaled nodes once (`choose_method` is the same rule).  Every route ends in
 a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
 node (the matrix route anchors lower where x underflows at high orders).
 `_exp_dd_pair`, its column form `_exp_dd_column_pairs`, its suffix form
-`_exp_dd_suffix_pairs` (the sets z_i..z_n of one sorted node list, read
-from one recurrence tableau: `correlation`'s three divided differences)
-and its prefix form `_exp_dd_prefix_pairs` (`moment_table`'s nested node
-sets), the only code that acts on a route, reject an x that is not a
-normal double; `_times_exp` only scales, and `moments` takes S and R from
-the pairs' logarithms.  The matrix method's one kernel,
-`_bidiagonal_first_rows`, takes a degree-15 Taylor polynomial by Paterson
-and Stockmeyer's scheme in six products into a per-call buffer and squares
-it `_squarings` times.
+`_exp_dd_suffix_pairs` (the sets z_i..z_n of one sorted node list:
+`correlation`'s three divided differences) and its prefix form
+`_exp_dd_prefix_pairs` (`moment_table`'s nested node sets), the only code
+that acts on a route, reject an x that is not a normal double;
+`_times_exp` only scales, and `moments` takes S and R from the pairs'
+logarithms.  The recurrence, `_recurrence_suffixes`, is one in-place pass
+over the tableau that gives x for every suffix of its nodes at once.  The
+matrix method's one kernel, `_bidiagonal_first_rows`, takes a degree-15
+Taylor polynomial by Paterson and Stockmeyer's scheme in six products into
+a per-call buffer and squares it `_squarings` times; a scalar call feeds
+it the node list it holds, with no array made of it first.
 
 `exp_dd_batch` evaluates many node sets of one order at once, one row of an
 (N, n+1) array each.  It works on node columns, in place: each step writes
@@ -109,24 +111,26 @@ def _route(zs: list[float]) -> EvalMethod:
     return EvalMethod.TAYLOR_MATRIX if matrix else EvalMethod.RECURRENCE
 
 
-def _recurrence_tableau(zs: list[float]) -> list[list[float]]:
-    """Confluent recurrence on sorted nodes; adequate for a few well-spread
-    nodes: level k - 1 holds x = exp[z_i - z_n, ..., z_{i+k} - z_n] for
-    i = 0..n-k, the divided-difference tableau of exp(z - z_n) for orders
-    k = 1..n, every entry in (0, 1].  First-order entries use
-    exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which removes the dominant
+def _recurrence_suffixes(zs: list[float]) -> list[float]:
+    """x_i = exp[z_i - z_n, ..., z_n - z_n] for every suffix i = 0..n of
+    sorted nodes by the confluent recurrence; adequate for a few well-spread
+    nodes.  One pass over the divided-difference tableau of exp(z - z_n),
+    each level k = 1..n written over the one before it: level k's last
+    entry is x_{n-k}, which no later level rewrites (de Boor, "Divided
+    differences", 2005).  Every entry lies in (0, 1].  First-order entries
+    use exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which removes the dominant
     cancellation when a node pair sits much closer than the spread."""
     n, top = len(zs), zs[-1]
-    lev = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
-           for a, b in zip(zs, zs[1:])]
-    levels = [lev]
+    x = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
+         for a, b in zip(zs, zs[1:])]
+    x.append(1.0)
     fact = 1.0
     for k in range(2, n):
         fact *= k
-        lev = [math.exp(zs[i] - top) / fact if zs[i + k] == zs[i]
-               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
-        levels.append(lev)
-    return levels
+        for i in range(n - k):
+            a, b = zs[i], zs[i + k]
+            x[i] = math.exp(a - top) / fact if b == a else (x[i + 1] - x[i]) / (b - a)
+    return x
 
 
 def _times_exp(t: float, x: float) -> float:
@@ -157,11 +161,12 @@ def _squarings(zs, t: float) -> int:
 _TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
 
 
-def _bidiagonal_first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
+def _bidiagonal_first_rows(z, t, s=None) -> np.ndarray:
     """x = exp[z_0 - t, ..., z_j - t] for j = 0..m-1, the first row of exp(Z)
     for the upper bidiagonal Z with z - t on the diagonal and ones above it:
-    for one node set z (m,) with float t, which computes its own squaring
-    count s, or for a stack (K, m) with t of shape (K, 1) and the s it shares.
+    for one node set z, a list or an (m,) array, with float t, which computes
+    its own squaring count s, or for a stack (K, m) with t of shape (K, 1)
+    and the s it shares.
 
     The norm of B = Z / 2^s is at most 1/4, so the terms the degree-15
     Taylor polynomial of exp(B) leaves out sum to below 2 * 0.25^16 / 16!,
@@ -174,35 +179,43 @@ def _bidiagonal_first_rows(z: np.ndarray, t, s=None) -> np.ndarray:
     no cancellation and every entry keeps full relative accuracy even for
     tightly clustered nodes, until it underflows below the normal range.
     """
-    product = np.dot if z.ndim == 1 else np.matmul   # the same dgemm; np.dot costs ~60% per call
-    *stack, m = z.shape
-    if s is None:
-        s = _squarings(z.tolist(), t)
+    if s is None:   # one set: its diagonal from the node list, no array temporary
+        m, s = len(z), _squarings(z, t)
+        buf = np.zeros((10, m, m))
+        flat = buf.reshape(10, m * m)
+        h = 2.0 ** s
+        flat[0, ::m + 1], flat[1, 1::m + 1] = 1.0, 1.0 / h
+        flat[1, ::m + 1] = [(x - t) / h for x in z]
+        product = np.dot   # np.matmul costs ~60% more per call; the same dgemm
+    else:
+        *stack, m = z.shape
+        buf = np.zeros((10, *stack, m, m))
+        flat = buf.reshape(10, *stack, m * m)
+        flat[0, ..., ::m + 1], flat[1, ..., 1::m + 1] = 1.0, 2.0 ** -s
+        np.divide(z - t, 2.0 ** s, out=flat[1, ..., ::m + 1])
+        product = np.matmul
     # slots: B^0..B^4, C_0..C_3 and one for products, never written onto a factor
-    buf = np.zeros((10, *stack, m, m))
-    flat = buf.reshape(10, *stack, m * m)
-    flat[0, ..., ::m + 1], flat[1, ..., 1::m + 1] = 1.0, 2.0 ** -s
-    np.divide(z - t, 2.0 ** s, out=flat[1, ..., ::m + 1])
-    _, B, B2, B3, B4, C0, C1, C2, C3, w = buf   # views taken once
-    product(B, B, out=B2)
-    product(B2, B, out=B3)
-    product(B2, B2, out=B4)
+    _, B, B2, B3, B4, C0, C1, C2, C3, w = buf
+    product(B, B, B2)
+    product(B2, B, B3)
+    product(B2, B2, B4)
     powers = buf.reshape(10, -1)
-    np.dot(_TAYLOR_BLOCKS, powers[:4], out=powers[5:9])
+    np.dot(_TAYLOR_BLOCKS, powers[:4], powers[5:9])
     for high, low in ((C3, C2), (C2, C1), (C1, C0)):
-        np.add(product(high, B4, out=w), low, out=low)
+        low += product(high, B4, w)
     F, targets = C0, (w, C1)
     for i in range(s):
-        F = product(F, F, out=targets[i % 2])
+        F = product(F, F, targets[i % 2])
     return F[..., 0, :]
 
 
-def _first_row(z: np.ndarray, t: float) -> tuple[float, np.ndarray]:
-    """(t, x): one node set's first row anchored on its largest node t, or on
-    t - _LOW_ANCHOR where only that makes the last entry a normal double."""
-    x = _bidiagonal_first_rows(z, t)
+def _first_row(zs: list[float], t: float) -> tuple[float, np.ndarray]:
+    """(t, x): the first row of one node list, in its given order, anchored
+    on its largest node t, or on t - _LOW_ANCHOR where only that makes the
+    last entry a normal double."""
+    x = _bidiagonal_first_rows(zs, t)
     if x[-1] < sys.float_info.min:
-        low = _bidiagonal_first_rows(z, t - _LOW_ANCHOR)
+        low = _bidiagonal_first_rows(zs, t - _LOW_ANCHOR)
         if low[-1] >= sys.float_info.min:
             return t - _LOW_ANCHOR, low
     return t, x
@@ -235,9 +248,9 @@ def _exp_dd_pair(nodes, scale=1.0, method=EvalMethod.AUTO) -> tuple[float, float
 def _sorted_pair(zs: list[float], method: EvalMethod) -> tuple[float, float]:
     """`_exp_dd_pair` on sorted, finite nodes by a route already chosen."""
     if method is EvalMethod.RECURRENCE:
-        t, x = zs[-1], _recurrence_tableau(zs)[-1][0] if len(zs) > 1 else 1.0
+        t, x = zs[-1], _recurrence_suffixes(zs)[0]
     elif method is EvalMethod.TAYLOR_MATRIX:
-        t, row = _first_row(np.array(zs), zs[-1])
+        t, row = _first_row(zs, zs[-1])
         x = float(row[-1])
     else:
         raise ValueError(f"unknown evaluation method: {method!r}")
@@ -250,40 +263,45 @@ def _exp_dd_suffix_pairs(z: list[float], starts) -> list[tuple[float, float]]:
     """(t, x) with exp[z_i, ..., z_n] = e^t x for each index i < n of
     `starts`, on finite nodes `z`, with the bits of `_exp_dd_pair(z[i:])`.
     Where `z` is non-decreasing, every suffix AUTO sends to the recurrence
-    is an entry of one tableau on `z` (de Boor, "Divided differences",
-    2005), anchored on the top node as its own recurrence is.  A matrix-route
-    suffix, one whose x is not a normal double and every suffix of a `z` out
-    of order take `_exp_dd_pair`'s own evaluation."""
+    is an entry of one `_recurrence_suffixes` pass on `z`, anchored on the
+    top node as its own recurrence is.  A matrix-route suffix, one whose x
+    is not a normal double and every suffix of a `z` out of order take
+    `_exp_dd_pair`'s own evaluation."""
     if z != sorted(z):
         return [_exp_dd_pair(z[i:]) for i in starts]
     routes = [_route(z[i:]) for i in starts]
-    levels = _recurrence_tableau(z) if EvalMethod.RECURRENCE in routes else []
+    xs = _recurrence_suffixes(z) if EvalMethod.RECURRENCE in routes else []
     pairs = []
     for i, route in zip(starts, routes):
-        x = levels[len(z) - i - 2][i] if route is EvalMethod.RECURRENCE else 0.0
+        x = xs[i] if route is EvalMethod.RECURRENCE else 0.0
         pairs.append((z[-1], x) if x >= sys.float_info.min else _sorted_pair(z[i:], route))
     return pairs
 
 
-def _exp_dd_prefix_pairs(z) -> list[tuple[EvalMethod, float, float]]:
+def _exp_dd_prefix_pairs(z: list[float]) -> list[tuple[EvalMethod, float, float]]:
     """(route, t, x) with exp[z_0, ..., z_m] = e^t x for m = 1..n, on finite
     nodes `z` in their given order.  Each prefix takes the route AUTO gives
     it alone, and the nested matrix-route prefixes share one `_first_row` on
     the longest; an entry of it that is not a normal double, and every
-    recurrence prefix, takes `_exp_dd_pair`'s evaluation by that route."""
-    routes = [_route(sorted(z[:m + 1])) if m < TAYLOR_MIN_ORDER else EvalMethod.TAYLOR_MATRIX
-              for m in range(1, len(z))]
-    top = max((m for m, route in enumerate(routes, 1)
-               if route is EvalMethod.TAYLOR_MATRIX), default=0)
+    recurrence prefix, takes `_exp_dd_pair`'s evaluation by that route.
+    Each prefix below `TAYLOR_MIN_ORDER`, the only ones AUTO may send to
+    the recurrence, is sorted once for its route and its evaluation."""
+    low = [sorted(z[:m + 1]) for m in range(1, min(len(z), TAYLOR_MIN_ORDER))]
+    routes = [_route(zs) for zs in low] + [EvalMethod.TAYLOR_MATRIX] * (len(z) - TAYLOR_MIN_ORDER)
+    # the highest matrix-route order, found without a scan where an order reaches TAYLOR_MIN_ORDER
+    top = len(routes) if len(routes) >= TAYLOR_MIN_ORDER else max(
+        (m for m, route in enumerate(routes, 1) if route is EvalMethod.TAYLOR_MATRIX), default=0)
     if top:   # otherwise no prefix reads the row
-        t, row = _first_row(np.array(z[:top + 1]), max(z[:top + 1]))
+        head = z[:top + 1]
+        t, row = _first_row(head, max(head))
         row = row.tolist()
     pairs = []
     for m, route in enumerate(routes, 1):
         if route is EvalMethod.TAYLOR_MATRIX and sys.float_info.min <= row[m] < math.inf:
             pairs.append((route, t, row[m]))
         else:
-            pairs.append((route, *_sorted_pair(sorted(z[:m + 1]), route)))
+            pairs.append((route, *_sorted_pair(low[m - 1] if m <= len(low) else sorted(z[:m + 1]),
+                                               route)))
     return pairs
 
 
@@ -407,7 +425,7 @@ def _exp_dd_column_pairs(c) -> tuple[np.ndarray, np.ndarray]:
                 g = s == sg
                 rows[g] = _bidiagonal_first_rows(z[g], z[g, -1:], sg)[:, -1]
             for i in np.flatnonzero(rows < sys.float_info.min):   # high orders
-                top[i], row = _first_row(z[i], top[i])
+                top[i], row = _first_row(z[i].tolist(), top[i])
                 rows[i] = row[-1]
             x[taylor], t[taylor] = rows, top
         x[~(x >= sys.float_info.min)] = np.nan

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import (_exp_dd_column_pairs, _exp_dd_prefix_pairs, _exp_dd_suffix_pairs,
-                      _times_exp, exp_dd)
+from .divdiff import (EvalMethod, _exp_dd_column_pairs, _exp_dd_prefix_pairs,
+                      _exp_dd_suffix_pairs, _times_exp, exp_dd)
 
 __all__ = [
     "GbmParams",
@@ -423,6 +423,11 @@ def grid_scan(spec: GridSpec | None = None) -> GridResult:
 
 # the largest m with m! below the double range: E A(T)^m = m! exp[...] overflows above it
 _MAX_ORDER = max(m for m in range(200) if math.factorial(m) < sys.float_info.max)
+# m! as floats: an int times a float is the int rounded to a float times it
+_FACTORIALS = tuple(float(math.factorial(m)) for m in range(_MAX_ORDER + 1))
+# the route names, picked by identity: an enum's `.value` is a property call
+_MATRIX = EvalMethod.TAYLOR_MATRIX
+_MATRIX_NAME, _RECURRENCE_NAME = _MATRIX.value, EvalMethod.RECURRENCE.value
 
 
 def moment_A(p: GbmParams, m: int) -> float:
@@ -462,8 +467,8 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     out = [MomentReport(0, 1.0, "exact")]   # positional: 30% cheaper than by keyword
     for m, (route, t, x) in enumerate(_exp_dd_prefix_pairs(nodes), 1):
         # where e^t x overflows, m! times the order's own value does too
-        value = math.factorial(m) * _times_exp(t, x)
+        value = _FACTORIALS[m] * _times_exp(t, x)
         if value == math.inf:
             raise OverflowError(f"E A(T)^{m} is outside the double range")
-        out.append(MomentReport(m, value, route.value))
+        out.append(MomentReport(m, value, _MATRIX_NAME if route is _MATRIX else _RECURRENCE_NAME))
     return out

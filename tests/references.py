@@ -1,7 +1,7 @@
 """Reference evaluations the tests share: an mpmath `exp_dd`, the textbook
-E A(T)^2 on mpmath, the matrix route's first row and scaling step, and the
-row kernels whose (t, x) pairs `exp_dd_batch` and `grid_scan` reproduce bit
-for bit."""
+E A(T)^2 on mpmath, the recurrence's level-list tableau, the matrix route's
+first row and scaling step, and the row kernels whose (t, x) pairs
+`exp_dd_batch` and `grid_scan` reproduce bit for bit."""
 
 import math
 import sys
@@ -58,6 +58,26 @@ def mp_hull_second_moment(p) -> mp.mpf:
         term1 = 2 * mp.exp((2 * r + s) * T) / ((r + s) * (2 * r + s) * T * T)
         term2 = 2 / (r * T * T) * (1 / (2 * r + s) - mp.exp(r * T) / (r + s))
         return term1 + term2
+
+
+def recurrence_tableau(zs: list[float]) -> list[list[float]]:
+    """The confluent recurrence on sorted nodes, one new list per level:
+    level k - 1 holds x = exp[z_i - z_n, ..., z_{i+k} - z_n] for
+    i = 0..n-k, the divided-difference tableau of exp(z - z_n) for orders
+    k = 1..n.  First-order entries use exp[z, z+g] = e^{z+g} (-expm1(-g))/g;
+    a tie takes e^{z_i - z_n} / k!.  `divdiff._recurrence_suffixes` reads
+    the last entry of each level from one pass written in place."""
+    n, top = len(zs), zs[-1]
+    lev = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
+           for a, b in zip(zs, zs[1:])]
+    levels = [lev]
+    fact = 1.0
+    for k in range(2, n):
+        fact *= k
+        lev = [math.exp(zs[i] - top) / fact if zs[i + k] == zs[i]
+               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
+        levels.append(lev)
+    return levels
 
 
 # Reference kernels: the matrix route's first row by the same

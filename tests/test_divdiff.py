@@ -34,7 +34,7 @@ from gbmdd.oracles import (
 
 from conftest import load_dd_cases
 from references import (_row_exp_dd_batch, _row_exp_dd_pairs, _taylor_rows, anchored_first_row,
-                        bidiagonal, first_rows, mp_exp_dd, squarings, times_exp)
+                        bidiagonal, first_rows, mp_exp_dd, recurrence_tableau, squarings, times_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,7 @@ def test_x_outside_the_normal_range_raises():
         assert np.isnan(divdiff._exp_dd_column_pairs(np.array([row]).T)[1]).all()
     clustered = [0.34125003469931237, 0.34125076260196946, 0.34125086251458175,
                  0.3412519106533954, 0.34125196209372305]
-    assert divdiff._recurrence_tableau(clustered)[-1][0] < 0.0
+    assert divdiff._recurrence_suffixes(clustered)[0] < 0.0
     with pytest.raises(OverflowError):
         exp_dd(clustered, method=EvalMethod.RECURRENCE)
     assert rel_err(exp_dd(clustered), mp_exp_dd(clustered)) <= 1e-14
@@ -520,13 +520,31 @@ def test_suffix_pairs_against_their_own_evaluation():
     assert shared > 200
 
 
+def test_recurrence_suffixes_against_the_level_list_tableau():
+    # the in-place pass holds the last entry of every level of the
+    # level-list tableau, bit for bit: sorted sets of 2 to 6 nodes, a third
+    # with a tie and a third with a near-tie, shifted by offsets out to +-700
+    rng = np.random.default_rng(31)
+    sets = [[0.0] * 6, [-700.0, -700.0, 0.0, 700.0], [5.0, 5.0, 5.0 + 1e-12, 5.0 + 2e-12, 6.0]]
+    for n in range(1, 6):
+        for row in _node_rows(rng, n, 60):
+            for offset in (0.0, 700.0, -700.0, rng.uniform(-700.0, 700.0)):
+                sets.append((row + offset).tolist())
+    for zs in sets:
+        assert zs == sorted(zs)
+        levels = recurrence_tableau(zs)
+        want = [levels[len(zs) - i - 2][i] for i in range(len(zs) - 1)] + [1.0]
+        got = divdiff._recurrence_suffixes(zs)
+        assert [x.hex() for x in got] == [x.hex() for x in want], zs
+
+
 def test_suffix_pairs_out_of_order_or_on_the_matrix_route_take_their_own(monkeypatch):
     # [0, rT, 2rT, b] at r < 0 is out of order: every suffix is evaluated
     # alone, bit for bit, each recurrence-route one on its own tableau
     tableaus = []
-    tableau = divdiff._recurrence_tableau
-    monkeypatch.setattr(divdiff, "_recurrence_tableau",
-                        lambda zs: tableaus.append(len(zs)) or tableau(zs))
+    suffixes = divdiff._recurrence_suffixes
+    monkeypatch.setattr(divdiff, "_recurrence_suffixes",
+                        lambda zs: tableaus.append(len(zs)) or suffixes(zs))
     for row in ([0.0, -0.02, -0.04, 0.3], [0.0, -0.5, -1.0, -0.7], [0.0, 0.5, 1.0, 0.7]):
         want = [divdiff._exp_dd_pair(row[i:]) for i in (1, 2, 0)]
         tableaus.clear()

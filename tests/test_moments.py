@@ -878,19 +878,41 @@ def test_correlation_pairs_and_low_orders_against_mpmath(group):
 
 def test_recurrence_quote_builds_one_tableau_for_the_correlation(monkeypatch):
     # at r > 0 with every set on the recurrence, the correlation's three
-    # divided differences come from one tableau on [0, rT, 2rT, b]; the
+    # divided differences come from one recurrence pass on [0, rT, 2rT, b]; the
     # table's orders 1-3 each take their own, and mean_A one more
     p = GbmParams(0.05, 0.2, 1.0)
     z = [0.0, *moments._ddn(p)]
     assert all(divdiff.choose_method(z[i:]) is divdiff.EvalMethod.RECURRENCE
                for i in _S_STARTS)
-    tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_tableau")
+    tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_suffixes")
     correlation(p)
     assert [len(zs) for zs, in tableaus] == [4]
     moment_table(p, 8)
     pricing.floating_strike_asian_approx(p)
     pricing.fixed_strike_asian_approx(p, 1.0)
     assert [len(zs) for zs, in tableaus] == [4, 2, 3, 4, 2]
+
+
+def test_matrix_route_quote_builds_each_first_row_once(monkeypatch):
+    # at r = 0 with sigma^2 T below TAYLOR_MIN_SPREAD the covariance's
+    # [0, 0, b] and var A's [0, 0, 0, b] take the matrix route: the
+    # correlation builds one first row for each, the table one for all its
+    # matrix-route orders, each from the sorted node list itself, and the
+    # prices read the memoised pairs
+    p = GbmParams(0.0, 0.2, 1.0)
+    z = [0.0, *moments._ddn(p)]
+    matrix, recurrence = divdiff.EvalMethod.TAYLOR_MATRIX, divdiff.EvalMethod.RECURRENCE
+    assert [divdiff.choose_method(z[i:]) for i in _S_STARTS] == [matrix, recurrence, matrix]
+    rows = _count_calls(monkeypatch, divdiff, "_first_row")
+    kernels = _count_calls(monkeypatch, divdiff, "_bidiagonal_first_rows")
+    correlation(p)
+    assert [len(zs) for zs, _ in rows] == [3, 4]
+    moment_table(p, 8)
+    pricing.floating_strike_asian_approx(p)
+    pricing.fixed_strike_asian_approx(p, 1.0)
+    assert [len(zs) for zs, _ in rows] == [3, 4, 9]
+    assert all(type(zs) is list and zs == sorted(zs) for zs, _ in rows)
+    assert len(kernels) == 3
 
 
 def test_moment_table_recomputes_unusable_row_entries(monkeypatch):

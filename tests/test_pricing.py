@@ -1,10 +1,12 @@
 import math
+import types
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbmdd import pricing
 from gbmdd.cli import main
 from gbmdd.moments import GbmParams, mean_A, second_moment_A, var_A
 from gbmdd.pricing import (
@@ -48,26 +50,21 @@ def test_normal_cdf_array_and_validation():
         normal_cdf(math.inf)
 
 
-def test_normal_cdf_scalar_fast_path(monkeypatch):
+def test_normal_cdf_scalar_fast_path():
     values = [0.0, -0.0, 0.3, -1.7, 8.5, -40.0, 3, -2, True, np.float64(0.3), np.float64(-6.25)]
     want = [(0.5 * math.erfc(-float(x) / math.sqrt(2.0))).hex() for x in values]
     # 0-d arrays and other numpy scalars convert as a Python float does
     assert [normal_cdf(np.array(x)).hex() for x in values] == want
     assert normal_cdf(np.float32(0.5)) == 0.5 * math.erfc(-0.5 / math.sqrt(2.0))
-
-    def no_ndim(x):
-        raise AssertionError("np.ndim called on a Python scalar")
-
-    monkeypatch.setattr(np, "ndim", no_ndim)
+    # no numpy call on any input: the module holds no numpy module to call
+    assert not [name for name, v in vars(pricing).items()
+                if isinstance(v, types.ModuleType) and v.__name__.partition(".")[0] == "numpy"]
     got = [normal_cdf(x) for x in values]
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == want
-    for bad in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.nan), np.array(math.inf)):
         with pytest.raises(ValueError):
             normal_cdf(bad)
-    monkeypatch.undo()
-    with pytest.raises(ValueError):
-        normal_cdf(np.array(math.inf))
 
 
 # ---------------------------------------------------------------------------
