@@ -35,7 +35,6 @@ from .montecarlo import (
     iter_terminal_and_average,
 )
 from .pricing import (
-    LognormalFit,
     PriceQuote,
     fixed_strike_asian_approx,
     floating_strike_asian_approx,
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 # `oracles` loads on first use of one of these names (PEP 562), not with the
 # package: the fast path and the CLI run without it.
 _ORACLE_NAMES = frozenset({
-    "DDTable", "NodeList", "OracleEstimate", "SimplexSpec", "equispaced_dd",
+    "DDTable", "OracleEstimate", "SimplexSpec", "equispaced_dd",
     "hermite_genocchi_oracle", "iterated_ordered_exp_integral",
     "leibniz_dd", "moment_bruteforce", "moment_ode_residual", "newton_table",
     "ordered_exp_simplex_quad", "ordered_product_expectation", "oshanin_yor_moment",

@@ -78,10 +78,7 @@ class BNodes:
 
     @classmethod
     def from_params(cls, p: GbmParams, m: int) -> "BNodes":
-        if m < 0:
-            raise ValueError("moment order must be nonnegative")
-        vals = tuple(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0 for k in range(m + 1))
-        return cls(m=m, values=vals)
+        return cls(m=m, values=tuple(_b_nodes(p, m, 1.0)))
 
     def scaled(self, T: float) -> tuple[float, ...]:
         return tuple(b * T for b in self.values)
@@ -115,12 +112,32 @@ class MomentReport:
 # changing an AUTO constant, call `cache_clear()` on every memo here.
 _MEMO_SIZE = 32
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
+_MIN_NORMAL = sys.float_info.min
+
+
+def _sigma2(p: GbmParams) -> float:
+    """sigma^2; OverflowError naming it where `**` raises with the errno alone."""
+    try:
+        return p.sigma ** 2
+    except OverflowError:
+        raise OverflowError(f"sigma^2 is outside the double range at sigma = {p.sigma:g}") from None
+
+
+def _b_nodes(p: GbmParams, m: int, T: float) -> list[float]:
+    """b_k T for k = 0..m, ValueError unless all are finite; `BNodes` at T = 1.0 (exact)."""
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
+    s2 = _sigma2(p)
+    nodes = [(k * p.r + s2 * k * (k - 1) / 2.0) * T for k in range(m + 1)]
+    if not all(map(math.isfinite, nodes)):
+        raise ValueError("nodes must be finite")
+    return nodes
 
 
 def _ddn(p: GbmParams) -> tuple[float, float, float]:
     """The recurring nodes rT, 2rT, (2r + sigma^2) T."""
     rT = p.r * p.T
-    return rT, 2.0 * rT, (2.0 * p.r + p.sigma ** 2) * p.T
+    return rT, 2.0 * rT, (2.0 * p.r + _sigma2(p)) * p.T
 
 
 def mean_S(p: GbmParams) -> float:
@@ -166,33 +183,51 @@ def _correlation_pairs(p: GbmParams) -> tuple[tuple[float, float], ...]:
     return _s_pairs(rT, b)
 
 
-def _finite(v: float, name: str) -> float:
-    """v, or OverflowError where a product of divided differences and
-    sigma^2 T has left the double range."""
+# (k, name) of k sigma^2 T times the divided difference of each `_correlation_pairs` entry
+_SCALES = ((1.0, "cov(S(T), A(T))"), (1.0, "var S(T)"), (2.0, "var A(T)"))
+
+
+def _scaled(p: GbmParams, pairs, i: int) -> float:
+    """k sigma^2 T e^t x for (t, x) = pairs[i] and (k, name) = _SCALES[i]:
+    the plain product where sigma^2, k sigma^2 T and e^t x are normal
+    doubles; elsewhere (sigma below 1.5e-154, or e^t x outside the double
+    range while the product is not) the exact product of k, sigma, sigma, T,
+    x and e^t (e^{t/2} twice from t = 709 on), rounded once.  0.0 at
+    sigma = 0; OverflowError naming the quantity where the value overflows."""
+    (t, x), (k, name) = pairs[i], _SCALES[i]
+    s2 = p.sigma ** 2   # finite: `_correlation_pairs` has raised otherwise
+    c = k * s2 * p.T
+    try:
+        e = _times_exp(t, x)
+    except OverflowError:
+        e = 0.0   # not a normal double either: the exact product
+    if _MIN_NORMAL <= s2 and _MIN_NORMAL <= c < math.inf and _MIN_NORMAL <= e:
+        v = c * e
+    else:
+        from fractions import Fraction   # on first use: it loads `decimal`
+        try:
+            h = (math.exp(t), 1.0) if t < 709.0 else (math.exp(t / 2.0),) * 2
+            v = float(math.prod(map(Fraction, (k, p.sigma, p.sigma, p.T, x, *h))))
+        except OverflowError:   # of e^{t/2}, or of the rounded product
+            v = math.inf if p.sigma else 0.0
     if v == math.inf:
         raise OverflowError(f"{name} is outside the double range")
     return v
 
 
 def covariance_SA(p: GbmParams) -> float:
-    """cov(S(T), A(T)) = sigma^2 T exp[rT, 2rT, (2r + sigma^2) T];
-    OverflowError where that product leaves the double range."""
-    rT, r2T, b = _ddn(p)
-    return _finite(p.sigma ** 2 * p.T * exp_dd([rT, r2T, b]), "cov(S(T), A(T))")
+    """cov(S(T), A(T)) = sigma^2 T exp[rT, 2rT, (2r + sigma^2) T], by `_scaled`."""
+    return _scaled(p, _correlation_pairs(p), 0)
 
 
 def var_S(p: GbmParams) -> float:
-    """var S(T) = sigma^2 T exp[2rT, (2r + sigma^2) T]; OverflowError where
-    that product leaves the double range."""
-    _, r2T, b = _ddn(p)
-    return _finite(p.sigma ** 2 * p.T * exp_dd([r2T, b]), "var S(T)")
+    """var S(T) = sigma^2 T exp[2rT, (2r + sigma^2) T], by `_scaled`."""
+    return _scaled(p, _correlation_pairs(p), 1)
 
 
 def var_A(p: GbmParams) -> float:
-    """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T]; OverflowError
-    where that product leaves the double range."""
-    v = 2.0 * p.sigma ** 2 * p.T * _times_exp(*_correlation_pairs(p)[2])
-    return _finite(v, "var A(T)")
+    """var A(T) = 2 sigma^2 T exp[0, rT, 2rT, (2r + sigma^2) T], by `_scaled`."""
+    return _scaled(p, _correlation_pairs(p), 2)
 
 
 def _log_s(num, d1, d2) -> float:
@@ -215,20 +250,18 @@ def _correlation_R(p: GbmParams) -> float:
 
 def correlation(p: GbmParams) -> CorrelationReport:
     """Correlation coefficient of S(T) and A(T) as a quotient of exponential
-    divided differences, R = exp((log S - log 2) / 2) by `_log_s` (report
-    fields may read 0 where R does not); OverflowError where one of them
-    overflows, or where the covariance or a variance does.  In
-    [1/sqrt(2), 1] for r >= 0, not for r < 0 at large sigma^2 T
+    divided differences, R = exp((log S - log 2) / 2) by `_log_s`; the
+    covariance and variances are `covariance_SA`, `var_S` and `var_A`, bit
+    for bit, and may read 0 where R does not.  OverflowError where an x of
+    the pairs is not a normal double, or where the covariance or a variance
+    overflows.  In [1/sqrt(2), 1] for r >= 0, not for r < 0 at large sigma^2 T
     (`test_correlation_bound_*`)."""
     if p.sigma == 0:
         raise ValueError("correlation undefined for deterministic paths")
-    num, d1, d2 = _correlation_pairs(p)
-    log_s, s2T = _log_s(num, d1, d2), p.sigma ** 2 * p.T
-    return CorrelationReport(R=_R(log_s),
-                             covariance=_finite(s2T * _times_exp(*num), "cov(S(T), A(T))"),
-                             var_S=_finite(s2T * _times_exp(*d1), "var S(T)"),
-                             var_A=_finite(2.0 * s2T * _times_exp(*d2), "var A(T)"),
-                             s_statistic=math.exp(log_s))
+    pairs = _correlation_pairs(p)
+    log_s = _log_s(*pairs)
+    return CorrelationReport(_R(log_s), _scaled(p, pairs, 0), _scaled(p, pairs, 1),
+                             _scaled(p, pairs, 2), math.exp(log_s))
 
 
 def s_statistic(r: float, a: float) -> float:
@@ -456,14 +489,9 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     T = 1, orders 150, 160 and 170 (the last below 171!) are 8.7e-14,
     1.8e-13 and 1.8e-7 off.
     """
-    if max_m < 0:
-        raise ValueError("moment order must be nonnegative")
     if max_m > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
-    # BNodes' values times T, built inline: half the cost of the dataclass
-    nodes = [(k * p.r + p.sigma ** 2 * k * (k - 1) / 2.0) * p.T for k in range(max_m + 1)]
-    if not all(map(math.isfinite, nodes)):
-        raise ValueError("nodes must be finite")
+    nodes = _b_nodes(p, max_m, p.T)   # a list, not the dataclass: half the cost
     out = [MomentReport(0, 1.0, "exact")]   # positional: 30% cheaper than by keyword
     for m, (route, t, x) in enumerate(_exp_dd_prefix_pairs(nodes), 1):
         # where e^t x overflows, m! times the order's own value does too

@@ -19,7 +19,7 @@ from .divdiff import EvalMethod, _coerce_nodes, exp_dd
 from .moments import BNodes, GbmParams
 
 __all__ = [
-    "NodeList", "DDTable", "newton_table", "equispaced_dd", "symmetric_equispaced_dd",
+    "DDTable", "newton_table", "equispaced_dd", "symmetric_equispaced_dd",
     "leibniz_dd", "square_nodes_dd",
     "OracleEstimate", "hermite_genocchi_oracle", "SimplexSpec", "simplex_exp_integral",
     "iterated_ordered_exp_integral", "ordered_exp_simplex_quad",
@@ -34,29 +34,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NodeList:
-    """Ordered interpolation abscissae; repeats allowed."""
-
-    nodes: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(_coerce_nodes(self.nodes)))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __getitem__(self, i):
-        return self.nodes[i]
-
-
-@dataclass(frozen=True)
 class DDTable:
     """Triangular Newton tableau: entry (i, j) holds f[x_i, ..., x_j]."""
 
-    nodes: NodeList
+    nodes: tuple[float, ...]
     levels: tuple[tuple[float, ...], ...]
 
     @property
@@ -91,7 +72,7 @@ def newton_table(values: Sequence[float], nodes) -> DDTable:
             (prev[i + 1] - prev[i]) / (xs[i + k] - xs[i])
             for i in range(len(xs) - k)
         ))
-    return DDTable(nodes=NodeList(xs), levels=tuple(levels))
+    return DDTable(nodes=tuple(xs), levels=tuple(levels))
 
 
 def equispaced_dd(fvals: Sequence[float], h: float) -> float:
@@ -125,7 +106,7 @@ def symmetric_equispaced_dd(fvals: Sequence[float], h: float) -> float:
 
 def leibniz_dd(vtable: DDTable, wtable: DDTable) -> float:
     """(v*w)[z_0..z_n] = sum_k v[z_0..z_k] w[z_k..z_n] from the two tableaux."""
-    if vtable.nodes.nodes != wtable.nodes.nodes:
+    if vtable.nodes != wtable.nodes:
         raise ValueError("tables are over different nodes")
     n = vtable.order
     return math.fsum(vtable.entry(0, k) * wtable.entry(k, n) for k in range(n + 1))

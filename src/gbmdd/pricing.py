@@ -18,7 +18,6 @@ from . import moments
 from .moments import GbmParams
 
 __all__ = [
-    "LognormalFit",
     "PriceQuote",
     "normal_cdf",
     "margrabe_price",
@@ -39,24 +38,16 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-@dataclass(frozen=True)
-class LognormalFit:
-    """Lognormal(mu, s2) with mean exp(mu + s2/2) and second moment
-    exp(2 mu + 2 s2)."""
-
-    mu: float
-    s2: float
-
-
-def _variance_fit(mean: float, variance: float) -> LognormalFit:
-    """The lognormal with this mean and variance; a variance computed on its
-    own keeps the digits that second_moment - mean^2 cancels.  Dividing by
-    the mean twice stays finite where mean^2 overflows; OverflowError where
-    the quotient itself does."""
+def _variance_fit(mean: float, variance: float) -> tuple[float, float]:
+    """(mu, s2) of the lognormal with this mean and variance, whose mean is
+    exp(mu + s2/2) and second moment exp(2 mu + 2 s2); a variance computed
+    on its own keeps the digits that second_moment - mean^2 cancels.
+    Dividing by the mean twice stays finite where mean^2 overflows;
+    OverflowError where the quotient itself does."""
     s2 = math.log1p(variance / mean / mean)
     if s2 == math.inf:
         raise OverflowError("the lognormal fit of A(T) is outside the double range")
-    return LognormalFit(mu=math.log(mean) - s2 / 2.0, s2=s2)
+    return math.log(mean) - s2 / 2.0, s2
 
 
 @dataclass(frozen=True)
@@ -112,12 +103,11 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
         raise ValueError("approximation undefined for deterministic paths")
     rT = p.r * p.T
     mA = moments.mean_A(p)
-    fit = _variance_fit(mA, moments.var_A(p))
+    mu, s2 = _variance_fit(mA, moments.var_A(p))
     rho = moments._correlation_R(p)   # finite where a field of `correlation` is not
     quote = margrabe_price(F1=math.exp(rT), F2=mA, s1=p.sigma * math.sqrt(p.T),
-                           s2=math.sqrt(fit.s2), rho=rho, discount=math.exp(-rT))
-    inputs = {**quote.inputs, "r": p.r, "sigma": p.sigma, "T": p.T,
-              "fit_mu": fit.mu, "fit_s2": fit.s2}
+                           s2=math.sqrt(s2), rho=rho, discount=math.exp(-rT))
+    inputs = {**quote.inputs, "r": p.r, "sigma": p.sigma, "T": p.T, "fit_mu": mu, "fit_s2": s2}
     return PriceQuote(quote.value, "margrabe-approx", inputs)
 
 
@@ -129,10 +119,10 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
     if not (math.isfinite(K) and K >= 0):
         raise ValueError("strike must be finite and nonnegative")
     mA = moments.mean_A(p)
-    fit = _variance_fit(mA, moments.var_A(p))
+    mu, s2 = _variance_fit(mA, moments.var_A(p))
     discount = math.exp(-p.r * p.T)
     inputs = {"r": p.r, "sigma": p.sigma, "T": p.T, "K": K,
-              "fit_mu": fit.mu, "fit_s2": fit.s2, "discount": discount}
+              "fit_mu": mu, "fit_s2": s2, "discount": discount}
     if K == 0.0:
         return PriceQuote(discount * mA, "black-approx", inputs)
-    return PriceQuote(_lognormal_call(mA, K, fit.s2, discount), "black-approx", inputs)
+    return PriceQuote(_lognormal_call(mA, K, s2, discount), "black-approx", inputs)

@@ -79,6 +79,22 @@ def test_overflow_exits_2_without_traceback(capsys):
         assert err.startswith("gbmdd: ") and "Traceback" not in err
 
 
+def test_sigma_squared_overflow_exits_2_naming_it(capsys):
+    # from sigma = 1.34e154 on `sigma ** 2` raises with the errno alone, and
+    # these printed "(34, 'Numerical result out of range')"; GbmParams takes
+    # such a sigma, since E S(T) and E A(T) never square it
+    for argv in (["corr"], ["moments"], ["price", "--style", "floating"],
+                 ["mc", "--paths", "64", "--steps", "4"]):
+        code, out, err = run_cli(capsys, *argv, "--sigma", "1e160")
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("gbmdd: result outside double range: "
+                       "sigma^2 is outside the double range at sigma = 1e+160\n"), argv
+    p = GbmParams(0.05, 1e160, 1.0)
+    assert moments.mean_S(p) == math.exp(0.05)
+    assert moments.mean_A(p) == moments.mean_A(GbmParams(0.05, 0.2, 1.0))
+
+
 def test_moments_beyond_the_factorial_range_exit_2_at_once(capsys):
     # 171! is not a double: the table fails before it builds any node set
     for max_m in ("171", "100000"):

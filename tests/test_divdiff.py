@@ -19,7 +19,6 @@ from gbmdd.divdiff import (
     exp_dd_batch,
 )
 from gbmdd.oracles import (
-    NodeList,
     SimplexSpec,
     equispaced_dd,
     hermite_genocchi_oracle,
@@ -38,16 +37,15 @@ from references import (_row_exp_dd_batch, _row_exp_dd_pairs, _taylor_rows, anch
 
 
 # ---------------------------------------------------------------------------
-# NodeList / DDTable
+# Newton tableau (DDTable)
 
 
 def test_node_list_validation():
-    with pytest.raises(ValueError):
-        NodeList(())
-    with pytest.raises(ValueError):
-        NodeList((1.0, math.inf))
-    nl = NodeList((2.0, 1.0, 2.0))
-    assert len(nl) == 3
+    with pytest.raises(ValueError, match="need at least one node"):
+        newton_table([], [])
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        newton_table([1.0, 2.0], [1.0, math.inf])
+    assert newton_table([1.0, 2.0], [2, 1.0]).nodes == (2.0, 1.0)
 
 
 def test_newton_table_basic():
@@ -227,26 +225,6 @@ def test_matrix_route_at_wide_spreads():
             assert exp_dd_batch(same).tolist() == [exp_dd(row) for row in same], n
 
 
-def _centred_row(z: np.ndarray):
-    """e^mu times the first row of exp(Z), Z with z - mu on its diagonal for
-    mu the mean node; None where e^mu is subnormal or overflows, or an entry
-    leaves the double range."""
-    mu = float(np.add.reduce(z)) / len(z)
-    if not math.log(sys.float_info.min) <= mu < math.log(sys.float_info.max):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = math.exp(mu) * first_rows(z, mu)
-    return row if np.isfinite(row).all() else None
-
-
-def _centred_matrix_route(zs) -> float:
-    """The matrix route centred on the mean node, which `exp_dd` took before
-    it anchored on the largest node, kept as an accuracy baseline; it fell
-    back on the largest node where `_centred_row` gives None."""
-    row = _centred_row(np.sort(np.asarray(zs, dtype=float)))
-    return float(row[-1]) if row is not None else exp_dd(zs, method=EvalMethod.TAYLOR_MATRIX)
-
-
 def _matrix_route_families(rng) -> dict:
     """Seeded node sets the matrix route serves: clustered sets of three and
     four distinct nodes and four-node near-ties that AUTO sends there (400
@@ -271,28 +249,33 @@ def _matrix_route_families(rng) -> dict:
     return families
 
 
+# the mean-centred matrix route's worst errors against mpmath on these
+# families, measured before it was retired: 1.13e-15, 1.16e-15, 8.29e-16,
+# 9.56e-14 and 1.21e-12; the anchored route's were 6.68e-16, 4.78e-16,
+# 6.12e-16, 2.59e-14 and 1.61e-13
+_MATRIX_ROUTE_BOUNDS = {"clustered 3": 1e-15, "clustered 4": 1e-15, "near-tie 4": 8e-16,
+                        "orders 5-12, spread 100": 5e-14, "orders 5-12, spread 1000": 4e-13}
+
+
 def test_anchored_matrix_route_at_least_as_accurate_as_centred():
-    # on every family of `_matrix_route_families` and on the order-10 moment
-    # nodes of a wide point (which the centred route evaluated anchored,
-    # e^mean being subnormal) the anchored route's worst error against
-    # mpmath stays at or below the mean-centred route's.  `moment_table`'s
-    # shared row is not in this guard: it anchors low orders far below their
-    # own largest node, and over 400 seeded points its worst error reached
-    # 1.4 times the centred row's, its mean 1.05 times (the spread-scaled
-    # bound of `test_moment_table_against_mpmath_bidiagonal_expm` holds)
-    worst = {}
+    # on every family of `_matrix_route_families` the anchored route's worst
+    # error against mpmath stays within a bound no looser than the retired
+    # mean-centred route's worst error there.  On the order-10 moment nodes
+    # of a wide point e^mean is subnormal, so the centred route evaluated
+    # them anchored: its error, 6.789692275594986e-15, is the bound.
+    # `moment_table`'s shared row is not in this guard: it anchors low
+    # orders far below their own largest node, and over 400 seeded points
+    # its worst error reached 1.4 times the centred row's, its mean 1.05
+    # times (the spread-scaled bound of
+    # `test_moment_table_against_mpmath_bidiagonal_expm` holds)
     for name, rows in _matrix_route_families(np.random.default_rng(61)).items():
         with mp.workdps(60):
-            want = [mp_exp_dd(row) for row in rows]
-        worst[name] = (max(rel_err(exp_dd(row), w) for row, w in zip(rows, want)),
-                       max(rel_err(_centred_matrix_route(row), w) for row, w in zip(rows, want)))
+            worst = max(rel_err(exp_dd(row), mp_exp_dd(row)) for row in rows)
+        assert worst <= _MATRIX_ROUTE_BOUNDS[name], (name, worst)
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
     nodes = BNodes.from_params(p, 10).scaled(p.T)
     with mp.workdps(900):
-        want = mp_exp_dd(nodes)
-    worst["wide order 10"] = rel_err(exp_dd(nodes), want), rel_err(_centred_matrix_route(nodes), want)
-    for name, (anchored, centred) in worst.items():
-        assert anchored <= centred, (name, anchored, centred)
+        assert rel_err(exp_dd(nodes), mp_exp_dd(nodes)) <= 6.789692275594986e-15
 
 
 def test_mp_exp_dd_ties_match_bidiagonal_expm():
@@ -404,27 +387,14 @@ def test_recurrence_accuracy_at_the_amplification_bound():
     assert worst <= 1e-12
 
 
-def _centred_recurrence(zs: list[float]) -> float:
-    """The recurrence centred on the mean mu of the sorted nodes, which
-    `exp_dd` took before it anchored every tableau on the largest node, kept
-    as an accuracy baseline: e^mu times the Newton tableau of exp(z - mu),
-    whose first level is e^{z_i - mu} expm1(g) / g."""
-    n = len(zs)
-    mu = math.fsum(zs) / n
-    lev = [math.exp(zs[i] - mu) * (math.expm1(g) / g if g != 0.0 else 1.0)
-           for i, g in enumerate(b - a for a, b in zip(zs, zs[1:]))]
-    for k in range(2, n):
-        lev = [math.exp(zs[i] - mu) / math.factorial(k) if zs[i + k] == zs[i]
-               else (lev[i + 1] - lev[i]) / (zs[i + k] - zs[i]) for i in range(n - k)]
-    return math.exp(mu) * lev[0]
-
-
 def test_anchored_recurrence_at_least_as_accurate_as_centred():
     # seeded sets of three and four distinct nodes that AUTO sends to the
     # recurrence, and the four-node sets at its amplification bound: the
-    # anchored tableau's worst and mean errors stay at or below the centred
-    # one's (worst 5.1e-15, 2.5e-13 and 2.6e-13 against 7.3e-15, 4.4e-13 and
-    # 5.5e-13)
+    # anchored tableau's worst and mean errors against mpmath stay within
+    # bounds no looser than the retired mean-centred tableau's, which were
+    # 1.47e-14, 2.85e-13 and 3.43e-12 worst, 8.67e-16, 6.17e-15 and 9.54e-14
+    # mean (the anchored: 9.18e-15, 1.32e-13 and 8.66e-13; 5.62e-16,
+    # 4.35e-15 and 6.30e-14)
     rng = np.random.default_rng(5)
     groups = []
     for n in (2, 3):
@@ -434,12 +404,10 @@ def test_anchored_recurrence_at_least_as_accurate_as_centred():
                      and divdiff._route(row) is EvalMethod.RECURRENCE]
         groups.append(rows[:3000])
     groups.append(_amplification_bound_sets(np.random.default_rng(7), 3000))
-    for i, rows in enumerate(groups):
+    for rows, worst, mean in zip(groups, (1.2e-14, 2e-13, 1e-12), (7e-16, 5e-15, 8e-14)):
         with mp.workdps(60):
-            want = [mp_exp_dd(row) for row in rows]
-        got = [rel_err(exp_dd(row), w) for row, w in zip(rows, want)]
-        base = [rel_err(_centred_recurrence(row), w) for row, w in zip(rows, want)]
-        assert max(got) <= max(base) and np.mean(got) <= np.mean(base), i
+            got = [rel_err(exp_dd(row), mp_exp_dd(row)) for row in rows]
+        assert max(got) <= worst and np.mean(got) <= mean, (len(rows[0]), max(got), np.mean(got))
 
 
 def test_underflowed_tableau_raises_for_any_top():
@@ -822,15 +790,13 @@ def test_exp_dd_batch_validation():
 
 
 # The scalar dispatch as it was before `exp_dd` validated, sorted and routed
-# its scaled nodes once, kept verbatim (with `_coerce_nodes`) but for the
-# anchoring: each route computes x = exp[z - z_n] on the sorted nodes, the
+# its scaled nodes once, kept verbatim (with `_coerce_nodes`, less its
+# branch for a node-list wrapper class) but for the anchoring: each route computes x = exp[z - z_n] on the sorted nodes, the
 # matrix route by the plain reference `first_rows`, and `times_exp`
 # returns e^{z_n} x.  The single path reproduces it bit for bit.
 
 
 def _coerce_nodes(nodes) -> tuple[float, ...]:
-    if isinstance(nodes, NodeList):
-        return nodes.nodes
     vals = tuple(float(x) for x in nodes)
     if len(vals) == 0:
         raise ValueError("need at least one node")
@@ -939,7 +905,6 @@ def test_exp_dd_bit_identical_to_reference_dispatch():
                     assert _outcome(exp_dd, row, scale, method) == want, (row, scale, method)
                 want = _choose_method(row, scale)
                 assert choose_method(row, scale) is want, (row, scale)
-                assert choose_method(NodeList(row), scale) is want, (row, scale)
 
 
 def test_moment_table_bit_identical_to_reference_dispatch():

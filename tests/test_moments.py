@@ -155,10 +155,11 @@ def test_hull_agreement_sweep():
 
 
 def test_variances_and_covariance(bench):
-    p0 = GbmParams(r=0.05, sigma=0.0, T=1.0)
-    assert covariance_SA(p0) == 0.0
-    assert var_S(p0) == 0.0
-    assert var_A(p0) == 0.0
+    # at r = 1e5 e^t x overflows, and the three raised OverflowError
+    for p0 in (GbmParams(r=0.05, sigma=0.0, T=1.0), GbmParams(r=1e5, sigma=0.0, T=1.0)):
+        assert covariance_SA(p0) == 0.0
+        assert var_S(p0) == 0.0
+        assert var_A(p0) == 0.0
     # var_S equals the expanded first-order form identically
     for p in (bench, GbmParams(r=0.3, sigma=0.5, T=2.0)):
         direct = math.exp((2 * p.r + p.sigma ** 2) * p.T) - math.exp(2 * p.r * p.T)
@@ -203,6 +204,81 @@ def test_var_S_and_covariance_raise_where_they_overflow():
         assert math.isfinite(pricing.fixed_strike_asian_approx(p, 1.0).value)
     assert math.isfinite(covariance_SA(VAR_S_OVERFLOWS))
     assert math.isfinite(var_A(VAR_S_OVERFLOWS)) and math.isfinite(var_A(COVARIANCE_OVERFLOWS))
+
+
+def _mp_scaled(p: GbmParams) -> tuple:
+    """cov(S(T), A(T)), var S(T) and var A(T) at 50 digits, from the nodes
+    as doubles."""
+    rT, b = p.r * p.T, (2.0 * p.r + p.sigma ** 2) * p.T
+    with mp.workdps(50):
+        s2T = mp.mpf(p.sigma) ** 2 * p.T
+        return (s2T * mp_exp_dd([rT, 2.0 * rT, b]), s2T * mp_exp_dd([2.0 * rT, b]),
+                2 * s2T * mp_exp_dd([0.0, rT, 2.0 * rT, b]))
+
+
+@pytest.mark.parametrize("p", [GbmParams(5.0, 3e-160, 10.0), GbmParams(360.0, 1e-5, 1.0)],
+                         ids=["subnormal-sigma2", "exp-overflows"])
+def test_covariance_and_variances_at_the_edges_of_the_double_range(p):
+    # sigma^2 = 9e-320 is subnormal: the plain product was 1.1e-5 off at the
+    # first point; at the second e^t x overflows while sigma^2 T e^t x is
+    # 4.92e302, and var_S, covariance_SA and correlation raised
+    rep = correlation(p)
+    fields = (rep.covariance, rep.var_S, rep.var_A)
+    for fn, field, want in zip((covariance_SA, var_S, var_A), fields, _mp_scaled(p)):
+        assert _bits(fn(p)) == _bits(field)
+        assert abs(field - want) <= 1e-14 * want, fn
+    assert rep.R == pytest.approx(rep.covariance / math.sqrt(rep.var_S) / math.sqrt(rep.var_A),
+                                  rel=1e-12)
+
+
+def test_correlation_identity_where_sigma2_is_subnormal():
+    # wherever covariance_SA, var_S and var_A are normal doubles, the
+    # quotient cov / sqrt(var_S) / sqrt(var_A) is R, and each is within
+    # 1e-14 of mpmath or, below the normal range, of the least subnormal
+    # (checked at every 50th point); with the plain product
+    # of a subnormal sigma^2 the quotient was up to 28% off, and above 1 at
+    # 3 of 18 113 points
+    rng = np.random.default_rng(3)
+    n, checked = 5000, 0
+    for i, (r, sigma, T) in enumerate(zip(rng.uniform(0.5, 6.0, n),
+                                          10.0 ** rng.uniform(-163.0, -150.0, n),
+                                          10.0 ** rng.uniform(0.0, 1.2, n))):
+        p = GbmParams(r, sigma, T)
+        got = covariance_SA(p), var_S(p), var_A(p)
+        if min(got) >= sys.float_info.min:
+            ratio = got[0] / math.sqrt(got[1]) / math.sqrt(got[2])
+            assert abs(ratio - correlation(p).R) <= 1e-12, (r, sigma, T)
+            checked += 1
+        if i % 50 == 0:
+            for v, want in zip(got, _mp_scaled(p)):
+                assert abs(v - want) <= max(1e-14 * want, math.ulp(0.0)), (r, sigma, T)
+    assert checked > n // 2
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p).hex()
+    except OverflowError as exc:
+        return str(exc)
+
+
+def test_correlation_fields_are_the_stand_alone_functions():
+    # one evaluator: the report's covariance and variances have the bits of
+    # covariance_SA, var_S and var_A, and where one of those raises the
+    # report raises the same message (sigma down to 1e-300, so sigma^2 is
+    # subnormal or 0 at about a sixth of the points)
+    rng = np.random.default_rng(29)
+    n = 3000
+    rs = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-3.0, 1.0, n)
+    for r, sigma, T in zip(rs, 10.0 ** rng.uniform(-300.0, 0.5, n), 10.0 ** rng.uniform(-2.0, 1.0, n)):
+        p = GbmParams(r, sigma, T)
+        got = [_outcome(fn, p) for fn in (covariance_SA, var_S, var_A)]
+        try:
+            rep = correlation(p)
+        except OverflowError as exc:
+            assert str(exc) in got, (r, sigma, T)
+            continue
+        assert [rep.covariance.hex(), rep.var_S.hex(), rep.var_A.hex()] == got, (r, sigma, T)
 
 
 def test_dd_consistency_invariants(bench):

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gbmdd.moments import GbmParams
+from gbmdd.moments import BNodes, GbmParams, moment_table, s_statistic
 from gbmdd.montecarlo import McConfig, estimate_moment_A
 from gbmdd.oracles import (
     SimplexSpec,
@@ -85,6 +85,14 @@ _CASES = [
                  id="moment_ode_residual-n-0"),
     pytest.param(lambda: estimate_moment_A(BENCH, McConfig(paths=16, steps=4, seed=1), -1),
                  "moment order must be nonnegative", id="estimate_moment_A-negative-m"),
+    pytest.param(lambda: BNodes.from_params(BENCH, -1), "moment order must be nonnegative",
+                 id="BNodes-negative-m"),
+    pytest.param(lambda: BNodes.from_params(GbmParams(1e308, 0.2, 1.0), 3), "nodes must be finite",
+                 id="BNodes-nodes-overflow"),
+    pytest.param(lambda: s_statistic(1e308, 0.0), "nodes must be finite",
+                 id="s_statistic-2r-overflows"),
+    pytest.param(lambda: moment_table(GbmParams(1e10, 0.2, 1e300), 3), "nodes must be finite",
+                 id="moment_table-nodes-overflow"),
     pytest.param(lambda: margrabe_price(1.0, 1.0, -0.2, 0.2, 0.5, 0.9),
                  "volatilities must be nonnegative", id="margrabe_price-negative-s1"),
     pytest.param(lambda: margrabe_price(1.0, 1.0, 0.2, -0.2, 0.5, 0.9),
