@@ -9,12 +9,12 @@ but cancels catastrophically for clustered nodes, where the bidiagonal
 matrix-exponential method (McCurdy, Ng and Parlett, 1984) keeps full
 relative accuracy.  `EvalMethod.AUTO` switches between the two by a rule on
 node spans alone, module constants, so a shifted set keeps its route.  Two
-nodes always take the
-recurrence, the closed form e^{z_1} (-expm1(-g))/g from the larger node,
-finite for any spread.  A scalar call validates, sorts and routes its
-scaled nodes once (`choose_method` is the same rule).  Every route ends in
-a pair (t, x) with value e^t x, x = exp[z - t] in (0, 1] for t the largest
-node (the matrix route anchors lower where x underflows at high orders).
+nodes always take the recurrence, the closed form e^{z_1} expm1(d)/d for
+d = z_0 - z_1, finite for any spread, the form of its every level-1 entry.
+A scalar call validates, sorts and routes its scaled nodes once
+(`choose_method` is the same rule).  Every route ends in a pair (t, x) with
+value e^t x, x = exp[z - t] in (0, 1] for t the largest node (the matrix
+route anchors lower where x underflows at high orders).
 `_exp_dd_pair`, its column form `_exp_dd_column_pairs`, its suffix form
 `_exp_dd_suffix_pairs` (the sets z_i..z_n of one sorted node list:
 `correlation`'s three divided differences) and its prefix form
@@ -33,10 +33,10 @@ it the node list it holds, with no array made of it first.
 through `out=` into a few columns the kernel owns, not into a new temporary.
 A sorting network orders every row on a copy, AUTO's rule runs elementwise
 with the same constants in three scratch columns, each recurrence tableau
-level overwrites the one before it, and the matrix method runs through the
-same kernel as the scalar route, one stack per squaring count, into the
-recurrence's x column.  `grid_scan` hands its node columns to the pair
-kernel directly.
+level overwrites the one before it (ties looked for past level 1 only
+after one there), and the matrix method runs through the same kernel as the
+scalar route, one stack per squaring count, into the recurrence's x column.
+`grid_scan` hands its node columns to the pair kernel directly.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ def _recurrence_suffixes(zs: list[float]) -> list[float]:
     each level k = 1..n written over the one before it: level k's last
     entry is x_{n-k}, which no later level rewrites (de Boor, "Divided
     differences", 2005).  Every entry lies in (0, 1].  First-order entries
-    use exp[z, z+g] = e^{z+g} (-expm1(-g))/g, which removes the dominant
+    use exp[a, b] = e^b expm1(d)/d for d = a - b, which removes the dominant
     cancellation when a node pair sits much closer than the spread."""
     n, top = len(zs), zs[-1]
-    x = [math.exp(b - top) * (-math.expm1(a - b) / (b - a) if b != a else 1.0)
+    x = [math.exp(b - top) * (math.expm1(a - b) / (a - b) if b != a else 1.0)
          for a, b in zip(zs, zs[1:])]
     x.append(1.0)
     fact = 1.0
@@ -349,27 +349,35 @@ def _min_span(c, k: int, out, t, positive: bool):
 def _exp_dd_recurrence_columns(c) -> np.ndarray:
     """The recurrence's x on every row of sorted node columns `c` at once,
     each tableau level written over the one before it: m - 1 columns and a
-    scratch column.  A tie takes e^{c_i - c_n} / k! on its rows."""
+    scratch column.  Level 1 is `_recurrence_suffixes`'s e^{c_{i+1} - c_n}
+    expm1(d) / d, d = c_i - c_{i+1}, bit for bit.  A tie takes
+    e^{c_i - c_n} / k! on its rows; a zero span at level k lies over a tie
+    at level 1, so levels k >= 2 look for ties only after level 1 found one."""
     m, top = len(c), c[-1]
     if m == 1:
         return np.ones(len(top))
     lev = [np.empty(len(top)) for _ in range(m - 1)]
     t = np.empty(len(top))
+    tied = False
+    for i, x in enumerate(lev):
+        d = np.subtract(c[i], c[i + 1], out=t)
+        np.divide(np.expm1(d, out=x), d, out=x)
+        tie = d == 0.0
+        if i + 2 < m:   # the top pair's factor is e^0
+            np.multiply(np.exp(np.subtract(c[i + 1], top, out=t), out=t), x, out=x)
+        if tie.any():
+            tied = True
+            x[tie] = np.exp(c[i][tie] - top[tie])
     fact = 1.0
-    for k in range(1, m):
+    for k in range(2, m):
         fact *= k
         for i, x in enumerate(lev[:m - k]):
             span = np.subtract(c[i + k], c[i], out=t)
-            if k > 1:
-                np.subtract(lev[i + 1], x, out=x)
-            else:   # e^{c_{i+1} - c_n} (-expm1(-g)) / g
-                np.negative(np.expm1(np.negative(span, out=x), out=x), out=x)
-            np.divide(x, span, out=x)
-            tie = span == 0.0
-            if k == 1:
-                np.multiply(np.exp(np.subtract(c[i + 1], top, out=t), out=t), x, out=x)
-            if tie.any():
-                x[tie] = np.exp(c[i][tie] - top[tie]) / fact
+            np.divide(np.subtract(lev[i + 1], x, out=x), span, out=x)
+            if tied:
+                tie = span == 0.0
+                if tie.any():
+                    x[tie] = np.exp(c[i][tie] - top[tie]) / fact
     return lev[0]
 
 

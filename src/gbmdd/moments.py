@@ -411,16 +411,18 @@ class GridResult:
         Every field is `'%.17g' % x`.  The S column is formatted in bulk:
         R >= 1/sqrt(2) puts S = 2 R^2 in [1, 2], and there `%.17g` reduces to
         exact integer arithmetic (see `_s_fields`).  The rows are assembled
-        as NUL-padded ASCII fields, block by block of about
+        as NUL-padded ASCII fields, in blocks of near-equal rows and about
         `_CSV_BLOCK_CELLS` cells, and written with the padding removed.
         """
         out.write("r,a,S\n")
         a_field = _ascii_fields([f"{a:.17g}," for a in self.a_values.tolist()])
         wa = a_field.shape[1]
-        rows = max(1, _CSV_BLOCK_CELLS // max(1, len(a_field)))
-        for i in range(0, len(self.r_values), rows):
-            r_field = _ascii_fields([f"{r:.17g}," for r in self.r_values[i:i + rows].tolist()])
-            s_field = _s_fields(np.asarray(self.values[i:i + rows], dtype=float))
+        nr = len(self.r_values)
+        blocks = min(nr, -(-nr * len(a_field) // _CSV_BLOCK_CELLS))   # ceil(cells / _CSV_BLOCK_CELLS)
+        for b in range(blocks):   # row counts differ by at most one
+            rows = slice(b * nr // blocks, (b + 1) * nr // blocks)
+            r_field = _ascii_fields([f"{r:.17g}," for r in self.r_values[rows].tolist()])
+            s_field = _s_fields(np.asarray(self.values[rows], dtype=float))
             wr, ws = r_field.shape[1], s_field.shape[2]
             line = np.empty(s_field.shape[:2] + (wr + wa + ws + 1,), np.uint8)
             line[:, :, :wr] = r_field[:, None]

@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .moments import GbmParams
+from .moments import GbmParams, _sigma2
 
 __all__ = [
     "McConfig",
@@ -170,7 +170,7 @@ def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int,
     size sets only which uniforms the transform pairs."""
     steps, gen = cfg.steps, _block_generator(cfg, lo)
     dt = p.T / steps
-    g = np.exp(np.arange(steps + 1) * ((p.r - 0.5 * p.sigma ** 2) * dt))
+    g = np.exp(np.arange(steps + 1) * ((p.r - 0.5 * _sigma2(p)) * dt))
     trapezoid = cfg.averaging == "trapezoid"
     weight = np.append(g[1:-1], 0.5 * g[-1] if trapezoid else 0.0)  # c_k g_k, k = 1..n
     a_hat = np.full((2, PANEL), 0.5 if trapezoid else 1.0)  # +z paths, then mirrors

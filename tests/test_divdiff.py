@@ -755,26 +755,31 @@ def _column_kernel_cases(rng, n):
 def test_exp_dd_batch_bit_identical_to_row_kernels():
     rng = np.random.default_rng(41)
     for n in range(0, 7):
-        z = _column_kernel_cases(rng, n)
-        zs = np.sort(z, axis=1)
-        with np.errstate(all="ignore"):   # as in exp_dd_batch: inf * 0 on all-tie rows
-            taylor = _taylor_rows(zs)
-            assert divdiff._taylor_columns(zs.T).tolist() == taylor.tolist(), n
-        if 2 <= n <= 3:
-            assert 0 < taylor.sum() < len(z), n   # both routes in one batch
-        assert np.array_equal(np.stack(divdiff._sort_columns(z.T)), zs.T), n
-        t, x = divdiff._exp_dd_column_pairs(z.T)
-        assert np.stack([t, x]).tobytes() == np.stack(_row_exp_dd_pairs(z)).tobytes(), n
-        with np.errstate(all="ignore"):
-            got = divdiff._times_exp_columns(t, x)
-        assert got.tobytes() == _row_exp_dd_batch(z).tobytes(), n
-        finite = np.isfinite(got)
-        assert exp_dd_batch(z[finite]).tobytes() == got[finite].tobytes(), n
-        if 1 <= n <= 3:
-            # recurrence rows whose e^{z_n} overflows take h x h, h = e^{z_n / 2},
-            # and some of those values overflow too
-            big = ~taylor & (zs[:, -1] > 709.8)
-            assert finite[big].any() and not finite[big].all(), n
+        cases = _column_kernel_cases(rng, n)
+        distinct = (np.diff(np.sort(cases, axis=1), axis=1) > 0.0).all(axis=1)
+        # every case batch has ties; its tie-free rows alone take the
+        # recurrence without its tie scans past level 1
+        for z in (cases, cases[distinct]):
+            zs = np.sort(z, axis=1)
+            with np.errstate(all="ignore"):   # as in exp_dd_batch: inf * 0 on all-tie rows
+                taylor = _taylor_rows(zs)
+                assert divdiff._taylor_columns(zs.T).tolist() == taylor.tolist(), n
+            if 2 <= n <= 3:
+                assert 0 < taylor.sum() < len(z), n   # both routes in one batch
+            assert np.array_equal(np.stack(divdiff._sort_columns(z.T)), zs.T), n
+            t, x = divdiff._exp_dd_column_pairs(z.T)
+            assert np.stack([t, x]).tobytes() == np.stack(_row_exp_dd_pairs(z)).tobytes(), n
+            with np.errstate(all="ignore"):
+                got = divdiff._times_exp_columns(t, x)
+            assert got.tobytes() == _row_exp_dd_batch(z).tobytes(), n
+            finite = np.isfinite(got)
+            assert exp_dd_batch(z[finite]).tobytes() == got[finite].tobytes(), n
+            if 1 <= n <= 3:
+                # recurrence rows whose e^{z_n} overflows take h x h, h = e^{z_n / 2},
+                # and some of those values overflow too
+                big = ~taylor & (zs[:, -1] > 709.8)
+                assert finite[big].any() and not finite[big].all(), n
+        assert n == 0 or 0 < distinct.sum() < len(cases), n
         assert exp_dd_batch(np.empty((0, n + 1))).tobytes() == b""
 
 

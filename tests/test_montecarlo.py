@@ -622,6 +622,16 @@ def test_statistics_outside_double_range_raise_overflow(threads):
         estimate_moment_A(GbmParams(r=0.05, sigma=150.0, T=8.0), cfg, 1, threads=threads)
 
 
+def test_sigma_squared_overflow_raises_naming_it():
+    # from sigma = 1.34e154 on, a bare `sigma ** 2` in the drift factor
+    # raises OverflowError with the errno alone
+    p, cfg = GbmParams(r=0.05, sigma=1e160, T=1.0), McConfig(paths=64, steps=4, seed=1)
+    with pytest.raises(OverflowError, match=r"sigma\^2 is outside the double range"):
+        estimate_payoff(p, cfg, FloatingStrikeAsianCall())
+    with pytest.raises(OverflowError, match=r"sigma\^2 is outside the double range"):
+        estimate_suite(p, cfg)
+
+
 def test_merge_of_record_stacks_equals_each_pair_merged():
     # the jackknife merges its middle leave-one-out records as two stacks
     # along a last axis, each pair bit for bit its own merge
