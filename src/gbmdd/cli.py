@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--steps", type=int, default=1000)
     p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     p_mc.add_argument("--m", type=int, default=None, help="also estimate E A^m")
-    p_mc.add_argument("--averaging", choices=["trapezoid", "left-riemann"], default="trapezoid")
+    p_mc.add_argument("--averaging", choices=montecarlo._AVERAGING, default="trapezoid")
     p_mc.add_argument("--threads", type=int, default=1)
     _add_output_flags(p_mc)
 

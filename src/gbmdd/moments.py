@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .divdiff import (EvalMethod, _exp_dd_column_pairs, _exp_dd_prefix_pairs,
 
 __all__ = [
     "GbmParams",
-    "BNodes",
     "CorrelationReport",
     "MomentReport",
     "GridSpec",
@@ -69,22 +69,6 @@ class GbmParams:
 
 
 @dataclass(frozen=True)
-class BNodes:
-    """Growth rates b_k = k r + sigma^2 k (k-1) / 2 for k = 0..m; the node
-    set (scaled by T) of the m-th moment of the time average."""
-
-    m: int
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_params(cls, p: GbmParams, m: int) -> "BNodes":
-        return cls(m=m, values=tuple(_b_nodes(p, m, 1.0)))
-
-    def scaled(self, T: float) -> tuple[float, ...]:
-        return tuple(b * T for b in self.values)
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     """Correlation of (S(T), A(T)) with its constituents.
 
@@ -123,9 +107,21 @@ def _sigma2(p: GbmParams) -> float:
         raise OverflowError(f"sigma^2 is outside the double range at sigma = {p.sigma:g}") from None
 
 
+def _index(value, name: str) -> int:
+    """`value` as an int; ValueError naming `name` where `operator.index`
+    refuses it (a float, nan or inf), so numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _b_nodes(p: GbmParams, m: int, T: float) -> list[float]:
-    """b_k T for k = 0..m, ValueError unless all are finite; `BNodes` at T = 1.0 (exact)."""
-    if m < 0:
+    """The growth rates b_k = k r + sigma^2 k (k - 1) / 2 of the m-th moment
+    of the time average, times T, for k = 0..m: the node set of E A(T)^m at
+    T = p.T.  ValueError unless m is a nonnegative integer and every node
+    is finite."""
+    if _index(m, "moment order") < 0:
         raise ValueError("moment order must be nonnegative")
     s2 = _sigma2(p)
     nodes = [(k * p.r + s2 * k * (k - 1) / 2.0) * T for k in range(m + 1)]
@@ -134,10 +130,9 @@ def _b_nodes(p: GbmParams, m: int, T: float) -> list[float]:
     return nodes
 
 
-def _ddn(p: GbmParams) -> tuple[float, float, float]:
-    """The recurring nodes rT, 2rT, (2r + sigma^2) T."""
-    rT = p.r * p.T
-    return rT, 2.0 * rT, (2.0 * p.r + _sigma2(p)) * p.T
+def _ddn(p: GbmParams) -> tuple[float, float]:
+    """The recurring nodes rT and (2r + sigma^2) T."""
+    return p.r * p.T, (2.0 * p.r + _sigma2(p)) * p.T
 
 
 def mean_S(p: GbmParams) -> float:
@@ -153,13 +148,13 @@ def mean_A(p: GbmParams) -> float:
 
 def cross_moment_SA(p: GbmParams) -> float:
     """E S(T) A(T) = exp[rT, (2r + sigma^2) T]."""
-    rT, _, b = _ddn(p)
+    rT, b = _ddn(p)
     return exp_dd([rT, b])
 
 
 def second_moment_A(p: GbmParams) -> float:
     """E A(T)^2 = 2 exp[0, rT, (2r + sigma^2) T]."""
-    rT, _, b = _ddn(p)
+    rT, b = _ddn(p)
     return 2.0 * exp_dd([0.0, rT, b])
 
 
@@ -179,7 +174,7 @@ def _s_pairs(r: float, a: float) -> tuple[tuple[float, float], ...]:
 def _correlation_pairs(p: GbmParams) -> tuple[tuple[float, float], ...]:
     """`_s_pairs` at (rT, (2r + sigma^2) T): the (t, x) of the covariance's,
     var S's and var A's divided differences."""
-    rT, _, b = _ddn(p)
+    rT, b = _ddn(p)
     return _s_pairs(rT, b)
 
 
@@ -288,7 +283,7 @@ class GridSpec:
     nr: int = 100
 
     def __post_init__(self):
-        if self.na < 1 or self.nr < 1:
+        if min(_index(self.na, "na"), _index(self.nr, "nr")) < 1:
             raise ValueError("step counts must be positive")
         spans = (self.a_max - self.a_min, 2.0 * self.r_min, 2.0 * self.r_max)
         if not all(map(math.isfinite, spans)):
@@ -478,22 +473,23 @@ def moment_A(p: GbmParams, m: int) -> float:
 def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     """Moments of orders 0..max_m with the evaluation method recorded.
 
-    The node sets are nested: order m's are the first m + 1 of
-    `BNodes.from_params(p, max_m).scaled(p.T)`, built inline.  So every
-    order is m! e^t x for the (route, t, x) that
-    `divdiff._exp_dd_prefix_pairs` gives its prefix, which keeps the route
-    AUTO picks for that order alone and takes every matrix-route order from
-    one shared first row.  Order 1 has the bits of `mean_A`, and order 2
-    those of `second_moment_A` where it takes the recurrence: the same
-    nodes.  A matrix-route order 2 reads the shared row, anchored on the
-    highest order's nodes, and may differ from it by a few ulps.
-    The Taylor terms of high offsets underflow: at r = 0.05, sigma = 0.2,
-    T = 1, orders 150, 160 and 170 (the last below 171!) are 8.7e-14,
-    1.8e-13 and 1.8e-7 off.
+    The node sets are nested: order m's are the first m + 1 of the list
+    `_b_nodes(p, max_m, p.T)`.  So every order is m! e^t x for the
+    (route, t, x) that `divdiff._exp_dd_prefix_pairs` gives its prefix,
+    which keeps the route AUTO picks for that order alone and takes every
+    matrix-route order from one shared first row.  Order 1 has the bits of
+    `mean_A`, and order 2 those of `second_moment_A` where it takes the
+    recurrence: the same nodes.  A matrix-route order 2 reads the shared
+    row, anchored on the highest order's nodes, and may differ from it by a
+    few ulps.  The Taylor terms of high offsets underflow: at r = 0.05,
+    sigma = 0.2, T = 1, orders 150, 160 and 170 (the last below 171!) are
+    8.7e-14, 1.8e-13 and 1.8e-7 off.  ValueError unless max_m is a
+    nonnegative integer; OverflowError where an order's value is outside
+    the double range, as it is from order 171 on.
     """
-    if max_m > _MAX_ORDER:
+    if _index(max_m, "moment order") > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
-    nodes = _b_nodes(p, max_m, p.T)   # a list, not the dataclass: half the cost
+    nodes = _b_nodes(p, max_m, p.T)
     out = [MomentReport(0, 1.0, "exact")]   # positional: 30% cheaper than by keyword
     for m, (route, t, x) in enumerate(_exp_dd_prefix_pairs(nodes), 1):
         # where e^t x overflows, m! times the order's own value does too

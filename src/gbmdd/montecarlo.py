@@ -38,7 +38,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .moments import GbmParams, _sigma2
+from .moments import GbmParams, _index, _sigma2
 
 __all__ = [
     "McConfig",
@@ -72,9 +72,9 @@ class McConfig:
     averaging: str = "trapezoid"
 
     def __post_init__(self):
-        if self.paths < 3:
+        if _index(self.paths, "paths") < 3:
             raise ValueError("need at least 3 paths")
-        if self.steps < 1:
+        if _index(self.steps, "steps") < 1:
             raise ValueError("need at least 1 step")
         if self.averaging not in _AVERAGING:
             raise ValueError(f"averaging must be one of {_AVERAGING}")
@@ -203,8 +203,8 @@ def iter_terminal_and_average(p: GbmParams, cfg: McConfig,
                               threads: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream of per-block (S(T), A_hat) arrays in block order; block
     contents do not depend on the thread count.  Runs on at most one worker
-    thread per block; raises ValueError unless `threads` >= 1."""
-    if threads < 1:
+    thread per block; raises ValueError unless `threads` is an integer >= 1."""
+    if _index(threads, "threads") < 1:
         raise ValueError("threads must be at least 1")
     ranges = [(lo, min(lo + BLOCK_PATHS, cfg.paths)) for lo in range(0, cfg.paths, BLOCK_PATHS)]
     workers = min(threads, len(ranges))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .divdiff import EvalMethod, _coerce_nodes, exp_dd
-from .moments import BNodes, GbmParams
+from .moments import GbmParams, _b_nodes
 
 __all__ = [
     "DDTable", "newton_table", "equispaced_dd", "symmetric_equispaced_dd",
@@ -486,7 +486,7 @@ def _check_ode_residual() -> tuple[str, bool, str]:
         t = float(rng.uniform(0.1, 5.0))
         worst = max(worst, moment_ode_residual(n, t, c))
     p = GbmParams(r=0.05, sigma=0.2, T=1.0)
-    b = BNodes.from_params(p, 3).values[1:]
+    b = _b_nodes(p, 3, p.T)[1:]
     worst = max(worst, moment_ode_residual(3, 1.0, b))
     return "moment ODE residual", worst <= 1e-6, f"max residual {worst:.2e}"
 

@@ -11,7 +11,7 @@ import pytest
 
 from gbmdd import cli
 from gbmdd.divdiff import EvalMethod, exp_dd
-from gbmdd.moments import BNodes, GbmParams, correlation, moment_A, s_statistic
+from gbmdd.moments import GbmParams, _b_nodes, correlation, moment_A, s_statistic
 from gbmdd.oracles import (
     hermite_genocchi_oracle,
     moment_bruteforce,
@@ -277,7 +277,7 @@ def test_criterion_7_ode_recurrence():
         t = float(rng.uniform(0.1, 5.0))
         worst = max(worst, moment_ode_residual(n, t, c))
     for n in range(1, 7):
-        c = BNodes.from_params(BENCH, n).values[1:]
+        c = _b_nodes(BENCH, n, 1.0)[1:]
         worst = max(worst, moment_ode_residual(n, 1.0, c))
     assert worst <= 1e-6
     print(f"\nPASS criterion 7: max ODE residual = {worst:.2e} <= 1e-6")

@@ -252,7 +252,7 @@ def test_fourth_moment_at_wide_spread_exits_0(capsys):
                            "--T", "1", "--max-m", "4")
     assert code == 0
     values = [t["value"] for t in json.loads(out)["moments"]]
-    nodes = moments.BNodes.from_params(GbmParams(-800.0, 0.1, 1.0), 4).scaled(1.0)
+    nodes = moments._b_nodes(GbmParams(-800.0, 0.1, 1.0), 4, 1.0)
     with mp.workdps(1600):
         for m in range(1, 5):
             want = math.factorial(m) * mp_exp_dd(nodes[:m + 1])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmdd import divdiff, moments
-from gbmdd.moments import BNodes, GbmParams, moment_table
+from gbmdd.moments import GbmParams, _b_nodes, moment_table
 from gbmdd.divdiff import (
     TAYLOR_MAX_AMPLIFICATION,
     TAYLOR_MIN_GAP,
@@ -206,7 +206,7 @@ def test_matrix_route_at_wide_spreads():
     # largest node every entry before the factor e^{z_n} lies in [0, 1].
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
     rows = [[0.0, -400.0, -800.0, -1200.0, -1600.0], [-740.0, -700.0], [-740.0, -715.0, -710.0],
-            list(BNodes.from_params(p, 10).scaled(p.T))]
+            _b_nodes(p, 10, p.T)]
     shapes = ([0.5], [0.2, 0.7], [0.1, 0.5, 0.6], [0.05, 0.3, 0.6, 0.9], [0.3, 0.31, 0.32, 0.6, 0.95])
     rows += [[top - g] + [top - f * g for f in shape] + [top]
              for top in (-600.0, -300.0, 0.0, 300.0) for g in (700.0, 1000.0, 1600.0)
@@ -273,7 +273,7 @@ def test_anchored_matrix_route_at_least_as_accurate_as_centred():
             worst = max(rel_err(exp_dd(row), mp_exp_dd(row)) for row in rows)
         assert worst <= _MATRIX_ROUTE_BOUNDS[name], (name, worst)
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
-    nodes = BNodes.from_params(p, 10).scaled(p.T)
+    nodes = _b_nodes(p, 10, p.T)
     with mp.workdps(900):
         assert rel_err(exp_dd(nodes), mp_exp_dd(nodes)) <= 6.789692275594986e-15
 
@@ -534,7 +534,8 @@ def test_recurrence_where_the_top_exponential_overflows():
     p = GbmParams(361.198439088731, 12.887404419744092, 0.8174306735674376)
     assert divdiff._times_exp(*moments._correlation_pairs(p)[2]) == 6.134249211933302e+307
     shapes = ([], [0.5], [0.01], [0.99], [0.7, 0.3], [0.5, 0.01], [0.999, 0.5])
-    rows = [[0.0, *moments._ddn(p)], [0.0, 800.0]]
+    rT, b = moments._ddn(p)
+    rows = [[0.0, rT, 2.0 * rT, b], [0.0, 800.0]]
     rows += [[top - g] + [top - f * g for f in shape] + [top] for shape in shapes
              for top in (709.8, 712.0, 725.0, 740.0, 759.9) for g in (40.0, 100.0, 300.0, 1500.0)]
     seen = set()
@@ -864,7 +865,7 @@ def _moment_table(p, max_m: int) -> list[tuple[int, float, str]]:
     first row on the nodes of the highest matrix-route order, anchored as
     the matrix route anchors; an order whose x is not a normal double, or
     whose e^t x overflows, is evaluated on its own."""
-    nodes = BNodes.from_params(p, max_m).scaled(p.T)
+    nodes = _b_nodes(p, max_m, p.T)
     methods = [_choose_method(nodes[:m + 1]) for m in range(1, max_m + 1)]
     top = max((m for m, method in enumerate(methods, 1)
                if method is EvalMethod.TAYLOR_MATRIX), default=0)
@@ -975,8 +976,8 @@ def test_first_row_kernel_at_every_squaring_count():
     # 2.8e-13; the Taylor loop with a stopping test it replaced reached
     # 4.7e-13 on these sets).
     p = GbmParams(-294.18111374533737, 8.030179567610869, 1.522390629675763)
-    wide = np.array(BNodes.from_params(p, 10).scaled(p.T))
-    sub = np.array(BNodes.from_params(GbmParams(-70.0, math.sqrt(45.0), 1.0), 8).scaled(1.0))
+    wide = np.array(_b_nodes(p, 10, p.T))
+    sub = np.array(_b_nodes(GbmParams(-70.0, math.sqrt(45.0), 1.0), 8, 1.0))
     cases = _squaring_count_cases(np.random.default_rng(59))
     stacks = {}
     for i, zs in enumerate(cases + [np.array([-4e19, 2e19, 2e19]), wide, np.sort(wide), sub]):

@@ -1,20 +1,22 @@
 """The fast path stays apart from the oracles: no module that results run on
 imports `gbmdd.oracles`, at module level or inside a function, or defines
 one of its names.  The one exception is the CLI's `oracle` subcommand, which
-imports them inside its own function; the package loads them only when one
-of their names is asked for.  Only `divdiff` knows how a divided difference
-is routed.  The package imports nothing but the standard library and numpy,
-so mpmath stays in the tests and `gbmdd oracle` runs on numpy alone."""
+imports them inside its own function; `import gbmdd` does not load them, and
+their names are reached only on `gbmdd.oracles`.  Only `divdiff` knows how a
+divided difference is routed.  The package imports nothing but the standard
+library and numpy, so mpmath stays in the tests and `gbmdd oracle` runs on
+numpy alone."""
 
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import gbmdd
-from gbmdd import divdiff, oracles
+from gbmdd import divdiff, moments, montecarlo, oracles, pricing
 
 PACKAGE = Path(gbmdd.__file__).resolve().parent
 
@@ -141,7 +143,9 @@ assert "gbmdd.oracles" not in sys.modules, "import gbmdd.cli"
 with contextlib.redirect_stdout(io.StringIO()):
     assert gbmdd.cli.main(["corr"]) == 0
 assert "gbmdd.oracles" not in sys.modules, "gbmdd corr"
-assert gbmdd.newton_table is gbmdd.oracles.newton_table
+import gbmdd.oracles
+for name in gbmdd.oracles.__all__:
+    assert hasattr(gbmdd.oracles, name) and not hasattr(gbmdd, name), name
 with contextlib.redirect_stdout(io.StringIO()):
     assert gbmdd.cli.main(["oracle"]) == 0
 print("ok")
@@ -155,9 +159,11 @@ def test_oracles_load_only_when_asked():
     assert proc.stdout == "ok\n"
 
 
-def test_package_keeps_every_oracle_name():
-    assert gbmdd._ORACLE_NAMES == set(oracles.__all__) - {"run_oracle_suite"}
-    for name in gbmdd._ORACLE_NAMES:
-        assert getattr(gbmdd, name) is getattr(oracles, name), name
-    with pytest.raises(AttributeError):
-        gbmdd.run_oracle_suite
+def test_package_names_are_its_modules_all():
+    # one place per public name: `gbmdd` re-exports the `__all__` of its
+    # fast-path modules, and nothing else but its submodules
+    public = {name for name, value in vars(gbmdd).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {name for module in (divdiff, moments, montecarlo, pricing)
+                      for name in module.__all__}
+    assert not public & set(oracles.__all__)

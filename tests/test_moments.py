@@ -14,10 +14,10 @@ from hypothesis import given, seed, settings, strategies as st
 from gbmdd import divdiff, moments, pricing
 from gbmdd.divdiff import exp_dd
 from gbmdd.moments import (
-    BNodes,
     GbmParams,
     GridResult,
     GridSpec,
+    _b_nodes,
     correlation,
     covariance_SA,
     cross_moment_SA,
@@ -88,11 +88,11 @@ def test_params_store_plain_floats(args):
 
 def test_b_nodes():
     p = GbmParams(r=0.05, sigma=0.2, T=1.0)
-    b = BNodes.from_params(p, 4)
-    assert b.values == pytest.approx((0.0, 0.05, 0.14, 0.27, 0.44), rel=1e-15)
-    assert b.values[0] == 0.0 and b.values[1] == p.r
-    assert all(x < y for x, y in zip(b.values, b.values[1:]))
-    assert b.scaled(2.0) == tuple(2.0 * x for x in b.values)
+    b = _b_nodes(p, 4, 1.0)
+    assert b == pytest.approx([0.0, 0.05, 0.14, 0.27, 0.44], rel=1e-15)
+    assert b[0] == 0.0 and b[1] == p.r
+    assert all(x < y for x, y in zip(b, b[1:]))
+    assert _b_nodes(p, 4, 2.0) == [2.0 * x for x in b]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +400,12 @@ def test_s_statistic_relation(bench):
 _S_STARTS = (1, 2, 0)
 
 
+def _s_nodes(p):
+    """[0, rT, 2rT, (2r + sigma^2) T], whose suffixes at `_S_STARTS` are S's nodes."""
+    rT, b = moments._ddn(p)
+    return [0.0, rT, 2.0 * rT, b]
+
+
 def test_s_statistic_is_the_correlations_and_its_own_formula():
     # one evaluator: S(rT, b) has the bits of correlation(p).s_statistic,
     # and every S(r, a), nodes in order or not, those of its three divided
@@ -410,7 +416,7 @@ def test_s_statistic_is_the_correlations_and_its_own_formula():
     for j, r in enumerate(rates):
         sigma, T = 10.0 ** rng.uniform(-4.0, 0.2), rng.uniform(0.01, 5.0)
         p = GbmParams(r, sigma, T)
-        rT, _, b = moments._ddn(p)
+        rT, b = moments._ddn(p)
         assert s_statistic(rT, b).hex() == correlation(p).s_statistic.hex(), p
         for a in (b, 2.0 * rT - 10.0 ** rng.uniform(-6.0, 1.5), rng.uniform(-30.0, 30.0)):
             z = [0.0, rT, 2.0 * rT, a]
@@ -504,11 +510,46 @@ def test_s_statistic_range_contract(r, a, wide_r, wide_a):
 @given(st.floats(min_value=-1e5, max_value=1e5), st.floats(min_value=1e-6, max_value=1e3),
        st.floats(min_value=1e-3, max_value=1e2))
 def test_correlation_range_contract(r, sigma, T):
+    # the paper's bounds as properties, each to the rounding of nodes up to
+    # max |z| (tol): R in [0, 1], and R >= 1/sqrt(2) for r >= 0; S = 2 R^2
+    # to the rounding of exp at log S; cov^2 <= var S var A (Cauchy-Schwarz)
+    # where both are normal; and each variance k sigma^2 T exp[z] at least
+    # k sigma^2 T e^{min z} / n! (the mean-value form of exp[z_0..z_n]),
+    # so positive wherever that bound is a normal double
     try:
-        R = correlation(GbmParams(r, sigma, T)).R
+        rep = correlation(GbmParams(r, sigma, T))
     except OverflowError:
         return
+    R, S = rep.R, rep.s_statistic
     assert 0.0 <= R <= 1.0 + 1e-12, (r, sigma, T)
+    rT, b = r * T, (2.0 * r + sigma * sigma) * T
+    tol = 4.0 * sys.float_info.epsilon * (1.0 + max(abs(2.0 * rT), abs(b)))
+    if r >= 0:
+        assert R >= math.sqrt(0.5) * (1.0 - tol), (r, sigma, T)
+    rel = 4.0 * sys.float_info.epsilon * (1.0 + abs(math.log(S))) if S else 0.0
+    assert math.isclose(2.0 * R * R, S, rel_tol=rel, abs_tol=2.0 * math.ulp(0.0)), (r, sigma, T)
+    if min(rep.var_S, rep.var_A) >= sys.float_info.min:
+        assert Fraction(rep.covariance) ** 2 <= Fraction(rep.var_S) * Fraction(rep.var_A), (r, sigma, T)
+    with mp.workdps(30):
+        s2T = mp.mpf(sigma) ** 2 * T
+        for v, bound in ((rep.var_S, s2T * mp.exp(2.0 * rT)),
+                         (rep.var_A, 2 * s2T * mp.exp(min(0.0, 2.0 * rT)) / 6)):
+            if bound >= sys.float_info.min:
+                assert v > 0.0 and v >= bound * (1.0 - tol), (r, sigma, T)
+
+
+def test_moment_table_keeps_jensens_inequality():
+    # E A^m >= (E A)^m, m = 2..8, over a seeded box with near-deterministic
+    # points (sigma = 0 or tiny, where it is an equality), to `moment_table`'s
+    # tested accuracy of 1e-12: order 3 on the recurrence at spread 0.12 is
+    # 2.1e-13 off mpmath, and reads up to 1.7e-13 below (E A)^3 at sigma = 0
+    rng = np.random.default_rng(38)
+    for _ in range(1000):
+        r, T = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 5.0)
+        sigma = [0.0, 10.0 ** rng.uniform(-8.0, -3.0), rng.uniform(0.0, 1.0)][rng.integers(3)]
+        table = [entry.value for entry in moment_table(GbmParams(r, sigma, T), 8)]
+        for m in range(2, 9):
+            assert table[m] >= table[1] ** m * (1.0 - 1e-12), (r, sigma, T, m)
 
 
 def test_grid_scan_defaults_match_published_window():
@@ -850,7 +891,7 @@ def test_moment_table_against_mpmath_bidiagonal_expm():
     # 1.1e-12, also for one exp_dd call per order)
     for r, sigma, T in _moment_points(504):
         p = GbmParams(r=r, sigma=sigma, T=T)
-        nodes = BNodes.from_params(p, 12).scaled(T)
+        nodes = _b_nodes(p, 12, T)
         ref = [float(math.factorial(m) * x) for m, x in enumerate(mp_bidiagonal_row(nodes))]
         for max_m in (8, 12):
             try:
@@ -886,7 +927,7 @@ def test_moment_table_on_market_points_against_mpmath():
         if j % 8 == 4:
             sigma = math.sqrt(10.0 ** rng.uniform(-8.0, -3.0) / T)
         p = GbmParams(r, sigma, T)
-        ref = mp_bidiagonal_row(BNodes.from_params(p, 8).scaled(T))
+        ref = mp_bidiagonal_row(_b_nodes(p, 8, T))
         for m, entry in enumerate(moment_table(p, 8)[1:], 1):
             with mp.workdps(40):
                 err = abs(entry.value / (math.factorial(m) * ref[m]) - 1)
@@ -929,7 +970,7 @@ def test_correlation_pairs_and_low_orders_against_mpmath(group):
     # pairs, 8.4e-14 for orders 1-3)
     market = {"recurrence": 9e-14, "taylor-matrix": 6.3e-14}
     for p in _correlation_point_groups()[group]:
-        z = [0.0, *moments._ddn(p)]
+        z = _s_nodes(p)
         own = [divdiff._exp_dd_pair(z[i:]) for i in _S_STARTS]
         assert moments._correlation_pairs(p) == tuple(own), p
         assert correlation(p).R == math.exp((moments._log_s(*own) - math.log(2.0)) / 2.0), p
@@ -957,7 +998,7 @@ def test_recurrence_quote_builds_one_tableau_for_the_correlation(monkeypatch):
     # divided differences come from one recurrence pass on [0, rT, 2rT, b]; the
     # table's orders 1-3 each take their own, and mean_A one more
     p = GbmParams(0.05, 0.2, 1.0)
-    z = [0.0, *moments._ddn(p)]
+    z = _s_nodes(p)
     assert all(divdiff.choose_method(z[i:]) is divdiff.EvalMethod.RECURRENCE
                for i in _S_STARTS)
     tableaus = _count_calls(monkeypatch, divdiff, "_recurrence_suffixes")
@@ -976,7 +1017,7 @@ def test_matrix_route_quote_builds_each_first_row_once(monkeypatch):
     # matrix-route orders, each from the sorted node list itself, and the
     # prices read the memoised pairs
     p = GbmParams(0.0, 0.2, 1.0)
-    z = [0.0, *moments._ddn(p)]
+    z = _s_nodes(p)
     matrix, recurrence = divdiff.EvalMethod.TAYLOR_MATRIX, divdiff.EvalMethod.RECURRENCE
     assert [divdiff.choose_method(z[i:]) for i in _S_STARTS] == [matrix, recurrence, matrix]
     rows = _count_calls(monkeypatch, divdiff, "_first_row")
@@ -995,7 +1036,7 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
     # an entry of the shared row that is zero, subnormal or not finite falls
     # back to exp_dd for that order
     p = GbmParams(r=0.3, sigma=0.9, T=2.0)
-    nodes = BNodes.from_params(p, 10).scaled(p.T)
+    nodes = _b_nodes(p, 10, p.T)
     scalar = [math.factorial(m) * exp_dd(nodes[:m + 1]) for m in range(11)]
     first_row = divdiff._first_row
 
@@ -1020,7 +1061,7 @@ def test_moment_table_recomputes_unusable_row_entries(monkeypatch):
 def test_moment_table_evaluates_without_exp_dd(monkeypatch, bench):
     # the table takes every order, order 1 included, from the divided
     # differences of its node prefixes: `exp_dd` is never called
-    nodes = BNodes.from_params(bench, 8).scaled(bench.T)
+    nodes = _b_nodes(bench, 8, bench.T)
     assert divdiff.choose_method(nodes[:4]) is divdiff.EvalMethod.RECURRENCE
     assert divdiff.choose_method(nodes[:5]) is divdiff.EvalMethod.TAYLOR_MATRIX
     want = moment_table(bench, 8)
@@ -1089,7 +1130,7 @@ def test_moment_A_at_wide_negative_rates_against_mpmath():
     for (r, sigma, T), m in (((-294.18111374533737, 8.030179567610869, 1.522390629675763), 10),
                              ((-400.63, 11.85, 1.4585), 6)):
         p = GbmParams(r, sigma, T)
-        nodes = BNodes.from_params(p, m).scaled(T)
+        nodes = _b_nodes(p, m, T)
         with mp.workdps(1000):
             want = math.factorial(m) * mp_exp_dd(nodes)
             bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
@@ -1101,7 +1142,7 @@ def test_moment_table_with_subnormal_row_entries_against_mpmath():
     # shared row's entries 2 to 4 are subnormal (read from the row, order 4
     # was 2e-13 off); those orders are evaluated on their own
     p = GbmParams(-70.0, math.sqrt(45.0), 1.0)
-    nodes = BNodes.from_params(p, 8).scaled(p.T)
+    nodes = _b_nodes(p, 8, p.T)
     row = divdiff._bidiagonal_first_rows(np.array(nodes), max(nodes))
     assert ((0.0 < row[2:5]) & (row[2:5] < sys.float_info.min)).all()
     bound = 1e-12 * max(1.0, (max(nodes) - min(nodes)) / 250.0)
@@ -1116,7 +1157,7 @@ def test_high_moment_orders_anchor_lower(bench):
     # 700 below the largest node, in the table, in exp_dd and in the batch.
     # Orders up to 160 stay within the spread-scaled bound of mpmath; at 170
     # the high Taylor terms underflow (1.8e-7 off, 0.82 off centred)
-    nodes = BNodes.from_params(bench, 160).scaled(bench.T)
+    nodes = _b_nodes(bench, 160, bench.T)
     table = moment_table(bench, 160)
     batch_rows = np.array([nodes[:151], [x - 1.0 for x in nodes[:151]]])
     assert divdiff._bidiagonal_first_rows(np.array(nodes), max(nodes))[140] == 0.0
@@ -1230,7 +1271,7 @@ def test_ode_residual_first_order():
 
 
 def test_ode_residual_benchmark(bench):
-    c = BNodes.from_params(bench, 3).values[1:]
+    c = _b_nodes(bench, 3, 1.0)[1:]
     assert moment_ode_residual(3, 1.0, c) <= 1e-6
 
 

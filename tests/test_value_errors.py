@@ -8,8 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gbmdd.moments import BNodes, GbmParams, moment_table, s_statistic
-from gbmdd.montecarlo import McConfig, estimate_moment_A
+from gbmdd.moments import GbmParams, GridSpec, _b_nodes, moment_table, s_statistic
+from gbmdd.montecarlo import McConfig, estimate_moment_A, iter_terminal_and_average
 from gbmdd.oracles import (
     SimplexSpec,
     equispaced_dd,
@@ -85,10 +85,24 @@ _CASES = [
                  id="moment_ode_residual-n-0"),
     pytest.param(lambda: estimate_moment_A(BENCH, McConfig(paths=16, steps=4, seed=1), -1),
                  "moment order must be nonnegative", id="estimate_moment_A-negative-m"),
-    pytest.param(lambda: BNodes.from_params(BENCH, -1), "moment order must be nonnegative",
-                 id="BNodes-negative-m"),
-    pytest.param(lambda: BNodes.from_params(GbmParams(1e308, 0.2, 1.0), 3), "nodes must be finite",
-                 id="BNodes-nodes-overflow"),
+    pytest.param(lambda: moment_table(BENCH, -1), "moment order must be nonnegative",
+                 id="moment_table-negative-m"),
+    pytest.param(lambda: _b_nodes(GbmParams(1e308, 0.2, 1.0), 3, 1.0), "nodes must be finite",
+                 id="_b_nodes-nodes-overflow"),
+    # counts: ValueError naming the argument where `operator.index` refuses it
+    pytest.param(lambda: McConfig(paths=math.nan, steps=4, seed=1),
+                 "paths must be an integer, got nan", id="McConfig-nan-paths"),
+    pytest.param(lambda: McConfig(paths=4096.0, steps=4, seed=1),
+                 "paths must be an integer, got 4096.0", id="McConfig-float-paths"),
+    pytest.param(lambda: McConfig(paths=16, steps=math.inf, seed=1),
+                 "steps must be an integer, got inf", id="McConfig-infinite-steps"),
+    pytest.param(lambda: GridSpec(na=5.0), "na must be an integer, got 5.0", id="GridSpec-float-na"),
+    pytest.param(lambda: moment_table(BENCH, 8.0), "moment order must be an integer, got 8.0",
+                 id="moment_table-float-m"),
+    pytest.param(lambda: _b_nodes(BENCH, 3.0, 1.0), "moment order must be an integer, got 3.0",
+                 id="_b_nodes-float-m"),
+    pytest.param(lambda: iter_terminal_and_average(BENCH, McConfig(paths=16, steps=4, seed=1), 1.5),
+                 "threads must be an integer, got 1.5", id="iter_terminal_and_average-float-threads"),
     pytest.param(lambda: s_statistic(1e308, 0.0), "nodes must be finite",
                  id="s_statistic-2r-overflows"),
     pytest.param(lambda: moment_table(GbmParams(1e10, 0.2, 1e300), 3), "nodes must be finite",
@@ -108,6 +122,16 @@ _CASES = [
 def test_out_of_domain_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_numpy_integer_counts_pass():
+    cfg = McConfig(paths=np.int64(16), steps=np.int32(4), seed=1)
+    blocks = iter_terminal_and_average(BENCH, cfg, threads=np.int64(2))
+    want = iter_terminal_and_average(BENCH, McConfig(paths=16, steps=4, seed=1))
+    assert [[a.tobytes() for a in block] for block in blocks] == \
+        [[a.tobytes() for a in block] for block in want]
+    assert GridSpec(na=np.int64(5), nr=np.uint8(2)).a_values().tolist() == GridSpec(na=5).a_values().tolist()
+    assert moment_table(BENCH, np.int64(4)) == moment_table(BENCH, 4)
 
 
 # Outside the double range an oracle raises OverflowError, as `math.exp` does,
