@@ -347,10 +347,12 @@ def _s_fields(v: np.ndarray) -> np.ndarray:
     table = _digit_words()
     words = np.empty((len(q), 4), np.uint32)
     nonzero = np.zeros(len(q), bool)    # a less significant group has a nonzero digit
-    for k in (3, 2, 1, 0):
-        q, group = np.divmod(q, 10000)
-        words[:, k] = table[group + 10000 * nonzero]
-        nonzero |= group != 0
+    hi = q // 10 ** 8   # two int32 halves of 8 digits, each two groups of 4
+    for k, half in ((2, (q - hi * 10 ** 8).astype(np.int32)), (0, hi.astype(np.int32))):
+        top = half // 10000
+        for j, group in ((k + 1, half - top * 10000), (k, top)):
+            words[:, j] = table[group + 10000 * nonzero]
+            nonzero |= group != 0
     others = ["%.17g" % y for y in v[~ok].tolist()]
     width = max([18, *map(len, others)])
     fields = np.zeros((len(x), width), np.uint8)

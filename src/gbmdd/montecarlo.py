@@ -21,8 +21,9 @@ batches.  An estimate depends only on (seed, paths, steps, averaging) and
 the fixed BLOCK_PATHS and TILE_DRAWS, never on the thread count or the
 order in which blocks finish; its last bits may differ between numpy's
 SIMD dispatch levels, whose exp, log and tan round differently.  Each call
-gives each worker thread one (walk, work) tile pair of at most
-2 x TILE_DRAWS doubles; nothing is kept after the call.
+gives each worker thread one 64-byte aligned (walk, work) tile pair of at
+most 2 x TILE_DRAWS doubles, whose placement changes no bit; nothing is
+kept after the call.
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ class McConfig:
     averaging: str = "trapezoid"
 
     def __post_init__(self):
-        if _index(self.paths, "paths") < 3:
+        for name in ("paths", "steps"):  # plain ints, numpy integers included
+            object.__setattr__(self, name, _index(getattr(self, name), name))
+        if self.paths < 3:
             raise ValueError("need at least 3 paths")
-        if _index(self.steps, "steps") < 1:
+        if self.steps < 1:
             raise ValueError("need at least 1 step")
         if self.averaging not in _AVERAGING:
             raise ValueError(f"averaging must be one of {_AVERAGING}")
@@ -122,8 +125,10 @@ def _block_generator(cfg: McConfig, lo: int) -> Generator:
 
 
 def _workspace(cfg: McConfig) -> np.ndarray:
-    """One call's (walk, work) tile pair for one worker: a carried row, then steps."""
-    return np.empty((2, min(TILE_DRAWS // PANEL, cfg.steps + 1), PANEL))
+    """One call's (walk, work) tile pair for one worker: a carried row, then
+    steps.  It starts on a 64-byte boundary, and so each 16 KiB row: for speed."""
+    raw = np.empty(2 * min(TILE_DRAWS // PANEL, cfg.steps + 1) * PANEL + 8)  # 8 spare doubles
+    return raw[-raw.ctypes.data % 64 // 8:][:raw.size - 8].reshape(2, -1, PANEL)
 
 
 def _fill_normals(gen: Generator, z: np.ndarray, scratch: np.ndarray) -> None:
@@ -167,31 +172,34 @@ def _simulate_block(p: GbmParams, cfg: McConfig, lo: int, hi: int,
     (never BLAS) per tile and sign extends in step order.  Each column is
     built alone, all PANEL of them however few the block uses, so the result
     depends on neither the tiles' old contents nor the path count; the tile
-    size sets only which uniforms the transform pairs."""
+    size sets only which uniforms the transform pairs.  Every pass is
+    elementwise or sums rows in step order: no placement of `buf` moves a bit."""
     steps, gen = cfg.steps, _block_generator(cfg, lo)
     dt = p.T / steps
+    scale = p.sigma * math.sqrt(dt)
     g = np.exp(np.arange(steps + 1) * ((p.r - 0.5 * _sigma2(p)) * dt))
     trapezoid = cfg.averaging == "trapezoid"
-    weight = np.append(g[1:-1], 0.5 * g[-1] if trapezoid else 0.0)  # c_k g_k, k = 1..n
+    weight = np.append(g[:-1], 0.5 * g[-1] if trapezoid else 0.0)  # c_k g_k in slot k >= 1
     a_hat = np.full((2, PANEL), 0.5 if trapezoid else 1.0)  # +z paths, then mirrors
     walk, work = buf
+    rows = list(walk)
     walk[0] = 0.0
     tile = len(walk) - 1
     for s0 in range(0, steps, tile):
         k = min(tile, steps - s0)
         z, w = walk[:k + 1], work[:k + 1]
         _fill_normals(gen, z[1:], w[1:])
-        z[1:] *= p.sigma * math.sqrt(dt)
+        z[1:] *= scale
         for i in range(1, k + 1):
-            np.add(z[i - 1], z[i], out=z[i])
+            np.add(rows[i - 1], rows[i], out=rows[i])
         np.exp(z[1:], out=w[1:])
         z[0] = z[k]
-        wts = np.concatenate(([1.0], weight[s0:s0 + k]))
+        weight[s0] = 1.0  # the carried slot: the sum so far, weight 1
         for sign in (0, 1):
             if sign:
                 np.reciprocal(w[1:], out=w[1:])
             w[0] = a_hat[sign]
-            np.einsum("k,kp->p", wts, w, out=a_hat[sign])
+            np.einsum("k,kp->p", weight[s0:s0 + k + 1], w, out=a_hat[sign])
     s_T = work[:2]  # S(T) = g_n e^{+-W_n} in free rows; the ravel below copies it out
     np.reciprocal(np.exp(walk[0], out=s_T[0]), out=s_T[1])
     s_T *= g[-1]
@@ -240,6 +248,15 @@ def _merge(a: tuple, b: tuple) -> tuple:
     (na, ma, ca), (nb, mb, cb) = a, b
     n, delta = na + nb, mb - ma
     return n, ma + delta * nb / n, ca + cb + delta[:, None] * delta[None, :] * na * nb / n
+
+
+def _merge_floats(a: tuple, b: tuple) -> tuple:
+    """`_merge` of two 2-statistic records as Python floats (count, means,
+    C_00, C_01, C_11): the same IEEE operations in the same order."""
+    (na, a0, a1, a00, a01, a11), (nb, b0, b1, b00, b01, b11) = a, b
+    n, d0, d1 = na + nb, b0 - a0, b1 - a1
+    return (n, a0 + d0 * nb / n, a1 + d1 * nb / n, a00 + b00 + d0 * d0 * na * nb / n,
+            a01 + b01 + d0 * d1 * na * nb / n, a11 + b11 + d1 * d1 * na * nb / n)
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite record, checked below
@@ -321,17 +338,18 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
     means, batch = _block_pass(p, cfg, rows, threads, batches=p.sigma > 0)
     out = dict(zip(names, means))
     if p.sigma > 0:
-        pre = list(itertools.accumulate(batch, _merge))
-        suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge(b, a)))[::-1]
-        # the middle leave-one-out records as one merge of two stacks
-        stacks = (tuple(np.stack(f, axis=-1) for f in zip(*recs)) for recs in (pre[:-2], suf[2:]))
-        c = np.dstack((suf[1][2], _merge(*stacks)[2], pre[-2][2], pre[-1][2]))
+        batch = [(n, *m.tolist(), *c.take([0, 1, 3]).tolist()) for n, m, c in batch]
+        pre = list(itertools.accumulate(batch, _merge_floats))
+        suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge_floats(b, a)))[::-1]
+        # (C_SS, C_SA, C_AA) of each leave-one-out record, then of the whole
+        recs = [suf[1], *map(_merge_floats, pre[:-2], suf[2:]), pre[-2], pre[-1]]
+        c = np.array([rec[3:] for rec in recs]).T
         if not np.isfinite(c).all():
             raise OverflowError(_OVERFLOW)
-        if not ((c[0, 0] > 0) & (c[1, 1] > 0)).all():
+        if not ((c[0] > 0) & (c[2] > 0)).all():
             raise ValueError("correlation undefined: S(T) or A_hat takes one float64 value "
                              "on every path; sigma is below the resolution of S")
-        *loo, r = np.clip(c[0, 1] / np.sqrt(c[0, 0]) / np.sqrt(c[1, 1]), -1.0, 1.0)
+        *loo, r = np.clip(c[1] / np.sqrt(c[0]) / np.sqrt(c[2]), -1.0, 1.0)
         stderr = math.sqrt((CORR_BATCHES - 1) / CORR_BATCHES * ((loo - np.mean(loo)) ** 2).sum())
         out["correlation"] = McEstimate(float(r), stderr, cfg.paths)
         out.update({name: out.pop(name) for name in names[4:]})  # moment_A_<m> last

@@ -378,6 +378,36 @@ def test_one_workspace_per_worker_and_call(monkeypatch):
         assert all(buf.size <= 2 * montecarlo.TILE_DRAWS for buf in seen)
 
 
+def test_workspace_starts_on_a_cache_line():
+    # the tile pair, and with it each 16 KiB row, starts on a 64-byte boundary
+    for steps in (1, 30, 31, 1000):
+        walk, work = montecarlo._workspace(McConfig(paths=3, steps=steps, seed=0))
+        assert walk.ctypes.data % 64 == 0 and work.ctypes.data % 64 == 0, steps
+        assert walk.shape == work.shape == (min(32, steps + 1), PANEL)
+        assert walk.flags.c_contiguous and work.base is walk.base
+
+
+def test_no_tile_placement_moves_a_bit():
+    # tile pairs placed 8, 16, ..., 56 bytes past a cache line, their old
+    # contents nan, give the aligned workspace's (S(T), A_hat) bit for bit:
+    # 40 steps end in a partial tile, and the second block holds 5 paths
+    p = GbmParams(r=0.07, sigma=0.4, T=1.5)
+    for averaging in ("trapezoid", "left-riemann"):
+        cfg = McConfig(paths=BLOCK_PATHS + 5, steps=40, seed=23, averaging=averaging)
+        shape = montecarlo._workspace(cfg).shape
+        for lo, hi in ((0, BLOCK_PATHS), (BLOCK_PATHS, BLOCK_PATHS + 5)):
+            want = montecarlo._simulate_block(p, cfg, lo, hi, montecarlo._workspace(cfg))
+            for offset in range(8, 64, 8):
+                raw = np.full(math.prod(shape) + 16, np.nan)
+                start = (-raw.ctypes.data % 64 + offset) // 8
+                buf = raw[start:start + math.prod(shape)].reshape(shape)
+                assert buf.ctypes.data % 64 == offset
+                got = montecarlo._simulate_block(p, cfg, lo, hi, buf)
+                assert len(got[0]) == hi - lo, (averaging, lo, offset)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (averaging, lo, offset)
+
+
 def test_workers_never_share_tiles():
     # more workers than cores and a short switch interval interleave the
     # workers' numpy steps, so tiles shared between workers would mix rows
@@ -633,8 +663,8 @@ def test_sigma_squared_overflow_raises_naming_it():
 
 
 def test_merge_of_record_stacks_equals_each_pair_merged():
-    # the jackknife merges its middle leave-one-out records as two stacks
-    # along a last axis, each pair bit for bit its own merge
+    # records stacked along a last axis merge pairwise, each pair bit for
+    # bit its own merge
     rng = np.random.default_rng(3)
     recs = [montecarlo._record(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9))
             for n in rng.integers(2, 50, 12)]
@@ -644,6 +674,26 @@ def test_merge_of_record_stacks_equals_each_pair_merged():
         nj, mj, cj = montecarlo._merge(a, b)
         assert n[j] == nj and mean[:, j].tobytes() == mj.tobytes(), j
         assert c[:, :, j].tobytes() == cj.tobytes(), j
+
+
+def test_float_merge_equals_array_merge_bit_for_bit():
+    # the jackknife merges its 2-statistic batch records as Python floats;
+    # each merge, chained as the prefixes chain them, gives `_merge`'s bits
+    rng = np.random.default_rng(5)
+    recs = [montecarlo._record(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9, (2, 1))
+                               + rng.standard_normal((2, 1)) * 1e3)
+            for n in rng.integers(2, 50, 16)]
+
+    def flat(rec):
+        n, m, c = rec
+        return (n, *m.tolist(), *c.take([0, 1, 3]).tolist())
+
+    want, got = recs[0], flat(recs[0])
+    for rec in recs[1:]:
+        want, got = montecarlo._merge(want, rec), montecarlo._merge_floats(got, flat(rec))
+        assert type(got[0]) is int and got == flat(want)
+        assert montecarlo._merge_floats(flat(rec), flat(recs[0])) == flat(
+            montecarlo._merge(rec, recs[0]))
 
 
 def test_ordered_product_mc_cross_check():
@@ -695,3 +745,15 @@ def test_estimate_to_dict_round_trips():
     again = json.loads(blob)
     assert again["value"] == est.value and again["stderr"] == est.stderr
     assert again["paths"] == 1_000 and again["steps"] == 8 and again["seed"] == 42
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    # numpy integer counts are kept as plain ints, so every estimate's dict
+    # serialises to JSON
+    cfg = McConfig(paths=np.int64(16), steps=np.int64(4), seed=np.uint64(1))
+    assert type(cfg.paths) is int and type(cfg.steps) is int
+    assert cfg == McConfig(paths=16, steps=4, seed=1)
+    est = estimate_moment_A(BENCH, cfg, 1)
+    assert type(est.paths_used) is int
+    doc = json.loads(json.dumps(est.to_dict(cfg)))
+    assert doc["paths"] == 16 and doc["steps"] == 4 and doc["seed"] == 1
