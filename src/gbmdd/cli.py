@@ -136,8 +136,6 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_moments(args) -> int:
     p = GbmParams(r=args.r, sigma=args.sigma, T=args.T)
-    if args.max_m < 0:
-        raise ValueError("--max-m must be nonnegative")
     table = moments.moment_table(p, args.max_m)
     if args.format == "csv":
         lines = ["m,value,method"]

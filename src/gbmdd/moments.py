@@ -108,21 +108,27 @@ def _sigma2(p: GbmParams) -> float:
 
 
 def _index(value, name: str) -> int:
-    """`value` as an int; ValueError naming `name` where `operator.index`
-    refuses it (a float, nan or inf), so numpy integers pass."""
+    """`value` as an int, the one rule for integer inputs: ValueError naming
+    `name` where `operator.index` refuses it (a float, nan, inf or a string)."""
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _order(m) -> int:
+    """The moment order m as an int; ValueError unless an integer >= 0."""
+    m = _index(m, "moment order")
+    if m < 0:
+        raise ValueError("moment order must be nonnegative")
+    return m
+
+
 def _b_nodes(p: GbmParams, m: int, T: float) -> list[float]:
     """The growth rates b_k = k r + sigma^2 k (k - 1) / 2 of the m-th moment
     of the time average, times T, for k = 0..m: the node set of E A(T)^m at
-    T = p.T.  ValueError unless m is a nonnegative integer and every node
-    is finite."""
-    if _index(m, "moment order") < 0:
-        raise ValueError("moment order must be nonnegative")
+    T = p.T.  ValueError unless `_order` takes m and every node is finite."""
+    m = _order(m)
     s2 = _sigma2(p)
     nodes = [(k * p.r + s2 * k * (k - 1) / 2.0) * T for k in range(m + 1)]
     if not all(map(math.isfinite, nodes)):
@@ -489,7 +495,7 @@ def moment_table(p: GbmParams, max_m: int) -> list[MomentReport]:
     nonnegative integer; OverflowError where an order's value is outside
     the double range, as it is from order 171 on.
     """
-    if _index(max_m, "moment order") > _MAX_ORDER:
+    if _order(max_m) > _MAX_ORDER:
         raise OverflowError(f"E A(T)^{max_m} is outside the double range, as {max_m}! is")
     nodes = _b_nodes(p, max_m, p.T)
     out = [MomentReport(0, 1.0, "exact")]   # positional: 30% cheaper than by keyword

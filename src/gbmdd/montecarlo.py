@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .moments import GbmParams, _index, _sigma2
+from .moments import GbmParams, _index, _order, _sigma2
 
 __all__ = [
     "McConfig",
@@ -64,8 +64,8 @@ _OVERFLOW = "Monte Carlo paths, statistics or their co-moments outside float64 r
 @dataclass(frozen=True)
 class McConfig:
     """Simulation controls: path count (at least 3, two sampling units),
-    time steps, 64-bit seed, and the path-averaging rule (trapezoid has
-    O(1/steps^2) bias, left-riemann O(1/steps))."""
+    time steps, seed (any integer, taken modulo 2^64), and the path-averaging
+    rule (trapezoid has O(1/steps^2) bias, left-riemann O(1/steps))."""
 
     paths: int
     steps: int
@@ -73,7 +73,7 @@ class McConfig:
     averaging: str = "trapezoid"
 
     def __post_init__(self):
-        for name in ("paths", "steps"):  # plain ints, numpy integers included
+        for name in ("paths", "steps", "seed"):  # plain ints, numpy integers included
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.paths < 3:
             raise ValueError("need at least 3 paths")
@@ -81,7 +81,7 @@ class McConfig:
             raise ValueError("need at least 1 step")
         if self.averaging not in _AVERAGING:
             raise ValueError(f"averaging must be one of {_AVERAGING}")
-        object.__setattr__(self, "seed", int(self.seed) & (2 ** 64 - 1))
+        object.__setattr__(self, "seed", self.seed & (2 ** 64 - 1))
 
 
 @dataclass(frozen=True)
@@ -297,10 +297,10 @@ def _block_pass(p: GbmParams, cfg: McConfig, rows, threads: int,
 
 
 def estimate_moment_A(p: GbmParams, cfg: McConfig, m: int, threads: int = 1) -> McEstimate:
-    """Sample mean of A_hat^m with standard error.  Carries the quadrature
+    """Sample mean of A_hat^m with standard error; ValueError before any block
+    is simulated unless `moments._order` takes m.  Carries the quadrature
     discretization bias of the averaging rule, O(1/steps^2) for trapezoid."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+    m = _order(m)
     means, _ = _block_pass(p, cfg, lambda s_T, a_hat: [a_hat ** m], threads)
     return means[0]
 
@@ -316,19 +316,18 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
 
 def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
                    m: int | None = None) -> dict[str, McEstimate]:
-    """One simulation pass estimating mean S(T), mean A, E A^2, E S A,
-    (for sigma > 0) the correlation and, when `m` is given, E A^m under the
-    key "moment_A_<m>", last and bit-identical to `estimate_moment_A`.  The
-    correlation is Pearson's over all paths, from the merged records of the
-    CORR_BATCHES batches, so sigma > 0 needs 2 * CORR_BATCHES paths.  Its
-    stderr is the delete-one-batch jackknife sqrt((B - 1) / B sum_b (r_b -
-    mean r)^2), r_b the correlation of the record before batch b merged with
-    the record after it."""
+    """One simulation pass estimating mean S(T), mean A, E A^2, E S A, (for
+    sigma > 0) the correlation and, when `m` is given, E A^m under the key
+    "moment_A_<m>", last and bit-identical to `estimate_moment_A`, m checked
+    as there.  The correlation is Pearson's over all paths, from the merged
+    records of the CORR_BATCHES batches, so sigma > 0 needs 2 * CORR_BATCHES
+    paths.  Its stderr is the delete-one-batch jackknife sqrt((B - 1) / B
+    sum_b (r_b - mean r)^2), r_b the correlation of the record before batch
+    b merged with the record after it."""
     if p.sigma > 0 and cfg.paths < 2 * CORR_BATCHES:
         raise ValueError(f"need at least {2 * CORR_BATCHES} paths for the correlation's "
                          f"{CORR_BATCHES} jackknife batches")
-    if m is not None and m < 0:
-        raise ValueError("moment order must be nonnegative")
+    m = None if m is None else _order(m)
     names = ["mean_S", "mean_A", "second_moment_A", "cross_moment_SA"]
     names += [] if m is None else [f"moment_A_{m}"]
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .divdiff import EvalMethod, _coerce_nodes, exp_dd
-from .moments import GbmParams, _b_nodes
+from .moments import GbmParams, _b_nodes, _index, _order
 
 __all__ = [
     "DDTable", "newton_table", "equispaced_dd", "symmetric_equispaced_dd",
@@ -147,16 +147,14 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 @np.errstate(all="ignore")  # np.exp overflows to inf where math.exp raises
 def _simplex_quadrature(g: Callable, nodes, order: int) -> float:
     """Integral of g(t_0 a_0 + ... + t_n a_n) over the standard simplex
-    {t_k >= 0, sum t_k <= 1}, by nested Gauss-Legendre rules."""
-    u, w = _gauss_legendre_01(order)
+    {t_k >= 0, sum t_k <= 1}, by nested Gauss-Legendre rules of `order` points."""
+    if _index(order, "order") < 1:
+        raise ValueError("order must be positive")
+    x, w = np.polynomial.legendre.leggauss(order)
+    u, w = 0.5 * (x + 1.0), 0.5 * w   # the rule on [0, 1]
     n = len(nodes) - 1
     arg = np.array([nodes[0]])
     rem = np.array([1.0])
@@ -184,14 +182,14 @@ def hermite_genocchi_oracle(
     method="sampling": uniform simplex points from sorted uniform spacings,
     `budget` samples (at least 2), reported error is one standard error.
     method="quadrature": deterministic nested Gauss-Legendre (n <= 4),
-    `budget` is the points-per-dimension order; error is a two-order
-    comparison estimate.
+    `budget` is the points-per-dimension order, at least 4; error is a
+    two-order comparison estimate.
     """
     xs = np.asarray(_coerce_nodes(nodes), dtype=float)
     n = len(xs) - 1
     if n < 1:
         raise ValueError("the simplex representation needs n >= 1")
-    if budget <= 0:
+    if _index(budget, "budget") <= 0:
         raise ValueError("budget must be positive")
     volume = 1.0 / math.factorial(n)
     if method == "sampling":
@@ -209,7 +207,7 @@ def hermite_genocchi_oracle(
     if method == "quadrature":
         if n > 4:
             raise ValueError("nested quadrature supported for n <= 4 only")
-        order = max(4, int(budget))
+        order = max(4, budget)
         hi = _simplex_quadrature(deriv_n, xs, order)
         lo = _simplex_quadrature(deriv_n, xs, max(4, order - 6))
         err = abs(hi - lo) + 1e-15 * abs(hi)
@@ -320,7 +318,7 @@ def pairwise_expectation(p: GbmParams, a: float, b: float) -> float:
 
 def power_expectation(p: GbmParams, t: float, k: int) -> float:
     """E S(t)^k = exp(k r t + sigma^2 t k (k-1) / 2) = exp(b_k t)."""
-    if k < 1:
+    if _index(k, "k") < 1:
         raise ValueError("k must be a positive integer")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -348,10 +346,9 @@ def ordered_product_expectation(p: GbmParams, times: Sequence[float]) -> float:
 def moment_bruteforce(p: GbmParams, m: int, order: int = 24) -> OracleEstimate:
     """E A(T)^m by deterministic nested quadrature of the ordered iterated
     integral with coefficients alpha_k = (r + (m-k) sigma^2) T; test oracle
-    for `moment_A`, limited to m <= 4 as a cost guard."""
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    if m > 4:
+    for `moment_A`, limited to m <= 4 as a cost guard; `order` is
+    `ordered_exp_simplex_quad`'s, unused at m = 0, where the moment is 1."""
+    if _order(m) > 4:
         raise ValueError("brute-force moment limited to m <= 4")
     if m == 0:
         return OracleEstimate(1.0, 0.0, "quadrature")
@@ -374,7 +371,7 @@ def oshanin_yor_moment(m: int, rT: float) -> float:
     headroom as rT shrinks; in double precision trust it for rT >= 0.5 and
     prefer the divided-difference form in production.
     """
-    if m < 1:
+    if _index(m, "m") < 1:
         raise ValueError("m must be a positive integer")
     if not 0 < rT < math.inf:
         raise ValueError("rT must be positive and finite")
@@ -395,7 +392,7 @@ def moment_ode_residual(n: int, t: float, c: Sequence[float]) -> float:
     A small residual certifies the identity; c must be strictly increasing
     and positive.
     """
-    if n < 1:
+    if _index(n, "order n") < 1:
         raise ValueError("order n must be at least 1")
     if t <= 0:
         raise ValueError("t must be positive")

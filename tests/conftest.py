@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from gbmdd import GbmParams, moments
+from gbmdd import GbmParams, moments, montecarlo
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -19,6 +19,20 @@ def load_dd_cases(name):
         nodes = [float(x) for x in nodes_s.split(",")]
         cases.append((nodes, float(expected_s), float(tol_s)))
     return cases
+
+
+@pytest.fixture
+def simulated_blocks(monkeypatch) -> list:
+    """Every Monte Carlo block simulated in the test, (lo, hi), in call order."""
+    calls = []
+    simulate = montecarlo._simulate_block
+
+    def counted(p, cfg, lo, hi, buf):
+        calls.append((lo, hi))
+        return simulate(p, cfg, lo, hi, buf)
+
+    monkeypatch.setattr(montecarlo, "_simulate_block", counted)
+    return calls
 
 
 @pytest.fixture

@@ -106,6 +106,12 @@ def test_moments_beyond_the_factorial_range_exit_2_at_once(capsys):
         assert err.startswith("gbmdd: ") and "outside the double range" in err
 
 
+def test_moments_negative_order_exits_2_with_moment_tables_message(capsys):
+    # the CLI checks --max-m no more itself: `moment_table`'s ValueError is the message
+    code, out, err = run_cli(capsys, "moments", "--max-m", "-1")
+    assert (code, out, err) == (2, "", "gbmdd: moment order must be nonnegative\n")
+
+
 # each fails on its input; 10^7 x 10^7 scan cells (727 TiB) exceed a 47-bit
 # address space, so that allocation fails under any overcommit policy
 _FAILING_ARGV = [
@@ -460,25 +466,11 @@ def test_mc_extra_moment_flag(capsys):
     assert abs(doc["estimates"]["moment_A_3"]["z"]) <= 4.0
 
 
-def _count_blocks(monkeypatch) -> list:
-    """Record every simulated block, (lo, hi), in call order."""
-    calls = []
-    simulate = montecarlo._simulate_block
-
-    def counted(p, cfg, lo, hi, buf):
-        calls.append((lo, hi))
-        return simulate(p, cfg, lo, hi, buf)
-
-    monkeypatch.setattr(montecarlo, "_simulate_block", counted)
-    return calls
-
-
-def test_mc_extra_moment_simulates_each_block_once(capsys, monkeypatch):
-    calls = _count_blocks(monkeypatch)
+def test_mc_extra_moment_simulates_each_block_once(capsys, simulated_blocks):
     code, out, _ = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25",
                            "--m", "3", "--seed", "1")
     assert code == 0
-    assert calls == [(0, 4096), (4096, 8192)]
+    assert simulated_blocks == [(0, 4096), (4096, 8192)]
     rows = json.loads(out)["estimates"]
     # the same numbers as a suite pass followed by a separate E A^3 pass
     p = GbmParams(r=0.05, sigma=0.2, T=1.0)
@@ -490,44 +482,40 @@ def test_mc_extra_moment_simulates_each_block_once(capsys, monkeypatch):
         assert (rows[name]["value"], rows[name]["stderr"]) == (est.value, est.stderr), name
 
 
-def test_mc_negative_moment_order_exits_2_before_simulating(capsys, monkeypatch):
-    calls = _count_blocks(monkeypatch)
+def test_mc_negative_moment_order_exits_2_before_simulating(capsys, simulated_blocks):
     code, out, err = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25", "--m", "-1")
     assert code == 2
     assert out == ""
     assert "moment order" in err
-    assert calls == []
+    assert simulated_blocks == []
 
 
-def test_mc_order_beyond_the_factorial_range_exits_2_before_simulating(capsys, monkeypatch):
-    calls = _count_blocks(monkeypatch)
+def test_mc_order_beyond_the_factorial_range_exits_2_before_simulating(capsys, simulated_blocks):
     code, out, err = run_cli(capsys, "mc", "--paths", "8192", "--steps", "25", "--m", "171")
     assert code == 2
     assert out == ""
     assert "outside the double range" in err
-    assert calls == []
+    assert simulated_blocks == []
 
 
-def test_mc_moment_past_the_double_range_exits_2_before_simulating(capsys, monkeypatch):
+def test_mc_moment_past_the_double_range_exits_2_before_simulating(capsys, simulated_blocks):
     # exp[0, 94, ..., 752] = 1.6e306 is a double; 8! times it is not
-    calls = _count_blocks(monkeypatch)
     code, out, err = run_cli(capsys, "mc", "--r", "94", "--sigma", "0.001", "--T", "1",
                              "--m", "8", "--paths", "256", "--steps", "4")
     assert code == 2
     assert out == ""
     assert "outside the double range" in err
-    assert calls == []
+    assert simulated_blocks == []
 
 
-def test_mc_thread_counts_below_one_exit_1_before_simulating(capsys, monkeypatch):
-    calls = _count_blocks(monkeypatch)
+def test_mc_thread_counts_below_one_exit_1_before_simulating(capsys, simulated_blocks):
     for threads in ("0", "-1"):
         code, out, err = run_cli(capsys, "mc", "--paths", "128", "--steps", "4",
                                  "--threads", threads)
         assert code == 1
         assert out == ""
         assert "--threads must be at least 1" in err
-    assert calls == []
+    assert simulated_blocks == []
 
 
 def test_price_floating_with_mc(capsys):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from gbmdd.moments import GbmParams, GridSpec, _b_nodes, moment_table, s_statistic
-from gbmdd.montecarlo import McConfig, estimate_moment_A, iter_terminal_and_average
+from gbmdd.montecarlo import (McConfig, estimate_moment_A, estimate_suite,
+                              iter_terminal_and_average)
 from gbmdd.oracles import (
     SimplexSpec,
     equispaced_dd,
@@ -31,6 +32,7 @@ from gbmdd.pricing import margrabe_price
 from references import mp_exp_dd
 
 BENCH = GbmParams(r=0.05, sigma=0.2, T=1.0)
+CFG = McConfig(paths=64, steps=4, seed=1)   # enough paths for the suite's correlation
 
 _CASES = [
     pytest.param(lambda: symmetric_equispaced_dd([1.0, 2.0], 0.1), "odd number of values",
@@ -103,6 +105,35 @@ _CASES = [
                  id="_b_nodes-float-m"),
     pytest.param(lambda: iter_terminal_and_average(BENCH, McConfig(paths=16, steps=4, seed=1), 1.5),
                  "threads must be an integer, got 1.5", id="iter_terminal_and_average-float-threads"),
+    # the integer rule on seeds, powers, orders and budgets: each of these
+    # ran (a truncated seed or budget, a nan power), or raised TypeError or
+    # OverflowError, before `moments._index` checked it
+    *(pytest.param(lambda seed=seed: McConfig(paths=16, steps=4, seed=seed),
+                   f"seed must be an integer, got {seed!r}", id=f"McConfig-seed-{seed!r}")
+      for seed in (1.5, math.inf, "7")),
+    *(pytest.param(lambda m=m: estimate_moment_A(BENCH, CFG, m),
+                   f"moment order must be an integer, got {m!r}",
+                   id=f"estimate_moment_A-m-{m!r}") for m in (2.5, math.nan, "2")),
+    *(pytest.param(lambda m=m: estimate_suite(BENCH, CFG, m=m),
+                   f"moment order must be an integer, got {m!r}",
+                   id=f"estimate_suite-m-{m!r}") for m in (2.5, math.nan, "2")),
+    *(pytest.param(lambda k=k: power_expectation(BENCH, 1.0, k), f"k must be an integer, got {k!r}",
+                   id=f"power_expectation-k-{k!r}") for k in (math.nan, 2.5)),
+    pytest.param(lambda: oshanin_yor_moment(2.5, 1.0), "m must be an integer, got 2.5",
+                 id="oshanin_yor_moment-m-2.5"),
+    pytest.param(lambda: moment_bruteforce(BENCH, 2.5), "moment order must be an integer, got 2.5",
+                 id="moment_bruteforce-m-2.5"),
+    pytest.param(lambda: moment_bruteforce(BENCH, 2, order=20.5), "order must be an integer, got 20.5",
+                 id="moment_bruteforce-order-20.5"),
+    pytest.param(lambda: moment_ode_residual(2.5, 1.0, [1.0, 2.0, 3.0]),
+                 "order n must be an integer, got 2.5", id="moment_ode_residual-n-2.5"),
+    pytest.param(lambda: ordered_exp_simplex_quad([0.5, 0.2], order=2.5),
+                 "order must be an integer, got 2.5", id="ordered_exp_simplex_quad-order-2.5"),
+    pytest.param(lambda: ordered_exp_simplex_quad([0.5, 0.2], order=0), "order must be positive",
+                 id="ordered_exp_simplex_quad-order-0"),
+    pytest.param(lambda: hermite_genocchi_oracle(np.exp, [0.0, 1.0], budget=10.7,
+                                                 method="quadrature"),
+                 "budget must be an integer, got 10.7", id="hermite_genocchi_oracle-budget-10.7"),
     pytest.param(lambda: s_statistic(1e308, 0.0), "nodes must be finite",
                  id="s_statistic-2r-overflows"),
     pytest.param(lambda: moment_table(GbmParams(1e10, 0.2, 1e300), 3), "nodes must be finite",
@@ -132,6 +163,30 @@ def test_numpy_integer_counts_pass():
         [[a.tobytes() for a in block] for block in want]
     assert GridSpec(na=np.int64(5), nr=np.uint8(2)).a_values().tolist() == GridSpec(na=5).a_values().tolist()
     assert moment_table(BENCH, np.int64(4)) == moment_table(BENCH, 4)
+    assert McConfig(paths=16, steps=4, seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+    assert McConfig(paths=16, steps=4, seed=np.int8(-1)).seed == 2 ** 64 - 1
+    assert estimate_moment_A(BENCH, CFG, np.int64(3)) == estimate_moment_A(BENCH, CFG, 3)
+    assert estimate_suite(BENCH, CFG, m=np.int32(3)) == estimate_suite(BENCH, CFG, m=3)
+    p = GbmParams(r=0.1, sigma=0.3, T=2.0)
+    assert power_expectation(p, 1.5, np.int64(3)) == power_expectation(p, 1.5, 3)
+    assert oshanin_yor_moment(np.int16(3), 1.0) == oshanin_yor_moment(3, 1.0)
+    assert moment_bruteforce(p, np.int64(2), order=np.int64(12)) == moment_bruteforce(p, 2, order=12)
+    assert moment_ode_residual(np.int64(2), 1.0, [1.0, 2.0]) == moment_ode_residual(2, 1.0, [1.0, 2.0])
+    assert hermite_genocchi_oracle(np.exp, [0.0, 1.0], budget=np.int64(10), method="quadrature") == \
+        hermite_genocchi_oracle(np.exp, [0.0, 1.0], budget=10, method="quadrature")
+
+
+@pytest.mark.parametrize("estimate", [
+    pytest.param(estimate_moment_A, id="estimate_moment_A"),
+    pytest.param(lambda p, cfg, m: estimate_suite(p, cfg, m=m), id="estimate_suite"),
+])
+def test_mc_nan_moment_order_raises_before_any_block(simulated_blocks, estimate):
+    # the suite simulated every block and then raised OverflowError
+    with pytest.raises(ValueError, match="moment order must be an integer, got nan"):
+        estimate(BENCH, CFG, math.nan)
+    assert simulated_blocks == []
+    estimate(BENCH, CFG, 2)   # the counter sees a valid call's block
+    assert simulated_blocks == [(0, 64)]
 
 
 # Outside the double range an oracle raises OverflowError, as `math.exp` does,
