@@ -107,6 +107,14 @@ def _sigma2(p: GbmParams) -> float:
         raise OverflowError(f"sigma^2 is outside the double range at sigma = {p.sigma:g}") from None
 
 
+def _exp(x: float, name: str) -> float:
+    """e^x; OverflowError naming the quantity `name` where `math.exp` overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OverflowError(f"{name} is outside the double range") from None
+
+
 def _index(value, name: str) -> int:
     """`value` as an int, the one rule for integer inputs: ValueError naming
     `name` where `operator.index` refuses it (a float, nan, inf or a string)."""
@@ -143,7 +151,7 @@ def _ddn(p: GbmParams) -> tuple[float, float]:
 
 def mean_S(p: GbmParams) -> float:
     """E S(T) = e^{rT}."""
-    return math.exp(p.r * p.T)
+    return _exp(p.r * p.T, "E S(T)")
 
 
 @_memo

@@ -14,16 +14,16 @@ and the second half the angles, so the normal pairs form within a tile
 and TILE_DRAWS is part of the stream layout, as BLOCK_PATHS is.  The law
 is cut at |z| = 8.5717.  Every estimate comes from one reduction: per
 block, a record (count, means, centred co-moment matrix) of stacked
-statistics, merged in block order (Chan, Golub and LeVeque).  Means are
-over pair means, an odd count's last path a unit of its own, so an
-estimate needs 3 paths; the correlation is over the paths of its jackknife
-batches.  An estimate depends only on (seed, paths, steps, averaging) and
-the fixed BLOCK_PATHS and TILE_DRAWS, never on the thread count or the
-order in which blocks finish; its last bits may differ between numpy's
-SIMD dispatch levels, whose exp, log and tan round differently.  Each call
-gives each worker thread one 64-byte aligned (walk, work) tile pair of at
-most 2 x TILE_DRAWS doubles, whose placement changes no bit; nothing is
-kept after the call.
+statistics in Python floats, and one merge (Chan, Golub and LeVeque) for
+all records, in block order.  Means are over pair means, an odd count's
+last path a unit of its own, so an estimate needs 3 paths; the correlation
+is over the paths of its jackknife batches.  An estimate depends only on
+(seed, paths, steps, averaging) and the fixed BLOCK_PATHS and TILE_DRAWS,
+never on the thread count or the order in which blocks finish; its last
+bits may differ between numpy's SIMD dispatch levels, whose exp, log and
+tan round differently.  Each call gives each worker thread one 64-byte
+aligned (walk, work) tile pair of at most 2 x TILE_DRAWS doubles, whose
+placement changes no bit; nothing is kept after the call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .moments import GbmParams, _index, _order, _sigma2
+from .moments import GbmParams, _exp, _index, _order, _sigma2
 
 __all__ = [
     "McConfig",
@@ -231,32 +231,25 @@ def _pooled_blocks(p: GbmParams, cfg: McConfig, ranges: list[tuple[int, int]],
                             ranges)
 
 
-def _record(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(count, means, centred co-moments C[i, j] = sum_u (x[i, u] - mean_i)
-    (x[j, u] - mean_j)) of stacked statistic rows over sampling units, the
-    columns of `x`.  Centring on the first unit keeps a constant row exact;
-    each entry is one row's pairwise sum, whatever rows share the record."""
+def _record(x: np.ndarray) -> tuple[int, list, list]:
+    """(count, means, centred co-moments C[i][j] = sum_u (x[i, u] - mean_i)
+    (x[j, u] - mean_j)) of statistic rows over sampling units, the columns of
+    `x`, as Python floats.  Centring on the first unit keeps a constant row
+    exact; each entry is one row's pairwise sum, whatever rows share it."""
     d = x - x[:, :1]
     dm = d.mean(axis=1)
     e = d - dm[:, None]
-    return x.shape[1], x[:, 0] + dm, (e[:, None] * e).sum(axis=-1)
+    return x.shape[1], (x[:, 0] + dm).tolist(), (e[:, None] * e).sum(axis=-1).tolist()
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Pairwise update of two records (Chan, Golub and LeVeque), or of each
-    pair of records in two stacks of them along a last axis."""
+    """Pairwise update of two records (Chan, Golub and LeVeque) on Python
+    floats: means ma + d nb / n, co-moments ca + cb + d_i d_j na nb / n."""
     (na, ma, ca), (nb, mb, cb) = a, b
-    n, delta = na + nb, mb - ma
-    return n, ma + delta * nb / n, ca + cb + delta[:, None] * delta[None, :] * na * nb / n
-
-
-def _merge_floats(a: tuple, b: tuple) -> tuple:
-    """`_merge` of two 2-statistic records as Python floats (count, means,
-    C_00, C_01, C_11): the same IEEE operations in the same order."""
-    (na, a0, a1, a00, a01, a11), (nb, b0, b1, b00, b01, b11) = a, b
-    n, d0, d1 = na + nb, b0 - a0, b1 - a1
-    return (n, a0 + d0 * nb / n, a1 + d1 * nb / n, a00 + b00 + d0 * d0 * na * nb / n,
-            a01 + b01 + d0 * d1 * na * nb / n, a11 + b11 + d1 * d1 * na * nb / n)
+    n, d = na + nb, [y - x for x, y in zip(ma, mb)]
+    return (n, [x + di * nb / n for x, di in zip(ma, d)],
+            [[x + y + di * dj * na * nb / n for x, y, dj in zip(rx, ry, d)]
+             for rx, ry, di in zip(ca, cb, d)])
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite record, checked below
@@ -289,10 +282,10 @@ def _block_pass(p: GbmParams, cfg: McConfig, rows, threads: int,
                     parts[b].append(_record(sa[:, i:j]))
         lo += n
     n, mean, c = functools.reduce(_merge, units)
-    if not np.isfinite(c).all():  # so are the means
+    if not all(map(math.isfinite, itertools.chain(*c))):  # so are the means
         raise OverflowError(_OVERFLOW)
-    means = [McEstimate(math.ldexp(m, k), math.ldexp(math.sqrt(v / (n - 1) / n), k), cfg.paths)
-             for m, v, k in zip(mean, c.diagonal(), e.tolist())]
+    means = [McEstimate(math.ldexp(m, k), math.ldexp(math.sqrt(row[i] / (n - 1) / n), k), cfg.paths)
+             for i, (m, row, k) in enumerate(zip(mean, c, e.tolist()))]
     return means, [functools.reduce(_merge, part) for part in parts if part]
 
 
@@ -309,7 +302,7 @@ def estimate_payoff(p: GbmParams, cfg: McConfig, payoff, threads: int = 1) -> Mc
     """Discounted sample mean of the Asian payoff with standard error."""
     if not isinstance(payoff, (FloatingStrikeAsianCall, FixedStrikeAsianCall)):
         raise ValueError(f"unknown payoff: {payoff!r}")
-    disc = math.exp(-p.r * p.T)
+    disc = _exp(-p.r * p.T, "the discount e^{-rT}")
     means, _ = _block_pass(p, cfg, lambda s_T, a_hat: [disc * payoff.values(s_T, a_hat)], threads)
     return means[0]
 
@@ -337,12 +330,11 @@ def estimate_suite(p: GbmParams, cfg: McConfig, threads: int = 1,
     means, batch = _block_pass(p, cfg, rows, threads, batches=p.sigma > 0)
     out = dict(zip(names, means))
     if p.sigma > 0:
-        batch = [(n, *m.tolist(), *c.take([0, 1, 3]).tolist()) for n, m, c in batch]
-        pre = list(itertools.accumulate(batch, _merge_floats))
-        suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge_floats(b, a)))[::-1]
+        pre = list(itertools.accumulate(batch, _merge))
+        suf = list(itertools.accumulate(batch[::-1], lambda a, b: _merge(b, a)))[::-1]
         # (C_SS, C_SA, C_AA) of each leave-one-out record, then of the whole
-        recs = [suf[1], *map(_merge_floats, pre[:-2], suf[2:]), pre[-2], pre[-1]]
-        c = np.array([rec[3:] for rec in recs]).T
+        recs = [suf[1], *map(_merge, pre[:-2], suf[2:]), pre[-2], pre[-1]]
+        c = np.array([(cm[0][0], cm[0][1], cm[1][1]) for _, _, cm in recs]).T
         if not np.isfinite(c).all():
             raise OverflowError(_OVERFLOW)
         if not ((c[0] > 0) & (c[2] > 0)).all():

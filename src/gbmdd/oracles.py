@@ -183,7 +183,7 @@ def hermite_genocchi_oracle(
     `budget` samples (at least 2), reported error is one standard error.
     method="quadrature": deterministic nested Gauss-Legendre (n <= 4),
     `budget` is the points-per-dimension order, at least 4; error is a
-    two-order comparison estimate.
+    two-order comparison estimate, against order 3 at order 4.
     """
     xs = np.asarray(_coerce_nodes(nodes), dtype=float)
     n = len(xs) - 1
@@ -209,7 +209,7 @@ def hermite_genocchi_oracle(
             raise ValueError("nested quadrature supported for n <= 4 only")
         order = max(4, budget)
         hi = _simplex_quadrature(deriv_n, xs, order)
-        lo = _simplex_quadrature(deriv_n, xs, max(4, order - 6))
+        lo = _simplex_quadrature(deriv_n, xs, 3 if order == 4 else max(4, order - 6))
         err = abs(hi - lo) + 1e-15 * abs(hi)
         return OracleEstimate(hi, err, "quadrature")
     raise ValueError(f"unknown oracle method: {method!r}")
@@ -355,7 +355,7 @@ def moment_bruteforce(p: GbmParams, m: int, order: int = 24) -> OracleEstimate:
     alpha = [(p.r + (m - k) * p.sigma ** 2) * p.T for k in range(1, m + 1)]
     fact = math.factorial(m)
     hi = fact * ordered_exp_simplex_quad(alpha, order=order)
-    lo = fact * ordered_exp_simplex_quad(alpha, order=max(4, order - 8))
+    lo = fact * ordered_exp_simplex_quad(alpha, order=3 if order == 4 else max(4, order - 8))
     return OracleEstimate(hi, abs(hi - lo) + 1e-15 * abs(hi), "quadrature")
 
 

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_DISCOUNT = "the discount e^{-rT}"
 
 
 def normal_cdf(x: float) -> float:
@@ -101,12 +102,11 @@ def floating_strike_asian_approx(p: GbmParams) -> PriceQuote:
     the analytic correlation coefficient as the exchange correlation."""
     if p.sigma == 0:
         raise ValueError("approximation undefined for deterministic paths")
-    rT = p.r * p.T
     mA = moments.mean_A(p)
     mu, s2 = _variance_fit(mA, moments.var_A(p))
     rho = moments._correlation_R(p)   # finite where a field of `correlation` is not
-    quote = margrabe_price(F1=math.exp(rT), F2=mA, s1=p.sigma * math.sqrt(p.T),
-                           s2=math.sqrt(s2), rho=rho, discount=math.exp(-rT))
+    quote = margrabe_price(F1=moments.mean_S(p), F2=mA, s1=p.sigma * math.sqrt(p.T),
+                           s2=math.sqrt(s2), rho=rho, discount=moments._exp(-p.r * p.T, _DISCOUNT))
     inputs = {**quote.inputs, "r": p.r, "sigma": p.sigma, "T": p.T, "fit_mu": mu, "fit_s2": s2}
     return PriceQuote(quote.value, "margrabe-approx", inputs)
 
@@ -120,7 +120,7 @@ def fixed_strike_asian_approx(p: GbmParams, K: float) -> PriceQuote:
         raise ValueError("strike must be finite and nonnegative")
     mA = moments.mean_A(p)
     mu, s2 = _variance_fit(mA, moments.var_A(p))
-    discount = math.exp(-p.r * p.T)
+    discount = moments._exp(-p.r * p.T, _DISCOUNT)
     inputs = {"r": p.r, "sigma": p.sigma, "T": p.T, "K": K,
               "fit_mu": mu, "fit_s2": s2, "discount": discount}
     if K == 0.0:

@@ -95,6 +95,19 @@ def test_sigma_squared_overflow_exits_2_naming_it(capsys):
     assert moments.mean_A(p) == moments.mean_A(GbmParams(0.05, 0.2, 1.0))
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("mc --r 400 --T 2 --paths 64 --steps 1", "E S(T)"),
+    ("mc --r 100 --T 8 --paths 64 --steps 2", "E S(T)"),
+    ("price --style fixed --r -100 --T 8", "the discount e^{-rT}"),
+    ("price --style floating --r -100 --T 8", "the discount e^{-rT}"),
+])
+def test_exp_overflow_exits_2_naming_the_quantity(capsys, argv, name):
+    # a bare `math.exp` of rT = 800 or -rT = 800 printed "math range error"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"gbmdd: result outside double range: {name} is outside the double range\n"
+
+
 def test_moments_beyond_the_factorial_range_exit_2_at_once(capsys):
     # 171! is not a double: the table fails before it builds any node set
     for max_m in ("171", "100000"):

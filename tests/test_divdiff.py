@@ -1231,6 +1231,15 @@ def test_hg_quadrature_matches_exp_dd(nodes):
     assert est.value == pytest.approx(exp_dd(nodes), rel=1e-11)
 
 
+def test_hg_quadrature_error_covers_the_gap_at_the_lowest_order():
+    # budgets up to 4 take order 4, which was compared with itself: `error`
+    # read the 1e-15 |value| floor, 2.2e-12, against a gap of 20.8 to exp_dd
+    nodes = [0.0, 6.0, 12.0]
+    est = hermite_genocchi_oracle(np.exp, nodes, budget=4, method="quadrature")
+    assert abs(est.value - exp_dd(nodes)) <= est.error
+    assert hermite_genocchi_oracle(np.exp, nodes, budget=2, method="quadrature") == est
+
+
 def test_hg_quadrature_order_guard():
     with pytest.raises(ValueError, match="n <= 4"):
         hermite_genocchi_oracle(np.exp, list(range(6)), budget=8, method="quadrature")

@@ -799,6 +799,14 @@ def test_moment_A_vs_bruteforce(bench):
         moment_bruteforce(bench, 5)
 
 
+def test_moment_bruteforce_error_covers_the_gap_at_the_lowest_order():
+    # order 4 was compared with itself: `error` read the 1e-15 |value|
+    # floor, 4.9e-13, against a gap of 12.5 to moment_A
+    p = GbmParams(0.05, 0.8, 3.0)
+    est = moment_bruteforce(p, 4, order=4)
+    assert abs(est.value - moment_A(p, 4)) <= est.error
+
+
 def test_moment_bruteforce_zero_coefficients():
     # alpha = 0 integrand: m! times the ordered-simplex volume 1/m!
     p = GbmParams(r=0.0, sigma=0.0, T=1.0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -650,6 +651,10 @@ def test_statistics_outside_double_range_raise_overflow(threads):
         estimate_suite(GbmParams(r=80.0, sigma=0.2, T=8.0), cfg, threads=threads)
     with pytest.raises(OverflowError, match="outside float64 range"):
         estimate_moment_A(GbmParams(r=0.05, sigma=150.0, T=8.0), cfg, 1, threads=threads)
+    # e^{-rT} at rT = -800 raised with "math range error" alone
+    with pytest.raises(OverflowError, match=r"the discount e\^\{-rT\} is outside the double range"):
+        estimate_payoff(GbmParams(r=-100.0, sigma=0.2, T=8.0), cfg, FloatingStrikeAsianCall(),
+                        threads=threads)
 
 
 def test_sigma_squared_overflow_raises_naming_it():
@@ -662,38 +667,32 @@ def test_sigma_squared_overflow_raises_naming_it():
         estimate_suite(p, cfg)
 
 
-def test_merge_of_record_stacks_equals_each_pair_merged():
-    # records stacked along a last axis merge pairwise, each pair bit for
-    # bit its own merge
-    rng = np.random.default_rng(3)
-    recs = [montecarlo._record(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9))
-            for n in rng.integers(2, 50, 12)]
-    stacks = [tuple(np.stack(f, axis=-1) for f in zip(*half)) for half in (recs[:6], recs[6:])]
-    n, mean, c = montecarlo._merge(*stacks)
-    for j, (a, b) in enumerate(zip(recs[:6], recs[6:])):
-        nj, mj, cj = montecarlo._merge(a, b)
-        assert n[j] == nj and mean[:, j].tobytes() == mj.tobytes(), j
-        assert c[:, :, j].tobytes() == cj.tobytes(), j
+def test_merge_equals_numpy_chan_update_bit_for_bit():
+    # `_merge` on Python floats against Chan, Golub and LeVeque's update
+    # evaluated in numpy, chained as the jackknife chains its batch records
+    # (prefixes, suffixes, each middle record the merge of the two around
+    # it): every mean and co-moment keeps the reference's bits, so an
+    # operation taken in another order fails here
+    def chan(a, b):
+        (na, ma, ca), (nb, mb, cb) = a, b
+        ma, mb, ca, cb = map(np.array, (ma, mb, ca, cb))
+        n, d = na + nb, mb - ma
+        return n, ma + d * nb / n, ca + cb + d[:, None] * d[None, :] * na * nb / n
 
-
-def test_float_merge_equals_array_merge_bit_for_bit():
-    # the jackknife merges its 2-statistic batch records as Python floats;
-    # each merge, chained as the prefixes chain them, gives `_merge`'s bits
     rng = np.random.default_rng(5)
-    recs = [montecarlo._record(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9, (2, 1))
-                               + rng.standard_normal((2, 1)) * 1e3)
-            for n in rng.integers(2, 50, 16)]
-
-    def flat(rec):
-        n, m, c = rec
-        return (n, *m.tolist(), *c.take([0, 1, 3]).tolist())
-
-    want, got = recs[0], flat(recs[0])
-    for rec in recs[1:]:
-        want, got = montecarlo._merge(want, rec), montecarlo._merge_floats(got, flat(rec))
-        assert type(got[0]) is int and got == flat(want)
-        assert montecarlo._merge_floats(flat(rec), flat(recs[0])) == flat(
-            montecarlo._merge(rec, recs[0]))
+    for k in (1, 2, 5):
+        recs = [montecarlo._record(rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 9, (k, 1))
+                                   + rng.standard_normal((k, 1)) * 10.0 ** rng.integers(-8, 9))
+                for n in rng.integers(1, 50, 12)]
+        pairs = []
+        for merge in (montecarlo._merge, chan):
+            pre = list(itertools.accumulate(recs, merge))
+            suf = list(itertools.accumulate(recs[::-1], lambda a, b: merge(b, a)))[::-1]
+            pairs.append([*pre, *suf, *map(merge, pre[:-2], suf[2:])])
+        for got, (n, mean, c) in zip(*pairs):
+            assert type(got[0]) is int and got[0] == n, k
+            assert np.array(got[1]).tobytes() == np.array(mean).tobytes(), k
+            assert np.array(got[2]).tobytes() == np.array(c).tobytes(), k
 
 
 def test_ordered_product_mc_cross_check():
